@@ -33,7 +33,7 @@ from .landau import (LandauField, LandauParams, CallableField, RescaledField,
                      sup_speed_on_unit_sphere)
 from .quadrature import (ball_samples, decay_report, flux_integral,
                          lorentz_quasinorm)
-from .spectral import (ContractionDivergedError, make_forcing,
+from .spectral import (BOX, ContractionDivergedError, make_forcing,
                        make_mollified_drift, run_contraction)
 from .weakform import extract_force_weak, make_test_function
 
@@ -53,6 +53,12 @@ TRACE_CSV_COLUMNS = ["iter", "increment", "ratio"]
 
 class ConfigError(Exception):
     """Invalid combination or value of command-line parameters."""
+
+
+def _require(condition, message):
+    """Raise ConfigError(message) unless condition holds (NaN fails)."""
+    if not condition:
+        raise ConfigError(message)
 
 
 def _parse_vec3(text):
@@ -241,14 +247,15 @@ def cmd_landau(args):
 
 
 def cmd_flux(args):
-    if args.tol <= 0.0:
-        raise ConfigError("tolerance must be positive")
+    _require(np.isfinite(args.tol) and args.tol > 0.0,
+             "--tol must be finite and > 0")
     kind, fld = parse_field_spec(args.field)
     if kind == "scalar":
         raise ConfigError("flux needs a vector field spec")
     radii = _parse_floats(args.radii)
     if not radii or any(r <= 0.0 for r in radii):
         raise ConfigError("radii must be positive")
+    _require(args.n_theta >= 2, "--n-theta must be >= 2")
 
     probe = LandauField(fld) if kind == "landau" else fld
     forces = [flux_integral(probe, R, n_theta=args.n_theta) for R in radii]
@@ -282,13 +289,15 @@ def cmd_flux(args):
 
 
 def cmd_verify(args):
-    if args.tol <= 0.0:
-        raise ConfigError("tolerance must be positive")
+    _require(np.isfinite(args.tol) and args.tol > 0.0,
+             "--tol must be finite and > 0")
     if args.mode == "weak":
         params = _landau_params_of(args.field)
         center = _parse_vec3(args.center)
         if not (0.0 < args.a < args.b):
             raise ConfigError("need 0 < --a < --b")
+        _require(args.n_r >= 3, "--n-r must be >= 3")
+        _require(args.n_theta >= 2, "--n-theta must be >= 2")
         result = extract_force_weak(LandauField(params), center,
                                     args.a, args.b, n_r=args.n_r,
                                     n_theta=args.n_theta)
@@ -312,6 +321,9 @@ def cmd_verify(args):
         passed = err <= args.tol
     elif args.mode == "ns":
         params = _landau_params_of(args.field)
+        _require(args.samples >= 1, "--samples must be >= 1")
+        _require(0.0 < args.rmin < args.rmax, "need 0 < --rmin < --rmax")
+        _require(args.seed >= 0, "--seed must be >= 0")
         rng = np.random.default_rng(args.seed)
         radii = args.rmin + (args.rmax - args.rmin) * rng.random(args.samples)
         dirs = rng.normal(size=(args.samples, 3))
@@ -333,6 +345,8 @@ def cmd_verify(args):
         probe = LandauField(fld) if kind == "landau" else fld
         if not (0.0 < args.lam < 1.0):
             raise ConfigError("--lambda must lie in (0, 1)")
+        _require(args.samples >= 1, "--samples must be >= 1")
+        _require(args.seed >= 0, "--seed must be >= 0")
         rng = np.random.default_rng(args.seed)
         radii = 0.25 + 1.25 * rng.random(args.samples)
         dirs = rng.normal(size=(args.samples, 3))
@@ -358,8 +372,17 @@ def cmd_picard(args):
     grid = args.grid
     if grid < 16 or grid & (grid - 1) != 0:
         raise ConfigError("grid size must be a power of two >= 16")
-    if args.amp < 0.0 or args.tol <= 0.0:
-        raise ConfigError("need amplitude >= 0 and tolerance > 0")
+    _require(np.isfinite(args.amp) and args.amp >= 0.0,
+             "--amp must be finite and >= 0")
+    _require(np.isfinite(args.tol) and args.tol > 0.0,
+             "--tol must be finite and > 0")
+    _require(1.0 < args.r < 3.0, "--r must lie in (1, 3)")
+    _require(args.iters >= 1, "--iters must be >= 1")
+    _require(0.0 < args.delta_in < args.delta_out < BOX / 2.0,
+             "need 0 < --delta-in < --delta-out < 2 pi (the torus half-side)")
+    _require(np.isfinite(args.drift_beta) and args.drift_beta >= 0.0,
+             "--drift-beta must be finite and >= 0")
+    _require(args.seed >= 0, "--seed must be >= 0")
     params = (LandauParams.from_magnitude(args.drift_beta)
               if args.drift_beta > 0.0 else LandauParams.zero())
     drift = make_mollified_drift(params, grid, args.delta_in, args.delta_out)

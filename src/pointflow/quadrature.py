@@ -20,6 +20,7 @@ exact solution independently of the sphere radius.
 """
 
 import numpy as np
+import scipy.fft
 from dataclasses import dataclass, field
 
 from .landau import LandauField, as_flow_field, flux_tensor
@@ -282,19 +283,29 @@ def weak_l3(values, weights):
     return lorentz_quasinorm(values, weights, 3.0, np.inf)
 
 
+def _half_wavenumbers(n, box):
+    """Angular wavenumbers of the rfftn half spectrum of an n^3 grid.
+
+    Returns (kx, ky, kz), shaped to broadcast over (n, n, n//2 + 1).  Each
+    is zero at its axis' Nyquist index: the odd derivative of a real
+    field's self-conjugate Nyquist mode has no real representation, and
+    the real part of a full complex derivative drops it the same way.
+    """
+    k_full = 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
+    k_half = 2.0 * np.pi * np.fft.rfftfreq(n, d=box / n)
+    if n % 2 == 0:
+        k_full[n // 2] = 0.0
+        k_half[n // 2] = 0.0
+    return k_full[:, None, None], k_full[None, :, None], k_half[None, None, :]
+
+
 def _periodic_gradient(values, box, spectral):
-    """Gradient of (c, n, n, n) samples on a periodic cube of side box."""
+    """Gradient (3, c, n, n, n) of (c, n, n, n) samples on a periodic cube."""
     n = values.shape[1]
     if spectral:
-        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
-        vhat = np.fft.fftn(values, axes=(1, 2, 3))
-        grads = []
-        for axis in range(3):
-            shape = [1, 1, 1]
-            shape[axis] = n
-            k = k1.reshape(shape)
-            grads.append(np.fft.ifftn(1j * k * vhat, axes=(1, 2, 3)).real)
-        return np.stack(grads)
+        vhat = scipy.fft.rfftn(values, axes=(1, 2, 3))
+        dhat = np.stack([1j * k * vhat for k in _half_wavenumbers(n, box)])
+        return scipy.fft.irfftn(dhat, s=(n, n, n), axes=(2, 3, 4))
     h = box / n
     return np.stack([
         (np.roll(values, -1, axis=1 + axis) - np.roll(values, 1, axis=1 + axis))

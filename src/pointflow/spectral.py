@@ -24,14 +24,22 @@ delta_in / 2 and outside delta_out, re-projected to be divergence free
 (the torus grid cannot represent the 1/|x| singularity); the deviation
 caused by the projection is reported.  Quadratic products are dealiased
 by the 2/3 rule.
+
+Fields are real, so only half of their spectrum is stored: the
+(3, n, n, n//2 + 1) array that scipy.fft.rfftn returns, whose last axis
+holds the frequencies 0 .. n//2.  Every transform is an rfftn or irfftn
+call, and W^{1,2} norms follow from the coefficients by Parseval.  The
+odd-derivative wavenumber is zero at the Nyquist index of every axis,
+which is what the real part of a full complex derivative gives as well.
 """
 
 import numpy as np
+import scipy.fft
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .landau import LandauParams, landau_eval
-from .quadrature import sobolev_norm
+from .quadrature import _half_wavenumbers, sobolev_norm
 from .weakform import smoothstep7
 
 __all__ = [
@@ -50,23 +58,45 @@ _DIVERGENCE_FACTOR = 1e3
 
 @lru_cache(maxsize=8)
 def _wavenumbers(n):
-    """(k, k^2, 1/k^2 with the zero mode masked) for an n^3 grid."""
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=BOX / n)
-    kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-    k = np.stack([kx, ky, kz])
-    k2 = kx**2 + ky**2 + kz**2
+    """(k, |k|^2, 1/|k|^2 with the zero mode masked) on the half spectrum.
+
+    k is zero at the Nyquist index of each axis, and |k|^2 is taken from
+    that k, so it is also the Parseval weight of the gradient.
+    """
+    shape = (n, n, n // 2 + 1)
+    k = np.stack([np.broadcast_to(ka, shape) for ka in _half_wavenumbers(n, BOX)])
+    k2 = (k**2).sum(axis=0)
     inv_k2 = np.zeros_like(k2)
     inv_k2[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
     return k, k2, inv_k2
 
 
 @lru_cache(maxsize=8)
+def _parseval_weights(n):
+    """(w, w |k|^2): how many modes each stored column stands for.
+
+    Columns 1 .. n/2 - 1 of the last axis stand for themselves and their
+    conjugates; column 0 and, for even n, column n/2 for one mode.
+    """
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return w, w * _wavenumbers(n)[1]
+
+
+def _band(n, cut):
+    """Half-spectrum mask of the modes with every integer frequency <= cut."""
+    f = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    fz = np.fft.rfftfreq(n, d=1.0 / n)
+    return ((f[:, None, None] <= cut) & (f[None, :, None] <= cut)
+            & (fz[None, None, :] <= cut))
+
+
+@lru_cache(maxsize=8)
 def _dealias_mask(n):
     """2/3-rule mask on integer frequencies."""
-    f = np.fft.fftfreq(n, d=1.0 / n)
-    fx, fy, fz = np.meshgrid(f, f, f, indexing="ij")
-    cut = n // 3
-    return (np.abs(fx) <= cut) & (np.abs(fy) <= cut) & (np.abs(fz) <= cut)
+    return _band(n, n // 3)
 
 
 def grid_coordinates(n):
@@ -77,10 +107,16 @@ def grid_coordinates(n):
 
 @dataclass
 class SpectralField:
-    """Periodic 3-vector field stored as Fourier coefficients (3, n, n, n).
+    """Real periodic 3-vector field stored as its half spectrum.
 
-    Fields built from real samples have Hermitian-symmetric coefficients;
-    the mean mode is kept at zero by the operations here.
+    coeff has the shape (3, n, n, n//2 + 1) of scipy.fft.rfftn output: the
+    last axis keeps the frequencies 0 .. n//2, the rest are the complex
+    conjugates of stored modes.  Columns 1 .. n/2 - 1 of that axis thus
+    stand for two modes each, column 0 and (for even n) column n/2 for
+    one, and Parseval norms weight them so.  Those two self-conjugate
+    columns are Hermitian in the first two axes, as rfftn makes them.
+    The odd-derivative wavenumber is zero at each axis' Nyquist index.
+    The mean mode is kept at zero by the operations here.
     """
 
     coeff: np.ndarray
@@ -88,8 +124,8 @@ class SpectralField:
     def __post_init__(self):
         self.coeff = np.asarray(self.coeff, dtype=complex)
         n = self.coeff.shape[1]
-        if self.coeff.shape != (3, n, n, n):
-            raise ValueError("coefficients must have shape (3, n, n, n)")
+        if self.coeff.shape != (3, n, n, n // 2 + 1):
+            raise ValueError("coefficients must have shape (3, n, n, n//2 + 1)")
 
     @property
     def n(self):
@@ -97,20 +133,16 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, n):
-        return cls(np.zeros((3, n, n, n), dtype=complex))
+        return cls(np.zeros((3, n, n, n // 2 + 1), dtype=complex))
 
     @classmethod
     def from_physical(cls, values):
-        values = np.asarray(values)
-        return cls(np.fft.fftn(values, axes=(1, 2, 3)))
+        return cls(scipy.fft.rfftn(np.asarray(values), axes=(1, 2, 3)))
 
     def to_physical(self):
         """Real-space samples (3, n, n, n)."""
-        return np.fft.ifftn(self.coeff, axes=(1, 2, 3)).real
-
-    def reality_defect(self):
-        """Largest imaginary part of the inverse transform."""
-        return float(np.max(np.abs(np.fft.ifftn(self.coeff, axes=(1, 2, 3)).imag)))
+        n = self.n
+        return scipy.fft.irfftn(self.coeff, s=(n, n, n), axes=(1, 2, 3))
 
     def divergence_defect(self):
         """max |k . vhat| over modes, scaled by the field's gradient size."""
@@ -134,25 +166,33 @@ class SpectralField:
     def __rmul__(self, scalar):
         return SpectralField(scalar * self.coeff)
 
+    def _parseval(self, weights):
+        """sqrt(BOX^3 / n^6 * sum of weights |coeff|^2 over stored modes)."""
+        power = (self.coeff.real**2 + self.coeff.imag**2).sum(axis=0)
+        return float(np.sqrt(np.sum(power * weights) * BOX**3 / self.n**6))
+
     def l2(self):
         """Physical L^2 norm over the torus (via Parseval)."""
-        return float(np.sqrt(np.sum(np.abs(self.coeff)**2) *
-                             BOX**3 / self.n**6))
+        return self._parseval(_parseval_weights(self.n)[0])
 
     def w1r(self, r):
-        """Discrete W^{1,r} norm with spectral gradients."""
-        return sobolev_norm(self.to_physical(), BOX, r,
-                            gradient="spectral").value
+        """Discrete W^{1,r} norm with spectral gradients.
+
+        For r = 2 both terms follow from the coefficients by Parseval,
+        with no transform; other r go through sobolev_norm on the samples.
+        """
+        if r == 2.0:
+            return self.l2() + self._parseval(_parseval_weights(self.n)[1])
+        return sobolev_norm(self.to_physical(), BOX, r).value
 
 
 def leray_project(fld):
     """Project onto divergence-free fields: vhat -= k (k . vhat) / |k|^2.
 
     Idempotent, annihilates gradients, fixes solenoidal fields; the mean
-    mode is zeroed.  The Nyquist planes are dropped as well: the
-    projector's off-diagonal entries are odd in k, which those
-    self-conjugate modes cannot represent without breaking the Hermitian
-    symmetry of real fields.
+    mode is zeroed.  The Nyquist planes are dropped as well: k is zero at
+    each axis' Nyquist index, so the discrete divergence cannot see a
+    field's component along that axis there, nor the projector remove it.
     """
     n = fld.n
     k, _, inv_k2 = _wavenumbers(n)
@@ -275,10 +315,7 @@ def make_forcing(n, amplitude, seed=None):
         return SpectralField.from_physical(phys)
     rng = np.random.default_rng(seed)
     white = SpectralField.from_physical(rng.standard_normal((3, n, n, n)))
-    f = np.fft.fftfreq(n, d=1.0 / n)
-    fx, fy, fz = np.meshgrid(f, f, f, indexing="ij")
-    band = (np.abs(fx) <= 3) & (np.abs(fy) <= 3) & (np.abs(fz) <= 3)
-    low = SpectralField(white.coeff * band)
+    low = SpectralField(white.coeff * _band(n, 3))
     proj = leray_project(low)
     speed = np.linalg.norm(proj.to_physical(), axis=0).max()
     if amplitude > 0.0 and speed == 0.0:
@@ -287,30 +324,43 @@ def make_forcing(n, amplitude, seed=None):
     return SpectralField(scale * proj.coeff)
 
 
+# the 6 distinct entries (i, j) of a symmetric 3x3 tensor, and the
+# entry that each (i, j) reads
+_SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SYM_ENTRY = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+
+
 def picard_step(v, drift, forcing):
     """One application of the Picard map Phi.
 
     Phi(v) solves the periodic Stokes problem with forcing
     f - div( U (x) v + v (x) (U + v) ); the tensor products are formed in
     physical space from 2/3-dealiased samples and the divergence is taken
-    spectrally, with the result truncated to the dealiased band.
+    spectrally, with the result truncated to the dealiased band.  The
+    tensor is symmetric, so only its 6 distinct entries are formed: one
+    irfftn and one rfftn call per step.
     """
     n = v.n
     k, _, _ = _wavenumbers(n)
     mask = _dealias_mask(n)
     v_phys = dealias(v).to_physical()
     # M[i, j] = U_i v_j + v_i (U + v)_j ; (div M)_i = d_j M_ij
+    M = np.empty((6, n, n, n))
     if drift is None:
-        M = v_phys[:, None] * v_phys[None, :]
+        for e, (i, j) in enumerate(_SYM_PAIRS):
+            np.multiply(v_phys[i], v_phys[j], out=M[e])
     else:
         if drift.n != n:
             raise ValueError("drift grid does not match the iterate")
         u_phys = drift.phys_dealiased
-        M = (u_phys[:, None] * v_phys[None, :]
-             + v_phys[:, None] * (u_phys + v_phys)[None, :])
-    M_hat = np.fft.fftn(M, axes=(2, 3, 4))
-    div_M = 1j * np.einsum("bijk,abijk->aijk", k, M_hat)
-    div_M *= mask
+        w_phys = u_phys + v_phys
+        for e, (i, j) in enumerate(_SYM_PAIRS):
+            np.multiply(u_phys[i], v_phys[j], out=M[e])
+            M[e] += v_phys[i] * w_phys[j]
+    M_hat = scipy.fft.rfftn(M, axes=(1, 2, 3))
+    div_M = np.stack([sum(k[j] * M_hat[e] for j, e in enumerate(row))
+                      for row in _SYM_ENTRY])
+    div_M *= 1j * mask
     return stokes_solve(SpectralField(forcing.coeff - div_M))
 
 
@@ -358,9 +408,11 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
     reached; raises ContractionDivergedError when the iterate norm grows
     beyond a thousand times the first iterate (the cheap witness of
     leaving the smallness regime).  With second_start a second run from
-    v0 = StokesSolve(f) is performed and the W^{1,r} distance between the
-    two fixed points is reported, the numerical counterpart of the
-    uniqueness argument.
+    v0 = StokesSolve(f) / 2 is performed and the W^{1,r} distance between
+    the two fixed points is reported, the numerical counterpart of the
+    uniqueness argument.  That start lies in the contraction ball (on the
+    segment from 0 to Phi(0) = StokesSolve(f)) but not on the first run's
+    trajectory, so the two runs are independent witnesses.
     """
     r = float(r)
     if not (1.0 < r < 3.0):
@@ -402,6 +454,6 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
     trace.residual = (v_star - picard_step(v_star, drift, forcing)).w1r(r)
 
     if second_start:
-        v_alt, _ = iterate(stokes_solve(forcing), None)
+        v_alt, _ = iterate(0.5 * stokes_solve(forcing), None)
         trace.uniqueness_distance = (v_star - v_alt).w1r(r)
     return trace

@@ -120,6 +120,16 @@ class TestFluxCommand:
         assert b[2] == pytest.approx(BETA_A2, rel=0.2)
         assert abs(b[0]) < 0.1 * BETA_A2 and abs(b[1]) < 0.1 * BETA_A2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--n-theta", "1"], "--n-theta"),
+        (["--tol", "nan"], "--tol"),
+    ])
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
+        code, report = run(tmp_path, "flux", "--field", "landau:A=2",
+                           "--radii", "1", *flags)
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_weak(self, tmp_path):
@@ -153,6 +163,23 @@ class TestVerifyCommand:
         code, _ = run(tmp_path, "verify", "ns", "--field", "r^-1")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, named", [
+        (["ns", "--samples", "0"], "--samples"),
+        (["ns", "--rmin", "2", "--rmax", "1"], "--rmin"),
+        (["ns", "--rmin", "0"], "--rmin"),
+        (["ns", "--seed", "-1"], "--seed"),
+        (["ns", "--tol", "nan"], "--tol"),
+        (["selfsim", "--lambda", "0.5", "--samples", "0"], "--samples"),
+        (["selfsim", "--lambda", "0.5", "--seed", "-1"], "--seed"),
+        (["weak", "--n-r", "2"], "--n-r"),
+        (["weak", "--n-theta", "1"], "--n-theta"),
+    ])
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, argv, named):
+        code, report = run(tmp_path, "verify", argv[0], "--field",
+                           "landau:A=2", *argv[1:])
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
+
 
 class TestPicardCommand:
     def test_small_amplitude_passes(self, tmp_path):
@@ -185,6 +212,25 @@ class TestPicardCommand:
         assert code == EXIT_CONFIG
         code, _ = run(tmp_path, "picard", "--amp", "1e-3", "--grid", "8")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--amp", "nan"], "--amp"),
+        (["--amp", "inf"], "--amp"),
+        (["--tol", "nan"], "--tol"),
+        (["--r", "nan"], "--r"),
+        (["--r", "3.5"], "--r"),
+        (["--iters", "0"], "--iters"),
+        (["--delta-in", "2", "--delta-out", "1"], "--delta-in"),
+        (["--delta-out", "7"], "--delta-out"),
+        (["--drift-beta", "nan"], "--drift-beta"),
+        (["--drift-beta", "-1"], "--drift-beta"),
+        (["--seed", "-1"], "--seed"),
+    ])
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
+        argv = ["picard", "--amp", "1e-3", "--grid", "16"] + flags
+        code, report = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
 
 
 class TestNormsCommand:

@@ -281,6 +281,22 @@ class TestSobolevNorm:
         assert errors[0] / errors[1] >= 3.5
         assert errors[1] / errors[2] >= 3.5
 
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_real_fft_gradient_matches_complex_formula(self, n):
+        from pointflow.quadrature import _periodic_gradient
+        box = 3.0
+        values = np.random.default_rng(2).standard_normal((2, n, n, n))
+        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
+        vhat = np.fft.fftn(values, axes=(1, 2, 3))
+        reference = np.stack([
+            np.fft.ifftn(1j * k1.reshape([n if a == axis else 1
+                                          for a in range(3)]) * vhat,
+                         axes=(1, 2, 3)).real
+            for axis in range(3)])
+        grads = _periodic_gradient(values, box, spectral=True)
+        assert grads.shape == reference.shape
+        assert np.max(np.abs(grads - reference)) <= 1e-12 * np.max(np.abs(reference))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sobolev_norm(np.zeros((4, 4, 4)), 1.0, 2.0)

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from pointflow import (
-    BOX, ContractionDivergedError, LandauParams, SpectralField,
+    BOX, ContractionDivergedError, LandauParams, SpectralField, dealias,
     grid_coordinates, leray_project, make_forcing, make_mollified_drift,
-    picard_step, run_contraction, stokes_solve,
+    picard_step, run_contraction, sobolev_norm, stokes_solve,
 )
 
 N = 32
@@ -20,7 +21,7 @@ def random_divfree(n, seed):
     rng = np.random.default_rng(seed)
     field = SpectralField.from_physical(rng.standard_normal((3, n, n, n)))
     f = np.fft.fftfreq(n, d=1.0 / n)
-    fx, fy, fz = np.meshgrid(f, f, f, indexing="ij")
+    fx, fy, fz = np.meshgrid(f, f, np.fft.rfftfreq(n, d=1.0 / n), indexing="ij")
     band = (np.abs(fx) <= 4) & (np.abs(fy) <= 4) & (np.abs(fz) <= 4)
     return leray_project(SpectralField(field.coeff * band))
 
@@ -88,16 +89,17 @@ class TestStokesSolve:
         assert np.max(np.abs(residual)) < 1e-12 * np.max(np.abs(f.coeff))
 
     def test_rejects_nonzero_mean(self):
-        coeff = np.zeros((3, N, N, N), dtype=complex)
+        coeff = np.zeros((3, N, N, N // 2 + 1), dtype=complex)
         coeff[0, 0, 0, 0] = N**3 * 0.5
         coeff[1, 1, 0, 0] = N**3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero mean"):
             stokes_solve(SpectralField(coeff))
 
 
 def _wavenumber_tables(n=N):
     k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=BOX / n)
-    kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+    kh = 2.0 * np.pi * np.fft.rfftfreq(n, d=BOX / n)
+    kx, ky, kz = np.meshgrid(k1, k1, kh, indexing="ij")
     return np.stack([kx, ky, kz]), kx**2 + ky**2 + kz**2
 
 
@@ -147,6 +149,23 @@ class TestPicardStep:
         ref = stokes_solve(forcing)
         assert np.max(np.abs(v1.coeff - ref.coeff)) < 1e-14 * max(
             1.0, np.max(np.abs(ref.coeff)))
+
+    @pytest.mark.parametrize("with_drift", [True, False])
+    def test_matches_full_tensor_reference(self, with_drift):
+        # the 9-entry flux tensor on the full complex spectrum
+        drift = drift_beta_half() if with_drift else None
+        forcing = make_forcing(N, 1e-2, seed=3)
+        v = random_divfree(N, seed=11)
+        v_phys = dealias(v).to_physical()
+        u_phys = drift.phys_dealiased if with_drift else np.zeros_like(v_phys)
+        M = (u_phys[:, None] * v_phys[None, :]
+             + v_phys[:, None] * (u_phys + v_phys)[None, :])
+        M_hat = np.fft.fftn(M, axes=(2, 3, 4))[..., :N // 2 + 1]
+        k, _ = _wavenumber_tables()
+        div_M = dealias(SpectralField(1j * np.einsum("bijk,abijk->aijk", k, M_hat)))
+        ref = stokes_solve(forcing - div_M)
+        step = picard_step(v, drift, forcing)
+        assert np.max(np.abs(step.coeff - ref.coeff)) <= 1e-12 * np.max(np.abs(ref.coeff))
 
     def test_zero_forcing_zero_iterate_is_fixed(self):
         drift = drift_beta_half()
@@ -209,6 +228,12 @@ class TestRunContraction:
             norms[n] = trace.norms[-1]
         assert abs(norms[64] - norms[32]) < 0.01 * norms[32]
 
+    @pytest.mark.parametrize("with_drift", [True, False])
+    def test_uniqueness_witness_is_a_second_run(self, with_drift):
+        drift = drift_beta_half() if with_drift else None
+        trace = run_contraction(drift, make_forcing(N, 1e-3), tol=1e-9)
+        assert 0.0 < trace.uniqueness_distance <= 10.0 * trace.tol
+
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             run_contraction(None, make_forcing(16, 1e-3), r=3.5)
@@ -216,22 +241,106 @@ class TestRunContraction:
             run_contraction(None, make_forcing(16, 1e-3), tol=-1.0)
 
 
+def full_spectrum(field):
+    """The (3, n, n, n) complex spectrum, completed by the conjugate mirror."""
+    n = field.n
+    full = np.zeros((3, n, n, n), dtype=complex)
+    full[..., :n // 2 + 1] = field.coeff
+    mirror = np.roll(np.conj(field.coeff[:, ::-1, ::-1, :]), 1, axis=(1, 2))
+    for j in range(n // 2 + 1, n):   # frequency j - n mirrors n - j
+        full[..., j] = mirror[..., n - j]
+    return full
+
+
+def reality_defect(field):
+    """Largest imaginary part of the full complex inverse transform."""
+    return np.max(np.abs(np.fft.ifftn(full_spectrum(field), axes=(1, 2, 3)).imag))
+
+
+class TestParsevalNorms:
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_w1r_two_matches_sobolev_norm(self, n):
+        white = SpectralField.from_physical(
+            np.random.default_rng(3).standard_normal((3, n, n, n)))
+        for fld in (white, random_divfree(n, seed=5)):
+            ref = sobolev_norm(fld.to_physical(), BOX, 2.0).value
+            assert fld.w1r(2.0) == pytest.approx(ref, rel=1e-12)
+
+    def test_w1r_other_exponent_uses_samples(self):
+        fld = random_divfree(N, seed=6)
+        ref = sobolev_norm(fld.to_physical(), BOX, 1.5).value
+        assert fld.w1r(1.5) == ref
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_l2_equals_grid_sum(self, n):
+        fld = SpectralField.from_physical(
+            np.random.default_rng(8).standard_normal((3, n, n, n)))
+        grid_sum = np.sqrt(np.sum(fld.to_physical()**2) * (BOX / n)**3)
+        assert fld.l2() == pytest.approx(grid_sum, rel=1e-12)
+
+
+class TestTransformBudget:
+    NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+             "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                counter.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (scipy.fft, np.fft):
+            for name in self.NAMES:
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        return counter
+
+    def test_picard_step_makes_two_transforms(self, calls):
+        drift, forcing = drift_beta_half(), make_forcing(N, 1e-3)
+        v = stokes_solve(forcing)
+        calls.clear()
+        picard_step(v, drift, forcing)
+        assert calls == ["irfftn", "rfftn"]
+
+    def test_w1r_two_makes_none(self, calls):
+        v = stokes_solve(make_forcing(N, 1e-3))
+        calls.clear()
+        v.w1r(2.0)
+        assert calls == []
+
+
 class TestReality:
     def test_transforms_keep_fields_real(self):
         drift = drift_beta_half()
-        assert drift.field.reality_defect() < 1e-12 * max(
+        assert reality_defect(drift.field) < 1e-12 * max(
             1.0, np.max(np.abs(drift.raw_samples)))
         forcing = make_forcing(N, 1e-2, seed=9)
         v = stokes_solve(forcing)
-        rel = v.reality_defect() / max(np.max(np.abs(v.to_physical())), 1e-300)
+        rel = reality_defect(v) / max(np.max(np.abs(v.to_physical())), 1e-300)
         assert rel < 1e-12
+        for fld in (drift.field, v):
+            complex_inverse = np.fft.ifftn(full_spectrum(fld), axes=(1, 2, 3))
+            assert np.allclose(fld.to_physical(), complex_inverse.real,
+                               rtol=0.0, atol=1e-15 * np.max(np.abs(fld.coeff)))
 
     def test_hermitian_symmetry_of_real_fields(self):
-        field = random_divfree(N, seed=12)
-        c = field.coeff
-        conj_mirror = np.conj(c[:, ::-1, ::-1, ::-1])
-        mirrored = np.roll(conj_mirror, 1, axis=(1, 2, 3))
-        assert np.max(np.abs(c - mirrored)) < 1e-9 * np.max(np.abs(c))
+        white = np.random.default_rng(12).standard_normal((3, N, N, N))
+        # the projected field has no Nyquist content; white noise has
+        for field in (random_divfree(N, seed=12), SpectralField.from_physical(white)):
+            c = field.coeff
+            for plane in (0, N // 2):   # the self-conjugate columns still stored
+                p = c[..., plane]
+                mirrored = np.roll(np.conj(p[:, ::-1, ::-1]), 1, axis=(1, 2))
+                assert np.max(np.abs(p - mirrored)) < 1e-9 * np.max(np.abs(c))
+
+    def test_full_spectrum_matches_complex_transform(self):
+        samples = np.random.default_rng(4).standard_normal((3, 16, 16, 16))
+        full = full_spectrum(SpectralField.from_physical(samples))
+        assert np.allclose(full, np.fft.fftn(samples, axes=(1, 2, 3)),
+                           rtol=0.0, atol=1e-12)
 
 
 class TestForcing:
