@@ -22,7 +22,9 @@ Exit codes: 0 pass, 1 tolerance failure, 2 configuration error,
 
 import argparse
 import csv
+import io
 import json
+import re
 import sys
 import time
 
@@ -50,6 +52,12 @@ WEAK_L3_R_INV = float((4.0 * np.pi / 3.0)**(1.0 / 3.0))
 POINT_CSV_COLUMNS = ["x", "y", "z", "ux", "uy", "uz", "p"]
 TRACE_CSV_COLUMNS = ["iter", "increment", "ratio"]
 
+# a landau point table is rendered this many points at a time
+EMIT_CHUNK = 2048
+# json.dumps renders the marker string "\0<k>" as "\u0000<k>"
+_MARKER = re.compile(r'"\\u0000(\d+)"')
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 class ConfigError(Exception):
     """Invalid combination or value of command-line parameters."""
@@ -71,11 +79,11 @@ def _parse_vec3(text):
         raise ConfigError(f"bad coordinate in {text!r}: {exc}") from None
 
 
-def _parse_floats(text):
+def _parse_floats(text, flag):
     try:
         return [float(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad number list {text!r}: {exc}") from None
+        raise ConfigError(f"{flag}: bad number list {text!r}: {exc}") from None
 
 
 def parse_field_spec(spec):
@@ -114,33 +122,38 @@ def parse_field_spec(spec):
 
 
 def _load_grid_field(path):
-    """Trilinear probe from a CSV of samples on a rectilinear grid."""
+    """Trilinear probe from a CSV of samples on a rectilinear grid.
+
+    One interpolator runs over the stacked (ux, uy, uz, p) samples; its
+    columns are bitwise equal to four per-component interpolators, since
+    linear interpolation weighs every trailing component alike.
+    """
     from scipy.interpolate import RegularGridInterpolator
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader([fh.readline()]), [])
         if [h.strip() for h in header] != POINT_CSV_COLUMNS:
             raise ConfigError(
                 f"grid file {path}: expected header {','.join(POINT_CSV_COLUMNS)}")
-        rows = np.array([[float(v) for v in row] for row in reader])
-    if rows.size == 0:
+        body = fh.read()
+    if not body.strip():
         raise ConfigError(f"grid file {path} holds no samples")
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"',
+                          ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"grid file {path}: {exc}") from None
+    if rows.shape[1] != len(POINT_CSV_COLUMNS):
+        raise ConfigError(f"grid file {path}: expected "
+                          f"{len(POINT_CSV_COLUMNS)} columns per row")
     xs, ys, zs = (np.unique(rows[:, i]) for i in range(3))
     if len(xs) * len(ys) * len(zs) != len(rows):
         raise ConfigError(f"grid file {path} is not a complete rectilinear grid")
     order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
     data = rows[order, 3:].reshape(len(xs), len(ys), len(zs), 4)
-    interps = [RegularGridInterpolator((xs, ys, zs), data[..., i])
-               for i in range(4)]
-
-    def velocity(pts):
-        return np.stack([interps[i](pts) for i in range(3)], axis=-1)
-
-    def pressure(pts):
-        return interps[3](pts)
-
-    return CallableField(velocity=velocity, pressure=pressure)
+    interp = RegularGridInterpolator((xs, ys, zs), data)
+    return CallableField(velocity=lambda pts: interp(pts)[..., :3],
+                         pressure=lambda pts: interp(pts)[..., 3])
 
 
 def _report(command, config, payload, passed):
@@ -153,23 +166,107 @@ def _report(command, config, payload, passed):
     }
 
 
+def _point_dict(row):
+    """One landau point of a report from its 25 numbers; see PointTable."""
+    return {"x": row[0:3], "u": row[3:6], "p": row[6],
+            "grad_u": [row[7:10], row[10:13], row[13:16]],
+            "T": [row[16:19], row[19:22], row[22:25]]}
+
+
+class PointTable:
+    """The points block of a landau report, kept as one (n, 25) array.
+
+    Row k holds x, u, p, grad_u and T of point k flattened in that order,
+    so its first 7 columns are the --csv columns.  _emit writes it out as
+    the list of {"x", "u", "p", "grad_u", "T"} objects without building
+    them; dicts() builds them.  Numbers are written as float.__repr__
+    strings; the strings of the columns written to --csv are kept, and the
+    JSON report reuses them.
+    """
+
+    def __init__(self, points, state, tensors):
+        n = len(points)
+        self.values = np.concatenate(
+            [points, state.u, np.reshape(state.p, (n, 1)),
+             state.grad_u.reshape(n, 9), tensors.reshape(n, 9)], axis=1)
+        self._kept = {}
+
+    def dicts(self):
+        return [_point_dict(row) for row in self.values.tolist()]
+
+    def column_text(self, k, start=0, stop=None):
+        """float.__repr__ of column k, rows start:stop."""
+        if k in self._kept:
+            return self._kept[k][start:stop]
+        return list(map(float.__repr__, self.values[start:stop, k].tolist()))
+
+    def keep_text(self, columns):
+        for k in columns:
+            self._kept[k] = self.column_text(k)
+
+
+def _json_chunks(report):
+    """json.dumps(report, indent=2, sort_keys=True), as strings to concatenate.
+
+    A PointTable in payload["points"] is written without per-point dicts.
+    json.dumps of the report with two marker points (each number replaced
+    by the marker string "\\0<column>") splits at the markers into the text
+    before the points, one point's layout around its 25 numbers, the text
+    between two points and the text after them.  The numbers, formatted as
+    json formats floats, fill that layout point by point.
+    """
+    payload = report.get("payload")
+    table = payload.get("points") if isinstance(payload, dict) else None
+    if not isinstance(table, PointTable):
+        yield json.dumps(report, indent=2, sort_keys=True)
+        return
+
+    def dumps(points):
+        return json.dumps(dict(report, payload=dict(payload, points=points)),
+                          indent=2, sort_keys=True)
+
+    width = table.values.shape[1]
+    marker_point = _point_dict([f"\0{k}" for k in range(width)])
+    pieces = _MARKER.split(dumps([marker_point, marker_point]))
+    texts, columns = pieces[0::2], [int(k) for k in pieces[1::2]]
+    if len(columns) != 2 * width or len(table.values) == 0:
+        # no points, or another string of the report reads like a marker
+        yield dumps(table.dicts())
+        return
+    between = texts[width]
+    layout = "%s" + "".join(t.replace("%", "%%") + "%s" for t in texts[1:width])
+    yield texts[0]
+    for start in range(0, len(table.values), EMIT_CHUNK):
+        stop = start + EMIT_CHUNK
+        text = [table.column_text(k, start, stop) for k in columns[:width]]
+        if not np.all(np.isfinite(table.values[start:stop])):
+            text = [[_JSON_NONFINITE.get(v, v) for v in col] for col in text]
+        if start:
+            yield between
+        yield between.join(layout % row for row in zip(*text))
+    yield texts[2 * width]
+
+
 def _emit(report, output, duration):
     report = dict(report)
     report["duration_s"] = duration
-    text = json.dumps(report, indent=2, sort_keys=True)
     if output:
         with open(output, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(_json_chunks(report))
+            fh.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(_json_chunks(report))
+        sys.stdout.write("\n")
 
 
-def _write_point_csv(path, points, states):
+def _write_point_csv(path, table):
+    """The x,y,z,ux,uy,uz,p rows, as csv.writer writes repr() strings."""
+    columns = range(len(POINT_CSV_COLUMNS))
+    table.keep_text(columns)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POINT_CSV_COLUMNS)
-        for pt, u, p in zip(points, states.u, np.atleast_1d(states.p)):
-            writer.writerow([repr(float(v)) for v in (*pt, *u, p)])
+        fh.write(",".join(POINT_CSV_COLUMNS) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in
+                      zip(*(table.column_text(k) for k in columns)))
 
 
 def _write_trace_csv(path, increments, ratios):
@@ -203,6 +300,21 @@ def _landau_params_of(spec):
     return payload
 
 
+def _read_points_file(path):
+    """(n, 3) points from the x,y,z columns of a CSV; # rows are comments."""
+    with open(path, newline="") as fh:
+        lines = [line for line in fh if line.strip() and not line.startswith("#")]
+    if lines and next(csv.reader(lines[:1]))[:3] == ["x", "y", "z"]:
+        lines = lines[1:]
+    if not lines:
+        return np.empty((0, 3))
+    try:
+        return np.loadtxt(lines, delimiter=",", quotechar='"', usecols=(0, 1, 2),
+                          ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"points file {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -212,36 +324,21 @@ def cmd_landau(args):
     if args.point:
         points = np.array([_parse_vec3(p) for p in args.point])
     elif args.points_file:
-        with open(args.points_file, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row and not row[0].startswith("#")]
-        if rows and rows[0][:3] == ["x", "y", "z"]:
-            rows = rows[1:]
-        points = np.array([[float(v) for v in row[:3]] for row in rows])
+        points = _read_points_file(args.points_file)
     else:
         raise ConfigError("provide --point (repeatable) or --points-file")
     if points.size == 0:
         raise ConfigError("no evaluation points given")
 
     state = landau_eval(params, points)
-    tensors = flux_tensor(state)
+    table = PointTable(points, state, flux_tensor(state))
     if args.csv:
-        _write_point_csv(args.csv, points, state)
+        _write_point_csv(args.csv, table)
     payload = {
         "A": params.A if np.isfinite(params.A) else "inf",
         "beta": params.beta,
         "axis": params.axis.tolist(),
-        "points": [
-            {
-                "x": pt.tolist(),
-                "u": u.tolist(),
-                "p": float(p),
-                "grad_u": g.tolist(),
-                "T": t.tolist(),
-            }
-            for pt, u, p, g, t in zip(points, state.u, np.atleast_1d(state.p),
-                                      state.grad_u, tensors)
-        ],
+        "points": table,
     }
     return _report("landau", _config_echo(args), payload, None), EXIT_PASS
 
@@ -252,7 +349,7 @@ def cmd_flux(args):
     kind, fld = parse_field_spec(args.field)
     if kind == "scalar":
         raise ConfigError("flux needs a vector field spec")
-    radii = _parse_floats(args.radii)
+    radii = _parse_floats(args.radii, "--radii")
     if not radii or any(r <= 0.0 for r in radii):
         raise ConfigError("radii must be positive")
     _require(args.n_theta >= 2, "--n-theta must be >= 2")
@@ -354,7 +451,7 @@ def cmd_verify(args):
         pts = radii[:, None] * dirs
         rescaled = RescaledField(probe, args.lam)
         deviation = float(np.max(np.linalg.norm(
-            rescaled(pts).u - as_flow_field(probe)(pts).u, axis=1)))
+            rescaled.velocity(pts) - as_flow_field(probe).velocity(pts), axis=1)))
         payload = {
             "lambda": args.lam,
             "samples": args.samples,
@@ -421,18 +518,44 @@ def _sample_magnitudes(fld_kind, fld, radius, resolution):
         f = fld
     else:
         probe = LandauField(fld) if fld_kind == "landau" else fld
-        f = lambda pts: np.linalg.norm(probe(pts).u, axis=1)
+        f = lambda pts: np.linalg.norm(probe.velocity(pts), axis=1)
     return ball_samples(f, radius, n_r, n_theta, n_phi)
 
 
+def _parse_ball_radius(domain):
+    message = f"--domain must look like ball:<radius>, got {domain!r}"
+    _require(domain.startswith("ball:"), message)
+    try:
+        radius = float(domain[len("ball:"):])
+    except ValueError:
+        raise ConfigError(message) from None
+    _require(np.isfinite(radius) and radius > 0.0,
+             "--domain radius must be finite and > 0")
+    return radius
+
+
+def _parse_resolution(text):
+    """(n_r, n_theta, n_phi) at or above the minima of ball_samples."""
+    values = _parse_floats(text, "--resolution")
+    _require(len(values) == 3 and all(np.isfinite(values)),
+             "--resolution expects nr,ntheta,nphi")
+    n_r, n_theta, n_phi = (int(v) for v in values)
+    _require(n_r >= 2 and n_theta >= 2 and n_phi >= 4,
+             "--resolution needs nr >= 2, ntheta >= 2 and nphi >= 4")
+    return n_r, n_theta, n_phi
+
+
 def cmd_norms(args):
-    if args.tol <= 0.0:
-        raise ConfigError("tolerance must be positive")
+    _require(np.isfinite(args.tol) and args.tol > 0.0,
+             "--tol must be finite and > 0")
+    _require(args.expect is None
+             or (np.isfinite(args.expect) and args.expect != 0.0),
+             "--expect must be finite and nonzero")
     payload = {}
     passed = None
 
     if args.sweep_beta:
-        parts = _parse_floats(args.sweep_beta.replace(":", ","))
+        parts = _parse_floats(args.sweep_beta.replace(":", ","), "--sweep-beta")
         if len(parts) != 3 or parts[0] <= 0 or parts[1] <= parts[0] or parts[2] < 2:
             raise ConfigError("--sweep-beta expects start:stop:count with "
                               "0 < start < stop and count >= 2")
@@ -451,7 +574,10 @@ def cmd_norms(args):
             raise ConfigError("--decay needs --field and --ref")
         params = _landau_params_of(args.field)
         _, ref = parse_field_spec("landau:" + args.ref)
-        shells = _parse_floats(args.shells)
+        shells = _parse_floats(args.shells, "--shells")
+        _require(1.0 < args.q < 3.0, "--q must lie in (1, 3)")
+        _require(shells and all(0.0 < r <= 1.0 for r in shells),
+                 "--shells must lie in (0, 1]")
         report = decay_report(LandauField(params), ref, args.q, shells)
         payload = {
             "q": args.q,
@@ -465,23 +591,19 @@ def cmd_norms(args):
     elif args.weak_l3 or args.lorentz:
         if not args.field:
             raise ConfigError("norm computation needs --field")
-        if not args.domain.startswith("ball:"):
-            raise ConfigError("--domain must look like ball:<radius>")
-        radius = float(args.domain[len("ball:"):])
-        if radius <= 0.0:
-            raise ConfigError("domain radius must be positive")
-        kind, fld = parse_field_spec(args.field)
-        resolution = tuple(int(v) for v in _parse_floats(args.resolution))
-        if len(resolution) != 3:
-            raise ConfigError("--resolution expects nr,ntheta,nphi")
-        values, weights = _sample_magnitudes(kind, fld, radius, resolution)
+        radius = _parse_ball_radius(args.domain)
+        resolution = _parse_resolution(args.resolution)
         if args.weak_l3:
             p, q = 3.0, np.inf
         else:
-            pq = _parse_floats(args.lorentz)
+            pq = _parse_floats(args.lorentz, "--lorentz")
             if len(pq) != 2:
                 raise ConfigError("--lorentz expects p,q")
             p, q = pq
+            _require(1.0 < p < np.inf and q >= 1.0,
+                     "--lorentz needs 1 < p < inf and 1 <= q <= inf")
+        kind, fld = parse_field_spec(args.field)
+        values, weights = _sample_magnitudes(kind, fld, radius, resolution)
         report = lorentz_quasinorm(values, weights, p, q)
         payload = {
             "norm": report.norm_id,
@@ -656,7 +778,11 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    _emit(report, args.output, time.perf_counter() - start)
+    try:
+        _emit(report, args.output, time.perf_counter() - start)
+    except OSError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

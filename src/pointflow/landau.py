@@ -372,12 +372,20 @@ def ns_residual(params, x, h=None):
 
 
 class FlowField:
-    """A point probe: maps x (or a batch of points) to a FlowState."""
+    """A point probe: maps x (or a batch of points) to a FlowState.
+
+    Calling the probe gives the full state: velocity, pressure and velocity
+    gradient.  velocity(x) gives u alone, bitwise equal to self(x).u; the
+    weak pairing, the ball sampler of the norms and the decay and
+    self-similarity checks read only u and go through it.  Subclasses
+    whose pressure or gradient cost extra work override it.
+    """
 
     def __call__(self, x):
         raise NotImplementedError
 
     def velocity(self, x):
+        """u(x), shape (..., 3)."""
         return self(x).u
 
 
@@ -399,7 +407,11 @@ class CallableField(FlowField):
     velocity is required; pressure defaults to zero; if gradient is not
     supplied it is approximated by central differences of the velocity
     with step `step`, defaulting per point to 1e-5 |x| (so the relative
-    accuracy is uniform across sphere radii).
+    accuracy is uniform across sphere radii).  A full evaluation thus
+    calls the velocity callable 7 times without a gradient callable.
+
+    velocity(x) calls the velocity callable once, on the points as given,
+    and nothing else: no pressure, no gradient, no finite differences.
     """
 
     def __init__(self, velocity, pressure=None, gradient=None, step=None):
@@ -409,9 +421,17 @@ class CallableField(FlowField):
         self._step = step
         self.gradient_mode = "analytic" if gradient is not None else "finite-difference"
 
+    def _u(self, pts):
+        return np.asarray(self._velocity(pts), dtype=float).reshape(len(pts), 3)
+
+    def velocity(self, x):
+        pts, single, lead = _as_points(x)
+        u = self._u(pts)
+        return u[0] if single else u.reshape(lead + (3,))
+
     def __call__(self, x):
         pts, single, lead = _as_points(x)
-        u = np.asarray(self._velocity(pts), dtype=float).reshape(len(pts), 3)
+        u = self._u(pts)
         if self._pressure is None:
             p = np.zeros(len(pts))
         else:
@@ -450,6 +470,9 @@ class SumField(FlowField):
                          p=sum(s.p for s in states),
                          grad_u=sum(s.grad_u for s in states))
 
+    def velocity(self, x):
+        return sum(f.velocity(x) for f in self.fields)
+
 
 class RescaledField(FlowField):
     """The rescaled probe x -> (lam u(lam x), lam^2 p(lam x), lam^2 du(lam x)).
@@ -469,6 +492,9 @@ class RescaledField(FlowField):
         st = self.base(self.lam * np.asarray(x, dtype=float))
         lam = self.lam
         return FlowState(u=lam * st.u, p=lam**2 * st.p, grad_u=lam**2 * st.grad_u)
+
+    def velocity(self, x):
+        return self.lam * self.base.velocity(self.lam * np.asarray(x, dtype=float))
 
 
 def as_flow_field(obj):

@@ -379,7 +379,7 @@ def decay_report(field, reference, q, shells, n_theta=32, n_phi=None):
     weighted = []
     for R in shells:
         rule = sphere_rule(R, n_theta, n_phi)
-        du = fld(rule.nodes).u - ref(rule.nodes).u
+        du = fld.velocity(rule.nodes) - ref.velocity(rule.nodes)
         sup = float(np.max(np.linalg.norm(du, axis=1)))
         sups.append(sup)
         weighted.append(R**(3.0 / q - 1.0) * sup)

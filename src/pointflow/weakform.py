@@ -169,11 +169,15 @@ def weak_residual(field, phi, rule=None, n_r=32, n_theta=32, n_phi=None):
     if rule is None:
         rule = ball_shell_rule(phi.plateau_radius, phi.support_radius,
                                n_r, n_theta, n_phi, center=phi.center)
-    state = fld(rule.nodes)
+    return _pairing(fld.velocity(rule.nodes), phi, rule)
+
+
+def _pairing(u, phi, rule):
+    """The pairing integral from the velocity u on the nodes of rule."""
     lap = phi.laplacian(rule.nodes)
     grad = phi.gradient(rule.nodes)
-    integrand = (-np.einsum("ki,ki->k", state.u, lap)
-                 - np.einsum("ki,kj,kji->k", state.u, state.u, grad))
+    integrand = (-np.einsum("ki,ki->k", u, lap)
+                 - np.einsum("ki,kj,kji->k", u, u, grad))
     return float(rule.weights @ integrand)
 
 
@@ -198,16 +202,15 @@ def extract_force_weak(field, center=(0.0, 0.0, 0.0), a=0.5, b=1.0,
 
     Pairs the field against plateau bumps with directions e_x, e_y, e_z
     sharing one geometry; when the plateau contains the singularity each
-    pairing returns one Cartesian component of the point force.
+    pairing returns one Cartesian component of the point force.  The
+    velocity is evaluated once on the shared rule; each component equals
+    weak_residual(field, phi_k, rule=rule) bitwise.
     """
     rule = ball_shell_rule(a, b, n_r, n_theta, n_phi,
                            center=np.asarray(center, dtype=float))
-    components = []
-    for k in range(3):
-        c = np.zeros(3)
-        c[k] = 1.0
-        phi = make_test_function(center, a, b, c)
-        components.append(weak_residual(field, phi, rule=rule))
+    u = as_flow_field(field).velocity(rule.nodes)
+    components = [_pairing(u, make_test_function(center, a, b, c), rule)
+                  for c in np.eye(3)]
     return WeakResidual(value=np.array(components), center=np.asarray(center, float),
                         plateau_radius=float(a), support_radius=float(b),
                         n_nodes=rule.n_nodes)

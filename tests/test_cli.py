@@ -353,3 +353,109 @@ class TestAdditionalSurfaces:
         expected = report["payload"]["expected_force"]
         assert expected[2] not in (0.0, pytest.approx(BETA_A2, rel=1e-6))
         assert report["payload"]["relative_error"] < 0.05
+
+
+class TestNormsFlags:
+    @pytest.mark.parametrize("flags, named", [
+        (["--domain", "ball:abc"], "--domain"),
+        (["--domain", "ball:nan"], "--domain"),
+        (["--domain", "ball:-1"], "--domain"),
+        (["--domain", "cube:2"], "--domain"),
+        (["--resolution", "0,0,0"], "--resolution"),
+        (["--resolution", "1,16,32"], "--resolution"),
+        (["--resolution", "40,1,32"], "--resolution"),
+        (["--resolution", "40,16,3"], "--resolution"),
+        (["--resolution", "40,16"], "--resolution"),
+        (["--resolution", "nan,16,32"], "--resolution"),
+        (["--resolution", "a,b,c"], "--resolution"),
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "0"], "--tol"),
+        (["--expect", "0"], "--expect"),
+        (["--expect", "nan"], "--expect"),
+    ])
+    def test_bad_weak_l3_flag_is_config_error(self, tmp_path, capsys, flags,
+                                              named):
+        code, report = run(tmp_path, "norms", "--field", "r^-1", "--weak-l3",
+                           *flags)
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pq", ["0,1", "3,0.5", "3,nan", "inf,2"])
+    def test_bad_lorentz_exponents(self, tmp_path, capsys, pq):
+        code, report = run(tmp_path, "norms", "--field", "r^-1",
+                           "--lorentz", pq)
+        assert code == EXIT_CONFIG and report is None
+        assert "--lorentz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--q", "3"], "--q"),
+        (["--shells", "0.5,2"], "--shells"),
+        (["--shells", "0,0.5"], "--shells"),
+    ])
+    def test_bad_decay_flag_is_config_error(self, tmp_path, capsys, flags,
+                                            named):
+        code, report = run(tmp_path, "norms", "--field", "landau:A=2",
+                           "--decay", "--ref", "A=2", *flags)
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
+
+    def test_minimal_resolution_runs(self, tmp_path):
+        code, report = run(tmp_path, "norms", "--field", "r^-1", "--weak-l3",
+                           "--resolution", "2,2,4", "--tol", "1")
+        assert code == EXIT_PASS
+        assert report["payload"]["n_samples"] == 2 * 2 * 4
+
+
+class TestBadFiles:
+    GRID_HEADER = "x,y,z,ux,uy,uz,p\n"
+
+    def grid_rows(self):
+        return "".join(f"{x},{y},{z},1,0,0,0\n" for x in (-1, 1)
+                       for y in (-1, 1) for z in (-1, 1))
+
+    @pytest.mark.parametrize("content, message", [
+        ("", "expected header"),
+        ("a,b,c\n1,2,3\n", "expected header"),
+        (GRID_HEADER, "holds no samples"),
+        (GRID_HEADER + "\n\n", "holds no samples"),
+        (GRID_HEADER + "0,0,0,1,abc,0,0\n", "abc"),
+        (GRID_HEADER + "0,0,0,1,0,0\n", "columns"),
+        (GRID_HEADER + "0,0,0,1,0,0,0\n0,0,0,1,0,0\n", "grid file"),
+        (GRID_HEADER + "0,0,0,1,0,0,0\n1,1,1,1,0,0,0\n",
+         "not a complete rectilinear grid"),
+    ])
+    def test_bad_grid_file_is_config_error(self, tmp_path, capsys, content,
+                                           message):
+        grid = tmp_path / "field.csv"
+        grid.write_text(content)
+        code, report = run(tmp_path, "flux", "--field", f"grid:{grid}",
+                           "--radii", "0.5")
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and report is None
+        assert str(grid) in err and message in err
+
+    def test_grid_file_with_crlf_and_blank_line_loads(self, tmp_path):
+        grid = tmp_path / "field.csv"
+        grid.write_bytes((self.GRID_HEADER + self.grid_rows() + "\n")
+                         .replace("\n", "\r\n").encode())
+        code, report = run(tmp_path, "flux", "--field", f"grid:{grid}",
+                           "--radii", "0.5", "--n-theta", "4", "--tol", "1")
+        assert code == EXIT_PASS
+        assert report["payload"]["force_per_radius"][0] == pytest.approx(
+            [0.0, 0.0, 0.0], abs=1e-9)
+
+    @pytest.mark.parametrize("content", ["x,y,z\n0.5,0.5\n",
+                                         "x,y,z\n0,0,1\n0.5,zz,1\n"])
+    def test_bad_points_file_is_config_error(self, tmp_path, capsys, content):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(content)
+        code, report = run(tmp_path, "landau", "--A", "2",
+                           "--points-file", str(pts))
+        assert code == EXIT_CONFIG and report is None
+        assert str(pts) in capsys.readouterr().err
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        code = main(["landau", "--A", "2", "--point", "0,0,1",
+                     "--output", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err

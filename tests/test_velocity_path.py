@@ -1,0 +1,306 @@
+"""The velocity-only probe path and the array-rendered landau report.
+
+Each fast path is checked for bitwise equality against the computation it
+replaces: the full FlowState, the three separate weak pairings, four
+per-component grid interpolators, and json.dumps / csv.writer output of
+the per-point dicts and rows.
+"""
+
+import csv
+import io
+import json
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import RegularGridInterpolator
+
+from pointflow import (
+    CallableField, LandauField, LandauParams, RescaledField, SumField,
+    ball_shell_rule, extract_force_weak, flux_tensor, landau_eval,
+    make_test_function, weak_residual,
+)
+from pointflow import cli
+from pointflow.cli import EXIT_PASS, main
+
+PARAMS = LandauParams.from_magnitude(3.0, [0.3, -0.4, 0.866])
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def wavy_velocity(pts):
+    return np.stack([np.sin(pts[:, 1] + 0.7), np.cos(pts[:, 2] - 0.4),
+                     np.sin(pts[:, 0] * pts[:, 1])], axis=1)
+
+
+def write_grid(path, params=PARAMS, n=12, half=1.6):
+    """A Landau field sampled on an n^3 cell-centred grid, as `landau --csv`."""
+    h = 2.0 * half / n
+    x = -half + h * (np.arange(n) + 0.5)
+    pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    state = landau_eval(params, pts)
+    rows = np.concatenate([pts, state.u, state.p[:, None]], axis=1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cli.POINT_CSV_COLUMNS)
+        writer.writerows([repr(v) for v in row] for row in rows.tolist())
+    return x, rows
+
+
+class KeptStringIO(io.StringIO):
+    """A text buffer that keeps its contents when a `with` block closes it."""
+
+    def close(self):
+        pass
+
+
+def cli_open(buf):
+    """Make the CLI's open() return buf, whatever the path."""
+    return mock.patch.object(cli, "open", lambda *args, **kwargs: buf,
+                             create=True)
+
+
+def pairing_from_state(field, phi, rule):
+    """The weak pairing computed from the full FlowState of the field."""
+    u = field(rule.nodes).u
+    integrand = (-np.einsum("ki,ki->k", u, phi.laplacian(rule.nodes))
+                 - np.einsum("ki,kj,kji->k", u, u, phi.gradient(rule.nodes)))
+    return float(rule.weights @ integrand)
+
+
+points_3 = st.integers(1, 6).flatmap(lambda m: arrays(
+    np.float64, (m, 3), elements=st.floats(-2.0, 2.0)))
+
+
+class TestVelocityMatchesState:
+    @SETTINGS
+    @given(points_3)
+    def test_callable_field_batch_and_single(self, pts):
+        field = CallableField(velocity=wavy_velocity,
+                              pressure=lambda p: p[:, 0] ** 2)
+        assert np.array_equal(field.velocity(pts), field(pts).u)
+        assert np.array_equal(field.velocity(pts[0]), field(pts[0]).u)
+        stacked = np.stack([pts, pts + 0.25])
+        assert field.velocity(stacked).shape == stacked.shape
+        assert np.array_equal(field.velocity(stacked), field(stacked).u)
+
+    @SETTINGS
+    @given(points_3, st.floats(0.2, 3.0))
+    def test_composite_probes(self, pts, lam):
+        pts = pts + 2.5   # keep the Landau part away from its singularity
+        pert = CallableField(velocity=wavy_velocity)
+        for field in (SumField(LandauField(PARAMS), pert),
+                      RescaledField(pert, lam), LandauField(PARAMS)):
+            assert np.array_equal(field.velocity(pts), field(pts).u)
+            assert np.array_equal(field.velocity(pts[0]), field(pts[0]).u)
+
+
+class TestGridProbe:
+    def test_one_interpolator_equals_four(self, tmp_path):
+        x, rows = write_grid(tmp_path / "grid.csv")
+        _, probe = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
+        data = rows[:, 3:].reshape(len(x), len(x), len(x), 4)
+        interps = [RegularGridInterpolator((x, x, x), data[..., i])
+                   for i in range(4)]
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(x[0], x[-1], size=(500, 3))
+        pts[:8] = rows[:8, :3]   # grid nodes, and the corner
+        pts[8] = [x[-1], x[-1], x[-1]]
+        assert np.array_equal(probe.velocity(pts),
+                              np.stack([f(pts) for f in interps[:3]], axis=-1))
+        inner = pts[np.all(np.abs(pts) < x[-2], axis=1)]   # room for the FD steps
+        assert np.array_equal(probe(inner).p, interps[3](inner))
+
+    @SETTINGS
+    @given(arrays(np.float64, 125 * 4, elements=st.one_of(
+        st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
+        st.sampled_from([-0.0, 0.1, 1e-5, 123456789.125, 5e-324]))))
+    def test_vectorised_parse_equals_float(self, values):
+        # at a grid node the trilinear probe returns the stored sample, so
+        # the loaded values can be compared with float() of each cell
+        axis = [-2.0, -1.0, 0.0, 1.0, 2.0]
+        nodes = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+        cells = [[repr(v) for v in row] for row in values.reshape(125, 4).tolist()]
+        cells[0][0] = "1e-5"
+        cells[1][1] = " 2.5 "
+        text = "x,y,z,ux,uy,uz,p\r\n" + "".join(
+            f"{a!r},{b!r},{c!r}," + ",".join(cell) + "\r\n"
+            for (a, b, c), cell in zip(nodes.tolist(), cells))
+        with cli_open(io.StringIO(text)):
+            _, probe = cli.parse_field_spec("grid:mem.csv")
+        expected = np.array([[float(v) for v in row] for row in cells])
+        assert np.array_equal(probe.velocity(nodes), expected[:, :3])
+        inner = np.all(np.abs(nodes) < 2.0, axis=1)   # room for the FD steps
+        assert np.array_equal(probe(nodes[inner]).p, expected[inner, 3])
+
+
+class TestWeakExtraction:
+    @pytest.mark.parametrize("center, a, b", [((0.0, 0.0, 0.0), 0.5, 1.0),
+                                              ((0.1, -0.2, 0.05), 0.3, 0.9)])
+    def test_one_evaluation_equals_three_pairings(self, tmp_path, center, a, b):
+        write_grid(tmp_path / "grid.csv")
+        _, grid = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
+        for field in (grid, LandauField(PARAMS)):
+            value = extract_force_weak(field, center, a, b, n_r=10,
+                                       n_theta=8).value
+            rule = ball_shell_rule(a, b, 10, 8, center=np.asarray(center))
+            phis = [make_test_function(center, a, b, e) for e in np.eye(3)]
+            separate = [weak_residual(field, phi, rule=rule) for phi in phis]
+            from_state = [pairing_from_state(field, phi, rule) for phi in phis]
+            assert value.tolist() == separate == from_state
+
+
+class TestCallBudget:
+    """The velocity-only paths call the user's velocity callable once."""
+
+    @staticmethod
+    def counting_field(inner):
+        calls = {"velocity": 0, "pressure": 0}
+
+        def velocity(pts):
+            calls["velocity"] += 1
+            return inner.velocity(pts)
+
+        def pressure(pts):
+            calls["pressure"] += 1
+            return inner(pts).p
+
+        return CallableField(velocity=velocity, pressure=pressure), calls
+
+    def test_weak_extraction_evaluates_once(self):
+        field, calls = self.counting_field(LandauField(PARAMS))
+        extract_force_weak(field, n_r=8, n_theta=6)
+        assert calls == {"velocity": 1, "pressure": 0}
+
+    def test_weak_pairing_evaluates_once(self):
+        field, calls = self.counting_field(LandauField(PARAMS))
+        weak_residual(field, make_test_function([0, 0, 0], 0.5, 1.0, [0, 0, 1]),
+                      n_r=8, n_theta=6)
+        assert calls == {"velocity": 1, "pressure": 0}
+
+    def test_selfsim_evaluates_once_per_point_set(self, tmp_path, monkeypatch):
+        field, calls = self.counting_field(LandauField(PARAMS))
+        monkeypatch.setattr(cli, "_load_grid_field", lambda path: field)
+        code = main(["verify", "selfsim", "--field", "grid:counted.csv",
+                     "--lambda", "0.5", "--samples", "20",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PASS
+        # the field at x and at lambda x
+        assert calls == {"velocity": 2, "pressure": 0}
+
+    @pytest.mark.parametrize("flags", [["--weak-l3"], ["--lorentz", "3,2"]])
+    def test_norm_sampling_evaluates_once(self, tmp_path, monkeypatch, flags):
+        field, calls = self.counting_field(LandauField(PARAMS))
+        monkeypatch.setattr(cli, "_load_grid_field", lambda path: field)
+        code = main(["norms", "--field", "grid:counted.csv", *flags,
+                     "--domain", "ball:1", "--resolution", "20,6,12",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PASS
+        assert calls == {"velocity": 1, "pressure": 0}
+
+
+def reference_points(points, u, p, grad, T):
+    """The points block as the report held it before: a dict per point."""
+    return [{"x": pt.tolist(), "u": v.tolist(), "p": float(q),
+             "grad_u": g.tolist(), "T": t.tolist()}
+            for pt, v, q, g, t in zip(points, u, p, grad, T)]
+
+
+special_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 1.7976931348623157e308,
+                     5e-324, 1e16, 1e-5, 0.1]))
+
+
+@st.composite
+def point_tables(draw):
+    n = draw(st.integers(1, 9))
+    return [draw(arrays(np.float64, shape, elements=special_floats))
+            for shape in ((n, 3), (n, 3), (n,), (n, 3, 3), (n, 3, 3))]
+
+
+def landau_report(points, u, p, grad, T, config=None):
+    table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T)
+    payload = {"A": 2.0, "beta": 34.7, "axis": [0.0, 0.0, 1.0],
+               "points": table}
+    report = cli._report("landau", config or {"seed": 0}, payload, None)
+    report["duration_s"] = 0.5
+    expected = dict(report, payload=dict(
+        payload, points=reference_points(points, u, p, grad, T)))
+    return report, json.dumps(expected, indent=2, sort_keys=True)
+
+
+class TestLandauReport:
+    @settings(max_examples=60, deadline=None)
+    @given(point_tables(), st.integers(1, 4))
+    def test_render_equals_json_dumps(self, arrays5, chunk):
+        report, expected = landau_report(*arrays5)
+        with mock.patch.object(cli, "EMIT_CHUNK", chunk):
+            assert "".join(cli._json_chunks(report)) == expected
+
+    def test_marker_lookalike_in_config(self):
+        rng = np.random.default_rng(2)
+        parts = [rng.normal(size=s) for s in ((4, 3), (4, 3), (4,),
+                                              (4, 3, 3), (4, 3, 3))]
+        for text in ("\x000", "\x0024", '"\x003"', "%s", "{0}"):
+            report, expected = landau_report(*parts, config={"output": text})
+            assert "".join(cli._json_chunks(report)) == expected
+
+    def test_emit_writes_json_dumps_and_newline(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        parts = [rng.normal(size=s) for s in ((5, 3), (5, 3), (5,),
+                                              (5, 3, 3), (5, 3, 3))]
+        report, expected = landau_report(*parts)
+        del report["duration_s"]
+        cli._emit(report, str(tmp_path / "r.json"), 0.5)
+        assert (tmp_path / "r.json").read_text() == expected + "\n"
+        cli._emit(report, None, 0.5)
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    def test_cli_report_and_csv(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        pts = rng.normal(size=(count, 3))
+        if count == 1:
+            argv = ["--point", ",".join(map(repr, pts[0].tolist()))]
+        else:
+            (tmp_path / "pts.csv").write_text(
+                "x,y,z\n" + "".join(",".join(map(repr, row)) + "\n"
+                                    for row in pts.tolist()))
+            argv = ["--points-file", str(tmp_path / "pts.csv")]
+        with mock.patch.object(cli, "EMIT_CHUNK", 64):
+            code = main(["landau", "--beta", "2.5", "--axis", "0,0.6,0.8",
+                         *argv, "--csv", str(tmp_path / "u.csv"),
+                         "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PASS
+        text = (tmp_path / "r.json").read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        state = landau_eval(LandauParams.from_magnitude(2.5, [0, 0.6, 0.8]), pts)
+        assert report["payload"]["points"] == reference_points(
+            pts, state.u, state.p, state.grad_u, flux_tensor(state))
+
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(cli.POINT_CSV_COLUMNS)
+        for pt, u, p in zip(pts, state.u, state.p):
+            writer.writerow([repr(float(v)) for v in (*pt, *u, p)])
+        assert (tmp_path / "u.csv").read_bytes() == expected.getvalue().encode()
+
+    @SETTINGS
+    @given(point_tables())
+    def test_csv_rows_equal_csv_writer(self, arrays5):
+        points, u, p, grad, T = arrays5
+        table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T)
+        buf = KeptStringIO(newline="")
+        with cli_open(buf):
+            cli._write_point_csv("mem.csv", table)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(cli.POINT_CSV_COLUMNS)
+        for pt, v, q in zip(points, u, p):
+            writer.writerow([repr(float(c)) for c in (*pt, *v, q)])
+        assert buf.getvalue() == expected.getvalue()
