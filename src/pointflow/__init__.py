@@ -11,7 +11,7 @@ Landau leading term.
 from .landau import (
     A_from_beta, CallableField, FlowField, FlowState, LandauField,
     LandauParams, RescaledField, SumField, as_flow_field,
-    as_vec3, beta_from_A, flux_tensor, landau_eval, ns_residual, rescale,
+    as_vec3, beta_from_A, flux_tensor, landau_eval, ns_residual,
     rotate_equivariance_check, sup_speed_on_unit_sphere,
 )
 from .quadrature import (

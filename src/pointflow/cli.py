@@ -16,8 +16,13 @@ configuration (including the seed) and carries pass/fail flags that are
 recomputable from the payload alone.  Identical configurations produce
 byte-identical payloads; only the wall-clock duration field varies.
 
-Exit codes: 0 pass, 1 tolerance failure, 2 configuration error,
-3 numerical failure, 4 out-of-regime (Picard divergence detector).
+Each scalar flag declares its range once, as its argparse type; each
+cmd_* returns (payload, passed) and main alone builds the report.
+
+Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (any bad
+flag value, non-finite numbers and points at the origin included; the
+message names the flag or file), 3 numerical failure, 4 out-of-regime
+(Picard divergence detector).
 """
 
 import argparse
@@ -31,7 +36,7 @@ import time
 import numpy as np
 
 from .landau import (LandauField, LandauParams, CallableField, RescaledField,
-                     as_flow_field, flux_tensor, landau_eval, ns_residual,
+                     flux_tensor, landau_eval, ns_residual,
                      sup_speed_on_unit_sphere)
 from .quadrature import (ball_samples, decay_report, flux_integral,
                          lorentz_quasinorm)
@@ -69,14 +74,34 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
-def _parse_vec3(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"expected 'x,y,z', got {text!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"bad coordinate in {text!r}: {exc}") from None
+def _flag(convert, rule, what):
+    """argparse type: convert, then require rule(value); NaN fails."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not rule(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+def _at_least(least):
+    return _flag(int, lambda v: v >= least, f"an integer >= {least}")
+
+
+def _between(low, high, what=None):
+    return _flag(float, lambda v: low < v < high,
+                 what or f"in ({low:g}, {high:g})")
+
+
+_POSITIVE = _flag(float, lambda v: 0.0 < v < np.inf, "finite and > 0")
+_NONNEGATIVE = _flag(float, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
+_NONZERO = _flag(float, lambda v: v != 0.0 and abs(v) < np.inf,
+                 "finite and nonzero")
+_GRID_SIZE = _flag(int, lambda v: v >= 16 and v & (v - 1) == 0,
+                   "a power of two >= 16")
 
 
 def _parse_floats(text, flag):
@@ -86,39 +111,57 @@ def _parse_floats(text, flag):
         raise ConfigError(f"{flag}: bad number list {text!r}: {exc}") from None
 
 
-def parse_field_spec(spec):
-    """Resolve a field spec string to a probe.
+def _parse_vec3(text, flag):
+    """[x, y, z] from 'x,y,z'; a malformed or non-finite value names flag."""
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        values = []
+    _require(len(values) == 3 and np.all(np.isfinite(values)),
+             f"{flag} expects three finite numbers x,y,z, got {text!r}")
+    return values
 
-    Supported: 'landau:A=<v>', 'landau:beta=<v>', 'zero', 'r^-1' (scalar,
-    norms only) and 'grid:<file.csv>' (uniform rectilinear samples with
-    columns x,y,z,ux,uy,uz,p, interpolated trilinearly).
-    Returns (kind, payload) with kind in {'landau', 'scalar', 'grid'}.
+
+def parse_field_spec(spec):
+    """Resolve a field spec string to (kind, probe).
+
+    'landau:A=<v>', 'landau:beta=<v>' and 'zero' give kind 'landau' and a
+    LandauField, whose parameters are probe.params; 'grid:<file.csv>'
+    (uniform rectilinear samples with columns x,y,z,ux,uy,uz,p,
+    interpolated trilinearly) gives kind 'grid' and a CallableField;
+    'r^-1' and 'r^-2' (norms only) give kind 'scalar' and the magnitude
+    callable.
     """
     if spec == "zero":
-        return "landau", LandauParams.zero()
+        return "landau", LandauField(LandauParams.zero())
     if spec in ("r^-1", "r^-2"):
         power = -1 if spec == "r^-1" else -2
         return "scalar", (lambda pts: np.linalg.norm(pts, axis=-1)**power)
     if spec.startswith("landau:"):
-        body = spec[len("landau:"):]
-        if "=" not in body:
-            raise ConfigError(f"bad landau spec {spec!r}: expected key=value")
-        key, _, value = body.partition("=")
+        key, eq, value = spec[len("landau:"):].partition("=")
+        _require(eq, f"bad landau spec {spec!r}: expected key=value")
         try:
             value = float(value)
         except ValueError:
             raise ConfigError(f"bad landau parameter value in {spec!r}") from None
+        make = {"A": LandauParams.from_shape,
+                "beta": LandauParams.from_magnitude}.get(key)
+        _require(make, f"unknown landau parameter {key!r} (use A or beta)")
         try:
-            if key == "A":
-                return "landau", LandauParams.from_shape(value)
-            if key == "beta":
-                return "landau", LandauParams.from_magnitude(value)
+            return "landau", LandauField(make(value))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        raise ConfigError(f"unknown landau parameter {key!r} (use A or beta)")
     if spec.startswith("grid:"):
         return "grid", _load_grid_field(spec[len("grid:"):])
     raise ConfigError(f"unrecognized field spec {spec!r}")
+
+
+def _probe(spec, command, kinds=("landau", "grid")):
+    """The probe of a field spec whose kind `command` accepts."""
+    kind, probe = parse_field_spec(spec)
+    _require(kind in kinds,
+             f"{command} needs a {' or '.join(kinds)} field spec, got {spec!r}")
+    return probe
 
 
 def _load_grid_field(path):
@@ -269,35 +312,11 @@ def _write_point_csv(path, table):
                       zip(*(table.column_text(k) for k in columns)))
 
 
-def _write_trace_csv(path, increments, ratios):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for i, inc in enumerate(increments, start=1):
-            ratio = repr(float(ratios[i - 2])) if i >= 2 and i - 2 < len(ratios) else ""
-            writer.writerow([i, repr(float(inc)), ratio])
-
-
-def _resolve_params(args):
-    """LandauParams from exactly one of --A / --beta."""
-    has_a = getattr(args, "A", None) is not None
-    has_b = getattr(args, "beta", None) is not None
-    if has_a == has_b:
-        raise ConfigError("specify exactly one of --A or --beta")
-    axis = _parse_vec3(args.axis) if getattr(args, "axis", None) else [0.0, 0.0, 1.0]
-    try:
-        if has_a:
-            return LandauParams.from_shape(args.A, axis)
-        return LandauParams.from_magnitude(args.beta, axis)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _landau_params_of(spec):
-    kind, payload = parse_field_spec(spec)
-    if kind != "landau":
-        raise ConfigError(f"this check needs a landau:* field spec, got {spec!r}")
-    return payload
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_points_file(path):
@@ -315,183 +334,157 @@ def _read_points_file(path):
         raise ConfigError(f"points file {path}: {exc}") from None
 
 
+def _random_sphere_points(seed, n, rmin, rmax):
+    """(radii, points) of n points with uniform radii in [rmin, rmax).
+
+    Directions are normalised Gaussian draws, uniform on the sphere.
+    """
+    rng = np.random.default_rng(seed)
+    radii = rmin + (rmax - rmin) * rng.random(n)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return radii, radii[:, None] * dirs
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, passed), passed None when not graded
 
 
 def cmd_landau(args):
-    params = _resolve_params(args)
+    if (args.A is None) == (args.beta is None):
+        raise ConfigError("specify exactly one of --A or --beta")
+    axis = _parse_vec3(args.axis, "--axis") if args.axis else [0.0, 0.0, 1.0]
+    try:
+        params = (LandauParams.from_shape(args.A, axis) if args.A is not None
+                  else LandauParams.from_magnitude(args.beta, axis))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.point:
-        points = np.array([_parse_vec3(p) for p in args.point])
+        source = "--point"
+        points = np.array([_parse_vec3(p, source) for p in args.point])
     elif args.points_file:
+        source = f"points file {args.points_file}"
         points = _read_points_file(args.points_file)
     else:
         raise ConfigError("provide --point (repeatable) or --points-file")
-    if points.size == 0:
-        raise ConfigError("no evaluation points given")
+    _require(points.size, "no evaluation points given")
+    _require(np.all(np.isfinite(points)) and np.all(np.any(points, axis=1)),
+             f"{source}: points must be finite and not the origin, where "
+             f"Landau fields are singular")
 
     state = landau_eval(params, points)
     table = PointTable(points, state, flux_tensor(state))
     if args.csv:
         _write_point_csv(args.csv, table)
-    payload = {
+    return {
         "A": params.A if np.isfinite(params.A) else "inf",
         "beta": params.beta,
         "axis": params.axis.tolist(),
         "points": table,
-    }
-    return _report("landau", _config_echo(args), payload, None), EXIT_PASS
+    }, None
 
 
 def cmd_flux(args):
-    _require(np.isfinite(args.tol) and args.tol > 0.0,
-             "--tol must be finite and > 0")
-    kind, fld = parse_field_spec(args.field)
-    if kind == "scalar":
-        raise ConfigError("flux needs a vector field spec")
+    probe = _probe(args.field, "flux")
     radii = _parse_floats(args.radii, "--radii")
-    if not radii or any(r <= 0.0 for r in radii):
-        raise ConfigError("radii must be positive")
-    _require(args.n_theta >= 2, "--n-theta must be >= 2")
-
-    probe = LandauField(fld) if kind == "landau" else fld
+    _require(radii and all(0.0 < r < np.inf for r in radii),
+             "--radii must be finite and > 0")
     forces = [flux_integral(probe, R, n_theta=args.n_theta) for R in radii]
-    magnitudes = [float(np.linalg.norm(b)) for b in forces]
-    scale = max(max(magnitudes), 1e-300)
-    deviation = 0.0
-    for i in range(len(forces)):
-        for j in range(i + 1, len(forces)):
-            deviation = max(deviation,
-                            float(np.linalg.norm(forces[i] - forces[j])) / scale)
+    scale = max(max(float(np.linalg.norm(b)) for b in forces), 1e-300)
+    deviation = max([0.0] + [float(np.linalg.norm(bi - bj)) / scale
+                             for i, bi in enumerate(forces)
+                             for bj in forces[i + 1:]])
     payload = {
         "radii": radii,
         "force_per_radius": [b.tolist() for b in forces],
         "max_pairwise_relative_deviation": deviation,
         "tolerance": args.tol,
     }
-    if kind == "landau":
-        payload["expected_force"] = fld.b.tolist()
-        ref = max(fld.beta, 1e-300)
+    if isinstance(probe, LandauField):
+        params = probe.params
+        payload["expected_force"] = params.b.tolist()
         payload["max_relative_force_error"] = max(
-            float(np.linalg.norm(b - fld.b)) / ref for b in forces)
-    passed = deviation <= args.tol
+            float(np.linalg.norm(b - params.b)) / max(params.beta, 1e-300)
+            for b in forces)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["radius", "bx", "by", "bz"])
-            for R, b in zip(radii, forces):
-                writer.writerow([repr(float(R)), *(repr(float(v)) for v in b)])
-    return (_report("flux", _config_echo(args), payload, passed),
-            EXIT_PASS if passed else EXIT_FAIL)
+        _write_csv(args.csv, ["radius", "bx", "by", "bz"],
+                   ([repr(float(R)), *(repr(float(v)) for v in b)]
+                    for R, b in zip(radii, forces)))
+    return payload, deviation <= args.tol
 
 
-def cmd_verify(args):
-    _require(np.isfinite(args.tol) and args.tol > 0.0,
-             "--tol must be finite and > 0")
-    if args.mode == "weak":
-        params = _landau_params_of(args.field)
-        center = _parse_vec3(args.center)
-        if not (0.0 < args.a < args.b):
-            raise ConfigError("need 0 < --a < --b")
-        _require(args.n_r >= 3, "--n-r must be >= 3")
-        _require(args.n_theta >= 2, "--n-theta must be >= 2")
-        result = extract_force_weak(LandauField(params), center,
-                                    args.a, args.b, n_r=args.n_r,
-                                    n_theta=args.n_theta)
-        # the pairing returns b . phi(0) for each direction, which is b_k
-        # on the plateau and 0 outside the support; evaluating phi at the
-        # origin covers test functions straddling it as well
-        origin = np.zeros(3)
-        expected = np.array([
-            params.b @ make_test_function(center, args.a, args.b, e)(origin)
-            for e in np.eye(3)])
-        origin_inside = float(np.linalg.norm(np.asarray(center))) < args.a
-        scale = max(params.beta, 1.0)
-        err = float(np.linalg.norm(result.value - expected)) / scale
-        payload = {
-            "extracted_force": result.value.tolist(),
-            "expected_force": expected.tolist(),
-            "origin_in_plateau": origin_inside,
-            "relative_error": err,
-            "tolerance": args.tol,
-        }
-        passed = err <= args.tol
-    elif args.mode == "ns":
-        params = _landau_params_of(args.field)
-        _require(args.samples >= 1, "--samples must be >= 1")
-        _require(0.0 < args.rmin < args.rmax, "need 0 < --rmin < --rmax")
-        _require(args.seed >= 0, "--seed must be >= 0")
-        rng = np.random.default_rng(args.seed)
-        radii = args.rmin + (args.rmax - args.rmin) * rng.random(args.samples)
-        dirs = rng.normal(size=(args.samples, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pts = radii[:, None] * dirs
-        res = ns_residual(params, pts)
-        worst = float(np.max(radii**3 * np.linalg.norm(res, axis=1)))
-        payload = {
-            "samples": args.samples,
-            "radius_range": [args.rmin, args.rmax],
-            "max_weighted_residual": worst,
-            "tolerance": args.tol,
-        }
-        passed = worst <= args.tol
-    elif args.mode == "selfsim":
-        kind, fld = parse_field_spec(args.field)
-        if kind == "scalar":
-            raise ConfigError("selfsim needs a vector field spec")
-        probe = LandauField(fld) if kind == "landau" else fld
-        if not (0.0 < args.lam < 1.0):
-            raise ConfigError("--lambda must lie in (0, 1)")
-        _require(args.samples >= 1, "--samples must be >= 1")
-        _require(args.seed >= 0, "--seed must be >= 0")
-        rng = np.random.default_rng(args.seed)
-        radii = 0.25 + 1.25 * rng.random(args.samples)
-        dirs = rng.normal(size=(args.samples, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pts = radii[:, None] * dirs
-        rescaled = RescaledField(probe, args.lam)
-        deviation = float(np.max(np.linalg.norm(
-            rescaled.velocity(pts) - as_flow_field(probe).velocity(pts), axis=1)))
-        payload = {
-            "lambda": args.lam,
-            "samples": args.samples,
-            "max_deviation": deviation,
-            "tolerance": args.tol,
-        }
-        passed = deviation <= args.tol
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown verify mode {args.mode!r}")
-    return (_report(f"verify-{args.mode}", _config_echo(args), payload, passed),
-            EXIT_PASS if passed else EXIT_FAIL)
+def cmd_verify_weak(args):
+    probe = _probe(args.field, "verify weak", ("landau",))
+    params = probe.params
+    center = _parse_vec3(args.center, "--center")
+    _require(0.0 < args.a < args.b, "need 0 < --a < --b")
+    result = extract_force_weak(probe, center, args.a, args.b,
+                                n_r=args.n_r, n_theta=args.n_theta)
+    # the pairing returns b . phi(0) for each direction, which is b_k on
+    # the plateau and 0 outside the support; evaluating phi at the origin
+    # covers test functions straddling it as well
+    origin = np.zeros(3)
+    expected = np.array([
+        params.b @ make_test_function(center, args.a, args.b, e)(origin)
+        for e in np.eye(3)])
+    err = (float(np.linalg.norm(result.value - expected))
+           / max(params.beta, 1.0))
+    return {
+        "extracted_force": result.value.tolist(),
+        "expected_force": expected.tolist(),
+        "origin_in_plateau": float(np.linalg.norm(center)) < args.a,
+        "relative_error": err,
+        "tolerance": args.tol,
+    }, err <= args.tol
+
+
+def cmd_verify_ns(args):
+    params = _probe(args.field, "verify ns", ("landau",)).params
+    _require(0.0 < args.rmin < args.rmax < np.inf,
+             "need 0 < --rmin < --rmax < inf")
+    radii, pts = _random_sphere_points(args.seed, args.samples,
+                                       args.rmin, args.rmax)
+    res = ns_residual(params, pts)
+    worst = float(np.max(radii**3 * np.linalg.norm(res, axis=1)))
+    return {
+        "samples": args.samples,
+        "radius_range": [args.rmin, args.rmax],
+        "max_weighted_residual": worst,
+        "tolerance": args.tol,
+    }, worst <= args.tol
+
+
+def cmd_verify_selfsim(args):
+    probe = _probe(args.field, "verify selfsim")
+    _, pts = _random_sphere_points(args.seed, args.samples, 0.25, 1.5)
+    deviation = float(np.max(np.linalg.norm(
+        RescaledField(probe, args.lam).velocity(pts) - probe.velocity(pts),
+        axis=1)))
+    return {
+        "lambda": args.lam,
+        "samples": args.samples,
+        "max_deviation": deviation,
+        "tolerance": args.tol,
+    }, deviation <= args.tol
 
 
 def cmd_picard(args):
-    grid = args.grid
-    if grid < 16 or grid & (grid - 1) != 0:
-        raise ConfigError("grid size must be a power of two >= 16")
-    _require(np.isfinite(args.amp) and args.amp >= 0.0,
-             "--amp must be finite and >= 0")
-    _require(np.isfinite(args.tol) and args.tol > 0.0,
-             "--tol must be finite and > 0")
-    _require(1.0 < args.r < 3.0, "--r must lie in (1, 3)")
-    _require(args.iters >= 1, "--iters must be >= 1")
-    _require(0.0 < args.delta_in < args.delta_out < BOX / 2.0,
-             "need 0 < --delta-in < --delta-out < 2 pi (the torus half-side)")
-    _require(np.isfinite(args.drift_beta) and args.drift_beta >= 0.0,
-             "--drift-beta must be finite and >= 0")
-    _require(args.seed >= 0, "--seed must be >= 0")
-    params = (LandauParams.from_magnitude(args.drift_beta)
-              if args.drift_beta > 0.0 else LandauParams.zero())
-    drift = make_mollified_drift(params, grid, args.delta_in, args.delta_out)
-    forcing = make_forcing(grid, args.amp, seed=args.seed)
+    _require(args.delta_in < args.delta_out, "need --delta-in < --delta-out")
+    drift = make_mollified_drift(LandauParams.from_magnitude(args.drift_beta),
+                                 args.grid, args.delta_in, args.delta_out)
+    forcing = make_forcing(args.grid, args.amp, seed=args.seed)
     trace = run_contraction(drift, forcing, r=args.r, max_iters=args.iters,
                             tol=args.tol)
     late_ratios = trace.ratios[1:]
     max_late_ratio = max(late_ratios) if late_ratios else 0.0
-    passed = (trace.converged and max_late_ratio < 0.5
-              and trace.uniqueness_distance <= 10.0 * args.tol)
-    payload = {
-        "grid": grid,
+    if args.csv:
+        _write_csv(args.csv, TRACE_CSV_COLUMNS, (
+            [i, repr(float(inc)),
+             repr(float(trace.ratios[i - 2])) if 2 <= i < len(trace.ratios) + 2
+             else ""]
+            for i, inc in enumerate(trace.increments, start=1)))
+    return {
+        "grid": args.grid,
         "amplitude": args.amp,
         "drift_beta": args.drift_beta,
         "drift_projection_deviation": drift.projection_deviation,
@@ -505,32 +498,17 @@ def cmd_picard(args):
         "fixed_point_residual": trace.residual,
         "uniqueness_distance": trace.uniqueness_distance,
         "tolerance": args.tol,
-    }
-    if args.csv:
-        _write_trace_csv(args.csv, trace.increments, trace.ratios)
-    return (_report("picard", _config_echo(args), payload, passed),
-            EXIT_PASS if passed else EXIT_FAIL)
-
-
-def _sample_magnitudes(fld_kind, fld, radius, resolution):
-    n_r, n_theta, n_phi = resolution
-    if fld_kind == "scalar":
-        f = fld
-    else:
-        probe = LandauField(fld) if fld_kind == "landau" else fld
-        f = lambda pts: np.linalg.norm(probe.velocity(pts), axis=1)
-    return ball_samples(f, radius, n_r, n_theta, n_phi)
+    }, (trace.converged and max_late_ratio < 0.5
+        and trace.uniqueness_distance <= 10.0 * args.tol)
 
 
 def _parse_ball_radius(domain):
-    message = f"--domain must look like ball:<radius>, got {domain!r}"
-    _require(domain.startswith("ball:"), message)
     try:
-        radius = float(domain[len("ball:"):])
+        radius = float(domain[len("ball:"):]) if domain.startswith("ball:") else 0.0
     except ValueError:
-        raise ConfigError(message) from None
-    _require(np.isfinite(radius) and radius > 0.0,
-             "--domain radius must be finite and > 0")
+        radius = 0.0
+    _require(0.0 < radius < np.inf, "--domain must be ball:<radius> with a "
+             f"finite radius > 0, got {domain!r}")
     return radius
 
 
@@ -546,39 +524,29 @@ def _parse_resolution(text):
 
 
 def cmd_norms(args):
-    _require(np.isfinite(args.tol) and args.tol > 0.0,
-             "--tol must be finite and > 0")
-    _require(args.expect is None
-             or (np.isfinite(args.expect) and args.expect != 0.0),
-             "--expect must be finite and nonzero")
-    payload = {}
-    passed = None
-
     if args.sweep_beta:
         parts = _parse_floats(args.sweep_beta.replace(":", ","), "--sweep-beta")
-        if len(parts) != 3 or parts[0] <= 0 or parts[1] <= parts[0] or parts[2] < 2:
-            raise ConfigError("--sweep-beta expects start:stop:count with "
-                              "0 < start < stop and count >= 2")
+        _require(len(parts) == 3 and 0.0 < parts[0] < parts[1] < np.inf
+                 and parts[2] >= 2 and parts[2].is_integer(),
+                 "--sweep-beta expects start:stop:count with "
+                 "0 < start < stop < inf and an integer count >= 2")
         betas = np.linspace(parts[0], parts[1], int(parts[2]))
         sups = [sup_speed_on_unit_sphere(LandauParams.from_magnitude(b))
                 for b in betas]
         nondecreasing = bool(np.all(np.diff(sups) >= 0.0))
-        payload = {
+        return {
             "betas": betas.tolist(),
             "sup_speed_on_unit_sphere": sups,
             "nondecreasing": nondecreasing,
-        }
-        passed = nondecreasing
-    elif args.decay:
-        if not args.field or not args.ref:
-            raise ConfigError("--decay needs --field and --ref")
-        params = _landau_params_of(args.field)
-        _, ref = parse_field_spec("landau:" + args.ref)
+        }, nondecreasing
+    if args.decay:
+        _require(args.field and args.ref, "--decay needs --field and --ref")
+        probe = _probe(args.field, "norms --decay", ("landau",))
+        ref = parse_field_spec("landau:" + args.ref)[1].params
         shells = _parse_floats(args.shells, "--shells")
-        _require(1.0 < args.q < 3.0, "--q must lie in (1, 3)")
         _require(shells and all(0.0 < r <= 1.0 for r in shells),
                  "--shells must lie in (0, 1]")
-        report = decay_report(LandauField(params), ref, args.q, shells)
+        report = decay_report(probe, ref, args.q, shells)
         payload = {
             "q": args.q,
             "shells": shells,
@@ -586,46 +554,41 @@ def cmd_norms(args):
             "value": report.value,
             "tolerance": args.tol,
         }
-        if params.b.tolist() == ref.b.tolist():
-            passed = report.value <= args.tol
-    elif args.weak_l3 or args.lorentz:
-        if not args.field:
-            raise ConfigError("norm computation needs --field")
-        radius = _parse_ball_radius(args.domain)
-        resolution = _parse_resolution(args.resolution)
-        if args.weak_l3:
-            p, q = 3.0, np.inf
-        else:
-            pq = _parse_floats(args.lorentz, "--lorentz")
-            if len(pq) != 2:
-                raise ConfigError("--lorentz expects p,q")
-            p, q = pq
-            _require(1.0 < p < np.inf and q >= 1.0,
-                     "--lorentz needs 1 < p < inf and 1 <= q <= inf")
-        kind, fld = parse_field_spec(args.field)
-        values, weights = _sample_magnitudes(kind, fld, radius, resolution)
-        report = lorentz_quasinorm(values, weights, p, q)
-        payload = {
-            "norm": report.norm_id,
-            "value": report.value,
-            "n_samples": report.meta["n_samples"],
-            "domain_radius": radius,
-        }
-        expected = args.expect
-        if expected is None and args.weak_l3 and args.field == "r^-1":
-            expected = WEAK_L3_R_INV
-        if expected is not None:
-            err = abs(report.value - expected) / abs(expected)
-            payload["expected"] = expected
-            payload["relative_error"] = err
-            payload["tolerance"] = args.tol
-            passed = err <= args.tol
+        if probe.params.b.tolist() == ref.b.tolist():
+            return payload, report.value <= args.tol
+        return payload, None
+    _require(args.weak_l3 or args.lorentz,
+             "choose one of --weak-l3, --lorentz, --decay, --sweep-beta")
+    _require(args.field, "norm computation needs --field")
+    radius = _parse_ball_radius(args.domain)
+    resolution = _parse_resolution(args.resolution)
+    if args.weak_l3:
+        p, q = 3.0, np.inf
     else:
-        raise ConfigError(
-            "choose one of --weak-l3, --lorentz, --decay, --sweep-beta")
-
-    exit_code = EXIT_PASS if passed in (None, True) else EXIT_FAIL
-    return _report("norms", _config_echo(args), payload, passed), exit_code
+        pq = _parse_floats(args.lorentz, "--lorentz")
+        _require(len(pq) == 2, "--lorentz expects p,q")
+        p, q = pq
+        _require(1.0 < p < np.inf and q >= 1.0,
+                 "--lorentz needs 1 < p < inf and 1 <= q <= inf")
+    kind, probe = parse_field_spec(args.field)
+    magnitude = probe if kind == "scalar" else (
+        lambda pts: np.linalg.norm(probe.velocity(pts), axis=1))
+    report = lorentz_quasinorm(*ball_samples(magnitude, radius, *resolution),
+                               p, q)
+    payload = {
+        "norm": report.norm_id,
+        "value": report.value,
+        "n_samples": report.meta["n_samples"],
+        "domain_radius": radius,
+    }
+    expected = args.expect
+    if expected is None and args.weak_l3 and args.field == "r^-1":
+        expected = WEAK_L3_R_INV
+    if expected is None:
+        return payload, None
+    err = abs(report.value - expected) / abs(expected)
+    payload.update(expected=expected, relative_error=err, tolerance=args.tol)
+    return payload, err <= args.tol
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +596,8 @@ def cmd_norms(args):
 
 
 def _config_echo(args):
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k != "func" and v is not None}
-    config.setdefault("seed", 0)
-    return config
+    return {k: v for k, v in sorted(vars(args).items())
+            if k != "func" and v is not None}
 
 
 def build_parser():
@@ -646,11 +607,14 @@ def build_parser():
                     "flows: batch verification toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, func, tol=None, tol_help=None):
         p.add_argument("--output", help="write the JSON report here "
                                         "(default: stdout)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_at_least(0), default=0,
                        help="random seed recorded in the report")
+        if tol is not None:
+            p.add_argument("--tol", type=_POSITIVE, default=tol, help=tol_help)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("landau", help="evaluate a Landau solution at points")
     p.add_argument("--A", type=float, help="shape parameter (> 1)")
@@ -660,18 +624,15 @@ def build_parser():
                    help="evaluation point x,y,z (repeatable)")
     p.add_argument("--points-file", help="CSV of evaluation points (x,y,z)")
     p.add_argument("--csv", help="write x,y,z,ux,uy,uz,p rows here")
-    add_common(p)
-    p.set_defaults(func=cmd_landau)
+    add_common(p, cmd_landau)
 
     p = sub.add_parser("flux", help="force extraction by momentum flux")
     p.add_argument("--field", required=True, help="field spec (landau:A=2, ...)")
     p.add_argument("--radii", required=True, help="sphere radii r1,r2,...")
-    p.add_argument("--n-theta", type=int, default=64, dest="n_theta")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="pass threshold on the pairwise radius deviation")
+    p.add_argument("--n-theta", type=_at_least(2), default=64, dest="n_theta")
     p.add_argument("--csv", help="write radius,bx,by,bz rows here")
-    add_common(p)
-    p.set_defaults(func=cmd_flux)
+    add_common(p, cmd_flux, 1e-8,
+               "pass threshold on the pairwise radius deviation")
 
     p = sub.add_parser("verify", help="weak / pointwise / self-similarity checks")
     vsub = p.add_subparsers(dest="mode", required=True)
@@ -681,43 +642,40 @@ def build_parser():
     pv.add_argument("--center", default="0,0,0")
     pv.add_argument("--a", type=float, default=0.5, help="plateau radius")
     pv.add_argument("--b", type=float, default=1.0, help="support radius")
-    pv.add_argument("--n-r", type=int, default=32, dest="n_r")
-    pv.add_argument("--n-theta", type=int, default=32, dest="n_theta")
-    pv.add_argument("--tol", type=float, default=0.02)
-    add_common(pv)
-    pv.set_defaults(func=cmd_verify)
+    pv.add_argument("--n-r", type=_at_least(3), default=32, dest="n_r")
+    pv.add_argument("--n-theta", type=_at_least(2), default=32, dest="n_theta")
+    add_common(pv, cmd_verify_weak, 0.02)
 
     pn = vsub.add_parser("ns", help="pointwise residual away from the origin")
     pn.add_argument("--field", required=True)
-    pn.add_argument("--samples", type=int, default=100)
+    pn.add_argument("--samples", type=_at_least(1), default=100)
     pn.add_argument("--rmin", type=float, default=0.01)
     pn.add_argument("--rmax", type=float, default=1.5)
-    pn.add_argument("--tol", type=float, default=1e-4)
-    add_common(pn)
-    pn.set_defaults(func=cmd_verify)
+    add_common(pn, cmd_verify_ns, 1e-4)
 
     ps = vsub.add_parser("selfsim", help="discrete self-similarity deviation")
     ps.add_argument("--field", required=True)
-    ps.add_argument("--lambda", type=float, required=True, dest="lam")
-    ps.add_argument("--samples", type=int, default=100)
-    ps.add_argument("--tol", type=float, default=1e-12)
-    add_common(ps)
-    ps.set_defaults(func=cmd_verify)
+    ps.add_argument("--lambda", type=_between(0.0, 1.0), required=True,
+                    dest="lam")
+    ps.add_argument("--samples", type=_at_least(1), default=100)
+    add_common(ps, cmd_verify_selfsim, 1e-12)
 
     p = sub.add_parser("picard", help="contraction run of the Picard map")
-    p.add_argument("--amp", type=float, required=True, help="forcing amplitude")
-    p.add_argument("--grid", type=int, required=True,
+    p.add_argument("--amp", type=_NONNEGATIVE, required=True,
+                   help="forcing amplitude")
+    p.add_argument("--grid", type=_GRID_SIZE, required=True,
                    help="grid points per axis (power of two >= 16)")
-    p.add_argument("--r", type=float, default=2.0, help="norm exponent in (1,3)")
-    p.add_argument("--iters", type=int, default=40)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--delta-in", type=float, default=0.3, dest="delta_in")
-    p.add_argument("--delta-out", type=float, default=1.5, dest="delta_out")
-    p.add_argument("--drift-beta", type=float, default=0.5, dest="drift_beta",
+    p.add_argument("--r", type=_between(1.0, 3.0), default=2.0,
+                   help="norm exponent in (1,3)")
+    p.add_argument("--iters", type=_at_least(1), default=40)
+    half_side = _between(0.0, BOX / 2.0, "in (0, 2 pi), the torus half-side")
+    p.add_argument("--delta-in", type=half_side, default=0.3, dest="delta_in")
+    p.add_argument("--delta-out", type=half_side, default=1.5, dest="delta_out")
+    p.add_argument("--drift-beta", type=_NONNEGATIVE, default=0.5,
+                   dest="drift_beta",
                    help="force magnitude of the mollified Landau drift")
     p.add_argument("--csv", help="write iter,increment,ratio rows here")
-    add_common(p)
-    p.set_defaults(func=cmd_picard)
+    add_common(p, cmd_picard, 1e-9)
 
     p = sub.add_parser("norms", help="norm machinery and diagnostic sweeps")
     p.add_argument("--field", help="field spec (landau:A=2, r^-1, ...)")
@@ -729,16 +687,16 @@ def build_parser():
     p.add_argument("--decay", action="store_true",
                    help="weighted shell deviation from a reference")
     p.add_argument("--ref", help="reference Landau parameters, e.g. A=2")
-    p.add_argument("--q", type=float, default=2.0, help="decay exponent")
+    p.add_argument("--q", type=_between(1.0, 3.0), default=2.0,
+                   help="decay exponent")
     p.add_argument("--shells", default="0.4,0.2,0.1,0.05")
     p.add_argument("--sweep-beta", dest="sweep_beta",
                    help="start:stop:count sweep of sup-sphere speeds")
     p.add_argument("--sup-sphere", action="store_true", dest="sup_sphere",
                    help="with --sweep-beta: tabulate sup |U| on the unit sphere")
-    p.add_argument("--expect", type=float, help="reference value for pass/fail")
-    p.add_argument("--tol", type=float, default=0.02)
-    add_common(p)
-    p.set_defaults(func=cmd_norms)
+    p.add_argument("--expect", type=_NONZERO,
+                   help="reference value for pass/fail")
+    add_common(p, cmd_norms, 0.02)
 
     return parser
 
@@ -753,31 +711,26 @@ def main(argv=None):
 
     start = time.perf_counter()
     try:
-        report, code = args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        payload, passed = args.func(args)
+        code = EXIT_FAIL if passed is False else EXIT_PASS
     except ContractionDivergedError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
-        trace = exc.trace
-        payload = {"diverged": True}
-        if trace is not None:
-            payload.update({
-                "iterations": trace.iterations,
-                "norms": trace.norms,
-                "increments": trace.increments,
-                "ratios": trace.ratios,
-            })
-        report = _report(args.subcommand, _config_echo(args), payload, False)
-        _emit(report, args.output, time.perf_counter() - start)
-        return EXIT_OUT_OF_REGIME
-    except OSError as exc:
+        payload, passed, code = {"diverged": True}, False, EXIT_OUT_OF_REGIME
+        if exc.trace is not None:
+            payload.update(iterations=exc.trace.iterations,
+                           norms=exc.trace.norms,
+                           increments=exc.trace.increments,
+                           ratios=exc.trace.ratios)
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    command = "-".join(filter(None, [args.subcommand,
+                                     getattr(args, "mode", None)]))
+    report = _report(command, _config_echo(args), payload, passed)
     try:
         _emit(report, args.output, time.perf_counter() - start)
     except OSError as exc:

@@ -36,7 +36,7 @@ __all__ = [
     "A_MIN", "A_MAX", "E_Z",
     "as_vec3", "beta_from_A", "A_from_beta",
     "LandauParams", "FlowState",
-    "landau_eval", "flux_tensor", "ns_residual", "rescale",
+    "landau_eval", "flux_tensor", "ns_residual",
     "rotate_equivariance_check", "sup_speed_on_unit_sphere",
     "FlowField", "LandauField", "CallableField", "SumField", "RescaledField",
     "as_flow_field",
@@ -392,8 +392,6 @@ class FlowField:
 class LandauField(FlowField):
     """Probe backed by the closed-form Landau solution (analytic gradient)."""
 
-    gradient_mode = "analytic"
-
     def __init__(self, params):
         self.params = params
 
@@ -406,20 +404,18 @@ class CallableField(FlowField):
 
     velocity is required; pressure defaults to zero; if gradient is not
     supplied it is approximated by central differences of the velocity
-    with step `step`, defaulting per point to 1e-5 |x| (so the relative
-    accuracy is uniform across sphere radii).  A full evaluation thus
-    calls the velocity callable 7 times without a gradient callable.
+    with step 1e-5 |x| per point (so the relative accuracy is uniform
+    across sphere radii).  A full evaluation thus calls the velocity
+    callable 7 times without a gradient callable.
 
     velocity(x) calls the velocity callable once, on the points as given,
     and nothing else: no pressure, no gradient, no finite differences.
     """
 
-    def __init__(self, velocity, pressure=None, gradient=None, step=None):
+    def __init__(self, velocity, pressure=None, gradient=None):
         self._velocity = velocity
         self._pressure = pressure
         self._gradient = gradient
-        self._step = step
-        self.gradient_mode = "analytic" if gradient is not None else "finite-difference"
 
     def _u(self, pts):
         return np.asarray(self._velocity(pts), dtype=float).reshape(len(pts), 3)
@@ -439,10 +435,7 @@ class CallableField(FlowField):
         if self._gradient is not None:
             grad = np.asarray(self._gradient(pts), dtype=float).reshape(len(pts), 3, 3)
         else:
-            if self._step is None:
-                h = 1e-5 * np.maximum(np.linalg.norm(pts, axis=1), 1e-7)
-            else:
-                h = np.broadcast_to(float(self._step), (len(pts),))
+            h = 1e-5 * np.maximum(np.linalg.norm(pts, axis=1), 1e-7)
             grad = np.empty((len(pts), 3, 3))
             for m in range(3):
                 dx = np.zeros_like(pts)
@@ -478,7 +471,8 @@ class RescaledField(FlowField):
     """The rescaled probe x -> (lam u(lam x), lam^2 p(lam x), lam^2 du(lam x)).
 
     Exact solutions map to exact solutions under this rescaling; Landau
-    fields are fixed points of it for every lam > 0.
+    fields are fixed points of it for every lam > 0, and for other probes
+    the deviation from the original witnesses a failure of self-similarity.
     """
 
     def __init__(self, base, lam):
@@ -504,16 +498,6 @@ def as_flow_field(obj):
     if isinstance(obj, LandauParams):
         return LandauField(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a flow field")
-
-
-def rescale(field, lam, x):
-    """Evaluate the lam-rescaled field at x; see RescaledField.
-
-    For Landau inputs this equals the unrescaled evaluation exactly
-    ((-1)-homogeneity); for generic probes the deviation from the
-    original field witnesses the failure of self-similarity.
-    """
-    return RescaledField(field, lam)(x)
 
 
 def rotate_equivariance_check(params, R, x):

@@ -178,8 +178,9 @@ def flux_integral(field, radius, n_theta=64, n_phi=None):
 
     b_i = sum_k w_k T_ij(x_k) n_j(x_k) over a sphere rule of the given
     radius.  For an exact solution with a point source at the origin the
-    result is independent of the radius.  The probe's own gradient mode
-    is used (analytic when available, otherwise its finite differences).
+    result is independent of the radius.  The probe supplies the velocity
+    gradient: analytic for a LandauField, finite differences of the
+    velocity for a CallableField without a gradient callable.
     """
     fld = as_flow_field(field)
     rule = sphere_rule(radius, n_theta, n_phi)

@@ -154,9 +154,6 @@ class SpectralField:
     def mean_mode(self):
         return self.coeff[:, 0, 0, 0] / self.n**3
 
-    def copy(self):
-        return SpectralField(self.coeff.copy())
-
     def __add__(self, other):
         return SpectralField(self.coeff + other.coeff)
 

@@ -14,7 +14,7 @@ from pointflow import (
     A_from_beta, ContractionDivergedError, LandauField, LandauParams,
     RescaledField, ball_samples, beta_from_A, decay_report, flux_integral,
     landau_eval, lorentz_quasinorm, make_forcing, make_mollified_drift,
-    make_test_function, ns_residual, rescale, run_contraction,
+    make_test_function, ns_residual, run_contraction,
     sup_speed_on_unit_sphere, weak_l3, weak_residual,
 )
 
@@ -112,7 +112,7 @@ def test_criterion_5_homogeneity_and_self_similarity():
     reference = landau_eval(params, pts)
     worst = 0.0
     for lam in (0.5, 2.0, 10.0):
-        state = rescale(params, lam, pts)
+        state = RescaledField(params, lam)(pts)
         scale_u = np.linalg.norm(reference.u, axis=1)
         worst = max(worst, float(np.max(
             np.linalg.norm(state.u - reference.u, axis=1) / scale_u)))

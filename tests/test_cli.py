@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from pointflow import FlowField, LandauField, LandauParams
 from pointflow.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OUT_OF_REGIME,
-                           EXIT_PASS, main)
+                           EXIT_PASS, main, parse_field_spec)
 
 BETA_A2 = 34.766840318785736
 
@@ -66,6 +67,17 @@ class TestLandauCommand:
         code, _ = run(tmp_path, "landau", "--A", "0.5", "--point", "0,0,1")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--point", "inf,0,1"], "--point"),
+        (["--point", "0,0,1", "--point", "0,0,0"], "--point"),
+        (["--point", "0,0,1", "--axis", "nan,0,1"], "--axis"),
+        (["--point", "0,0,1", "--seed", "-1"], "--seed"),
+    ])
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
+        code, report = run(tmp_path, "landau", "--A", "2", *flags)
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
+
 
 class TestFluxCommand:
     def test_landau_three_radii(self, tmp_path):
@@ -123,6 +135,9 @@ class TestFluxCommand:
     @pytest.mark.parametrize("flags, named", [
         (["--n-theta", "1"], "--n-theta"),
         (["--tol", "nan"], "--tol"),
+        (["--radii", "nan"], "--radii"),
+        (["--radii", "1,inf"], "--radii"),
+        (["--seed", "-1"], "--seed"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         code, report = run(tmp_path, "flux", "--field", "landau:A=2",
@@ -173,6 +188,9 @@ class TestVerifyCommand:
         (["selfsim", "--lambda", "0.5", "--seed", "-1"], "--seed"),
         (["weak", "--n-r", "2"], "--n-r"),
         (["weak", "--n-theta", "1"], "--n-theta"),
+        (["weak", "--center", "nan,0,0"], "--center"),
+        (["ns", "--rmax", "inf"], "--rmax"),
+        (["selfsim", "--lambda", "nan"], "--lambda"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, argv, named):
         code, report = run(tmp_path, "verify", argv[0], "--field",
@@ -305,6 +323,73 @@ class TestReportContract:
     def test_unknown_subcommand_is_config_error(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
 
+    # the config echo of each command at its default flags: a changed
+    # flag name, default or parsed type shows up here
+    DEFAULT_CONFIGS = [
+        (["landau", "--A", "2", "--point", "0,0,1"], "landau",
+         {"A": 2.0, "point": ["0,0,1"], "seed": 0, "subcommand": "landau"}),
+        (["flux", "--field", "landau:A=2", "--radii", "1"], "flux",
+         {"field": "landau:A=2", "n_theta": 64, "radii": "1", "seed": 0,
+          "subcommand": "flux", "tol": 1e-08}),
+        (["verify", "weak", "--field", "landau:A=2"], "verify-weak",
+         {"a": 0.5, "b": 1.0, "center": "0,0,0", "field": "landau:A=2",
+          "mode": "weak", "n_r": 32, "n_theta": 32, "seed": 0,
+          "subcommand": "verify", "tol": 0.02}),
+        (["verify", "ns", "--field", "landau:A=2"], "verify-ns",
+         {"field": "landau:A=2", "mode": "ns", "rmax": 1.5, "rmin": 0.01,
+          "samples": 100, "seed": 0, "subcommand": "verify", "tol": 0.0001}),
+        (["verify", "selfsim", "--field", "landau:A=2", "--lambda", "0.5"],
+         "verify-selfsim",
+         {"field": "landau:A=2", "lam": 0.5, "mode": "selfsim",
+          "samples": 100, "seed": 0, "subcommand": "verify", "tol": 1e-12}),
+        (["picard", "--amp", "0", "--grid", "16"], "picard",
+         {"amp": 0.0, "delta_in": 0.3, "delta_out": 1.5, "drift_beta": 0.5,
+          "grid": 16, "iters": 40, "r": 2.0, "seed": 0,
+          "subcommand": "picard", "tol": 1e-09}),
+        (["norms", "--field", "r^-1", "--weak-l3"], "norms",
+         {"decay": False, "domain": "ball:2", "field": "r^-1", "q": 2.0,
+          "resolution": "400,16,32", "seed": 0,
+          "shells": "0.4,0.2,0.1,0.05", "subcommand": "norms",
+          "sup_sphere": False, "tol": 0.02, "weak_l3": True}),
+    ]
+
+    @pytest.mark.parametrize("argv, command, config", DEFAULT_CONFIGS,
+                             ids=[c[1] for c in DEFAULT_CONFIGS])
+    def test_config_echo_at_defaults(self, tmp_path, argv, command, config):
+        code, report = run(tmp_path, *argv)
+        assert code == EXIT_PASS and report["command"] == command
+        expected = dict(config, output=str(tmp_path / "report.json"))
+        # compared as JSON text, so an int where a float was fails too
+        assert (json.dumps(report["config"], sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
+
+
+class TestParseFieldSpec:
+    @pytest.mark.parametrize("spec, params", [
+        ("landau:A=2", LandauParams.from_shape(2.0)),
+        ("landau:beta=5", LandauParams.from_magnitude(5.0)),
+        ("zero", LandauParams.zero()),
+    ])
+    def test_landau_specs_give_landau_fields(self, spec, params):
+        kind, probe = parse_field_spec(spec)
+        assert kind == "landau" and isinstance(probe, LandauField)
+        assert probe.params.A == params.A and probe.params.beta == params.beta
+        assert probe.params.b.tolist() == params.b.tolist()
+
+    def test_grid_spec_gives_flow_field(self, tmp_path):
+        grid = tmp_path / "field.csv"
+        grid.write_text("x,y,z,ux,uy,uz,p\n" + "".join(
+            f"{x},{y},{z},1,2,3,4\n" for x in (-1, 1) for y in (-1, 1)
+            for z in (-1, 1)))
+        kind, probe = parse_field_spec(f"grid:{grid}")
+        assert kind == "grid" and isinstance(probe, FlowField)
+        assert probe.velocity([[0.5, 0.0, -0.5]]).tolist() == [[1.0, 2.0, 3.0]]
+
+    def test_inverse_radius_gives_magnitude_callable(self):
+        kind, probe = parse_field_spec("r^-1")
+        assert kind == "scalar" and not isinstance(probe, FlowField)
+        assert probe(np.array([[0.0, 3.0, 4.0]])).tolist() == [0.2]
+
 
 class TestFailureModes:
     def test_nonpositive_tolerance_is_config_error(self, tmp_path):
@@ -372,6 +457,7 @@ class TestNormsFlags:
         (["--tol", "0"], "--tol"),
         (["--expect", "0"], "--expect"),
         (["--expect", "nan"], "--expect"),
+        (["--seed", "-1"], "--seed"),
     ])
     def test_bad_weak_l3_flag_is_config_error(self, tmp_path, capsys, flags,
                                               named):
@@ -398,6 +484,12 @@ class TestNormsFlags:
                            "--decay", "--ref", "A=2", *flags)
         assert code == EXIT_CONFIG and report is None
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", ["1:100:2.5", "1:100:nan", "1:inf:5"])
+    def test_bad_sweep_is_config_error(self, tmp_path, capsys, sweep):
+        code, report = run(tmp_path, "norms", "--sweep-beta", sweep)
+        assert code == EXIT_CONFIG and report is None
+        assert "--sweep-beta" in capsys.readouterr().err
 
     def test_minimal_resolution_runs(self, tmp_path):
         code, report = run(tmp_path, "norms", "--field", "r^-1", "--weak-l3",
@@ -445,7 +537,9 @@ class TestBadFiles:
             [0.0, 0.0, 0.0], abs=1e-9)
 
     @pytest.mark.parametrize("content", ["x,y,z\n0.5,0.5\n",
-                                         "x,y,z\n0,0,1\n0.5,zz,1\n"])
+                                         "x,y,z\n0,0,1\n0.5,zz,1\n",
+                                         "x,y,z\n0,0,1\n0,0,0\n",
+                                         "x,y,z\n0,0,1\n1,inf,0\n"])
     def test_bad_points_file_is_config_error(self, tmp_path, capsys, content):
         pts = tmp_path / "pts.csv"
         pts.write_text(content)

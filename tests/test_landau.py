@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pointflow import (
-    A_from_beta, CallableField, FlowState, LandauParams,
-    beta_from_A, flux_tensor, landau_eval, ns_residual, rescale,
+    A_from_beta, CallableField, FlowState, LandauParams, RescaledField,
+    beta_from_A, flux_tensor, landau_eval, ns_residual,
     rotate_equivariance_check, sup_speed_on_unit_sphere,
 )
 
@@ -292,7 +292,7 @@ class TestRescale:
     def test_identity_factor(self):
         params = LandauParams.from_shape(2.0)
         x = np.array([0.3, 0.1, -0.8])
-        st = rescale(params, 1.0, x)
+        st = RescaledField(params, 1.0)(x)
         ref = landau_eval(params, x)
         assert np.array_equal(st.u, ref.u) and st.p == ref.p
 
@@ -301,7 +301,7 @@ class TestRescale:
         params = LandauParams.from_shape(2.0)
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(50, 3))
-        st = rescale(params, lam, pts)
+        st = RescaledField(params, lam)(pts)
         ref = landau_eval(params, pts)
         assert np.allclose(st.u, ref.u, rtol=1e-12, atol=0.0)
         assert np.allclose(st.p, ref.p, rtol=1e-12, atol=0.0)
@@ -311,14 +311,14 @@ class TestRescale:
         field = CallableField(velocity=lambda pts: np.stack(
             [np.sin(pts[:, 1]), np.zeros(len(pts)), np.zeros(len(pts))], axis=1))
         x = np.array([0.2, 0.7, 0.1])
-        deviation = np.linalg.norm(rescale(field, 2.0, x).u - field(x).u)
+        deviation = np.linalg.norm(RescaledField(field, 2.0)(x).u - field(x).u)
         assert deviation > 1e-3
 
     def test_bad_factor_rejected(self):
         with pytest.raises(ValueError):
-            rescale(LandauParams.from_shape(2.0), 0.0, [0, 0, 1.0])
+            RescaledField(LandauParams.from_shape(2.0), 0.0)([0, 0, 1.0])
         with pytest.raises(ValueError):
-            rescale(LandauParams.from_shape(2.0), -2.0, [0, 0, 1.0])
+            RescaledField(LandauParams.from_shape(2.0), -2.0)([0, 0, 1.0])
 
 
 class TestRotationEquivariance:
