@@ -100,6 +100,10 @@ _POSITIVE = _flag(float, lambda v: 0.0 < v < np.inf, "finite and > 0")
 _NONNEGATIVE = _flag(float, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 _NONZERO = _flag(float, lambda v: v != 0.0 and abs(v) < np.inf,
                  "finite and nonzero")
+# support and ball radii: far enough from the overflow and underflow of
+# r^3 that every quadrature weight and measure stays finite and positive
+_RADII = (1e-50, 1e50)
+_RADIUS = _between(*_RADII)
 _GRID_SIZE = _flag(int, lambda v: v >= 16 and v & (v - 1) == 0,
                    "a power of two >= 16")
 
@@ -417,7 +421,7 @@ def cmd_verify_weak(args):
     probe = _probe(args.field, "verify weak", ("landau",))
     params = probe.params
     center = _parse_vec3(args.center, "--center")
-    _require(0.0 < args.a < args.b, "need 0 < --a < --b")
+    _require(args.a < args.b, "need --a < --b")
     result = extract_force_weak(probe, center, args.a, args.b,
                                 n_r=args.n_r, n_theta=args.n_theta)
     # the pairing returns b . phi(0) for each direction, which is b_k on
@@ -507,8 +511,8 @@ def _parse_ball_radius(domain):
         radius = float(domain[len("ball:"):]) if domain.startswith("ball:") else 0.0
     except ValueError:
         radius = 0.0
-    _require(0.0 < radius < np.inf, "--domain must be ball:<radius> with a "
-             f"finite radius > 0, got {domain!r}")
+    _require(_RADII[0] < radius < _RADII[1], "--domain must be ball:<radius> "
+             "with radius in ({:g}, {:g}), got {!r}".format(*_RADII, domain))
     return radius
 
 
@@ -640,8 +644,8 @@ def build_parser():
     pv = vsub.add_parser("weak", help="distributional pairing vs b phi(0)")
     pv.add_argument("--field", required=True)
     pv.add_argument("--center", default="0,0,0")
-    pv.add_argument("--a", type=float, default=0.5, help="plateau radius")
-    pv.add_argument("--b", type=float, default=1.0, help="support radius")
+    pv.add_argument("--a", type=_RADIUS, default=0.5, help="plateau radius")
+    pv.add_argument("--b", type=_RADIUS, default=1.0, help="support radius")
     pv.add_argument("--n-r", type=_at_least(3), default=32, dest="n_r")
     pv.add_argument("--n-theta", type=_at_least(2), default=32, dest="n_theta")
     add_common(pv, cmd_verify_weak, 0.02)

@@ -300,27 +300,21 @@ def _half_wavenumbers(n, box):
     return k_full[:, None, None], k_full[None, :, None], k_half[None, None, :]
 
 
-def _periodic_gradient(values, box, spectral):
-    """Gradient (3, c, n, n, n) of (c, n, n, n) samples on a periodic cube."""
+def _periodic_gradient(values, box):
+    """Spectral gradient (3, c, n, n, n) of (c, n, n, n) periodic samples."""
     n = values.shape[1]
-    if spectral:
-        vhat = scipy.fft.rfftn(values, axes=(1, 2, 3))
-        dhat = np.stack([1j * k * vhat for k in _half_wavenumbers(n, box)])
-        return scipy.fft.irfftn(dhat, s=(n, n, n), axes=(2, 3, 4))
-    h = box / n
-    return np.stack([
-        (np.roll(values, -1, axis=1 + axis) - np.roll(values, 1, axis=1 + axis))
-        / (2.0 * h)
-        for axis in range(3)])
+    vhat = scipy.fft.rfftn(values, axes=(1, 2, 3))
+    dhat = np.stack([1j * k * vhat for k in _half_wavenumbers(n, box)])
+    return scipy.fft.irfftn(dhat, s=(n, n, n), axes=(2, 3, 4))
 
 
-def sobolev_norm(values, box, r, gradient="spectral"):
+def sobolev_norm(values, box, r):
     """Discrete W^{1,r} norm ||f||_{L^r} + ||grad f||_{L^r} on a periodic grid.
 
     values holds samples on a uniform n^3 grid over a cube of side `box`:
     shape (n, n, n) for scalars or (c, n, n, n) for c-component fields.
-    Pointwise magnitudes are Euclidean (Frobenius for the gradient);
-    gradients are spectral or second-order central differences.
+    Pointwise magnitudes are Euclidean (Frobenius for the gradient), and
+    the gradient is spectral.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 3:
@@ -335,8 +329,6 @@ def sobolev_norm(values, box, r, gradient="spectral"):
     r = float(r)
     if not (1.0 < r < 3.0):
         raise ValueError("Sobolev exponent must lie in (1, 3)")
-    if gradient not in ("spectral", "fd"):
-        raise ValueError("gradient mode must be 'spectral' or 'fd'")
     box = float(box)
     if box <= 0.0:
         raise ValueError("box side must be positive")
@@ -344,13 +336,12 @@ def sobolev_norm(values, box, r, gradient="spectral"):
     cell = (box / n)**3
     mag = np.sqrt((values**2).sum(axis=0))
     lr = float((np.sum(mag**r) * cell)**(1.0 / r))
-    grads = _periodic_gradient(values, box, gradient == "spectral")
+    grads = _periodic_gradient(values, box)
     gmag = np.sqrt((grads**2).sum(axis=(0, 1)))
     grad_lr = float((np.sum(gmag**r) * cell)**(1.0 / r))
     return NormReport(value=lr + grad_lr, norm_id=f"W^(1,{r:g})",
                       meta={"r": r, "grid": int(n), "box": box,
-                            "lr": lr, "grad_lr": grad_lr,
-                            "gradient": gradient})
+                            "lr": lr, "grad_lr": grad_lr})
 
 
 def decay_report(field, reference, q, shells, n_theta=32, n_phi=None):

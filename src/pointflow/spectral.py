@@ -31,6 +31,10 @@ holds the frequencies 0 .. n//2.  Every transform is an rfftn or irfftn
 call, and W^{1,2} norms follow from the coefficients by Parseval.  The
 odd-derivative wavenumber is zero at the Nyquist index of every axis,
 which is what the real part of a full complex derivative gives as well.
+
+The transforms keep scipy.fft's single worker.  Two workers give the
+same bits, but on a shared 2-vCPU host they made Picard runs slower and
+far noisier whenever the second vCPU was busy elsewhere.
 """
 
 import numpy as np
@@ -163,14 +167,20 @@ class SpectralField:
     def __rmul__(self, scalar):
         return SpectralField(scalar * self.coeff)
 
-    def _parseval(self, weights):
-        """sqrt(BOX^3 / n^6 * sum of weights |coeff|^2 over stored modes)."""
-        power = (self.coeff.real**2 + self.coeff.imag**2).sum(axis=0)
+    def _power(self):
+        """|coeff|^2 summed over the components, one component at a time."""
+        power = self.coeff[0].real**2 + self.coeff[0].imag**2
+        for c in self.coeff[1:]:
+            power += c.real**2 + c.imag**2
+        return power
+
+    def _parseval(self, power, weights):
+        """sqrt(BOX^3 / n^6 * sum of weights * power over stored modes)."""
         return float(np.sqrt(np.sum(power * weights) * BOX**3 / self.n**6))
 
     def l2(self):
         """Physical L^2 norm over the torus (via Parseval)."""
-        return self._parseval(_parseval_weights(self.n)[0])
+        return self._parseval(self._power(), _parseval_weights(self.n)[0])
 
     def w1r(self, r):
         """Discrete W^{1,r} norm with spectral gradients.
@@ -179,7 +189,9 @@ class SpectralField:
         with no transform; other r go through sobolev_norm on the samples.
         """
         if r == 2.0:
-            return self.l2() + self._parseval(_parseval_weights(self.n)[1])
+            power = self._power()
+            w, wk2 = _parseval_weights(self.n)
+            return self._parseval(power, w) + self._parseval(power, wk2)
         return sobolev_norm(self.to_physical(), BOX, r).value
 
 
@@ -194,7 +206,9 @@ def leray_project(fld):
     n = fld.n
     k, _, inv_k2 = _wavenumbers(n)
     kdotv = np.einsum("aijk,aijk->ijk", k, fld.coeff)
-    out = fld.coeff - k * (kdotv * inv_k2)
+    kdotv *= inv_k2
+    out = k * kdotv
+    np.subtract(fld.coeff, out, out=out)
     out[:, 0, 0, 0] = 0.0
     if n % 2 == 0:
         out[:, n // 2, :, :] = 0.0
@@ -214,9 +228,9 @@ def stokes_solve(forcing):
     scale = np.max(np.abs(forcing.coeff)) / forcing.n**3
     if np.any(mean > 1e-10 * max(scale, 1e-300)):
         raise ValueError("forcing must have zero mean")
-    k, _, inv_k2 = _wavenumbers(forcing.n)
     proj = leray_project(forcing)
-    return SpectralField(proj.coeff * inv_k2)
+    proj.coeff *= _wavenumbers(forcing.n)[2]
+    return proj
 
 
 def dealias(fld):
@@ -335,7 +349,8 @@ def picard_step(v, drift, forcing):
     physical space from 2/3-dealiased samples and the divergence is taken
     spectrally, with the result truncated to the dealiased band.  The
     tensor is symmetric, so only its 6 distinct entries are formed: one
-    irfftn and one rfftn call per step.
+    irfftn and one rfftn call per step.  Each array is released once it
+    is used, so at most the tensor and its transform are held at once.
     """
     n = v.n
     k, _, _ = _wavenumbers(n)
@@ -350,15 +365,27 @@ def picard_step(v, drift, forcing):
         if drift.n != n:
             raise ValueError("drift grid does not match the iterate")
         u_phys = drift.phys_dealiased
-        w_phys = u_phys + v_phys
+        w_j = np.empty((n, n, n))
         for e, (i, j) in enumerate(_SYM_PAIRS):
             np.multiply(u_phys[i], v_phys[j], out=M[e])
-            M[e] += v_phys[i] * w_phys[j]
+            np.add(u_phys[j], v_phys[j], out=w_j)
+            w_j *= v_phys[i]
+            M[e] += w_j
+        del w_j
+    del v_phys
     M_hat = scipy.fft.rfftn(M, axes=(1, 2, 3))
-    div_M = np.stack([sum(k[j] * M_hat[e] for j, e in enumerate(row))
-                      for row in _SYM_ENTRY])
+    del M
+    div_M = np.empty((3,) + M_hat.shape[1:], dtype=complex)
+    term = np.empty(M_hat.shape[1:], dtype=complex)
+    for row, entries in zip(div_M, _SYM_ENTRY):
+        np.multiply(k[0], M_hat[entries[0]], out=row)
+        for j in (1, 2):
+            np.multiply(k[j], M_hat[entries[j]], out=term)
+            row += term
+    del M_hat, term
     div_M *= 1j * mask
-    return stokes_solve(SpectralField(forcing.coeff - div_M))
+    np.subtract(forcing.coeff, div_M, out=div_M)
+    return stokes_solve(SpectralField(div_M))
 
 
 @dataclass

@@ -191,6 +191,9 @@ class TestVerifyCommand:
         (["weak", "--center", "nan,0,0"], "--center"),
         (["ns", "--rmax", "inf"], "--rmax"),
         (["selfsim", "--lambda", "nan"], "--lambda"),
+        (["weak", "--b", "inf"], "--b"),
+        (["weak", "--b", "1e300"], "--b"),
+        (["weak", "--a", "1e-300", "--b", "2e-300"], "--a"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, argv, named):
         code, report = run(tmp_path, "verify", argv[0], "--field",
@@ -458,6 +461,8 @@ class TestNormsFlags:
         (["--expect", "0"], "--expect"),
         (["--expect", "nan"], "--expect"),
         (["--seed", "-1"], "--seed"),
+        (["--domain", "ball:1e300"], "--domain"),
+        (["--domain", "ball:1e-300"], "--domain"),
     ])
     def test_bad_weak_l3_flag_is_config_error(self, tmp_path, capsys, flags,
                                               named):

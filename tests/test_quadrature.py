@@ -250,9 +250,8 @@ class TestLorentzQuasinorm:
 class TestSobolevNorm:
     def test_constant_field_on_unit_cube(self):
         grid = np.full((8, 8, 8), 2.5)
-        for mode in ("spectral", "fd"):
-            report = sobolev_norm(grid, 1.0, 2.0, gradient=mode)
-            assert report.value == pytest.approx(2.5, rel=1e-12)
+        report = sobolev_norm(grid, 1.0, 2.0)
+        assert report.value == pytest.approx(2.5, rel=1e-12)
 
     def test_sine_field_against_closed_form(self):
         n = 64
@@ -260,26 +259,11 @@ class TestSobolevNorm:
         X = np.meshgrid(x, x, x, indexing="ij")
         field = np.stack([np.sin(X[0]), np.zeros((n, n, n)), np.zeros((n, n, n))])
         exact = 2.0 * np.sqrt(4.0 * np.pi**3)
-        spectral = sobolev_norm(field, 2 * np.pi, 2.0, gradient="spectral")
-        fd = sobolev_norm(field, 2 * np.pi, 2.0, gradient="fd")
+        spectral = sobolev_norm(field, 2 * np.pi, 2.0)
         assert spectral.value == pytest.approx(exact, rel=1e-12)
-        assert fd.value == pytest.approx(spectral.value, rel=1e-3)
 
     def test_zero_field(self):
         assert sobolev_norm(np.zeros((3, 8, 8, 8)), 1.0, 2.0).value == 0.0
-
-    def test_fd_convergence_order_at_least_two(self):
-        exact = 2.0 * np.sqrt(4.0 * np.pi**3)
-        errors = []
-        for n in (16, 32, 64):
-            x = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-            X = np.meshgrid(x, x, x, indexing="ij")
-            field = np.stack([np.sin(X[0]), np.zeros((n, n, n)),
-                              np.zeros((n, n, n))])
-            errors.append(abs(sobolev_norm(field, 2 * np.pi, 2.0,
-                                           gradient="fd").value - exact))
-        assert errors[0] / errors[1] >= 3.5
-        assert errors[1] / errors[2] >= 3.5
 
     @pytest.mark.parametrize("n", [16, 15])
     def test_real_fft_gradient_matches_complex_formula(self, n):
@@ -293,7 +277,7 @@ class TestSobolevNorm:
                                           for a in range(3)]) * vhat,
                          axes=(1, 2, 3)).real
             for axis in range(3)])
-        grads = _periodic_gradient(values, box, spectral=True)
+        grads = _periodic_gradient(values, box)
         assert grads.shape == reference.shape
         assert np.max(np.abs(grads - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -302,8 +286,6 @@ class TestSobolevNorm:
             sobolev_norm(np.zeros((4, 4, 4)), 1.0, 2.0)
         with pytest.raises(ValueError):
             sobolev_norm(np.zeros((8, 8, 8)), 1.0, 3.5)
-        with pytest.raises(ValueError):
-            sobolev_norm(np.zeros((8, 8, 8)), 1.0, 2.0, gradient="banana")
 
 
 class TestDecayReport:

@@ -365,3 +365,89 @@ class TestForcing:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_forcing(N, -1.0)
+
+
+def reference_picard_step(v, drift, forcing):
+    """Out-of-place, single-worker copy of the Picard step, kept as the pin."""
+    from pointflow.spectral import _SYM_ENTRY, _SYM_PAIRS, _dealias_mask, _wavenumbers
+    n = v.n
+    k, _, inv_k2 = _wavenumbers(n)
+    mask = _dealias_mask(n)
+    v_phys = scipy.fft.irfftn(v.coeff * mask, s=(n, n, n), axes=(1, 2, 3))
+    M = np.empty((6, n, n, n))
+    if drift is None:
+        for e, (i, j) in enumerate(_SYM_PAIRS):
+            np.multiply(v_phys[i], v_phys[j], out=M[e])
+    else:
+        u_phys = drift.phys_dealiased
+        w_phys = u_phys + v_phys
+        for e, (i, j) in enumerate(_SYM_PAIRS):
+            np.multiply(u_phys[i], v_phys[j], out=M[e])
+            M[e] += v_phys[i] * w_phys[j]
+    M_hat = scipy.fft.rfftn(M, axes=(1, 2, 3))
+    div_M = np.stack([sum(k[j] * M_hat[e] for j, e in enumerate(row))
+                      for row in _SYM_ENTRY])
+    div_M *= 1j * mask
+    f = forcing.coeff - div_M
+    kdotv = np.einsum("aijk,aijk->ijk", k, f)
+    proj = f - k * (kdotv * inv_k2)
+    proj[:, 0, 0, 0] = 0.0
+    if n % 2 == 0:
+        proj[:, n // 2, :, :] = 0.0
+        proj[:, :, n // 2, :] = 0.0
+        proj[:, :, :, n // 2] = 0.0
+    return proj * inv_k2
+
+
+class TestInPlaceArithmetic:
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("with_drift", [True, False])
+    def test_step_equals_out_of_place_reference(self, n, with_drift):
+        drift = drift_beta_half(n) if with_drift else None
+        forcing = make_forcing(n, 1e-2, seed=3)
+        v = random_divfree(n, seed=11)
+        for _ in range(2):
+            expected = reference_picard_step(v, drift, forcing)
+            v = picard_step(v, drift, forcing)
+            assert np.array_equal(v.coeff, expected)
+
+    def test_inputs_left_unchanged(self):
+        drift = drift_beta_half(16)
+        forcing = make_forcing(16, 1e-2, seed=3)
+        v = random_divfree(16, seed=11)
+        arrays = (v.coeff, forcing.coeff, drift.field.coeff, drift.phys_dealiased)
+        before = [a.copy() for a in arrays]
+        picard_step(v, drift, forcing)
+        stokes_solve(forcing)
+        leray_project(v)
+        leray_project(forcing)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
+
+
+class TestMemoryBudget:
+    """Peak new numpy memory, in units of one iterate's coefficients."""
+
+    @staticmethod
+    def peak(fn):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_picard_step_peak(self):
+        drift, forcing = drift_beta_half(), make_forcing(N, 1e-2)
+        v = stokes_solve(forcing)
+        picard_step(v, drift, forcing)   # fill the table caches first
+        assert self.peak(lambda: picard_step(v, drift, forcing)) <= 5.0 * v.coeff.nbytes
+
+    def test_w1r_two_peak(self):
+        v = stokes_solve(make_forcing(N, 1e-2))
+        v.w1r(2.0)
+        # one |coeff|^2 pass, a component at a time; squaring the whole
+        # array at once peaks at 1.0
+        assert self.peak(lambda: v.w1r(2.0)) <= 0.75 * v.coeff.nbytes
+
