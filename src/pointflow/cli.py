@@ -16,8 +16,9 @@ configuration (including the seed) and carries pass/fail flags that are
 recomputable from the payload alone.  Identical configurations produce
 byte-identical payloads; only the wall-clock duration field varies.
 
-Each scalar flag declares its range once, as its argparse type; each
-cmd_* returns (payload, passed) and main alone builds the report.
+Each scalar or number-list flag declares its range once, as its
+argparse type; each cmd_* returns (payload, passed) and main alone
+builds the report.  Report and CSV files are rewritten in place.
 
 Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (any bad
 flag value, non-finite numbers and points at the origin included; the
@@ -26,10 +27,13 @@ message names the flag or file), 3 numerical failure, 4 out-of-regime
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import re
+import stat
 import sys
 import time
 
@@ -104,13 +108,43 @@ _NONZERO = _flag(float, lambda v: v != 0.0 and abs(v) < np.inf,
 # r^3 that every quadrature weight and measure stays finite and positive
 _RADII = (1e-50, 1e50)
 _RADIUS = _between(*_RADII)
+# a finite secondary Lorentz exponent above this overflows v^q on the
+# singular fields at the default resolution; q = inf is the weak norm
+_LORENTZ_Q_MAX = 64.0
 _GRID_SIZE = _flag(int, lambda v: v >= 16 and v & (v - 1) == 0,
                    "a power of two >= 16")
 
 
+def _floats(text):
+    return [float(p) for p in text.split(",") if p != ""]
+
+
+def _float_list(rule, what):
+    """argparse type for 'a,b,...': rule(numbers) must hold.  The text
+    itself is kept, as the report's config echo shows it."""
+    check = _flag(_floats, rule, what)
+
+    def parse(text):
+        check(text)
+        return text
+    return parse
+
+
+_RADIUS_LIST = _float_list(
+    lambda v: v and all(_RADII[0] < r < _RADII[1] for r in v),
+    "radii r1,r2,... in ({:g}, {:g})".format(*_RADII))
+_SHELL_LIST = _float_list(
+    lambda v: v and all(_RADII[0] < r <= 1.0 for r in v),
+    "shell radii in ({:g}, 1]".format(_RADII[0]))
+_LORENTZ_PAIR = _float_list(
+    lambda v: len(v) == 2 and 1.0 < v[0] < np.inf
+    and (1.0 <= v[1] <= _LORENTZ_Q_MAX or v[1] == np.inf),
+    "p,q with 1 < p < inf and q in [1, {:g}] or inf".format(_LORENTZ_Q_MAX))
+
+
 def _parse_floats(text, flag):
     try:
-        return [float(p) for p in text.split(",") if p != ""]
+        return _floats(text)
     except ValueError as exc:
         raise ConfigError(f"{flag}: bad number list {text!r}: {exc}") from None
 
@@ -294,11 +328,33 @@ def _json_chunks(report):
     yield texts[2 * width]
 
 
+@contextlib.contextmanager
+def _rewrite(path, newline=None):
+    """Text stream that replaces the contents of path, created if missing.
+
+    Opened without O_TRUNC, which on some filesystems waits for the old
+    blocks to be discarded (tens to hundreds of ms per file), and cut at
+    the end of what was written once writing stops, also on an exception.
+    The inode stays, so links and permissions do too.  Files that are
+    not regular (/dev/null, pipes) are only written.
+    """
+    fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              newline=newline)
+    with fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            fd = fh.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _emit(report, output, duration):
     report = dict(report)
     report["duration_s"] = duration
     if output:
-        with open(output, "w") as fh:
+        with _rewrite(output) as fh:
             fh.writelines(_json_chunks(report))
             fh.write("\n")
     else:
@@ -310,14 +366,14 @@ def _write_point_csv(path, table):
     """The x,y,z,ux,uy,uz,p rows, as csv.writer writes repr() strings."""
     columns = range(len(POINT_CSV_COLUMNS))
     table.keep_text(columns)
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path, newline="") as fh:
         fh.write(",".join(POINT_CSV_COLUMNS) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in
                       zip(*(table.column_text(k) for k in columns)))
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -390,9 +446,7 @@ def cmd_landau(args):
 
 def cmd_flux(args):
     probe = _probe(args.field, "flux")
-    radii = _parse_floats(args.radii, "--radii")
-    _require(radii and all(0.0 < r < np.inf for r in radii),
-             "--radii must be finite and > 0")
+    radii = _floats(args.radii)
     forces = [flux_integral(probe, R, n_theta=args.n_theta) for R in radii]
     scale = max(max(float(np.linalg.norm(b)) for b in forces), 1e-300)
     deviation = max([0.0] + [float(np.linalg.norm(bi - bj)) / scale
@@ -444,8 +498,7 @@ def cmd_verify_weak(args):
 
 def cmd_verify_ns(args):
     params = _probe(args.field, "verify ns", ("landau",)).params
-    _require(0.0 < args.rmin < args.rmax < np.inf,
-             "need 0 < --rmin < --rmax < inf")
+    _require(args.rmin < args.rmax, "need --rmin < --rmax")
     radii, pts = _random_sphere_points(args.seed, args.samples,
                                        args.rmin, args.rmax)
     res = ns_residual(params, pts)
@@ -547,9 +600,7 @@ def cmd_norms(args):
         _require(args.field and args.ref, "--decay needs --field and --ref")
         probe = _probe(args.field, "norms --decay", ("landau",))
         ref = parse_field_spec("landau:" + args.ref)[1].params
-        shells = _parse_floats(args.shells, "--shells")
-        _require(shells and all(0.0 < r <= 1.0 for r in shells),
-                 "--shells must lie in (0, 1]")
+        shells = _floats(args.shells)
         report = decay_report(probe, ref, args.q, shells)
         payload = {
             "q": args.q,
@@ -569,11 +620,7 @@ def cmd_norms(args):
     if args.weak_l3:
         p, q = 3.0, np.inf
     else:
-        pq = _parse_floats(args.lorentz, "--lorentz")
-        _require(len(pq) == 2, "--lorentz expects p,q")
-        p, q = pq
-        _require(1.0 < p < np.inf and q >= 1.0,
-                 "--lorentz needs 1 < p < inf and 1 <= q <= inf")
+        p, q = _floats(args.lorentz)
     kind, probe = parse_field_spec(args.field)
     magnitude = probe if kind == "scalar" else (
         lambda pts: np.linalg.norm(probe.velocity(pts), axis=1))
@@ -632,7 +679,8 @@ def build_parser():
 
     p = sub.add_parser("flux", help="force extraction by momentum flux")
     p.add_argument("--field", required=True, help="field spec (landau:A=2, ...)")
-    p.add_argument("--radii", required=True, help="sphere radii r1,r2,...")
+    p.add_argument("--radii", type=_RADIUS_LIST, required=True,
+                   help="sphere radii r1,r2,...")
     p.add_argument("--n-theta", type=_at_least(2), default=64, dest="n_theta")
     p.add_argument("--csv", help="write radius,bx,by,bz rows here")
     add_common(p, cmd_flux, 1e-8,
@@ -653,13 +701,13 @@ def build_parser():
     pn = vsub.add_parser("ns", help="pointwise residual away from the origin")
     pn.add_argument("--field", required=True)
     pn.add_argument("--samples", type=_at_least(1), default=100)
-    pn.add_argument("--rmin", type=float, default=0.01)
-    pn.add_argument("--rmax", type=float, default=1.5)
+    pn.add_argument("--rmin", type=_RADIUS, default=0.01)
+    pn.add_argument("--rmax", type=_RADIUS, default=1.5)
     add_common(pn, cmd_verify_ns, 1e-4)
 
     ps = vsub.add_parser("selfsim", help="discrete self-similarity deviation")
     ps.add_argument("--field", required=True)
-    ps.add_argument("--lambda", type=_between(0.0, 1.0), required=True,
+    ps.add_argument("--lambda", type=_between(_RADII[0], 1.0), required=True,
                     dest="lam")
     ps.add_argument("--samples", type=_at_least(1), default=100)
     add_common(ps, cmd_verify_selfsim, 1e-12)
@@ -684,7 +732,7 @@ def build_parser():
     p = sub.add_parser("norms", help="norm machinery and diagnostic sweeps")
     p.add_argument("--field", help="field spec (landau:A=2, r^-1, ...)")
     p.add_argument("--weak-l3", action="store_true", dest="weak_l3")
-    p.add_argument("--lorentz", help="exponent pair p,q")
+    p.add_argument("--lorentz", type=_LORENTZ_PAIR, help="exponent pair p,q")
     p.add_argument("--domain", default="ball:2", help="sampling domain ball:<R>")
     p.add_argument("--resolution", default="400,16,32",
                    help="ball sampling resolution nr,ntheta,nphi")
@@ -693,7 +741,7 @@ def build_parser():
     p.add_argument("--ref", help="reference Landau parameters, e.g. A=2")
     p.add_argument("--q", type=_between(1.0, 3.0), default=2.0,
                    help="decay exponent")
-    p.add_argument("--shells", default="0.4,0.2,0.1,0.05")
+    p.add_argument("--shells", type=_SHELL_LIST, default="0.4,0.2,0.1,0.05")
     p.add_argument("--sweep-beta", dest="sweep_beta",
                    help="start:stop:count sweep of sup-sphere speeds")
     p.add_argument("--sup-sphere", action="store_true", dest="sup_sphere",

@@ -32,6 +32,14 @@ call, and W^{1,2} norms follow from the coefficients by Parseval.  The
 odd-derivative wavenumber is zero at the Nyquist index of every axis,
 which is what the real part of a full complex derivative gives as well.
 
+The Picard step, the drift and the forcing are built one component at a
+time: one (n, n, n) transform per component, never a stacked one, and
+the projection and the Stokes solve work in place.  A component's
+transform gives the same bits alone as inside a stacked call, and the
+in-place arithmetic repeats the out-of-place expressions element by
+element, so every result keeps its bits while at most one component's
+scratch is held at once.
+
 The transforms keep scipy.fft's single worker.  Two workers give the
 same bits, but on a shared 2-vCPU host they made Picard runs slower and
 far noisier whenever the second vCPU was busy elsewhere.
@@ -103,10 +111,26 @@ def _dealias_mask(n):
     return _band(n, n // 3)
 
 
+def _axis(n):
+    """Coordinates of the torus grid along one axis, origin at a grid point."""
+    return (np.arange(n) - n // 2) * (BOX / n)
+
+
 def grid_coordinates(n):
     """(3, n, n, n) coordinates of the torus grid, origin at a grid point."""
-    x1 = (np.arange(n) - n // 2) * (BOX / n)
+    x1 = _axis(n)
     return np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
+
+
+def _component_samples(coeff, mask=None):
+    """irfftn of each component of coeff (times mask), one at a time.
+
+    Yields (n, n, n) arrays with the bits of the matching component of
+    the stacked irfftn over axes (1, 2, 3), at a third of its scratch.
+    """
+    n = coeff.shape[1]
+    for c in coeff:
+        yield scipy.fft.irfftn(c if mask is None else c * mask, s=(n, n, n))
 
 
 @dataclass
@@ -155,9 +179,6 @@ class SpectralField:
         scale = np.max(np.abs(k) * np.max(np.abs(self.coeff)))
         return float(np.max(np.abs(div)) / scale) if scale > 0.0 else 0.0
 
-    def mean_mode(self):
-        return self.coeff[:, 0, 0, 0] / self.n**3
-
     def __add__(self, other):
         return SpectralField(self.coeff + other.coeff)
 
@@ -203,18 +224,31 @@ def leray_project(fld):
     each axis' Nyquist index, so the discrete divergence cannot see a
     field's component along that axis there, nor the projector remove it.
     """
-    n = fld.n
+    coeff = fld.coeff.copy()
+    _leray_in_place(coeff)
+    return SpectralField(coeff)
+
+
+def _leray_in_place(coeff):
+    """leray_project on a (3, n, n, n//2 + 1) array, overwriting it.
+
+    Each component becomes c - k_c (k . c / |k|^2), the same element-wise
+    arithmetic as the out-of-place expression, with one component's
+    scratch for k_c (k . c / |k|^2).
+    """
+    n = coeff.shape[1]
     k, _, inv_k2 = _wavenumbers(n)
-    kdotv = np.einsum("aijk,aijk->ijk", k, fld.coeff)
+    kdotv = np.einsum("aijk,aijk->ijk", k, coeff)
     kdotv *= inv_k2
-    out = k * kdotv
-    np.subtract(fld.coeff, out, out=out)
-    out[:, 0, 0, 0] = 0.0
+    term = np.empty_like(kdotv)
+    for kc, c in zip(k, coeff):
+        np.multiply(kc, kdotv, out=term)
+        c -= term
+    coeff[:, 0, 0, 0] = 0.0
     if n % 2 == 0:
-        out[:, n // 2, :, :] = 0.0
-        out[:, :, n // 2, :] = 0.0
-        out[:, :, :, n // 2] = 0.0
-    return SpectralField(out)
+        coeff[:, n // 2, :, :] = 0.0
+        coeff[:, :, n // 2, :] = 0.0
+        coeff[:, :, :, n // 2] = 0.0
 
 
 def stokes_solve(forcing):
@@ -224,13 +258,20 @@ def stokes_solve(forcing):
     pressure gradient is eliminated exactly.  Rejects forcing with a
     nonzero mean mode (the torus Stokes operator cannot balance it).
     """
-    mean = np.abs(forcing.mean_mode())
-    scale = np.max(np.abs(forcing.coeff)) / forcing.n**3
+    coeff = forcing.coeff.copy()
+    _stokes_in_place(coeff)
+    return SpectralField(coeff)
+
+
+def _stokes_in_place(coeff):
+    """stokes_solve on a (3, n, n, n//2 + 1) array, overwriting it."""
+    n = coeff.shape[1]
+    mean = np.abs(coeff[:, 0, 0, 0] / n**3)
+    scale = np.max([np.max(np.abs(c)) for c in coeff]) / n**3
     if np.any(mean > 1e-10 * max(scale, 1e-300)):
         raise ValueError("forcing must have zero mean")
-    proj = leray_project(forcing)
-    proj.coeff *= _wavenumbers(forcing.n)[2]
-    return proj
+    _leray_in_place(coeff)
+    coeff *= _wavenumbers(n)[2]
 
 
 def dealias(fld):
@@ -242,27 +283,67 @@ def dealias(fld):
 class MollifiedDrift:
     """Landau drift with a radial C^3 cutoff, realized on the torus grid.
 
-    raw_samples holds chi * U, which vanishes exactly for |x| < delta_in/2
-    and |x| > delta_out; `field` is its Leray projection (the grid drift
-    must be divergence free), and projection_deviation is the relative
-    grid-L^2 change caused by the projection.
+    `field` is the Leray projection of the samples chi * U, which vanish
+    exactly for |x| < delta_in/2 and |x| > delta_out (the grid drift must
+    be divergence free); projection_deviation is the relative grid-L^2
+    change caused by the projection.  phys_dealiased holds the samples of
+    the 2/3-dealiased field that every Picard step reads.
     """
 
     params: LandauParams
     delta_in: float
     delta_out: float
     field: SpectralField
-    raw_samples: np.ndarray
     projection_deviation: float
     phys_dealiased: np.ndarray = None  # derived; filled in __post_init__
 
     def __post_init__(self):
-        phys = dealias(self.field).to_physical()
+        n = self.n
+        phys = np.empty((3, n, n, n))
+        for dst, src in zip(phys, _component_samples(self.field.coeff,
+                                                     _dealias_mask(n))):
+            dst[...] = src
         object.__setattr__(self, "phys_dealiased", phys)
 
     @property
     def n(self):
         return self.field.n
+
+
+def _mollified_samples(params, n, delta_in, delta_out):
+    """(3, n, n, n) samples of chi(|x|) U^b on the torus grid."""
+    x1 = _axis(n)
+    rho = np.sqrt(x1[:, None, None]**2 + x1[None, :, None]**2 + x1**2)
+    rise = smoothstep7((rho - delta_in / 2.0) / (delta_in / 2.0))[0]
+    fall = smoothstep7((rho - 0.75 * delta_out) / (0.25 * delta_out))[0]
+    del rho
+    np.subtract(1.0, fall, out=fall)
+    chi = rise
+    chi *= fall
+    del fall
+
+    samples = np.zeros((3, n, n, n))
+    mask = chi > 0.0
+    if params.beta > 0.0 and np.any(mask):
+        # C-ordered (m, 3), as coords[:, mask].T: landau_eval's bits
+        # depend on the layout of its points
+        pts = np.stack([x1[i] for i in np.nonzero(mask)], axis=-1)
+        u = landau_eval(params, pts).u
+        samples[:, mask] = (chi[mask][:, None] * u).T
+    return samples
+
+
+def _projection_deviation(samples, coeff):
+    """|P s - s| / |s| in grid L^2, with coeff the projection P s.
+
+    Overwrites samples with P s - s, a component at a time.
+    """
+    norm_raw = np.linalg.norm(samples)
+    if not norm_raw > 0.0:
+        return 0.0
+    for s, projected in zip(samples, _component_samples(coeff)):
+        np.subtract(projected, s, out=s)
+    return float(np.linalg.norm(samples) / norm_raw)
 
 
 def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
@@ -280,29 +361,13 @@ def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
         raise ValueError("outer cutoff must fit inside the torus")
     n = int(n)
 
-    coords = grid_coordinates(n)
-    rho = np.sqrt((coords**2).sum(axis=0))
-    rise, _, _, _ = smoothstep7((rho - delta_in / 2.0) / (delta_in / 2.0))
-    fall, _, _, _ = smoothstep7((rho - 0.75 * delta_out) / (0.25 * delta_out))
-    chi = rise * (1.0 - fall)
-
-    samples = np.zeros((3, n, n, n))
-    mask = chi > 0.0
-    if params.beta > 0.0 and np.any(mask):
-        pts = coords[:, mask].T
-        u = landau_eval(params, pts).u
-        samples[:, mask] = (chi[mask][:, None] * u).T
-
-    raw = SpectralField.from_physical(samples)
-    projected = leray_project(raw)
-    norm_raw = np.linalg.norm(samples)
-    if norm_raw > 0.0:
-        deviation = float(np.linalg.norm(projected.to_physical() - samples)
-                          / norm_raw)
-    else:
-        deviation = 0.0
+    samples = _mollified_samples(params, n, delta_in, delta_out)
+    coeff = scipy.fft.rfftn(samples, axes=(1, 2, 3))
+    _leray_in_place(coeff)
+    deviation = _projection_deviation(samples, coeff)
+    del samples
     return MollifiedDrift(params=params, delta_in=delta_in, delta_out=delta_out,
-                          field=projected, raw_samples=samples,
+                          field=SpectralField(coeff),
                           projection_deviation=deviation)
 
 
@@ -319,26 +384,33 @@ def make_forcing(n, amplitude, seed=None):
     if not np.isfinite(amplitude) or amplitude < 0.0:
         raise ValueError("amplitude must be finite and nonnegative")
     if seed is None:
-        coords = grid_coordinates(n)
-        phys = amplitude * np.stack([np.sin(0.5 * coords[1]),
-                                     np.sin(0.5 * coords[2]),
-                                     np.sin(0.5 * coords[0])])
+        wave = amplitude * np.sin(0.5 * _axis(n))
+        phys = np.empty((3, n, n, n))
+        phys[0] = wave[None, :, None]
+        phys[1] = wave[None, None, :]
+        phys[2] = wave[:, None, None]
         return SpectralField.from_physical(phys)
     rng = np.random.default_rng(seed)
-    white = SpectralField.from_physical(rng.standard_normal((3, n, n, n)))
-    low = SpectralField(white.coeff * _band(n, 3))
-    proj = leray_project(low)
-    speed = np.linalg.norm(proj.to_physical(), axis=0).max()
+    coeff = scipy.fft.rfftn(rng.standard_normal((3, n, n, n)), axes=(1, 2, 3))
+    coeff *= _band(n, 3)
+    _leray_in_place(coeff)
+    # |v|^2 summed over the components in order, as norm(axis=0) sums it
+    speed2 = 0.0
+    for p in _component_samples(coeff):
+        p *= p
+        speed2 += p
+    speed = np.sqrt(speed2).max()
     if amplitude > 0.0 and speed == 0.0:
         raise RuntimeError("degenerate random forcing draw")
     scale = amplitude / speed if speed > 0.0 else 0.0
-    return SpectralField(scale * proj.coeff)
+    np.multiply(scale, coeff, out=coeff)
+    return SpectralField(coeff)
 
 
-# the 6 distinct entries (i, j) of a symmetric 3x3 tensor, and the
-# entry that each (i, j) reads
-_SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_SYM_ENTRY = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+# the 6 distinct entries (i, j) of a symmetric 3x3 tensor, in the order
+# picard_step forms them, and the entry that each (i, j) reads
+_SYM_PAIRS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))
+_SYM_ENTRY = ((0, 2, 3), (2, 1, 4), (3, 4, 5))
 
 
 def picard_step(v, drift, forcing):
@@ -348,44 +420,56 @@ def picard_step(v, drift, forcing):
     f - div( U (x) v + v (x) (U + v) ); the tensor products are formed in
     physical space from 2/3-dealiased samples and the divergence is taken
     spectrally, with the result truncated to the dealiased band.  The
-    tensor is symmetric, so only its 6 distinct entries are formed: one
-    irfftn and one rfftn call per step.  Each array is released once it
-    is used, so at most the tensor and its transform are held at once.
+    tensor is symmetric, so only its 6 distinct entries are formed.
+
+    The step streams: 3 single-component irfftn bring v to physical
+    space, then each entry M_ij, in the order of _SYM_PAIRS, is formed in
+    one (n, n, n) scratch, transformed by one rfftn, and folded into the
+    divergence rows it feeds (row i gains k_j M_ij, row j gains k_i M_ij)
+    before the next is formed.  In that order every row adds its terms
+    as k_0 M_i0 + k_1 M_i1 + k_2 M_i2 from the left, except that row 1
+    starts with k_1 M_11 + k_0 M_10, a swap that IEEE addition does not
+    see; so the step keeps the bits of one stacked 6-entry transform.
+    The Stokes solve then runs in place on the step's own array.
     """
     n = v.n
+    if drift is not None and drift.n != n:
+        raise ValueError("drift grid does not match the iterate")
     k, _, _ = _wavenumbers(n)
     mask = _dealias_mask(n)
-    v_phys = dealias(v).to_physical()
-    # M[i, j] = U_i v_j + v_i (U + v)_j ; (div M)_i = d_j M_ij
-    M = np.empty((6, n, n, n))
-    if drift is None:
-        for e, (i, j) in enumerate(_SYM_PAIRS):
-            np.multiply(v_phys[i], v_phys[j], out=M[e])
-    else:
-        if drift.n != n:
-            raise ValueError("drift grid does not match the iterate")
-        u_phys = drift.phys_dealiased
-        w_j = np.empty((n, n, n))
-        for e, (i, j) in enumerate(_SYM_PAIRS):
-            np.multiply(u_phys[i], v_phys[j], out=M[e])
+    v_phys = list(_component_samples(v.coeff, mask))
+    u_phys = None if drift is None else drift.phys_dealiased
+    div_M = np.empty((3, n, n, n // 2 + 1), dtype=complex)
+    started = [False, False, False]
+    # one buffer serves as the real entry M_ij and, once M_ij is
+    # transformed, as the complex term k_j M_ij added to a row
+    scratch = np.empty(n * n * (n // 2 + 1), dtype=complex)
+    M = scratch.view(float)[:n**3].reshape(n, n, n)
+    term = scratch.reshape(n, n, n // 2 + 1)
+    w_j = None if drift is None else np.empty((n, n, n))
+    for i, j in _SYM_PAIRS:
+        # M_ij = U_i v_j + v_i (U + v)_j ; (div M)_i = d_j M_ij
+        if drift is None:
+            np.multiply(v_phys[i], v_phys[j], out=M)
+        else:
+            np.multiply(u_phys[i], v_phys[j], out=M)
             np.add(u_phys[j], v_phys[j], out=w_j)
             w_j *= v_phys[i]
-            M[e] += w_j
-        del w_j
-    del v_phys
-    M_hat = scipy.fft.rfftn(M, axes=(1, 2, 3))
-    del M
-    div_M = np.empty((3,) + M_hat.shape[1:], dtype=complex)
-    term = np.empty(M_hat.shape[1:], dtype=complex)
-    for row, entries in zip(div_M, _SYM_ENTRY):
-        np.multiply(k[0], M_hat[entries[0]], out=row)
-        for j in (1, 2):
-            np.multiply(k[j], M_hat[entries[j]], out=term)
-            row += term
-    del M_hat, term
+            M += w_j
+        M_hat = scipy.fft.rfftn(M)
+        for row, kj in ((i, j),) if i == j else ((i, j), (j, i)):
+            if started[row]:
+                np.multiply(k[kj], M_hat, out=term)
+                div_M[row] += term
+            else:
+                np.multiply(k[kj], M_hat, out=div_M[row])
+                started[row] = True
+        del M_hat
+    del v_phys, scratch, M, term, w_j
     div_M *= 1j * mask
     np.subtract(forcing.coeff, div_M, out=div_M)
-    return stokes_solve(SpectralField(div_M))
+    _stokes_in_place(div_M)
+    return SpectralField(div_M)
 
 
 @dataclass
@@ -448,8 +532,8 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
 
-    def iterate(v0, trace):
-        v = v0
+    def iterate(v, trace):
+        # v is rebound each step, so the start is released after one
         first_norm = None
         previous_increment = None
         for _ in range(max_iters):

@@ -138,6 +138,8 @@ class TestFluxCommand:
         (["--radii", "nan"], "--radii"),
         (["--radii", "1,inf"], "--radii"),
         (["--seed", "-1"], "--seed"),
+        (["--radii", "1e300"], "--radii"),
+        (["--radii", "1,1e-300"], "--radii"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         code, report = run(tmp_path, "flux", "--field", "landau:A=2",
@@ -194,6 +196,9 @@ class TestVerifyCommand:
         (["weak", "--b", "inf"], "--b"),
         (["weak", "--b", "1e300"], "--b"),
         (["weak", "--a", "1e-300", "--b", "2e-300"], "--a"),
+        (["ns", "--rmax", "1e300"], "--rmax"),
+        (["ns", "--rmin", "1e-300"], "--rmin"),
+        (["selfsim", "--lambda", "1e-300"], "--lambda"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, argv, named):
         code, report = run(tmp_path, "verify", argv[0], "--field",
@@ -471,7 +476,8 @@ class TestNormsFlags:
         assert code == EXIT_CONFIG and report is None
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pq", ["0,1", "3,0.5", "3,nan", "inf,2"])
+    @pytest.mark.parametrize("pq", ["0,1", "3,0.5", "3,nan", "inf,2", "3,1e300",
+                                    "3", "3,2,1"])
     def test_bad_lorentz_exponents(self, tmp_path, capsys, pq):
         code, report = run(tmp_path, "norms", "--field", "r^-1",
                            "--lorentz", pq)
@@ -482,6 +488,7 @@ class TestNormsFlags:
         (["--q", "3"], "--q"),
         (["--shells", "0.5,2"], "--shells"),
         (["--shells", "0,0.5"], "--shells"),
+        (["--shells", "1e-300"], "--shells"),
     ])
     def test_bad_decay_flag_is_config_error(self, tmp_path, capsys, flags,
                                             named):
@@ -558,3 +565,81 @@ class TestBadFiles:
                      "--output", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestOutputRewrite:
+    """Outputs are rewritten in place: no truncation on open, no stale tail."""
+
+    ARGV = ["landau", "--A", "2", "--point", "0,0,1"]
+
+    def fresh_report(self, tmp_path):
+        path = tmp_path / "fresh.json"
+        assert main(self.ARGV + ["--output", str(path)]) == EXIT_PASS
+        return json.loads(path.read_text())
+
+    def test_shorter_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("x" * 100_000)
+        assert main(self.ARGV + ["--output", str(path)]) == EXIT_PASS
+        text = path.read_text()
+        assert text.endswith("}\n") and "x" * 10 not in text
+        report = json.loads(text)
+        assert report["payload"] == self.fresh_report(tmp_path)["payload"]
+
+    def test_csv_outputs_rewrite_shorter(self, tmp_path):
+        points, radii = tmp_path / "points.csv", tmp_path / "radii.csv"
+        for path in (points, radii):
+            path.write_text("9" * 50_000 + "\n")
+        assert main(self.ARGV + ["--csv", str(points), "--output",
+                                 str(tmp_path / "a.json")]) == EXIT_PASS
+        assert main(["flux", "--field", "landau:A=2", "--radii", "1",
+                     "--csv", str(radii), "--output",
+                     str(tmp_path / "b.json")]) == EXIT_PASS
+        assert len(list(csv.reader(points.open()))) == 2
+        assert len(list(csv.reader(radii.open()))) == 2
+
+    def test_links_and_mode_are_kept(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old contents that are longer than nothing\n" * 100)
+        target.chmod(0o640)
+        symlink, hardlink = tmp_path / "sym.json", tmp_path / "hard.json"
+        symlink.symlink_to(target)
+        hardlink.hardlink_to(target)
+        inode = target.stat().st_ino
+        assert main(self.ARGV + ["--output", str(symlink)]) == EXIT_PASS
+        assert symlink.is_symlink()
+        assert target.stat().st_ino == hardlink.stat().st_ino == inode
+        assert target.stat().st_mode & 0o777 == 0o640
+        fresh = self.fresh_report(tmp_path)["payload"]
+        assert json.loads(hardlink.read_text())["payload"] == fresh
+        assert main(self.ARGV + ["--output", str(hardlink)]) == EXIT_PASS
+        assert json.loads(target.read_text())["payload"] == fresh
+
+    def test_dev_null_output(self):
+        assert main(self.ARGV + ["--output", "/dev/null"]) == EXIT_PASS
+
+    def test_exception_mid_write_leaves_no_stale_tail(self, tmp_path):
+        from pointflow.cli import _rewrite
+        path = tmp_path / "partial.txt"
+        path.write_text("stale " * 1000)
+        with pytest.raises(RuntimeError):
+            with _rewrite(path) as fh:
+                fh.write("new")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "new"
+
+
+class TestRangeEdges:
+    @pytest.mark.parametrize("argv", [
+        ["flux", "--field", "landau:A=2", "--radii", "1e-49,1e49", "--tol", "1"],
+        ["verify", "ns", "--field", "landau:A=2", "--rmin", "1e-49",
+         "--rmax", "1e49"],
+        ["verify", "selfsim", "--field", "landau:A=2", "--lambda", "1e-49"],
+        ["norms", "--field", "landau:A=2", "--decay", "--ref", "A=2",
+         "--shells", "1e-49,1"],
+        ["norms", "--field", "r^-2", "--lorentz", "3,64"],
+        ["norms", "--field", "r^-1", "--lorentz", "3,inf"],
+    ])
+    def test_values_inside_the_ranges_run(self, tmp_path, argv):
+        code, report = run(tmp_path, *argv)
+        assert code in (EXIT_PASS, EXIT_FAIL) and report is not None

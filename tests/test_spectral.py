@@ -17,6 +17,13 @@ def drift_beta_half(n=N):
     return make_mollified_drift(LandauParams.from_magnitude(0.5), n)
 
 
+def raw_samples(drift):
+    """The samples chi * U that make_mollified_drift projects."""
+    from pointflow.spectral import _mollified_samples
+    return _mollified_samples(drift.params, drift.n, drift.delta_in,
+                              drift.delta_out)
+
+
 def random_divfree(n, seed):
     rng = np.random.default_rng(seed)
     field = SpectralField.from_physical(rng.standard_normal((3, n, n, n)))
@@ -108,7 +115,7 @@ class TestMollifiedDrift:
         drift = drift_beta_half()
         coords = grid_coordinates(N)
         rho = np.sqrt((coords**2).sum(axis=0))
-        speed = np.linalg.norm(drift.raw_samples, axis=0)
+        speed = np.linalg.norm(raw_samples(drift), axis=0)
         assert np.all(speed[rho < 0.15] == 0.0)
         assert np.all(speed[rho > 1.5] == 0.0)
         assert speed.max() > 0.0
@@ -121,7 +128,7 @@ class TestMollifiedDrift:
         plateau = (rho > 0.35) & (rho < 1.0)
         pts = coords[:, plateau].T
         u = landau_eval(drift.params, pts).u
-        assert np.allclose(drift.raw_samples[:, plateau].T, u, rtol=1e-12)
+        assert np.allclose(raw_samples(drift)[:, plateau].T, u, rtol=1e-12)
 
     def test_projection_reported_and_divergence_free(self):
         drift = drift_beta_half()
@@ -130,7 +137,7 @@ class TestMollifiedDrift:
 
     def test_zero_params_give_zero_drift(self):
         drift = make_mollified_drift(LandauParams.zero(), 16)
-        assert np.all(drift.raw_samples == 0.0)
+        assert np.all(raw_samples(drift) == 0.0)
         assert drift.projection_deviation == 0.0
 
     def test_cutoff_validation(self):
@@ -285,11 +292,12 @@ class TestTransformBudget:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """(name, input shape) of every transform call."""
         counter = []
 
         def counted(fn):
             def wrapper(*args, **kwargs):
-                counter.append(fn.__name__)
+                counter.append((fn.__name__, np.shape(args[0])))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -298,12 +306,17 @@ class TestTransformBudget:
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
         return counter
 
-    def test_picard_step_makes_two_transforms(self, calls):
-        drift, forcing = drift_beta_half(), make_forcing(N, 1e-3)
+    @pytest.mark.parametrize("with_drift", [True, False])
+    def test_picard_step_streams_single_components(self, calls, with_drift):
+        # 3 irfftn bring v to physical space, then one rfftn per tensor
+        # entry: the 9 component transforms of one stacked pair
+        drift = drift_beta_half() if with_drift else None
+        forcing = make_forcing(N, 1e-3)
         v = stokes_solve(forcing)
         calls.clear()
         picard_step(v, drift, forcing)
-        assert calls == ["irfftn", "rfftn"]
+        assert calls == ([("irfftn", (N, N, N // 2 + 1))] * 3
+                         + [("rfftn", (N, N, N))] * 6)
 
     def test_w1r_two_makes_none(self, calls):
         v = stokes_solve(make_forcing(N, 1e-3))
@@ -316,7 +329,7 @@ class TestReality:
     def test_transforms_keep_fields_real(self):
         drift = drift_beta_half()
         assert reality_defect(drift.field) < 1e-12 * max(
-            1.0, np.max(np.abs(drift.raw_samples)))
+            1.0, np.max(np.abs(raw_samples(drift))))
         forcing = make_forcing(N, 1e-2, seed=9)
         v = stokes_solve(forcing)
         rel = reality_defect(v) / max(np.max(np.abs(v.to_physical())), 1e-300)
@@ -442,7 +455,19 @@ class TestMemoryBudget:
         drift, forcing = drift_beta_half(), make_forcing(N, 1e-2)
         v = stokes_solve(forcing)
         picard_step(v, drift, forcing)   # fill the table caches first
-        assert self.peak(lambda: picard_step(v, drift, forcing)) <= 5.0 * v.coeff.nbytes
+        assert self.peak(lambda: picard_step(v, drift, forcing)) <= 3.5 * v.coeff.nbytes
+
+    def test_mollified_drift_peak(self):
+        params = LandauParams.from_magnitude(0.5)
+        drift = make_mollified_drift(params, N)
+        unit = drift.field.coeff.nbytes
+        assert self.peak(lambda: make_mollified_drift(params, N)) <= 4.0 * unit
+
+    def test_run_contraction_peak(self):
+        drift, forcing = drift_beta_half(), make_forcing(N, 1e-2, seed=3)
+        run_contraction(drift, forcing)
+        assert (self.peak(lambda: run_contraction(drift, forcing))
+                <= 6.5 * forcing.coeff.nbytes)
 
     def test_w1r_two_peak(self):
         v = stokes_solve(make_forcing(N, 1e-2))
@@ -451,3 +476,96 @@ class TestMemoryBudget:
         # array at once peaks at 1.0
         assert self.peak(lambda: v.w1r(2.0)) <= 0.75 * v.coeff.nbytes
 
+
+def reference_leray(coeff):
+    """Out-of-place Leray projection of a (3, n, n, n//2 + 1) array."""
+    from pointflow.spectral import _wavenumbers
+    n = coeff.shape[1]
+    k, _, inv_k2 = _wavenumbers(n)
+    kdotv = np.einsum("aijk,aijk->ijk", k, coeff)
+    proj = coeff - k * (kdotv * inv_k2)
+    proj[:, 0, 0, 0] = 0.0
+    if n % 2 == 0:
+        proj[:, n // 2, :, :] = 0.0
+        proj[:, :, n // 2, :] = 0.0
+        proj[:, :, :, n // 2] = 0.0
+    return proj
+
+
+def reference_drift(params, n, delta_in=0.3, delta_out=1.5):
+    """Stacked-transform, full-grid copy of the drift build, kept as the pin.
+
+    Returns (field coefficients, phys_dealiased, projection_deviation).
+    """
+    from pointflow import landau_eval, smoothstep7
+    from pointflow.spectral import _dealias_mask
+    coords = grid_coordinates(n)
+    rho = np.sqrt((coords**2).sum(axis=0))
+    rise, _, _, _ = smoothstep7((rho - delta_in / 2.0) / (delta_in / 2.0))
+    fall, _, _, _ = smoothstep7((rho - 0.75 * delta_out) / (0.25 * delta_out))
+    chi = rise * (1.0 - fall)
+    samples = np.zeros((3, n, n, n))
+    mask = chi > 0.0
+    if params.beta > 0.0 and np.any(mask):
+        u = landau_eval(params, coords[:, mask].T).u
+        samples[:, mask] = (chi[mask][:, None] * u).T
+    projected = reference_leray(scipy.fft.rfftn(samples, axes=(1, 2, 3)))
+    norm_raw = np.linalg.norm(samples)
+    deviation = 0.0
+    if norm_raw > 0.0:
+        phys = scipy.fft.irfftn(projected, s=(n, n, n), axes=(1, 2, 3))
+        deviation = float(np.linalg.norm(phys - samples) / norm_raw)
+    dealiased = scipy.fft.irfftn(projected * _dealias_mask(n), s=(n, n, n),
+                                 axes=(1, 2, 3))
+    return projected, dealiased, deviation
+
+
+def reference_forcing(n, amplitude, seed):
+    """Stacked-transform copy of make_forcing's coefficients."""
+    from pointflow.spectral import _band
+    if seed is None:
+        coords = grid_coordinates(n)
+        phys = amplitude * np.stack([np.sin(0.5 * coords[1]),
+                                     np.sin(0.5 * coords[2]),
+                                     np.sin(0.5 * coords[0])])
+        return scipy.fft.rfftn(phys, axes=(1, 2, 3))
+    rng = np.random.default_rng(seed)
+    white = scipy.fft.rfftn(rng.standard_normal((3, n, n, n)), axes=(1, 2, 3))
+    proj = reference_leray(white * _band(n, 3))
+    samples = scipy.fft.irfftn(proj, s=(n, n, n), axes=(1, 2, 3))
+    speed = np.linalg.norm(samples, axis=0).max()
+    return (amplitude / speed) * proj
+
+
+class TestStreamedBuilders:
+    """The component-at-a-time drift, forcing and projections keep the bits
+    of their stacked, out-of-place references."""
+
+    # n = 64 as well: landau_eval's bits depend on the layout of its
+    # points, which only shows at the larger grid
+    @pytest.mark.parametrize("n", [16, 17, 64])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
+    def test_drift_equals_stacked_reference(self, n, beta):
+        params = LandauParams.from_magnitude(beta)
+        drift = make_mollified_drift(params, n)
+        coeff, dealiased, deviation = reference_drift(params, n)
+        assert np.array_equal(drift.field.coeff, coeff)
+        assert np.array_equal(drift.phys_dealiased, dealiased)
+        assert drift.projection_deviation == deviation
+
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_forcing_equals_stacked_reference(self, n, seed):
+        forcing = make_forcing(n, 3e-2, seed=seed)
+        assert np.array_equal(forcing.coeff, reference_forcing(n, 3e-2, seed))
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_projection_and_solve_equal_references(self, n):
+        from pointflow.spectral import _wavenumbers
+        field = SpectralField.from_physical(
+            np.random.default_rng(2).standard_normal((3, n, n, n)))
+        field.coeff[:, 0, 0, 0] = 0.0
+        assert np.array_equal(leray_project(field).coeff,
+                              reference_leray(field.coeff))
+        assert np.array_equal(stokes_solve(field).coeff,
+                              reference_leray(field.coeff) * _wavenumbers(n)[2])

@@ -49,13 +49,6 @@ def write_grid(path, params=PARAMS, n=12, half=1.6):
     return x, rows
 
 
-class KeptStringIO(io.StringIO):
-    """A text buffer that keeps its contents when a `with` block closes it."""
-
-    def close(self):
-        pass
-
-
 def cli_open(buf):
     """Make the CLI's open() return buf, whatever the path."""
     return mock.patch.object(cli, "open", lambda *args, **kwargs: buf,
@@ -292,15 +285,16 @@ class TestLandauReport:
 
     @SETTINGS
     @given(point_tables())
-    def test_csv_rows_equal_csv_writer(self, arrays5):
+    def test_csv_rows_equal_csv_writer(self, tmp_path_factory, arrays5):
         points, u, p, grad, T = arrays5
         table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T)
-        buf = KeptStringIO(newline="")
-        with cli_open(buf):
-            cli._write_point_csv("mem.csv", table)
+        # one path for every example: each rewrite, longer or shorter than
+        # the last, must leave exactly its own rows
+        path = tmp_path_factory.getbasetemp() / "rewritten.csv"
+        cli._write_point_csv(path, table)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(cli.POINT_CSV_COLUMNS)
         for pt, v, q in zip(points, u, p):
             writer.writerow([repr(float(c)) for c in (*pt, *v, q)])
-        assert buf.getvalue() == expected.getvalue()
+        assert path.read_bytes() == expected.getvalue().encode()
