@@ -16,19 +16,24 @@ configuration (including the seed) and carries pass/fail flags that are
 recomputable from the payload alone.  Identical configurations produce
 byte-identical payloads; only the wall-clock duration field varies.
 
-Each scalar or number-list flag declares its range once, as its
-argparse type; each cmd_* returns (payload, passed) and main alone
-builds the report.  Report and CSV files are rewritten in place.
+Each flag's value is parsed and range-checked once, by its argparse
+type (number lists keep their text for the config echo); either/or flags
+form required mutually exclusive groups.  A cmd_* checks only relations
+between flags, files and field specs, and returns (payload, passed);
+main alone builds the report.  Report and CSV files are rewritten in
+place.
 
-Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (any bad
-flag value, non-finite numbers and points at the origin included; the
-message names the flag or file), 3 numerical failure, 4 out-of-regime
-(Picard divergence detector).
+Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (a bad,
+malformed, missing or conflicting flag, counts above the node cap and
+points outside 1e-50 < |x| < 1e50 included; the message names the flag
+or file), 3 numerical failure, 4 out-of-regime (Picard divergence
+detector).
 """
 
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -39,8 +44,8 @@ import time
 
 import numpy as np
 
-from .landau import (LandauField, LandauParams, CallableField, RescaledField,
-                     flux_tensor, landau_eval, ns_residual,
+from .landau import (FlowField, LandauField, LandauParams, CallableField,
+                     RescaledField, flux_tensor, landau_eval, ns_residual,
                      sup_speed_on_unit_sphere)
 from .quadrature import (ball_samples, decay_report, flux_integral,
                          lorentz_quasinorm)
@@ -78,8 +83,9 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
-def _flag(convert, rule, what):
-    """argparse type: convert, then require rule(value); NaN fails."""
+def _flag(convert, rule, what, keep_text=False):
+    """argparse type: convert, then require rule(value); NaN and a None
+    value fail.  With keep_text the text is kept, not the value."""
     def parse(text):
         try:
             value = convert(text)
@@ -87,8 +93,18 @@ def _flag(convert, rule, what):
             value = None
         if value is None or not rule(value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
+        return text if keep_text else value
     return parse
+
+
+def _numbers(text, kind=float, sep=","):
+    """The items of 'a,b,...' as kind; an empty item is malformed."""
+    return [kind(p) for p in text.split(sep)]
+
+
+def _ball_radius(text):
+    shape, _, radius = text.partition(":")
+    return float(radius) if shape == "ball" else None
 
 
 def _at_least(least):
@@ -111,53 +127,45 @@ _RADIUS = _between(*_RADII)
 # a finite secondary Lorentz exponent above this overflows v^q on the
 # singular fields at the default resolution; q = inf is the weak norm
 _LORENTZ_Q_MAX = 64.0
-_GRID_SIZE = _flag(int, lambda v: v >= 16 and v & (v - 1) == 0,
-                   "a power of two >= 16")
+# the most quadrature nodes, samples or grid points one run may allocate:
+# at the heaviest measured cost (about 760 B per node) that is about 3 GB
+_MAX_NODES = 2**22
+_GRID_SIZE = _flag(int, lambda v: v >= 16 and v & (v - 1) == 0
+                   and v**3 <= _MAX_NODES,
+                   f"a power of two >= 16 with n^3 <= {_MAX_NODES}")
+_SAMPLES = _flag(int, lambda v: 1 <= v <= _MAX_NODES,
+                 f"an integer in [1, {_MAX_NODES}]")
+# flux_integral evaluates 2 n_theta^2 nodes on each sphere
+_SPHERE_N_THETA = _flag(int, lambda v: v >= 2 and 2 * v * v <= _MAX_NODES,
+                        f"an integer >= 2 with 2*n^2 <= {_MAX_NODES}")
 
-
-def _floats(text):
-    return [float(p) for p in text.split(",") if p != ""]
-
-
-def _float_list(rule, what):
-    """argparse type for 'a,b,...': rule(numbers) must hold.  The text
-    itself is kept, as the report's config echo shows it."""
-    check = _flag(_floats, rule, what)
-
-    def parse(text):
-        check(text)
-        return text
-    return parse
-
-
-_RADIUS_LIST = _float_list(
-    lambda v: v and all(_RADII[0] < r < _RADII[1] for r in v),
+# number lists keep their text, which the config echo shows
+_kept_text = functools.partial(_flag, keep_text=True)
+_VEC3 = _kept_text(_numbers, lambda v: len(v) == 3 and all(np.isfinite(v)),
+                   "three finite numbers x,y,z")
+_RADIUS_LIST = _kept_text(
+    _numbers, lambda v: all(_RADII[0] < r < _RADII[1] for r in v),
     "radii r1,r2,... in ({:g}, {:g})".format(*_RADII))
-_SHELL_LIST = _float_list(
-    lambda v: v and all(_RADII[0] < r <= 1.0 for r in v),
+_SHELL_LIST = _kept_text(
+    _numbers, lambda v: all(_RADII[0] < r <= 1.0 for r in v),
     "shell radii in ({:g}, 1]".format(_RADII[0]))
-_LORENTZ_PAIR = _float_list(
-    lambda v: len(v) == 2 and 1.0 < v[0] < np.inf
+_LORENTZ_PAIR = _kept_text(
+    _numbers, lambda v: len(v) == 2 and 1.0 < v[0] < np.inf
     and (1.0 <= v[1] <= _LORENTZ_Q_MAX or v[1] == np.inf),
     "p,q with 1 < p < inf and q in [1, {:g}] or inf".format(_LORENTZ_Q_MAX))
-
-
-def _parse_floats(text, flag):
-    try:
-        return _floats(text)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: bad number list {text!r}: {exc}") from None
-
-
-def _parse_vec3(text, flag):
-    """[x, y, z] from 'x,y,z'; a malformed or non-finite value names flag."""
-    try:
-        values = [float(p) for p in text.split(",")]
-    except ValueError:
-        values = []
-    _require(len(values) == 3 and np.all(np.isfinite(values)),
-             f"{flag} expects three finite numbers x,y,z, got {text!r}")
-    return values
+_RESOLUTION = _kept_text(
+    lambda text: _numbers(text, int), lambda v: len(v) == 3 and v[0] >= 2
+    and v[1] >= 2 and v[2] >= 4 and v[0] * v[1] * v[2] <= _MAX_NODES,
+    "integers nr,ntheta,nphi with nr >= 2, ntheta >= 2, nphi >= 4 and "
+    f"nr*ntheta*nphi <= {_MAX_NODES}")
+_SWEEP = _kept_text(
+    lambda text: _numbers(text, sep=":"), lambda v: len(v) == 3
+    and 0.0 < v[0] < v[1] < np.inf and v[2].is_integer()
+    and 2 <= v[2] <= _MAX_NODES,
+    "start:stop:count with 0 < start < stop < inf and an integer count "
+    f"in [2, {_MAX_NODES}]")
+_BALL = _kept_text(_ball_radius, lambda r: _RADII[0] < r < _RADII[1],
+                   "ball:<R> with R in ({:g}, {:g})".format(*_RADII))
 
 
 def parse_field_spec(spec):
@@ -178,25 +186,25 @@ def parse_field_spec(spec):
     if spec.startswith("landau:"):
         key, eq, value = spec[len("landau:"):].partition("=")
         _require(eq, f"bad landau spec {spec!r}: expected key=value")
-        try:
-            value = float(value)
-        except ValueError:
-            raise ConfigError(f"bad landau parameter value in {spec!r}") from None
         make = {"A": LandauParams.from_shape,
                 "beta": LandauParams.from_magnitude}.get(key)
         _require(make, f"unknown landau parameter {key!r} (use A or beta)")
         try:
-            return "landau", LandauField(make(value))
+            return "landau", LandauField(make(float(value)))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"bad landau spec {spec!r}: {exc}") from None
     if spec.startswith("grid:"):
         return "grid", _load_grid_field(spec[len("grid:"):])
     raise ConfigError(f"unrecognized field spec {spec!r}")
 
 
-def _probe(spec, command, kinds=("landau", "grid")):
-    """The probe of a field spec whose kind `command` accepts."""
-    kind, probe = parse_field_spec(spec)
+def _probe(spec, command, kinds=("landau", "grid"), flag="--field"):
+    """The probe of a field spec whose kind `command` accepts; a bad spec
+    is a ConfigError that names flag."""
+    try:
+        kind, probe = parse_field_spec(spec)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
     _require(kind in kinds,
              f"{command} needs a {' or '.join(kinds)} field spec, got {spec!r}")
     return probe
@@ -411,26 +419,23 @@ def _random_sphere_points(seed, n, rmin, rmax):
 
 
 def cmd_landau(args):
-    if (args.A is None) == (args.beta is None):
-        raise ConfigError("specify exactly one of --A or --beta")
-    axis = _parse_vec3(args.axis, "--axis") if args.axis else [0.0, 0.0, 1.0]
+    axis = _numbers(args.axis) if args.axis else [0.0, 0.0, 1.0]
     try:
         params = (LandauParams.from_shape(args.A, axis) if args.A is not None
                   else LandauParams.from_magnitude(args.beta, axis))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.point:
-        source = "--point"
-        points = np.array([_parse_vec3(p, source) for p in args.point])
-    elif args.points_file:
+        source, points = "--point", np.array([_numbers(p) for p in args.point])
+    else:
         source = f"points file {args.points_file}"
         points = _read_points_file(args.points_file)
-    else:
-        raise ConfigError("provide --point (repeatable) or --points-file")
     _require(points.size, "no evaluation points given")
-    _require(np.all(np.isfinite(points)) and np.all(np.any(points, axis=1)),
-             f"{source}: points must be finite and not the origin, where "
-             f"Landau fields are singular")
+    # hypot neither overflows nor underflows; NaN and inf rows fail
+    radii = np.hypot.reduce(points, axis=1)
+    _require(np.all((_RADII[0] < radii) & (radii < _RADII[1])),
+             "{}: points need {:g} < |x| < {:g}; Landau fields are singular "
+             "at the origin".format(source, *_RADII))
 
     state = landau_eval(params, points)
     table = PointTable(points, state, flux_tensor(state))
@@ -446,7 +451,7 @@ def cmd_landau(args):
 
 def cmd_flux(args):
     probe = _probe(args.field, "flux")
-    radii = _floats(args.radii)
+    radii = _numbers(args.radii)
     forces = [flux_integral(probe, R, n_theta=args.n_theta) for R in radii]
     scale = max(max(float(np.linalg.norm(b)) for b in forces), 1e-300)
     deviation = max([0.0] + [float(np.linalg.norm(bi - bj)) / scale
@@ -474,8 +479,10 @@ def cmd_flux(args):
 def cmd_verify_weak(args):
     probe = _probe(args.field, "verify weak", ("landau",))
     params = probe.params
-    center = _parse_vec3(args.center, "--center")
+    center = _numbers(args.center)
     _require(args.a < args.b, "need --a < --b")
+    _require(args.n_r * 2 * args.n_theta**2 <= _MAX_NODES,
+             f"need --n-r * 2 * --n-theta^2 <= {_MAX_NODES} nodes")
     result = extract_force_weak(probe, center, args.a, args.b,
                                 n_r=args.n_r, n_theta=args.n_theta)
     # the pairing returns b . phi(0) for each direction, which is b_k on
@@ -559,35 +566,10 @@ def cmd_picard(args):
         and trace.uniqueness_distance <= 10.0 * args.tol)
 
 
-def _parse_ball_radius(domain):
-    try:
-        radius = float(domain[len("ball:"):]) if domain.startswith("ball:") else 0.0
-    except ValueError:
-        radius = 0.0
-    _require(_RADII[0] < radius < _RADII[1], "--domain must be ball:<radius> "
-             "with radius in ({:g}, {:g}), got {!r}".format(*_RADII, domain))
-    return radius
-
-
-def _parse_resolution(text):
-    """(n_r, n_theta, n_phi) at or above the minima of ball_samples."""
-    values = _parse_floats(text, "--resolution")
-    _require(len(values) == 3 and all(np.isfinite(values)),
-             "--resolution expects nr,ntheta,nphi")
-    n_r, n_theta, n_phi = (int(v) for v in values)
-    _require(n_r >= 2 and n_theta >= 2 and n_phi >= 4,
-             "--resolution needs nr >= 2, ntheta >= 2 and nphi >= 4")
-    return n_r, n_theta, n_phi
-
-
 def cmd_norms(args):
     if args.sweep_beta:
-        parts = _parse_floats(args.sweep_beta.replace(":", ","), "--sweep-beta")
-        _require(len(parts) == 3 and 0.0 < parts[0] < parts[1] < np.inf
-                 and parts[2] >= 2 and parts[2].is_integer(),
-                 "--sweep-beta expects start:stop:count with "
-                 "0 < start < stop < inf and an integer count >= 2")
-        betas = np.linspace(parts[0], parts[1], int(parts[2]))
+        start, stop, count = _numbers(args.sweep_beta, sep=":")
+        betas = np.linspace(start, stop, int(count))
         sups = [sup_speed_on_unit_sphere(LandauParams.from_magnitude(b))
                 for b in betas]
         nondecreasing = bool(np.all(np.diff(sups) >= 0.0))
@@ -599,8 +581,9 @@ def cmd_norms(args):
     if args.decay:
         _require(args.field and args.ref, "--decay needs --field and --ref")
         probe = _probe(args.field, "norms --decay", ("landau",))
-        ref = parse_field_spec("landau:" + args.ref)[1].params
-        shells = _floats(args.shells)
+        ref = _probe("landau:" + args.ref, "norms --decay", ("landau",),
+                     "--ref").params
+        shells = _numbers(args.shells)
         report = decay_report(probe, ref, args.q, shells)
         payload = {
             "q": args.q,
@@ -612,17 +595,12 @@ def cmd_norms(args):
         if probe.params.b.tolist() == ref.b.tolist():
             return payload, report.value <= args.tol
         return payload, None
-    _require(args.weak_l3 or args.lorentz,
-             "choose one of --weak-l3, --lorentz, --decay, --sweep-beta")
     _require(args.field, "norm computation needs --field")
-    radius = _parse_ball_radius(args.domain)
-    resolution = _parse_resolution(args.resolution)
-    if args.weak_l3:
-        p, q = 3.0, np.inf
-    else:
-        p, q = _floats(args.lorentz)
-    kind, probe = parse_field_spec(args.field)
-    magnitude = probe if kind == "scalar" else (
+    p, q = (3.0, np.inf) if args.weak_l3 else _numbers(args.lorentz)
+    radius = _ball_radius(args.domain)
+    resolution = _numbers(args.resolution, int)
+    probe = _probe(args.field, "norms", ("landau", "grid", "scalar"))
+    magnitude = probe if not isinstance(probe, FlowField) else (
         lambda pts: np.linalg.norm(probe.velocity(pts), axis=1))
     report = lorentz_quasinorm(*ball_samples(magnitude, radius, *resolution),
                                p, q)
@@ -668,12 +646,17 @@ def build_parser():
         p.set_defaults(func=func)
 
     p = sub.add_parser("landau", help="evaluate a Landau solution at points")
-    p.add_argument("--A", type=float, help="shape parameter (> 1)")
-    p.add_argument("--beta", type=float, help="force magnitude (>= 0)")
-    p.add_argument("--axis", help="force direction as x,y,z (default e_z)")
-    p.add_argument("--point", action="append",
-                   help="evaluation point x,y,z (repeatable)")
-    p.add_argument("--points-file", help="CSV of evaluation points (x,y,z)")
+    shape = p.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--A", type=float, help="shape parameter (> 1)")
+    shape.add_argument("--beta", type=_NONNEGATIVE,
+                       help="force magnitude (>= 0)")
+    p.add_argument("--axis", type=_VEC3,
+                   help="force direction as x,y,z (default e_z)")
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--point", type=_VEC3, action="append",
+                       help="evaluation point x,y,z (repeatable)")
+    where.add_argument("--points-file",
+                       help="CSV of evaluation points (x,y,z)")
     p.add_argument("--csv", help="write x,y,z,ux,uy,uz,p rows here")
     add_common(p, cmd_landau)
 
@@ -681,7 +664,8 @@ def build_parser():
     p.add_argument("--field", required=True, help="field spec (landau:A=2, ...)")
     p.add_argument("--radii", type=_RADIUS_LIST, required=True,
                    help="sphere radii r1,r2,...")
-    p.add_argument("--n-theta", type=_at_least(2), default=64, dest="n_theta")
+    p.add_argument("--n-theta", type=_SPHERE_N_THETA, default=64,
+                   dest="n_theta")
     p.add_argument("--csv", help="write radius,bx,by,bz rows here")
     add_common(p, cmd_flux, 1e-8,
                "pass threshold on the pairwise radius deviation")
@@ -691,7 +675,7 @@ def build_parser():
 
     pv = vsub.add_parser("weak", help="distributional pairing vs b phi(0)")
     pv.add_argument("--field", required=True)
-    pv.add_argument("--center", default="0,0,0")
+    pv.add_argument("--center", type=_VEC3, default="0,0,0")
     pv.add_argument("--a", type=_RADIUS, default=0.5, help="plateau radius")
     pv.add_argument("--b", type=_RADIUS, default=1.0, help="support radius")
     pv.add_argument("--n-r", type=_at_least(3), default=32, dest="n_r")
@@ -700,7 +684,7 @@ def build_parser():
 
     pn = vsub.add_parser("ns", help="pointwise residual away from the origin")
     pn.add_argument("--field", required=True)
-    pn.add_argument("--samples", type=_at_least(1), default=100)
+    pn.add_argument("--samples", type=_SAMPLES, default=100)
     pn.add_argument("--rmin", type=_RADIUS, default=0.01)
     pn.add_argument("--rmax", type=_RADIUS, default=1.5)
     add_common(pn, cmd_verify_ns, 1e-4)
@@ -709,14 +693,14 @@ def build_parser():
     ps.add_argument("--field", required=True)
     ps.add_argument("--lambda", type=_between(_RADII[0], 1.0), required=True,
                     dest="lam")
-    ps.add_argument("--samples", type=_at_least(1), default=100)
+    ps.add_argument("--samples", type=_SAMPLES, default=100)
     add_common(ps, cmd_verify_selfsim, 1e-12)
 
     p = sub.add_parser("picard", help="contraction run of the Picard map")
     p.add_argument("--amp", type=_NONNEGATIVE, required=True,
                    help="forcing amplitude")
     p.add_argument("--grid", type=_GRID_SIZE, required=True,
-                   help="grid points per axis (power of two >= 16)")
+                   help="grid points per axis (power of two in [16, 128])")
     p.add_argument("--r", type=_between(1.0, 3.0), default=2.0,
                    help="norm exponent in (1,3)")
     p.add_argument("--iters", type=_at_least(1), default=40)
@@ -731,21 +715,22 @@ def build_parser():
 
     p = sub.add_parser("norms", help="norm machinery and diagnostic sweeps")
     p.add_argument("--field", help="field spec (landau:A=2, r^-1, ...)")
-    p.add_argument("--weak-l3", action="store_true", dest="weak_l3")
-    p.add_argument("--lorentz", type=_LORENTZ_PAIR, help="exponent pair p,q")
-    p.add_argument("--domain", default="ball:2", help="sampling domain ball:<R>")
-    p.add_argument("--resolution", default="400,16,32",
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--weak-l3", action="store_true", dest="weak_l3")
+    mode.add_argument("--lorentz", type=_LORENTZ_PAIR,
+                      help="exponent pair p,q")
+    mode.add_argument("--decay", action="store_true",
+                      help="weighted shell deviation from a reference")
+    mode.add_argument("--sweep-beta", type=_SWEEP, dest="sweep_beta",
+                      help="start:stop:count sweep of sup |U| on |x| = 1")
+    p.add_argument("--domain", type=_BALL, default="ball:2",
+                   help="sampling domain ball:<R>")
+    p.add_argument("--resolution", type=_RESOLUTION, default="400,16,32",
                    help="ball sampling resolution nr,ntheta,nphi")
-    p.add_argument("--decay", action="store_true",
-                   help="weighted shell deviation from a reference")
     p.add_argument("--ref", help="reference Landau parameters, e.g. A=2")
     p.add_argument("--q", type=_between(1.0, 3.0), default=2.0,
                    help="decay exponent")
     p.add_argument("--shells", type=_SHELL_LIST, default="0.4,0.2,0.1,0.05")
-    p.add_argument("--sweep-beta", dest="sweep_beta",
-                   help="start:stop:count sweep of sup-sphere speeds")
-    p.add_argument("--sup-sphere", action="store_true", dest="sup_sphere",
-                   help="with --sweep-beta: tabulate sup |U| on the unit sphere")
     p.add_argument("--expect", type=_NONZERO,
                    help="reference value for pass/fail")
     add_common(p, cmd_norms, 0.02)

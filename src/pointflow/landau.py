@@ -202,6 +202,9 @@ class LandauParams:
     @classmethod
     def from_magnitude(cls, beta, axis=E_Z):
         """Parameters from the force magnitude beta >= 0 and a direction."""
+        if beta < 0.0:
+            raise ValueError(f"force magnitude beta must be >= 0, "
+                             f"got {beta!r}")
         if beta == 0.0:
             return cls.zero()
         axis = as_vec3(axis)

@@ -499,12 +499,14 @@ class IterationTrace:
 
 
 class ContractionDivergedError(RuntimeError):
-    """Iterates left the contraction regime (norm grew a thousandfold)."""
+    """Iterates left the contraction regime (norm grew a thousandfold or
+    overflowed)."""
 
     def __init__(self, trace):
         super().__init__(
             "Picard iteration diverged: the iterate norm exceeded 1000x the "
-            "first iterate (forcing or drift outside the smallness regime)")
+            "first iterate or overflowed (forcing or drift outside the "
+            "smallness regime)")
         self.trace = trace
 
 
@@ -515,12 +517,13 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
     Stops when the W^{1,r} increment drops below tol or max_iters is
     reached; raises ContractionDivergedError when the iterate norm grows
     beyond a thousand times the first iterate (the cheap witness of
-    leaving the smallness regime).  With second_start a second run from
-    v0 = StokesSolve(f) / 2 is performed and the W^{1,r} distance between
-    the two fixed points is reported, the numerical counterpart of the
-    uniqueness argument.  That start lies in the contraction ball (on the
-    segment from 0 to Phi(0) = StokesSolve(f)) but not on the first run's
-    trajectory, so the two runs are independent witnesses.
+    leaving the smallness regime) or stops being finite.  With
+    second_start a second run from v0 = StokesSolve(f) / 2 is performed
+    and the W^{1,r} distance between the two fixed points is reported,
+    the numerical counterpart of the uniqueness argument.  That start
+    lies in the contraction ball (on the segment from 0 to
+    Phi(0) = StokesSolve(f)) but not on the first run's trajectory, so
+    the two runs are independent witnesses.
     """
     r = float(r)
     if not (1.0 < r < 3.0):
@@ -548,7 +551,10 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
             if first_norm is None:
                 first_norm = norm
             v = v_next
-            if norm > _DIVERGENCE_FACTOR * first_norm and first_norm > 0.0:
+            # on overflow an inf first norm bounds nothing and NaN fails
+            # every comparison, so a non-finite norm counts by itself
+            if not np.isfinite(norm) or (first_norm > 0.0 and norm
+                                         > _DIVERGENCE_FACTOR * first_norm):
                 raise ContractionDivergedError(trace)
             if increment < tol:
                 return v, True

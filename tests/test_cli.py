@@ -1,5 +1,6 @@
 """Tests for the command-line interface: reports, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from pointflow import FlowField, LandauField, LandauParams
-from pointflow.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OUT_OF_REGIME,
-                           EXIT_PASS, main, parse_field_spec)
+from pointflow.cli import (_MAX_NODES, EXIT_CONFIG, EXIT_FAIL,
+                           EXIT_OUT_OF_REGIME, EXIT_PASS, build_parser, main,
+                           parse_field_spec)
 
 BETA_A2 = 34.766840318785736
 
@@ -72,6 +74,11 @@ class TestLandauCommand:
         (["--point", "0,0,1", "--point", "0,0,0"], "--point"),
         (["--point", "0,0,1", "--axis", "nan,0,1"], "--axis"),
         (["--point", "0,0,1", "--seed", "-1"], "--seed"),
+        (["--point", "1e-320,0,0"], "--point"),
+        (["--point", "1e308,1e308,0"], "--point"),
+        (["--point", "0,0,1", "--beta", "5"], "--beta"),
+        (["--point", "0,0,1", "--points-file", "pts.csv"], "--points-file"),
+        ([], "--point --points-file"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         code, report = run(tmp_path, "landau", "--A", "2", *flags)
@@ -140,6 +147,9 @@ class TestFluxCommand:
         (["--seed", "-1"], "--seed"),
         (["--radii", "1e300"], "--radii"),
         (["--radii", "1,1e-300"], "--radii"),
+        (["--radii", "1,,2"], "--radii"),
+        (["--radii", "1,"], "--radii"),
+        (["--n-theta", "1449"], "--n-theta"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         code, report = run(tmp_path, "flux", "--field", "landau:A=2",
@@ -199,6 +209,10 @@ class TestVerifyCommand:
         (["ns", "--rmax", "1e300"], "--rmax"),
         (["ns", "--rmin", "1e-300"], "--rmin"),
         (["selfsim", "--lambda", "1e-300"], "--lambda"),
+        (["weak", "--center", "1,2"], "--center"),
+        (["weak", "--n-theta", "257"], "--n-theta"),
+        (["weak", "--n-r", "4097", "--n-theta", "24"], "--n-r"),
+        (["ns", "--samples", str(_MAX_NODES + 1)], "--samples"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, argv, named):
         code, report = run(tmp_path, "verify", argv[0], "--field",
@@ -233,6 +247,16 @@ class TestPicardCommand:
         assert report["payload"]["diverged"] is True
         assert report["passed"] is False
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_is_out_of_regime(self, tmp_path):
+        # the first norm overflows to inf, which no ratio to it exceeds;
+        # the non-finite norm itself stops the run
+        code, report = run(tmp_path, "picard", "--amp", "1e200", "--grid",
+                           "16")
+        assert code == EXIT_OUT_OF_REGIME
+        assert report["payload"]["diverged"] is True
+        assert report["payload"]["iterations"] == 1
+
     def test_grid_validation(self, tmp_path):
         code, _ = run(tmp_path, "picard", "--amp", "1e-3", "--grid", "20")
         assert code == EXIT_CONFIG
@@ -251,6 +275,7 @@ class TestPicardCommand:
         (["--drift-beta", "nan"], "--drift-beta"),
         (["--drift-beta", "-1"], "--drift-beta"),
         (["--seed", "-1"], "--seed"),
+        (["--grid", "256"], "--grid"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         argv = ["picard", "--amp", "1e-3", "--grid", "16"] + flags
@@ -269,8 +294,7 @@ class TestNormsCommand:
         assert report["passed"] is True
 
     def test_beta_sweep_monotone(self, tmp_path):
-        code, report = run(tmp_path, "norms", "--sweep-beta", "1:100:50",
-                           "--sup-sphere")
+        code, report = run(tmp_path, "norms", "--sweep-beta", "1:100:50")
         assert code == EXIT_PASS
         sups = report["payload"]["sup_speed_on_unit_sphere"]
         assert len(sups) == 50
@@ -358,7 +382,7 @@ class TestReportContract:
          {"decay": False, "domain": "ball:2", "field": "r^-1", "q": 2.0,
           "resolution": "400,16,32", "seed": 0,
           "shells": "0.4,0.2,0.1,0.05", "subcommand": "norms",
-          "sup_sphere": False, "tol": 0.02, "weak_l3": True}),
+          "tol": 0.02, "weak_l3": True}),
     ]
 
     @pytest.mark.parametrize("argv, command, config", DEFAULT_CONFIGS,
@@ -468,6 +492,12 @@ class TestNormsFlags:
         (["--seed", "-1"], "--seed"),
         (["--domain", "ball:1e300"], "--domain"),
         (["--domain", "ball:1e-300"], "--domain"),
+        (["--resolution", "40.5,16,32"], "--resolution"),
+        (["--resolution", "40,,16,32"], "--resolution"),
+        (["--resolution", "1000000000,2,4"], "--resolution"),
+        (["--lorentz", "2.5,2"], "--lorentz"),
+        (["--decay", "--ref", "A=2"], "--decay"),
+        (["--sweep-beta", "1:2:3"], "--sweep-beta"),
     ])
     def test_bad_weak_l3_flag_is_config_error(self, tmp_path, capsys, flags,
                                               named):
@@ -489,6 +519,7 @@ class TestNormsFlags:
         (["--shells", "0.5,2"], "--shells"),
         (["--shells", "0,0.5"], "--shells"),
         (["--shells", "1e-300"], "--shells"),
+        (["--weak-l3"], "--weak-l3"),
     ])
     def test_bad_decay_flag_is_config_error(self, tmp_path, capsys, flags,
                                             named):
@@ -497,11 +528,23 @@ class TestNormsFlags:
         assert code == EXIT_CONFIG and report is None
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sweep", ["1:100:2.5", "1:100:nan", "1:inf:5"])
+    @pytest.mark.parametrize("sweep", ["1:100:2.5", "1:100:nan", "1:inf:5",
+                                       "1::5", f"1:2:{_MAX_NODES + 1}"])
     def test_bad_sweep_is_config_error(self, tmp_path, capsys, sweep):
         code, report = run(tmp_path, "norms", "--sweep-beta", sweep)
         assert code == EXIT_CONFIG and report is None
         assert "--sweep-beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--resolution", "1,1,1"], "--resolution"),
+        (["--domain", "cube:3"], "--domain"),
+    ])
+    def test_bad_flag_beside_sweep_is_config_error(self, tmp_path, capsys,
+                                                   flags, named):
+        # a flag the sweep does not read is still checked
+        code, report = run(tmp_path, "norms", "--sweep-beta", "1:2:3", *flags)
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
 
     def test_minimal_resolution_runs(self, tmp_path):
         code, report = run(tmp_path, "norms", "--field", "r^-1", "--weak-l3",
@@ -551,7 +594,9 @@ class TestBadFiles:
     @pytest.mark.parametrize("content", ["x,y,z\n0.5,0.5\n",
                                          "x,y,z\n0,0,1\n0.5,zz,1\n",
                                          "x,y,z\n0,0,1\n0,0,0\n",
-                                         "x,y,z\n0,0,1\n1,inf,0\n"])
+                                         "x,y,z\n0,0,1\n1,inf,0\n",
+                                         "x,y,z\n0,0,1\n1e-320,0,0\n",
+                                         "x,y,z\n1e308,1e308,0\n"])
     def test_bad_points_file_is_config_error(self, tmp_path, capsys, content):
         pts = tmp_path / "pts.csv"
         pts.write_text(content)
@@ -643,3 +688,73 @@ class TestRangeEdges:
     def test_values_inside_the_ranges_run(self, tmp_path, argv):
         code, report = run(tmp_path, *argv)
         assert code in (EXIT_PASS, EXIT_FAIL) and report is not None
+
+
+def subparsers(parser):
+    """(path, parser) of parser and of every subcommand below it."""
+    yield (), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                for path, p in subparsers(child):
+                    yield (name, *path), p
+
+
+def flag_type(*path):
+    """The argparse type of option path[-1] of subcommand path[:-1]."""
+    parsers = dict(subparsers(build_parser()))
+    return next(a.type for a in parsers[path[:-1]]._actions
+                if path[-1] in a.option_strings)
+
+
+class TestFlagContract:
+    """Each flag's value is checked once, by its argparse type."""
+
+    # text that is a path or a field spec, checked when it is opened
+    UNTYPED = {"--output", "--csv", "--points-file", "--field", "--ref"}
+
+    def test_every_value_flag_has_a_type(self):
+        untyped = {(path, a.option_strings[0])
+                   for path, p in subparsers(build_parser())
+                   for a in p._actions
+                   if a.option_strings and a.nargs != 0 and a.type is None}
+        assert {flag for _, flag in untyped} <= self.UNTYPED
+
+    @pytest.mark.parametrize("argv, named", [
+        (["landau", "--point", "0,0,1"], "--A --beta"),
+        (["norms", "--field", "r^-1"],
+         "--weak-l3 --lorentz --decay --sweep-beta"),
+    ])
+    def test_neither_member_is_config_error(self, tmp_path, capsys, argv,
+                                            named):
+        code, report = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["landau", "--beta", "-1", "--point", "0,0,1"], "--beta"),
+        (["flux", "--field", "landau:beta=-1", "--radii", "1"], "--field"),
+        (["norms", "--field", "landau:A=2", "--decay", "--ref", "beta=-1"],
+         "--ref"),
+    ])
+    def test_negative_magnitude_is_config_error(self, tmp_path, capsys, argv,
+                                                named):
+        code, report = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG and report is None
+        assert named in capsys.readouterr().err
+
+    # the type is called, never run: a run at the cap takes gigabytes
+    @pytest.mark.parametrize("path, inside, outside", [
+        (("norms", "--resolution"), "2,2,1048576", "2,2,1048577"),
+        (("verify", "ns", "--samples"), "4194304", "4194305"),
+        (("verify", "selfsim", "--samples"), "4194304", "4194305"),
+        (("flux", "--n-theta"), "1448", "1449"),
+        (("picard", "--grid"), "128", "256"),
+        (("norms", "--sweep-beta"), "1:2:4194304", "1:2:4194305"),
+    ])
+    def test_counts_at_the_cap(self, path, inside, outside):
+        assert _MAX_NODES == 4194304
+        check = flag_type(*path)
+        check(inside)
+        with pytest.raises(argparse.ArgumentTypeError):
+            check(outside)

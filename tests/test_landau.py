@@ -110,6 +110,12 @@ class TestLandauParams:
         with pytest.raises(ValueError):
             LandauParams.from_shape(2.0, axis=[0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("beta", [-1.0, -1e-300, -np.inf])
+    def test_negative_magnitude_rejected(self, beta):
+        # a negative magnitude would flip the axis without a word
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            LandauParams.from_magnitude(beta, [1.0, 0.0, 0.0])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             LandauParams.from_force([np.nan, 0.0, 0.0])
