@@ -44,8 +44,9 @@ import time
 
 import numpy as np
 
-from .landau import (FlowField, LandauField, LandauParams, CallableField,
-                     RescaledField, flux_tensor, landau_eval, ns_residual,
+from .landau import (A_MAX, A_MIN, BETA_MAX, BETA_MIN, FlowField,
+                     LandauField, LandauParams, CallableField, RescaledField,
+                     flux_tensor, landau_eval, ns_residual,
                      sup_speed_on_unit_sphere)
 from .quadrature import (ball_samples, decay_report, flux_integral,
                          lorentz_quasinorm)
@@ -124,6 +125,11 @@ _NONZERO = _flag(float, lambda v: v != 0.0 and abs(v) < np.inf,
 # r^3 that every quadrature weight and measure stays finite and positive
 _RADII = (1e-50, 1e50)
 _RADIUS = _between(*_RADII)
+# the shape parameters and force magnitudes A_from_beta maps onto each other
+_SHAPE = _flag(float, lambda v: A_MIN < v <= A_MAX,
+               f"a shape parameter in ({A_MIN!r}, {A_MAX:g}]")
+_MAGNITUDE = _flag(float, lambda v: v == 0.0 or BETA_MIN <= v <= BETA_MAX,
+                   f"0 or a force magnitude in [{BETA_MIN!r}, {BETA_MAX!r}]")
 # a finite secondary Lorentz exponent above this overflows v^q on the
 # singular fields at the default resolution; q = inf is the weak norm
 _LORENTZ_Q_MAX = 64.0
@@ -143,6 +149,17 @@ _SPHERE_N_THETA = _flag(int, lambda v: v >= 2 and 2 * v * v <= _MAX_NODES,
 _kept_text = functools.partial(_flag, keep_text=True)
 _VEC3 = _kept_text(_numbers, lambda v: len(v) == 3 and all(np.isfinite(v)),
                    "three finite numbers x,y,z")
+
+
+def _norm(v):
+    """np.linalg.norm(v), as LandauParams takes it; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(v)
+
+
+_AXIS = _kept_text(
+    _numbers, lambda v: len(v) == 3 and _RADII[0] < _norm(v) < _RADII[1],
+    "three numbers x,y,z with {:g} < |x| < {:g}".format(*_RADII))
 _RADIUS_LIST = _kept_text(
     _numbers, lambda v: all(_RADII[0] < r < _RADII[1] for r in v),
     "radii r1,r2,... in ({:g}, {:g})".format(*_RADII))
@@ -160,10 +177,10 @@ _RESOLUTION = _kept_text(
     f"nr*ntheta*nphi <= {_MAX_NODES}")
 _SWEEP = _kept_text(
     lambda text: _numbers(text, sep=":"), lambda v: len(v) == 3
-    and 0.0 < v[0] < v[1] < np.inf and v[2].is_integer()
+    and BETA_MIN <= v[0] < v[1] <= BETA_MAX and v[2].is_integer()
     and 2 <= v[2] <= _MAX_NODES,
-    "start:stop:count with 0 < start < stop < inf and an integer count "
-    f"in [2, {_MAX_NODES}]")
+    f"start:stop:count with {BETA_MIN!r} <= start < stop <= {BETA_MAX!r} "
+    f"and an integer count in [2, {_MAX_NODES}]")
 _BALL = _kept_text(_ball_radius, lambda r: _RADII[0] < r < _RADII[1],
                    "ball:<R> with R in ({:g}, {:g})".format(*_RADII))
 
@@ -424,7 +441,10 @@ def cmd_landau(args):
         params = (LandauParams.from_shape(args.A, axis) if args.A is not None
                   else LandauParams.from_magnitude(args.beta, axis))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # |b| taken again along a non-unit --axis can round one ulp past
+        # the ends of the --beta range
+        flag = "--A" if args.A is not None else "--beta"
+        raise ConfigError(f"{flag}: {exc}") from None
     if args.point:
         source, points = "--point", np.array([_numbers(p) for p in args.point])
     else:
@@ -647,10 +667,11 @@ def build_parser():
 
     p = sub.add_parser("landau", help="evaluate a Landau solution at points")
     shape = p.add_mutually_exclusive_group(required=True)
-    shape.add_argument("--A", type=float, help="shape parameter (> 1)")
-    shape.add_argument("--beta", type=_NONNEGATIVE,
-                       help="force magnitude (>= 0)")
-    p.add_argument("--axis", type=_VEC3,
+    shape.add_argument("--A", type=_SHAPE,
+                       help="shape parameter (in (1, 1e8])")
+    shape.add_argument("--beta", type=_MAGNITUDE,
+                       help="force magnitude (0, or beta(A) for such A)")
+    p.add_argument("--axis", type=_AXIS,
                    help="force direction as x,y,z (default e_z)")
     where = p.add_mutually_exclusive_group(required=True)
     where.add_argument("--point", type=_VEC3, action="append",
@@ -707,7 +728,7 @@ def build_parser():
     half_side = _between(0.0, BOX / 2.0, "in (0, 2 pi), the torus half-side")
     p.add_argument("--delta-in", type=half_side, default=0.3, dest="delta_in")
     p.add_argument("--delta-out", type=half_side, default=1.5, dest="delta_out")
-    p.add_argument("--drift-beta", type=_NONNEGATIVE, default=0.5,
+    p.add_argument("--drift-beta", type=_MAGNITUDE, default=0.5,
                    dest="drift_beta",
                    help="force magnitude of the mollified Landau drift")
     p.add_argument("--csv", help="write iter,increment,ratio rows here")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 __all__ = [
-    "A_MIN", "A_MAX", "E_Z",
+    "A_MIN", "A_MAX", "BETA_MIN", "BETA_MAX", "E_Z",
     "as_vec3", "beta_from_A", "A_from_beta",
     "LandauParams", "FlowState",
     "landau_eval", "flux_tensor", "ns_residual",
@@ -123,19 +123,21 @@ def A_from_beta(beta):
     beta = float(beta)
     if not np.isfinite(beta) or beta <= 0.0:
         raise ValueError("force magnitude must be a finite positive number")
-    # bracket strictly inside the admissible A range (A_MIN itself is rejected)
-    s_lo = np.log((A_MIN - 1.0) * 1.001)
-    s_hi = np.log(A_MAX - 1.0)
-    beta_max = beta_from_A(1.0 + np.exp(s_lo))
-    beta_min = beta_from_A(1.0 + np.exp(s_hi))
-    if not (beta_min <= beta <= beta_max):
+    if not (BETA_MIN <= beta <= BETA_MAX):
         raise ValueError(
             f"force magnitude {beta:g} outside invertible range "
-            f"[{beta_min:.3e}, {beta_max:.3e}]")
+            f"[{BETA_MIN:.3e}, {BETA_MAX:.3e}]")
     s = brentq(lambda t: beta_from_A(1.0 + np.exp(t)) - beta,
-               s_lo, s_hi, xtol=1e-13, rtol=4 * np.finfo(float).eps,
+               *_S_BRACKET, xtol=1e-13, rtol=4 * np.finfo(float).eps,
                maxiter=200)
     return 1.0 + np.exp(s)
+
+
+# A_from_beta's bracket in s = log(A - 1), strictly inside the admissible
+# A range (A_MIN itself is rejected), and the force magnitudes it inverts
+_S_BRACKET = (np.log((A_MIN - 1.0) * 1.001), np.log(A_MAX - 1.0))
+BETA_MIN = beta_from_A(1.0 + np.exp(_S_BRACKET[1]))
+BETA_MAX = beta_from_A(1.0 + np.exp(_S_BRACKET[0]))
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,10 @@ class LandauParams:
 
     @classmethod
     def from_shape(cls, A, axis=E_Z):
-        """Parameters from the shape parameter A > 1 and a force direction."""
+        """Parameters from the shape parameter A in (A_MIN, A_MAX] and a
+        force direction."""
+        if A > A_MAX:
+            raise ValueError(f"shape parameter must satisfy A <= {A_MAX:g}")
         axis = as_vec3(axis)
         n = np.linalg.norm(axis)
         if n == 0.0:
@@ -405,20 +410,18 @@ class LandauField(FlowField):
 class CallableField(FlowField):
     """Probe built from user callables, all vectorized over (m, 3) points.
 
-    velocity is required; pressure defaults to zero; if gradient is not
-    supplied it is approximated by central differences of the velocity
-    with step 1e-5 |x| per point (so the relative accuracy is uniform
-    across sphere radii).  A full evaluation thus calls the velocity
-    callable 7 times without a gradient callable.
+    velocity is required; pressure defaults to zero.  The gradient is
+    central differences of the velocity with step 1e-5 |x| per point (so
+    the relative accuracy is uniform across sphere radii); a full
+    evaluation thus calls the velocity callable 7 times.
 
     velocity(x) calls the velocity callable once, on the points as given,
     and nothing else: no pressure, no gradient, no finite differences.
     """
 
-    def __init__(self, velocity, pressure=None, gradient=None):
+    def __init__(self, velocity, pressure=None):
         self._velocity = velocity
         self._pressure = pressure
-        self._gradient = gradient
 
     def _u(self, pts):
         return np.asarray(self._velocity(pts), dtype=float).reshape(len(pts), 3)
@@ -435,17 +438,14 @@ class CallableField(FlowField):
             p = np.zeros(len(pts))
         else:
             p = np.asarray(self._pressure(pts), dtype=float).reshape(len(pts))
-        if self._gradient is not None:
-            grad = np.asarray(self._gradient(pts), dtype=float).reshape(len(pts), 3, 3)
-        else:
-            h = 1e-5 * np.maximum(np.linalg.norm(pts, axis=1), 1e-7)
-            grad = np.empty((len(pts), 3, 3))
-            for m in range(3):
-                dx = np.zeros_like(pts)
-                dx[:, m] = h
-                up = np.asarray(self._velocity(pts + dx), dtype=float)
-                um = np.asarray(self._velocity(pts - dx), dtype=float)
-                grad[:, m, :] = (up - um) / (2.0 * h)[:, None]
+        h = 1e-5 * np.maximum(np.linalg.norm(pts, axis=1), 1e-7)
+        grad = np.empty((len(pts), 3, 3))
+        for m in range(3):
+            dx = np.zeros_like(pts)
+            dx[:, m] = h
+            up = np.asarray(self._velocity(pts + dx), dtype=float)
+            um = np.asarray(self._velocity(pts - dx), dtype=float)
+            grad[:, m, :] = (up - um) / (2.0 * h)[:, None]
         if single:
             return FlowState(u=u[0], p=float(p[0]), grad_u=grad[0])
         return FlowState(u=u.reshape(lead + (3,)), p=p.reshape(lead),
@@ -522,12 +522,12 @@ def rotate_equivariance_check(params, R, x):
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
 
 
-def sup_speed_on_unit_sphere(params, n_samples=2001):
+def sup_speed_on_unit_sphere(params):
     """sup of |U^b| over the unit sphere, scanned along a meridian.
 
     By axisymmetry the speed depends only on the polar angle, so a dense
-    1-D scan including both poles suffices.  Used as the testable
-    surrogate for monotonicity of the maximal speed in |b|.
+    1-D scan of 2001 angles including both poles suffices.  Used as the
+    testable surrogate for monotonicity of the maximal speed in |b|.
     """
     if params.is_zero:
         return 0.0
@@ -536,7 +536,7 @@ def sup_speed_on_unit_sphere(params, n_samples=2001):
     trial = E_Z if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     perp = trial - (trial @ axis) * axis
     perp /= np.linalg.norm(perp)
-    theta = np.linspace(0.0, np.pi, n_samples)
+    theta = np.linspace(0.0, np.pi, 2001)
     pts = np.cos(theta)[:, None] * axis + np.sin(theta)[:, None] * perp
     u = landau_eval(params, pts).u
     return float(np.max(np.linalg.norm(u, axis=1)))

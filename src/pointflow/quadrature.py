@@ -38,12 +38,11 @@ class QuadratureRule:
 
     The weights sum to the exact measure of the domain (checked to 1e-12
     relative on construction) and `degree` declares the polynomial
-    exactness of the rule.
+    exactness of the rule.  A quadrature of f is rule.weights @ f(rule.nodes).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str
     measure: float
     degree: int
 
@@ -64,18 +63,6 @@ class QuadratureRule:
     @property
     def n_nodes(self):
         return len(self.weights)
-
-    def integrate(self, f):
-        """Weighted sum of f over the nodes.
-
-        f may be a vectorized callable on (n, 3) points or a precomputed
-        array of node values (scalars or vectors).
-        """
-        values = f(self.nodes) if callable(f) else np.asarray(f)
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.n_nodes:
-            raise ValueError("value array does not match the rule's nodes")
-        return np.tensordot(self.weights, values, axes=(0, 0))
 
 
 def sphere_rule(radius, n_theta, n_phi=None):
@@ -106,16 +93,17 @@ def sphere_rule(radius, n_theta, n_phi=None):
         wt[:, None], (n_theta, n_phi))
     return QuadratureRule(
         nodes=nodes.reshape(-1, 3), weights=weights.reshape(-1).copy(),
-        domain=f"sphere(R={radius:g})", measure=4.0 * np.pi * radius**2,
+        measure=4.0 * np.pi * radius**2,
         degree=min(2 * n_theta - 1, n_phi - 1))
 
 
-def ball_shell_rule(r0, r1, n_r, n_theta=16, n_phi=None, center=None):
+def ball_shell_rule(r0, r1, n_r, n_theta=16, center=None):
     """Graded rule on the shell r0 <= |x - center| <= r1 (r0 = 0 allowed).
 
     Radial Gauss-Legendre after the substitution r = s^2, crossed with a
-    sphere rule per radius.  Since r^a r^2 dr = 2 s^(2a+5) ds, the radial
-    part is exact for r^a whenever 2a + 5 is an integer from 0 to
+    sphere rule of n_theta polar and 2 n_theta azimuthal nodes per
+    radius.  Since r^a r^2 dr = 2 s^(2a+5) ds, the radial part is exact
+    for r^a whenever 2a + 5 is an integer from 0 to
     2 n_r - 1: every integer or half-integer a from -5/2 to n_r - 3,
     which covers the integrable 1/r and 1/r^2 singularities at the
     shell's center.  Other powers and log r factors converge only
@@ -133,19 +121,15 @@ def ball_shell_rule(r0, r1, n_r, n_theta=16, n_phi=None, center=None):
     s = 0.5 * (s1 - s0) * sg + 0.5 * (s1 + s0)
     ws = 0.5 * (s1 - s0) * sw
 
-    unit = sphere_rule(1.0, n_theta, n_phi)
+    unit = sphere_rule(1.0, n_theta)
     # volume element: r^2 dr = 2 s^5 ds under r = s^2
     nodes = (s**2)[:, None, None] * unit.nodes[None, :, :]
     weights = (2.0 * ws * s**5)[:, None] * unit.weights[None, :]
     if center is not None:
-        center = np.asarray(center, dtype=float)
-        nodes = nodes + center
-        tag = f"shell({r0:g},{r1:g})@{tuple(np.round(center, 6))}"
-    else:
-        tag = f"shell({r0:g},{r1:g})"
+        nodes = nodes + np.asarray(center, dtype=float)
     return QuadratureRule(
         nodes=nodes.reshape(-1, 3), weights=weights.reshape(-1).copy(),
-        domain=tag, measure=4.0 * np.pi / 3.0 * (r1**3 - r0**3),
+        measure=4.0 * np.pi / 3.0 * (r1**3 - r0**3),
         degree=min(n_r - 3, unit.degree))
 
 
@@ -173,17 +157,17 @@ def _evaluate_or_blame(fld, nodes, what):
     return state
 
 
-def flux_integral(field, radius, n_theta=64, n_phi=None):
+def flux_integral(field, radius, n_theta=64):
     """Point force from the outward momentum flux through a sphere.
 
     b_i = sum_k w_k T_ij(x_k) n_j(x_k) over a sphere rule of the given
-    radius.  For an exact solution with a point source at the origin the
-    result is independent of the radius.  The probe supplies the velocity
-    gradient: analytic for a LandauField, finite differences of the
-    velocity for a CallableField without a gradient callable.
+    radius with n_theta polar and 2 n_theta azimuthal nodes.  For an exact
+    solution with a point source at the origin the result is independent
+    of the radius.  The probe supplies the velocity gradient: analytic for
+    a LandauField, central differences of the velocity for a CallableField.
     """
     fld = as_flow_field(field)
-    rule = sphere_rule(radius, n_theta, n_phi)
+    rule = sphere_rule(radius, n_theta)
     state = _evaluate_or_blame(fld, rule.nodes, f"flux_integral(R={radius:g})")
     T = flux_tensor(state)
     normals = rule.nodes / radius
@@ -344,16 +328,16 @@ def sobolev_norm(values, box, r):
                             "lr": lr, "grad_lr": grad_lr})
 
 
-def decay_report(field, reference, q, shells, n_theta=32, n_phi=None):
+def decay_report(field, reference, q, shells, n_theta=32):
     """Weighted shell sup of the deviation from a reference Landau field.
 
     Computes, for each shell radius R in (0, 1],
 
         R^(3/q - 1) * sup_{|x| = R} |u(x) - U^ref(x)|
 
-    on a sphere rule, and reports the maximum over shells; the per-shell
-    values are kept in the metadata so growth as the shells shrink can be
-    inspected.  A field matching its reference gives zero; mismatched
+    on a sphere rule of n_theta polar and 2 n_theta azimuthal nodes, and
+    reports the maximum over shells; the per-shell values are kept in the
+    metadata so growth as the shells shrink can be inspected.  A field matching its reference gives zero; mismatched
     point forces make the weighted sup blow up like R^(3/q - 2).
     """
     q = float(q)
@@ -370,7 +354,7 @@ def decay_report(field, reference, q, shells, n_theta=32, n_phi=None):
     sups = []
     weighted = []
     for R in shells:
-        rule = sphere_rule(R, n_theta, n_phi)
+        rule = sphere_rule(R, n_theta)
         du = fld.velocity(rule.nodes) - ref.velocity(rule.nodes)
         sup = float(np.max(np.linalg.norm(du, axis=1)))
         sups.append(sup)

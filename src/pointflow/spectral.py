@@ -190,9 +190,12 @@ class SpectralField:
 
     def _power(self):
         """|coeff|^2 summed over the components, one component at a time."""
-        power = self.coeff[0].real**2 + self.coeff[0].imag**2
-        for c in self.coeff[1:]:
-            power += c.real**2 + c.imag**2
+        # an overflow gives inf, which run_contraction's divergence
+        # detector reads as leaving the regime; numpy need not warn of it
+        with np.errstate(over="ignore"):
+            power = self.coeff[0].real**2 + self.coeff[0].imag**2
+            for c in self.coeff[1:]:
+                power += c.real**2 + c.imag**2
         return power
 
     def _parseval(self, power, weights):
@@ -480,7 +483,10 @@ class IterationTrace:
     norm of the i-th update, ratios[i] the successive increment quotient
     (one entry shorter).  residual is the W^{1,r} norm of the fixed-point
     defect v - Phi(v) at the final iterate, which for r = 2 equals the
-    H^{-1}-type norm of the momentum equation residual.
+    H^{-1}-type norm of the momentum equation residual.  converged says
+    whether an increment fell below tol; uniqueness_distance is the
+    W^{1,r} distance to the fixed point reached from the second start
+    (None without one).
     """
 
     norms: list
@@ -488,8 +494,6 @@ class IterationTrace:
     ratios: list
     residual: float
     converged: bool
-    exponent: float
-    grid: int
     tol: float
     uniqueness_distance: float = None
 
@@ -562,7 +566,7 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
         return v, False
 
     trace = IterationTrace(norms=[], increments=[], ratios=[], residual=np.nan,
-                           converged=False, exponent=r, grid=forcing.n, tol=tol)
+                           converged=False, tol=tol)
     v_star, converged = iterate(SpectralField.zeros(forcing.n), trace)
     trace.converged = converged
     trace.residual = (v_star - picard_step(v_star, drift, forcing)).w1r(r)

@@ -149,7 +149,7 @@ def make_test_function(center, a, b, c):
                         direction=c)
 
 
-def weak_residual(field, phi, rule=None, n_r=32, n_theta=32, n_phi=None):
+def weak_residual(field, phi, rule=None, n_r=32, n_theta=32):
     """Distributional momentum pairing of a flow probe against one phi.
 
     Returns the quadrature value of
@@ -157,9 +157,10 @@ def weak_residual(field, phi, rule=None, n_r=32, n_theta=32, n_phi=None):
         int ( -u . Lap(phi) - u_i u_j d_j phi_i ) dx.
 
     The integrand vanishes identically wherever grad(phi) and Lap(phi)
-    do, so the default rule covers exactly the transition annulus of phi,
-    where the quadrature is spectrally accurate.  A caller-provided rule
-    must contain the support of phi.
+    do, so the default rule, ball_shell_rule(a, b, n_r, n_theta) about
+    phi's center, covers exactly the transition annulus a <= |x - center|
+    <= b of phi, where the quadrature is spectrally accurate.  A
+    caller-provided rule must contain the support of phi.
 
     For an exact solution with point force b at the origin the value
     equals b . phi(0): the force component along the plateau direction
@@ -168,7 +169,7 @@ def weak_residual(field, phi, rule=None, n_r=32, n_theta=32, n_phi=None):
     fld = as_flow_field(field)
     if rule is None:
         rule = ball_shell_rule(phi.plateau_radius, phi.support_radius,
-                               n_r, n_theta, n_phi, center=phi.center)
+                               n_r, n_theta, center=phi.center)
     return _pairing(fld.velocity(rule.nodes), phi, rule)
 
 
@@ -183,40 +184,36 @@ def _pairing(u, phi, rule):
 
 @dataclass(frozen=True)
 class WeakResidual:
-    """Force vector recovered from the pairing, one component per direction."""
+    """Force vector recovered from the pairing, one component per direction,
+    and the number of nodes of the shared rule it was paired on."""
 
     value: np.ndarray
-    center: np.ndarray
-    plateau_radius: float
-    support_radius: float
     n_nodes: int
 
     def __post_init__(self):
         object.__setattr__(self, "value", as_vec3(self.value))
-        object.__setattr__(self, "center", as_vec3(self.center))
 
 
 def extract_force_weak(field, center=(0.0, 0.0, 0.0), a=0.5, b=1.0,
-                       n_r=32, n_theta=32, n_phi=None):
+                       n_r=32, n_theta=32):
     """Recover the full force vector from three axis-aligned pairings.
 
     Pairs the field against plateau bumps with directions e_x, e_y, e_z
     sharing one geometry; when the plateau contains the singularity each
     pairing returns one Cartesian component of the point force.  The
-    velocity is evaluated once on the shared rule; each component equals
+    velocity is evaluated once on the shared rule, ball_shell_rule(a, b,
+    n_r, n_theta) about center; each component equals
     weak_residual(field, phi_k, rule=rule) bitwise.
     """
-    rule = ball_shell_rule(a, b, n_r, n_theta, n_phi,
+    rule = ball_shell_rule(a, b, n_r, n_theta,
                            center=np.asarray(center, dtype=float))
     u = as_flow_field(field).velocity(rule.nodes)
     components = [_pairing(u, make_test_function(center, a, b, c), rule)
                   for c in np.eye(3)]
-    return WeakResidual(value=np.array(components), center=np.asarray(center, float),
-                        plateau_radius=float(a), support_radius=float(b),
-                        n_nodes=rule.n_nodes)
+    return WeakResidual(value=np.array(components), n_nodes=rule.n_nodes)
 
 
-def delta_limit_probe(field, epsilons, n_theta=64, n_phi=None):
+def delta_limit_probe(field, epsilons, n_theta=64):
     """Momentum flux through shrinking spheres around the origin.
 
     Returns an (m, 3) array of flux_integral values, one row per radius.
@@ -229,5 +226,5 @@ def delta_limit_probe(field, epsilons, n_theta=64, n_phi=None):
     if np.any((epsilons <= 0.0) | (epsilons >= 1.0)):
         raise ValueError("probe radii must lie in (0, 1)")
     fld = as_flow_field(field)
-    return np.array([flux_integral(fld, eps, n_theta=n_theta, n_phi=n_phi)
+    return np.array([flux_integral(fld, eps, n_theta=n_theta)
                      for eps in epsilons])

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pointflow import FlowField, LandauField, LandauParams
 from pointflow.cli import (_MAX_NODES, EXIT_CONFIG, EXIT_FAIL,
                            EXIT_OUT_OF_REGIME, EXIT_PASS, build_parser, main,
                            parse_field_spec)
+from pointflow.landau import BETA_MAX, BETA_MIN
 
 BETA_A2 = 34.766840318785736
 
@@ -79,6 +81,12 @@ class TestLandauCommand:
         (["--point", "0,0,1", "--beta", "5"], "--beta"),
         (["--point", "0,0,1", "--points-file", "pts.csv"], "--points-file"),
         ([], "--point --points-file"),
+        (["--point", "0,0,1", "--A", "0.5"], "--A"),
+        (["--point", "0,0,1", "--A", "1e160"], "--A"),
+        (["--point", "0,0,1", "--A", "1e150"], "--A"),
+        (["--point", "0,0,1", "--axis", "0,0,0"], "--axis"),
+        (["--point", "0,0,1", "--axis", "1e-320,0,0"], "--axis"),
+        (["--point", "0,0,1", "--axis", "1e200,1e200,0"], "--axis"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         code, report = run(tmp_path, "landau", "--A", "2", *flags)
@@ -150,6 +158,9 @@ class TestFluxCommand:
         (["--radii", "1,,2"], "--radii"),
         (["--radii", "1,"], "--radii"),
         (["--n-theta", "1449"], "--n-theta"),
+        # above A_MAX; at 1e160 the closed form overflows
+        (["--field", "landau:A=1e160"], "--field"),
+        (["--field", "landau:A=1e150"], "--field"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         code, report = run(tmp_path, "flux", "--field", "landau:A=2",
@@ -247,7 +258,6 @@ class TestPicardCommand:
         assert report["payload"]["diverged"] is True
         assert report["passed"] is False
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_is_out_of_regime(self, tmp_path):
         # the first norm overflows to inf, which no ratio to it exceeds;
         # the non-finite norm itself stops the run
@@ -256,6 +266,17 @@ class TestPicardCommand:
         assert code == EXIT_OUT_OF_REGIME
         assert report["payload"]["diverged"] is True
         assert report["payload"]["iterations"] == 1
+
+    def test_overflow_prints_only_the_regime_line(self, tmp_path, capsys):
+        # the overflowed norm is read by the divergence detector; numpy
+        # must not also warn of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "picard", "--amp", "1e200", "--grid",
+                          "16")
+        assert code == EXIT_OUT_OF_REGIME
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("out of regime:")
 
     def test_grid_validation(self, tmp_path):
         code, _ = run(tmp_path, "picard", "--amp", "1e-3", "--grid", "20")
@@ -276,6 +297,8 @@ class TestPicardCommand:
         (["--drift-beta", "-1"], "--drift-beta"),
         (["--seed", "-1"], "--seed"),
         (["--grid", "256"], "--grid"),
+        (["--drift-beta", "1e-9"], "--drift-beta"),
+        (["--drift-beta", "1e300"], "--drift-beta"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         argv = ["picard", "--amp", "1e-3", "--grid", "16"] + flags
@@ -520,6 +543,7 @@ class TestNormsFlags:
         (["--shells", "0,0.5"], "--shells"),
         (["--shells", "1e-300"], "--shells"),
         (["--weak-l3"], "--weak-l3"),
+        (["--ref", "A=1e160"], "--ref"),
     ])
     def test_bad_decay_flag_is_config_error(self, tmp_path, capsys, flags,
                                             named):
@@ -529,7 +553,8 @@ class TestNormsFlags:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep", ["1:100:2.5", "1:100:nan", "1:inf:5",
-                                       "1::5", f"1:2:{_MAX_NODES + 1}"])
+                                       "1::5", f"1:2:{_MAX_NODES + 1}",
+                                       "1e-9:1:3", "1:1e300:3"])
     def test_bad_sweep_is_config_error(self, tmp_path, capsys, sweep):
         code, report = run(tmp_path, "norms", "--sweep-beta", sweep)
         assert code == EXIT_CONFIG and report is None
@@ -684,6 +709,13 @@ class TestRangeEdges:
          "--shells", "1e-49,1"],
         ["norms", "--field", "r^-2", "--lorentz", "3,64"],
         ["norms", "--field", "r^-1", "--lorentz", "3,inf"],
+        ["landau", "--A", "1e8", "--point", "0,0,1"],
+        ["landau", "--beta", repr(BETA_MIN), "--point", "0,0,1"],
+        ["landau", "--beta", repr(BETA_MAX), "--point", "0,0,1"],
+        ["landau", "--A", "2", "--axis", "1e-49,0,0", "--point", "0,0,1"],
+        ["landau", "--A", "2", "--axis", "1e49,1e49,0", "--point", "0,0,1"],
+        ["flux", "--field", "landau:A=1e8", "--radii", "1", "--tol", "1"],
+        ["norms", "--sweep-beta", f"{BETA_MIN!r}:1:3"],
     ])
     def test_values_inside_the_ranges_run(self, tmp_path, argv):
         code, report = run(tmp_path, *argv)
@@ -736,6 +768,9 @@ class TestFlagContract:
         (["flux", "--field", "landau:beta=-1", "--radii", "1"], "--field"),
         (["norms", "--field", "landau:A=2", "--decay", "--ref", "beta=-1"],
          "--ref"),
+        # outside [beta(A_MAX), beta_max], the range A_from_beta inverts
+        (["landau", "--beta", "1e-9", "--point", "0,0,1"], "--beta"),
+        (["landau", "--beta", "1e300", "--point", "0,0,1"], "--beta"),
     ])
     def test_negative_magnitude_is_config_error(self, tmp_path, capsys, argv,
                                                 named):

@@ -8,6 +8,7 @@ from pointflow import (
     beta_from_A, flux_tensor, landau_eval, ns_residual,
     rotate_equivariance_check, sup_speed_on_unit_sphere,
 )
+from pointflow.landau import A_MAX
 
 # beta(2) evaluated term by term at 50 digits (see oracle test below)
 BETA_A2 = 34.766840318785736
@@ -119,6 +120,19 @@ class TestLandauParams:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             LandauParams.from_force([np.nan, 0.0, 0.0])
+
+    @pytest.mark.parametrize("A", [np.nextafter(A_MAX, np.inf), 1e150, 1e160,
+                                   np.inf])
+    def test_shape_above_bracket_rejected(self, A):
+        # A_from_beta inverts beta only up to A_MAX; far above it the
+        # closed form overflows (A^2 = inf at A = 1e160)
+        with pytest.raises(ValueError, match="A <= "):
+            LandauParams.from_shape(A)
+
+    def test_shape_at_bracket_end_accepted(self):
+        params = LandauParams.from_shape(A_MAX)
+        assert params.A == A_MAX
+        assert A_from_beta(params.beta) == pytest.approx(A_MAX, rel=1e-9)
 
 
 class TestLandauEval:
