@@ -285,9 +285,8 @@ class PointTable:
     Row k holds x, u, p, grad_u and T of point k flattened in that order,
     so its first 7 columns are the --csv columns.  _emit writes it out as
     the list of {"x", "u", "p", "grad_u", "T"} objects without building
-    them; dicts() builds them.  Numbers are written as float.__repr__
-    strings; the strings of the columns written to --csv are kept, and the
-    JSON report reuses them.
+    them.  Numbers are written as float.__repr__ strings; the strings of
+    the columns written to --csv are kept, and the JSON report reuses them.
     """
 
     def __init__(self, points, state, tensors):
@@ -296,9 +295,6 @@ class PointTable:
             [points, state.u, np.reshape(state.p, (n, 1)),
              state.grad_u.reshape(n, 9), tensors.reshape(n, 9)], axis=1)
         self._kept = {}
-
-    def dicts(self):
-        return [_point_dict(row) for row in self.values.tolist()]
 
     def column_text(self, k, start=0, stop=None):
         """float.__repr__ of column k, rows start:stop."""
@@ -337,7 +333,7 @@ def _json_chunks(report):
     texts, columns = pieces[0::2], [int(k) for k in pieces[1::2]]
     if len(columns) != 2 * width or len(table.values) == 0:
         # no points, or another string of the report reads like a marker
-        yield dumps(table.dicts())
+        yield dumps([_point_dict(row) for row in table.values.tolist()])
         return
     between = texts[width]
     layout = "%s" + "".join(t.replace("%", "%%") + "%s" for t in texts[1:width])
@@ -387,21 +383,19 @@ def _emit(report, output, duration):
         sys.stdout.write("\n")
 
 
+def _write_csv(path, header, rows):
+    """The header and rows of number text, as CRLF-terminated CSV lines."""
+    with _rewrite(path, newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
 def _write_point_csv(path, table):
-    """The x,y,z,ux,uy,uz,p rows, as csv.writer writes repr() strings."""
+    """The x,y,z,ux,uy,uz,p rows of a PointTable, whose text it keeps."""
     columns = range(len(POINT_CSV_COLUMNS))
     table.keep_text(columns)
-    with _rewrite(path, newline="") as fh:
-        fh.write(",".join(POINT_CSV_COLUMNS) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in
-                      zip(*(table.column_text(k) for k in columns)))
-
-
-def _write_csv(path, header, rows):
-    with _rewrite(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(path, POINT_CSV_COLUMNS,
+               zip(*(table.column_text(k) for k in columns)))
 
 
 def _read_points_file(path):
@@ -435,22 +429,29 @@ def _random_sphere_points(seed, n, rmin, rmax):
 # subcommands: each returns (payload, passed), passed None when not graded
 
 
+def _landau(flag, make, *args):
+    """make(*args), with a ValueError raised as a ConfigError naming flag.
+
+    A magnitude in its flag's range can still fail: above about 1e7 the A
+    of A_from_beta can miss LandauParams' consistency check, and |b| taken
+    along a non-unit --axis can round one ulp past the range ends."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def cmd_landau(args):
     axis = _numbers(args.axis) if args.axis else [0.0, 0.0, 1.0]
-    try:
-        params = (LandauParams.from_shape(args.A, axis) if args.A is not None
-                  else LandauParams.from_magnitude(args.beta, axis))
-    except ValueError as exc:
-        # |b| taken again along a non-unit --axis can round one ulp past
-        # the ends of the --beta range
-        flag = "--A" if args.A is not None else "--beta"
-        raise ConfigError(f"{flag}: {exc}") from None
+    params = (_landau("--A", LandauParams.from_shape, args.A, axis)
+              if args.A is not None else
+              _landau("--beta", LandauParams.from_magnitude, args.beta, axis))
     if args.point:
         source, points = "--point", np.array([_numbers(p) for p in args.point])
     else:
         source = f"points file {args.points_file}"
         points = _read_points_file(args.points_file)
-    _require(points.size, "no evaluation points given")
+    _require(points.size, f"{source}: no evaluation points given")
     # hypot neither overflows nor underflows; NaN and inf rows fail
     radii = np.hypot.reduce(points, axis=1)
     _require(np.all((_RADII[0] < radii) & (radii < _RADII[1])),
@@ -554,8 +555,9 @@ def cmd_verify_selfsim(args):
 
 def cmd_picard(args):
     _require(args.delta_in < args.delta_out, "need --delta-in < --delta-out")
-    drift = make_mollified_drift(LandauParams.from_magnitude(args.drift_beta),
-                                 args.grid, args.delta_in, args.delta_out)
+    drift = make_mollified_drift(
+        _landau("--drift-beta", LandauParams.from_magnitude, args.drift_beta),
+        args.grid, args.delta_in, args.delta_out)
     forcing = make_forcing(args.grid, args.amp, seed=args.seed)
     trace = run_contraction(drift, forcing, r=args.r, max_iters=args.iters,
                             tol=args.tol)
@@ -563,7 +565,7 @@ def cmd_picard(args):
     max_late_ratio = max(late_ratios) if late_ratios else 0.0
     if args.csv:
         _write_csv(args.csv, TRACE_CSV_COLUMNS, (
-            [i, repr(float(inc)),
+            [str(i), repr(float(inc)),
              repr(float(trace.ratios[i - 2])) if 2 <= i < len(trace.ratios) + 2
              else ""]
             for i, inc in enumerate(trace.increments, start=1)))
@@ -590,8 +592,9 @@ def cmd_norms(args):
     if args.sweep_beta:
         start, stop, count = _numbers(args.sweep_beta, sep=":")
         betas = np.linspace(start, stop, int(count))
-        sups = [sup_speed_on_unit_sphere(LandauParams.from_magnitude(b))
-                for b in betas]
+        sups = [sup_speed_on_unit_sphere(
+            _landau("--sweep-beta", LandauParams.from_magnitude, b))
+            for b in betas]
         nondecreasing = bool(np.all(np.diff(sups) >= 0.0))
         return {
             "betas": betas.tolist(),

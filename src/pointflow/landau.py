@@ -246,9 +246,6 @@ class FlowState:
     p: np.ndarray
     grad_u: np.ndarray
 
-    def divergence(self):
-        return np.trace(self.grad_u, axis1=-2, axis2=-1)
-
 
 def _evaluate(params, pts):
     """Velocity, pressure, du and dp of a Landau field at points (m, 3).

@@ -250,17 +250,18 @@ def lorentz_quasinorm(values, weights, p, q):
     order = np.argsort(values)[::-1]
     v = values[order]
     t = np.cumsum(weights[order])
-    if np.isinf(q):
-        value = float(np.max(t**(1.0 / p) * v))
-        norm_id = "weak-L3" if p == 3.0 else f"weak-L{p:g}"
-    else:
-        tq = t**(q / p)
-        increments = np.diff(np.concatenate(([0.0], tq)))
-        value = float((p / q * np.sum(v**q * increments))**(1.0 / q))
-        norm_id = f"L({p:g},{q:g})"
+    # an unscaled power that overflows fails NormReport's check unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isinf(q):
+            value = float(np.max(t**(1.0 / p) * v))
+            norm_id = "weak-L3" if p == 3.0 else f"weak-L{p:g}"
+        else:
+            tq = t**(q / p)
+            increments = np.diff(np.concatenate(([0.0], tq)))
+            value = float((p / q * np.sum(v**q * increments))**(1.0 / q))
+            norm_id = f"L({p:g},{q:g})"
     return NormReport(value=value, norm_id=norm_id,
-                      meta={"p": p, "q": q, "n_samples": int(values.size),
-                            "total_measure": float(t[-1])})
+                      meta={"n_samples": int(values.size)})
 
 
 def weak_l3(values, weights):
@@ -323,9 +324,7 @@ def sobolev_norm(values, box, r):
     grads = _periodic_gradient(values, box)
     gmag = np.sqrt((grads**2).sum(axis=(0, 1)))
     grad_lr = float((np.sum(gmag**r) * cell)**(1.0 / r))
-    return NormReport(value=lr + grad_lr, norm_id=f"W^(1,{r:g})",
-                      meta={"r": r, "grid": int(n), "box": box,
-                            "lr": lr, "grad_lr": grad_lr})
+    return NormReport(value=lr + grad_lr, norm_id=f"W^(1,{r:g})")
 
 
 def decay_report(field, reference, q, shells, n_theta=32):
@@ -336,9 +335,10 @@ def decay_report(field, reference, q, shells, n_theta=32):
         R^(3/q - 1) * sup_{|x| = R} |u(x) - U^ref(x)|
 
     on a sphere rule of n_theta polar and 2 n_theta azimuthal nodes, and
-    reports the maximum over shells; the per-shell values are kept in the
-    metadata so growth as the shells shrink can be inspected.  A field matching its reference gives zero; mismatched
-    point forces make the weighted sup blow up like R^(3/q - 2).
+    reports the maximum over shells; the per-shell values are kept in
+    meta["shell_weighted"] so growth as the shells shrink can be inspected.
+    A field matching its reference gives zero; mismatched point forces
+    make the weighted sup blow up like R^(3/q - 2).
     """
     q = float(q)
     if not (1.0 < q < 3.0):
@@ -351,17 +351,12 @@ def decay_report(field, reference, q, shells, n_theta=32):
     fld = as_flow_field(field)
     ref = LandauField(reference)
 
-    sups = []
     weighted = []
     for R in shells:
         rule = sphere_rule(R, n_theta)
         du = fld.velocity(rule.nodes) - ref.velocity(rule.nodes)
         sup = float(np.max(np.linalg.norm(du, axis=1)))
-        sups.append(sup)
         weighted.append(R**(3.0 / q - 1.0) * sup)
     return NormReport(value=float(np.max(weighted)),
                       norm_id=f"decay(q={q:g})",
-                      meta={"q": q, "shells": shells.tolist(),
-                            "shell_sups": sups,
-                            "shell_weighted": weighted,
-                            "n_theta": int(n_theta)})
+                      meta={"shell_weighted": weighted})

@@ -32,13 +32,15 @@ call, and W^{1,2} norms follow from the coefficients by Parseval.  The
 odd-derivative wavenumber is zero at the Nyquist index of every axis,
 which is what the real part of a full complex derivative gives as well.
 
-The Picard step, the drift and the forcing are built one component at a
-time: one (n, n, n) transform per component, never a stacked one, and
-the projection and the Stokes solve work in place.  A component's
-transform gives the same bits alone as inside a stacked call, and the
-in-place arithmetic repeats the out-of-place expressions element by
-element, so every result keeps its bits while at most one component's
-scratch is held at once.
+The Picard step streams: its inverse transforms run one component at a
+time, its forward transforms one tensor entry at a time, and the
+projection and the Stokes solve work in place.  The drift and forcing
+builds also transform back one component at a time, but their forward
+rfftn, like that of SpectralField.from_physical (and the irfftn of
+to_physical), is one call stacked over the (3, n, n, n) samples.  A
+component's transform gives the same bits alone as inside a stacked
+call, and the in-place arithmetic repeats the out-of-place expressions
+element by element, so every result keeps its bits.
 
 The transforms keep scipy.fft's single worker.  Two workers give the
 same bits, but on a shared 2-vCPU host they made Picard runs slower and
@@ -179,9 +181,6 @@ class SpectralField:
         scale = np.max(np.abs(k) * np.max(np.abs(self.coeff)))
         return float(np.max(np.abs(div)) / scale) if scale > 0.0 else 0.0
 
-    def __add__(self, other):
-        return SpectralField(self.coeff + other.coeff)
-
     def __sub__(self, other):
         return SpectralField(self.coeff - other.coeff)
 
@@ -298,15 +297,7 @@ class MollifiedDrift:
     delta_out: float
     field: SpectralField
     projection_deviation: float
-    phys_dealiased: np.ndarray = None  # derived; filled in __post_init__
-
-    def __post_init__(self):
-        n = self.n
-        phys = np.empty((3, n, n, n))
-        for dst, src in zip(phys, _component_samples(self.field.coeff,
-                                                     _dealias_mask(n))):
-            dst[...] = src
-        object.__setattr__(self, "phys_dealiased", phys)
+    phys_dealiased: np.ndarray
 
     @property
     def n(self):
@@ -369,9 +360,12 @@ def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
     _leray_in_place(coeff)
     deviation = _projection_deviation(samples, coeff)
     del samples
+    phys = np.empty((3, n, n, n))
+    for dst, src in zip(phys, _component_samples(coeff, _dealias_mask(n))):
+        dst[...] = src
     return MollifiedDrift(params=params, delta_in=delta_in, delta_out=delta_out,
                           field=SpectralField(coeff),
-                          projection_deviation=deviation)
+                          projection_deviation=deviation, phys_dealiased=phys)
 
 
 def make_forcing(n, amplitude, seed=None):
@@ -411,9 +405,8 @@ def make_forcing(n, amplitude, seed=None):
 
 
 # the 6 distinct entries (i, j) of a symmetric 3x3 tensor, in the order
-# picard_step forms them, and the entry that each (i, j) reads
+# picard_step forms them
 _SYM_PAIRS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))
-_SYM_ENTRY = ((0, 2, 3), (2, 1, 4), (3, 4, 5))
 
 
 def picard_step(v, drift, forcing):

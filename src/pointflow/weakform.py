@@ -77,66 +77,54 @@ class TestFunction:
         if np.all(self.direction == 0.0):
             raise ValueError("direction must be nonzero")
 
-    def _cutoff(self, rho):
-        """psi(rho) and three derivatives for the 1 -> 0 radial transition."""
+    def _profile(self, x):
+        """phi = alpha(rho) c - gamma(rho) (y . c) y with y = x - center.
+
+        Returns y, rho = |y| with 0 replaced by 1, y . c, the plateau mask,
+        (alpha, alpha', alpha'') and (gamma, gamma', gamma''), all from the
+        one cutoff psi(rho) = 1 - smoothstep7((rho - a) / (b - a)).
+        """
+        y = np.asarray(x, dtype=float).reshape(-1, 3) - self.center
+        rho = np.linalg.norm(y, axis=1)
+        rho_s = np.where(rho > 0.0, rho, 1.0)
         a, b = self.plateau_radius, self.support_radius
         width = b - a
         s, s1, s2, s3 = smoothstep7((rho - a) / width)
-        return 1.0 - s, -s1 / width, -s2 / width**2, -s3 / width**3
-
-    def _pieces(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        y = x.reshape(-1, 3) - self.center
-        rho = np.linalg.norm(y, axis=1)
-        return y, rho, single
+        psi, psi1, psi2, psi3 = 1.0 - s, -s1 / width, -s2 / width**2, -s3 / width**3
+        alpha = (psi + rho * psi1 / 2.0,
+                 1.5 * psi1 + rho * psi2 / 2.0,
+                 2.0 * psi2 + rho * psi3 / 2.0)
+        gamma = (psi1 / (2.0 * rho_s),
+                 psi2 / (2.0 * rho_s) - psi1 / (2.0 * rho_s**2),
+                 psi3 / (2.0 * rho_s) - psi2 / rho_s**2 + psi1 / rho_s**3)
+        return y, rho_s, y @ self.direction, rho <= a, alpha, gamma
 
     def __call__(self, x):
         """phi(x); shape (..., 3)."""
-        y, rho, single = self._pieces(x)
-        psi, psi1, _, _ = self._cutoff(rho)
-        rho_s = np.where(rho > 0.0, rho, 1.0)
-        alpha = psi + rho * psi1 / 2.0
-        gamma = psi1 / (2.0 * rho_s)
-        yc = y @ self.direction
+        y, _, yc, _, (alpha, _, _), (gamma, _, _) = self._profile(x)
         phi = alpha[:, None] * self.direction - (gamma * yc)[:, None] * y
-        return phi[0] if single else phi.reshape(np.shape(x))
+        return phi.reshape(np.shape(x))
 
     def gradient(self, x):
         """d_i phi_j(x); shape (..., 3, 3), first index the derivative."""
-        y, rho, single = self._pieces(x)
-        psi, psi1, psi2, _ = self._cutoff(rho)
-        rho_s = np.where(rho > 0.0, rho, 1.0)
-        alpha1 = 1.5 * psi1 + rho * psi2 / 2.0
-        gamma = psi1 / (2.0 * rho_s)
-        gamma1 = psi2 / (2.0 * rho_s) - psi1 / (2.0 * rho_s**2)
-        yc = y @ self.direction
+        y, rho_s, yc, flat, (_, alpha1, _), (gamma, gamma1, _) = self._profile(x)
         yhat = y / rho_s[:, None]
         c = self.direction
         grad = (alpha1[:, None, None] * yhat[:, :, None] * c[None, None, :]
                 - (gamma1 * yc)[:, None, None] * yhat[:, :, None] * y[:, None, :]
                 - gamma[:, None, None] * c[None, :, None] * y[:, None, :]
                 - (gamma * yc)[:, None, None] * np.eye(3))
-        flat = rho <= self.plateau_radius
         grad[flat] = 0.0
-        return grad[0] if single else grad.reshape(np.shape(x)[:-1] + (3, 3))
+        return grad.reshape(np.shape(x)[:-1] + (3, 3))
 
     def laplacian(self, x):
         """Lap(phi)(x); shape (..., 3).  Continuous (the cutoff is C^3)."""
-        y, rho, single = self._pieces(x)
-        psi, psi1, psi2, psi3 = self._cutoff(rho)
-        rho_s = np.where(rho > 0.0, rho, 1.0)
-        alpha1 = 1.5 * psi1 + rho * psi2 / 2.0
-        alpha2 = 2.0 * psi2 + rho * psi3 / 2.0
-        gamma = psi1 / (2.0 * rho_s)
-        gamma1 = psi2 / (2.0 * rho_s) - psi1 / (2.0 * rho_s**2)
-        gamma2 = psi3 / (2.0 * rho_s) - psi2 / rho_s**2 + psi1 / rho_s**3
-        yc = y @ self.direction
+        (y, rho_s, yc, flat, (_, alpha1, alpha2),
+         (gamma, gamma1, gamma2)) = self._profile(x)
         lap = ((alpha2 + 2.0 * alpha1 / rho_s - 2.0 * gamma)[:, None] * self.direction
                - ((gamma2 + 6.0 * gamma1 / rho_s) * yc)[:, None] * y)
-        flat = rho <= self.plateau_radius
         lap[flat] = 0.0
-        return lap[0] if single else lap.reshape(np.shape(x))
+        return lap.reshape(np.shape(x))
 
 
 def make_test_function(center, a, b, c):

@@ -2,14 +2,17 @@
 
 import argparse
 import csv
+import inspect
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from pointflow import FlowField, LandauField, LandauParams
-from pointflow.cli import (_MAX_NODES, EXIT_CONFIG, EXIT_FAIL,
+from pointflow import (FlowField, LandauField, LandauParams, ball_samples,
+                       extract_force_weak, flux_integral, make_mollified_drift,
+                       run_contraction)
+from pointflow.cli import (_MAX_NODES, EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL,
                            EXIT_OUT_OF_REGIME, EXIT_PASS, build_parser, main,
                            parse_field_spec)
 from pointflow.landau import BETA_MAX, BETA_MIN
@@ -299,6 +302,8 @@ class TestPicardCommand:
         (["--grid", "256"], "--grid"),
         (["--drift-beta", "1e-9"], "--drift-beta"),
         (["--drift-beta", "1e300"], "--drift-beta"),
+        # in range, but A_from_beta's A misses the consistency check
+        (["--drift-beta", "1e9"], "--drift-beta"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         argv = ["picard", "--amp", "1e-3", "--grid", "16"] + flags
@@ -333,6 +338,30 @@ class TestNormsCommand:
     def test_norm_without_mode_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "norms", "--field", "r^-1")
         assert code == EXIT_CONFIG
+
+    def test_decay_against_another_force_is_not_graded(self, tmp_path):
+        code, report = run(tmp_path, "norms", "--field", "landau:A=2",
+                           "--decay", "--ref", "A=3")
+        assert code == EXIT_PASS
+        assert report["passed"] is None
+        assert report["payload"]["value"] > report["payload"]["tolerance"]
+
+    def test_overflowing_lorentz_norm_is_numerical_failure(self, tmp_path,
+                                                           capsys):
+        # v^40 of r^-2 overflows near the origin of a small ball
+        argv = ["norms", "--field", "r^-2", "--lorentz", "3,40",
+                "--domain", "ball:1e-3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = run(tmp_path, *argv)
+        assert code == EXIT_NUMERICAL and report is None and not caught
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(tmp_path, *argv)
+        assert code == EXIT_NUMERICAL and report is None
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(
+            line.startswith("numerical failure:") for line in lines)
 
 
 class TestReportContract:
@@ -417,6 +446,15 @@ class TestReportContract:
         # compared as JSON text, so an int where a float was fails too
         assert (json.dumps(report["config"], sort_keys=True)
                 == json.dumps(expected, sort_keys=True))
+
+    @pytest.mark.parametrize("argv, command, config", DEFAULT_CONFIGS,
+                             ids=[c[1] for c in DEFAULT_CONFIGS])
+    def test_defaults_run_without_warnings(self, tmp_path, argv, command,
+                                           config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(tmp_path, *argv)
+        assert code == EXIT_PASS and report["command"] == command
 
 
 class TestParseFieldSpec:
@@ -554,7 +592,11 @@ class TestNormsFlags:
 
     @pytest.mark.parametrize("sweep", ["1:100:2.5", "1:100:nan", "1:inf:5",
                                        "1::5", f"1:2:{_MAX_NODES + 1}",
-                                       "1e-9:1:3", "1:1e300:3"])
+                                       "1e-9:1:3", "1:1e300:3",
+                                       # in range, but a middle beta fails
+                                       # A_from_beta's consistency check
+                                       "5.026548245743665e-07:"
+                                       "33476838598.789074:3"])
     def test_bad_sweep_is_config_error(self, tmp_path, capsys, sweep):
         code, report = run(tmp_path, "norms", "--sweep-beta", sweep)
         assert code == EXIT_CONFIG and report is None
@@ -621,7 +663,8 @@ class TestBadFiles:
                                          "x,y,z\n0,0,1\n0,0,0\n",
                                          "x,y,z\n0,0,1\n1,inf,0\n",
                                          "x,y,z\n0,0,1\n1e-320,0,0\n",
-                                         "x,y,z\n1e308,1e308,0\n"])
+                                         "x,y,z\n1e308,1e308,0\n",
+                                         "x,y,z\n"])
     def test_bad_points_file_is_config_error(self, tmp_path, capsys, content):
         pts = tmp_path / "pts.csv"
         pts.write_text(content)
@@ -793,3 +836,49 @@ class TestFlagContract:
         check(inside)
         with pytest.raises(argparse.ArgumentTypeError):
             check(outside)
+
+
+def flag_default(*path):
+    """The default of option path[-1] of subcommand path[:-1], as parsed."""
+    action = next(a for a in dict(subparsers(build_parser()))[path[:-1]]._actions
+                  if path[-1] in a.option_strings)
+    default = action.default
+    return action.type(default) if isinstance(default, str) else default
+
+
+class TestLibraryDefaults:
+    """A CLI default that restates a library default equals it."""
+
+    LIBRARY_DEFAULTS = [
+        (("flux", "--n-theta"), flux_integral, "n_theta"),
+        (("verify", "weak", "--center"), extract_force_weak, "center"),
+        (("verify", "weak", "--a"), extract_force_weak, "a"),
+        (("verify", "weak", "--b"), extract_force_weak, "b"),
+        (("verify", "weak", "--n-r"), extract_force_weak, "n_r"),
+        (("verify", "weak", "--n-theta"), extract_force_weak, "n_theta"),
+        (("picard", "--r"), run_contraction, "r"),
+        (("picard", "--iters"), run_contraction, "max_iters"),
+        (("picard", "--tol"), run_contraction, "tol"),
+        (("picard", "--delta-in"), make_mollified_drift, "delta_in"),
+        (("picard", "--delta-out"), make_mollified_drift, "delta_out"),
+    ]
+
+    @pytest.mark.parametrize("path, function, parameter", LIBRARY_DEFAULTS,
+                             ids=[" ".join(c[0]) for c in LIBRARY_DEFAULTS])
+    def test_flag_default_is_the_library_default(self, path, function,
+                                                 parameter):
+        value = flag_default(*path)
+        if isinstance(value, str):
+            # a number list keeps its text
+            value = [float(v) for v in value.split(",")]
+        default = inspect.signature(function).parameters[parameter].default
+        assert np.array_equal(value, default)
+
+    def test_resolution_is_the_ball_samples_default(self):
+        n_r, n_theta, n_phi = (int(v) for v in
+                               flag_default("norms", "--resolution").split(","))
+        library = inspect.signature(ball_samples).parameters
+        assert n_r == library["n_r"].default
+        assert n_theta == library["n_theta"].default
+        # n_phi None stands for the sphere rule's 2 n_theta
+        assert library["n_phi"].default is None and n_phi == 2 * n_theta

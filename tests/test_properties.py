@@ -1,0 +1,115 @@
+"""The structural identities as properties over random parameters.
+
+Homogeneity, rotation equivariance, radius independence of the flux, the
+A -> beta -> A round trip, idempotence of the Leray projection, and the
+plateau, support and divergence of the test functions.  Hypothesis draws
+the parameters with derandomize=True and a fixed example budget, so every
+run checks the same examples; a seed it draws fixes the numpy points.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from pointflow import (
+    A_from_beta, LandauParams, SpectralField, beta_from_A, flux_integral,
+    landau_eval, leray_project, make_test_function, rotate_equivariance_check,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+
+seeds = st.integers(0, 2**32 - 1)
+# A - 1 log-uniform over [1e-3, 1e3]: near-singular to Stokeslet-like flows
+shapes = st.floats(-3.0, 3.0).map(lambda e: 1.0 + 10.0**e)
+vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+
+
+def sphere_points(rng, m, rmin, rmax):
+    """m points with radii uniform in [rmin, rmax) and uniform directions."""
+    dirs = rng.normal(size=(m, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return (rmin + (rmax - rmin) * rng.random((m, 1))) * dirs
+
+
+@PROPERTY
+@given(A=shapes, axis=vectors, lam=st.floats(0.01, 100.0), seed=seeds)
+def test_landau_eval_is_homogeneous(A, axis, lam, seed):
+    # u(lam x) = u(x) / lam and p, grad u scale with lam^-2
+    params = LandauParams.from_shape(A, axis)
+    pts = sphere_points(np.random.default_rng(seed), 20, 0.1, 10.0)
+    near, far = landau_eval(params, pts), landau_eval(params, lam * pts)
+    assert np.allclose(lam * far.u, near.u, rtol=1e-11, atol=0.0)
+    assert np.allclose(lam**2 * far.p, near.p, rtol=1e-11, atol=0.0)
+    scale = np.max(np.abs(near.grad_u), axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(lam**2 * far.grad_u - near.grad_u) <= 1e-11 * scale)
+
+
+@PROPERTY
+@given(A=shapes, axis=vectors, quaternion=vectors.flatmap(
+    lambda v: st.floats(-1.0, 1.0).map(lambda w: np.append(v, w))),
+    seed=seeds)
+def test_landau_eval_is_rotation_equivariant(A, axis, quaternion, seed):
+    w, x, y, z = quaternion / np.linalg.norm(quaternion)
+    R = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    params = LandauParams.from_shape(A, axis)
+    pts = sphere_points(np.random.default_rng(seed), 20, 0.1, 10.0)
+    speed = np.max(np.linalg.norm(landau_eval(params, pts).u, axis=1))
+    assert rotate_equivariance_check(params, R, pts) <= 1e-12 * speed
+
+
+@PROPERTY
+@given(A=shapes, axis=vectors, radii=st.lists(
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e), min_size=2, max_size=2))
+def test_flux_is_independent_of_the_radius(A, axis, radii):
+    # T scales as R^-2 and the sphere rule's weights as R^2, for every A
+    params = LandauParams.from_shape(A, axis)
+    b1, b2 = (flux_integral(params, R, n_theta=32) for R in radii)
+    assert np.linalg.norm(b1 - b2) <= 1e-11 * params.beta
+    if A >= 2.0:
+        # 32 polar nodes resolve the jet of A >= 2 to round-off
+        assert np.linalg.norm(b1 - params.b) <= 1e-12 * params.beta
+
+
+@PROPERTY
+@given(exponent=st.floats(-6.0, 6.0))
+def test_shape_magnitude_round_trip(exponent):
+    # A - 1 log-uniform over [1e-6, 1e6]
+    A = 1.0 + 10.0**exponent
+    assert abs(A_from_beta(beta_from_A(A)) - A) <= 1e-9 * A
+
+
+@PROPERTY
+@given(n=st.sampled_from([8, 12, 16]), seed=seeds)
+def test_leray_projection_is_idempotent(n, seed):
+    samples = np.random.default_rng(seed).standard_normal((3, n, n, n))
+    once = leray_project(SpectralField.from_physical(samples))
+    twice = leray_project(once)
+    assert np.max(np.abs(twice.coeff - once.coeff)) <= 1e-12 * np.max(
+        np.abs(once.coeff))
+    assert once.divergence_defect() <= 1e-12
+
+
+@PROPERTY
+@given(center=st.tuples(*[st.floats(-2.0, 2.0)] * 3).map(np.array),
+       a=st.floats(0.01, 2.0), ratio=st.floats(1.01, 5.0),
+       direction=vectors, seed=seeds)
+def test_test_function_plateau_support_and_divergence(center, a, ratio,
+                                                      direction, seed):
+    b = a * ratio
+    phi = make_test_function(center, a, b, direction)
+    rng = np.random.default_rng(seed)
+    plateau = center + sphere_points(rng, 50, 0.0, 0.99 * a)
+    assert np.array_equal(phi(plateau), np.tile(direction, (50, 1)))
+    assert np.array_equal(phi(center), direction)
+    outside = center + sphere_points(rng, 50, 1.01 * b, 3.0 * b)
+    for values in (phi(outside), phi.gradient(outside),
+                   phi.laplacian(outside)):
+        assert np.all(values == 0.0)
+    # div phi = 0 to round-off on the transition annulus, where phi varies
+    annulus = center + sphere_points(rng, 200, a, b)
+    grad = phi.gradient(annulus)
+    div = np.trace(grad, axis1=-2, axis2=-1)
+    assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(grad))

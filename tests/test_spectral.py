@@ -382,7 +382,9 @@ class TestForcing:
 
 def reference_picard_step(v, drift, forcing):
     """Out-of-place, single-worker copy of the Picard step, kept as the pin."""
-    from pointflow.spectral import _SYM_ENTRY, _SYM_PAIRS, _dealias_mask, _wavenumbers
+    from pointflow.spectral import _SYM_PAIRS, _dealias_mask, _wavenumbers
+    # row i of div M reads the entries (i, 0), (i, 1), (i, 2) of _SYM_PAIRS
+    sym_entry = ((0, 2, 3), (2, 1, 4), (3, 4, 5))
     n = v.n
     k, _, inv_k2 = _wavenumbers(n)
     mask = _dealias_mask(n)
@@ -399,7 +401,7 @@ def reference_picard_step(v, drift, forcing):
             M[e] += v_phys[i] * w_phys[j]
     M_hat = scipy.fft.rfftn(M, axes=(1, 2, 3))
     div_M = np.stack([sum(k[j] * M_hat[e] for j, e in enumerate(row))
-                      for row in _SYM_ENTRY])
+                      for row in sym_entry])
     div_M *= 1j * mask
     f = forcing.coeff - div_M
     kdotv = np.einsum("aijk,aijk->ijk", k, f)
