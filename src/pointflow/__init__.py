@@ -24,8 +24,8 @@ from .weakform import (
 )
 from .spectral import (
     BOX, ContractionDivergedError, IterationTrace, MollifiedDrift,
-    SpectralField, dealias, grid_coordinates, leray_project, make_forcing,
-    make_mollified_drift, picard_step, run_contraction, stokes_solve,
+    SpectralField, leray_project, make_forcing, make_mollified_drift,
+    picard_step, run_contraction, stokes_solve,
 )
 
 __version__ = "0.1.0"

@@ -588,7 +588,31 @@ def cmd_picard(args):
         and trace.uniqueness_distance <= 10.0 * args.tol)
 
 
+class _ModeFlag(argparse.Action):
+    """Store the value and note the flag in args.given, so the command can
+    refuse a flag its mode does not read (a default is never noted)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (
+            self.option_strings[0],)
+
+
+# the mode-specific norms flags each mode reads
+_NORMS_MODE_FLAGS = {
+    "--sweep-beta": (),
+    "--decay": ("--field", "--ref", "--q", "--shells"),
+    "--weak-l3": ("--field", "--domain", "--resolution", "--expect"),
+    "--lorentz": ("--field", "--domain", "--resolution", "--expect"),
+}
+
+
 def cmd_norms(args):
+    mode = ("--sweep-beta" if args.sweep_beta else "--decay" if args.decay
+            else "--weak-l3" if args.weak_l3 else "--lorentz")
+    for flag in getattr(args, "given", ()):
+        _require(flag in _NORMS_MODE_FLAGS[mode],
+                 f"{flag} does not apply to norms {mode}")
     if args.sweep_beta:
         start, stop, count = _numbers(args.sweep_beta, sep=":")
         betas = np.linspace(start, stop, int(count))
@@ -649,7 +673,7 @@ def cmd_norms(args):
 
 def _config_echo(args):
     return {k: v for k, v in sorted(vars(args).items())
-            if k != "func" and v is not None}
+            if k not in ("func", "given") and v is not None}
 
 
 def build_parser():
@@ -738,7 +762,8 @@ def build_parser():
     add_common(p, cmd_picard, 1e-9)
 
     p = sub.add_parser("norms", help="norm machinery and diagnostic sweeps")
-    p.add_argument("--field", help="field spec (landau:A=2, r^-1, ...)")
+    p.add_argument("--field", action=_ModeFlag,
+                   help="field spec (landau:A=2, r^-1, ...)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--weak-l3", action="store_true", dest="weak_l3")
     mode.add_argument("--lorentz", type=_LORENTZ_PAIR,
@@ -747,16 +772,20 @@ def build_parser():
                       help="weighted shell deviation from a reference")
     mode.add_argument("--sweep-beta", type=_SWEEP, dest="sweep_beta",
                       help="start:stop:count sweep of sup |U| on |x| = 1")
-    p.add_argument("--domain", type=_BALL, default="ball:2",
-                   help="sampling domain ball:<R>")
+    p.add_argument("--domain", type=_BALL, default="ball:2", action=_ModeFlag,
+                   help="sampling domain ball:<R> (--weak-l3, --lorentz)")
     p.add_argument("--resolution", type=_RESOLUTION, default="400,16,32",
-                   help="ball sampling resolution nr,ntheta,nphi")
-    p.add_argument("--ref", help="reference Landau parameters, e.g. A=2")
+                   action=_ModeFlag,
+                   help="ball sampling resolution nr,ntheta,nphi "
+                        "(--weak-l3, --lorentz)")
+    p.add_argument("--ref", action=_ModeFlag,
+                   help="reference Landau parameters, e.g. A=2 (--decay)")
     p.add_argument("--q", type=_between(1.0, 3.0), default=2.0,
-                   help="decay exponent")
-    p.add_argument("--shells", type=_SHELL_LIST, default="0.4,0.2,0.1,0.05")
-    p.add_argument("--expect", type=_NONZERO,
-                   help="reference value for pass/fail")
+                   action=_ModeFlag, help="decay exponent (--decay)")
+    p.add_argument("--shells", type=_SHELL_LIST, default="0.4,0.2,0.1,0.05",
+                   action=_ModeFlag, help="shell radii (--decay)")
+    p.add_argument("--expect", type=_NONZERO, action=_ModeFlag,
+                   help="reference value for pass/fail (--weak-l3, --lorentz)")
     add_common(p, cmd_norms, 0.02)
 
     return parser

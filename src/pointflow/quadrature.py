@@ -250,15 +250,19 @@ def lorentz_quasinorm(values, weights, p, q):
     order = np.argsort(values)[::-1]
     v = values[order]
     t = np.cumsum(weights[order])
-    # an unscaled power that overflows fails NormReport's check unwarned
+    # a value that still overflows fails NormReport's check unwarned
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isinf(q):
             value = float(np.max(t**(1.0 / p) * v))
             norm_id = "weak-L3" if p == 3.0 else f"weak-L{p:g}"
         else:
-            tq = t**(q / p)
+            # the powers see v / v_max and t / t_total, both <= 1, so no
+            # power of a large sample or measure overflows
+            top = v[0] if v[0] > 0.0 else 1.0
+            tq = (t / t[-1])**(q / p)
             increments = np.diff(np.concatenate(([0.0], tq)))
-            value = float((p / q * np.sum(v**q * increments))**(1.0 / q))
+            value = float(top * t[-1]**(1.0 / p) * (
+                p / q * np.sum((v / top)**q * increments))**(1.0 / q))
             norm_id = f"L({p:g},{q:g})"
     return NormReport(value=value, norm_id=norm_id,
                       meta={"n_samples": int(values.size)})

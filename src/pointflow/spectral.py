@@ -11,11 +11,17 @@ The fixed point of the Picard map
     Phi(v) = StokesSolve( f - div( U (x) v + v (x) (U + v) ) )
 
 is that solution, and Phi is a strict contraction when the drift and the
-data are small.  This module demonstrates the mechanism at desk scale in
-a deliberately simplified geometry: the ball with Dirichlet conditions
-and its divergence-fixing corrector are replaced by a periodic torus of
-side 4 pi (so the ball of radius 2 about the origin embeds), where the
-Stokes inverse is exact in Fourier space after Leray projection.  The
+data are small.  Computed, Phi is its Galerkin truncation to the
+dealiased band B (the modes with every integer frequency <= n // 3):
+
+    Phi(v) = StokesSolve( P_B ( f - div( U (x) v + v (x) (U + v) ) ) ),
+
+which reads only v's band and returns a field supported on B.  This
+module demonstrates the mechanism at desk scale in a deliberately
+simplified geometry: the ball with Dirichlet conditions and its
+divergence-fixing corrector are replaced by a periodic torus of side
+4 pi (so the ball of radius 2 about the origin embeds), where the Stokes
+inverse is exact in Fourier space after Leray projection.  The
 contraction estimate itself (small drift and data force a ratio below
 one half) does not depend on that geometry choice.
 
@@ -27,20 +33,31 @@ by the 2/3 rule.
 
 Fields are real, so only half of their spectrum is stored: the
 (3, n, n, n//2 + 1) array that scipy.fft.rfftn returns, whose last axis
-holds the frequencies 0 .. n//2.  Every transform is an rfftn or irfftn
-call, and W^{1,2} norms follow from the coefficients by Parseval.  The
-odd-derivative wavenumber is zero at the Nyquist index of every axis,
-which is what the real part of a full complex derivative gives as well.
+holds the frequencies 0 .. n//2.  A band of cut c is the
+(2c + 1, 2c + 1, c + 1) block of it with every integer frequency <= c,
+its rows in FFT order (0 .. c, then -c .. -1).  W^{1,2} norms follow from
+the coefficients by Parseval.  The odd-derivative wavenumber is zero at
+the Nyquist index of every axis, which is what the real part of a full
+complex derivative gives as well.
 
-The Picard step streams: its inverse transforms run one component at a
-time, its forward transforms one tensor entry at a time, and the
-projection and the Stokes solve work in place.  The drift and forcing
-builds also transform back one component at a time, but their forward
-rfftn, like that of SpectralField.from_physical (and the irfftn of
-to_physical), is one call stacked over the (3, n, n, n) samples.  A
-component's transform gives the same bits alone as inside a stacked
-call, and the in-place arithmetic repeats the out-of-place expressions
-element by element, so every result keeps its bits.
+Transforms that start or end on a band are pruned: one-axis passes in
+rfftn's order (rfft along the last axis, then fft along the first and
+the second), or irfftn's in reverse, each on only the columns the band
+reaches.  The inverse runs its passes unscaled and applies irfftn's
+1 / n^3 once, at the end; there the pruned transforms keep the bits of
+the full 3-D ones, while scaling after the first pass would not unless n
+is a power of two.  The Picard step brings v's band to physical space
+one component at a time, forms the 6 distinct entries of the symmetric
+tensor on the full grid (the only stage that needs it), transforms each
+straight to the band, and runs the Leray projection and the Stokes solve
+in place on the band, where both act mode by mode.  The drift build's
+dealiased samples and both forcing builds go through the same pruned
+transforms; the drift's own forward rfftn, like that of
+SpectralField.from_physical (and the irfftn of to_physical), is one
+full call stacked over the (3, n, n, n) samples.  A component's
+transform gives the same bits alone as inside a stacked call, and the
+in-place arithmetic repeats the out-of-place expressions element by
+element, so every result keeps its bits.
 
 The transforms keep scipy.fft's single worker.  Two workers give the
 same bits, but on a shared 2-vCPU host they made Picard runs slower and
@@ -57,8 +74,7 @@ from .quadrature import _half_wavenumbers, sobolev_norm
 from .weakform import smoothstep7
 
 __all__ = [
-    "BOX", "SpectralField", "grid_coordinates",
-    "leray_project", "stokes_solve", "dealias",
+    "BOX", "SpectralField", "leray_project", "stokes_solve",
     "MollifiedDrift", "make_mollified_drift", "make_forcing",
     "picard_step", "IterationTrace", "ContractionDivergedError",
     "run_contraction",
@@ -70,13 +86,16 @@ BOX = 4.0 * np.pi
 _DIVERGENCE_FACTOR = 1e3
 
 
-@lru_cache(maxsize=8)
-def _wavenumbers(n):
+@lru_cache(maxsize=16)
+def _wavenumbers(n, cut=None):
     """(k, |k|^2, 1/|k|^2 with the zero mode masked) on the half spectrum.
 
     k is zero at the Nyquist index of each axis, and |k|^2 is taken from
-    that k, so it is also the Parseval weight of the gradient.
+    that k, so it is also the Parseval weight of the gradient.  With a
+    cut the three tables are restricted to the band of that cut.
     """
+    if cut is not None:
+        return tuple(_take_band(t, cut) for t in _wavenumbers(n))
     shape = (n, n, n // 2 + 1)
     k = np.stack([np.broadcast_to(ka, shape) for ka in _half_wavenumbers(n, BOX)])
     k2 = (k**2).sum(axis=0)
@@ -99,40 +118,77 @@ def _parseval_weights(n):
     return w, w * _wavenumbers(n)[1]
 
 
-def _band(n, cut):
-    """Half-spectrum mask of the modes with every integer frequency <= cut."""
-    f = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    fz = np.fft.rfftfreq(n, d=1.0 / n)
-    return ((f[:, None, None] <= cut) & (f[None, :, None] <= cut)
-            & (fz[None, None, :] <= cut))
+def _band_rows(n, cut):
+    """Indices of the integer frequencies -cut .. cut on a full FFT axis.
+
+    cut is capped at (n - 1) // 2, so the band never holds a Nyquist
+    index (which every Leray projection here zeroes anyway).
+    """
+    cut = min(cut, (n - 1) // 2)
+    return np.r_[0:cut + 1, n - cut:n]
 
 
-@lru_cache(maxsize=8)
-def _dealias_mask(n):
-    """2/3-rule mask on integer frequencies."""
-    return _band(n, n // 3)
+def _take_band(coeff, cut):
+    """The (..., 2 cut + 1, 2 cut + 1, cut + 1) band of a half spectrum.
+
+    The band holds the modes with every integer frequency <= cut, the
+    rows of its first two axes in FFT order (0 .. cut, then -cut .. -1).
+    """
+    rows = _band_rows(coeff.shape[-2], cut)
+    return coeff[..., rows[:, None], rows, :len(rows) // 2 + 1]
+
+
+def _put_band(band, n):
+    """The zero-filled (..., n, n, n//2 + 1) half spectrum holding band."""
+    rows = _band_rows(n, band.shape[-1] - 1)
+    out = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=complex)
+    out[..., rows[:, None], rows, :band.shape[-1]] = band
+    return out
+
+
+def _band_to_physical(band, n):
+    """(n, n, n) samples of one band component, pruned.
+
+    Equal bit for bit to irfftn of the zero-filled half spectrum: the
+    same one-axis passes in the same order (ifft along axis 0, ifft along
+    axis 1, irfft along axis 2), unscaled, each on only the columns the
+    band reaches, and one final scaling by 1 / n^3 as irfftn applies it.
+    Scaling earlier would change the bits unless n is a power of two.
+    """
+    cut = band.shape[-1] - 1
+    w = cut + 1
+    tall = np.zeros((n, 2 * cut + 1, w), dtype=complex)
+    tall[:w] = band[:w]
+    tall[n - cut:] = band[w:]
+    tall = scipy.fft.ifft(tall, axis=0, norm="forward", overwrite_x=True)
+    # the irfft reads the full half spectrum; padding it here is cheaper
+    # than letting irfft pad a (n, n, cut + 1) input
+    full = np.zeros((n, n, n // 2 + 1), dtype=complex)
+    full[:, :w, :w] = tall[:, :w]
+    full[:, n - cut:, :w] = tall[:, w:]
+    del tall
+    full[..., :w] = scipy.fft.ifft(full[..., :w], axis=1, norm="forward")
+    samples = scipy.fft.irfft(full, n=n, axis=2, norm="forward")
+    samples *= 1.0 / n**3
+    return samples
+
+
+def _physical_to_band(samples, cut):
+    """The band |f| <= cut of rfftn(samples) for one (n, n, n) component.
+
+    Equal bit for bit to rfftn's coefficients there: rfft along axis 2,
+    then fft along axis 0 and fft along axis 1, as rfftn orders them,
+    each pass on only the columns the band keeps.
+    """
+    rows = _band_rows(samples.shape[0], cut)
+    half = scipy.fft.rfft(samples, axis=2)[..., :len(rows) // 2 + 1]
+    half = scipy.fft.fft(half, axis=0, overwrite_x=True)[rows]
+    return scipy.fft.fft(half, axis=1, overwrite_x=True)[:, rows]
 
 
 def _axis(n):
     """Coordinates of the torus grid along one axis, origin at a grid point."""
     return (np.arange(n) - n // 2) * (BOX / n)
-
-
-def grid_coordinates(n):
-    """(3, n, n, n) coordinates of the torus grid, origin at a grid point."""
-    x1 = _axis(n)
-    return np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
-
-
-def _component_samples(coeff, mask=None):
-    """irfftn of each component of coeff (times mask), one at a time.
-
-    Yields (n, n, n) arrays with the bits of the matching component of
-    the stacked irfftn over axes (1, 2, 3), at a third of its scratch.
-    """
-    n = coeff.shape[1]
-    for c in coeff:
-        yield scipy.fft.irfftn(c if mask is None else c * mask, s=(n, n, n))
 
 
 @dataclass
@@ -201,10 +257,6 @@ class SpectralField:
         """sqrt(BOX^3 / n^6 * sum of weights * power over stored modes)."""
         return float(np.sqrt(np.sum(power * weights) * BOX**3 / self.n**6))
 
-    def l2(self):
-        """Physical L^2 norm over the torus (via Parseval)."""
-        return self._parseval(self._power(), _parseval_weights(self.n)[0])
-
     def w1r(self, r):
         """Discrete W^{1,r} norm with spectral gradients.
 
@@ -227,19 +279,20 @@ def leray_project(fld):
     field's component along that axis there, nor the projector remove it.
     """
     coeff = fld.coeff.copy()
-    _leray_in_place(coeff)
+    _leray_in_place(coeff, fld.n)
     return SpectralField(coeff)
 
 
-def _leray_in_place(coeff):
+def _leray_in_place(coeff, n, cut=None):
     """leray_project on a (3, n, n, n//2 + 1) array, overwriting it.
 
+    With a cut, coeff is the band of that cut instead (see _take_band).
     Each component becomes c - k_c (k . c / |k|^2), the same element-wise
     arithmetic as the out-of-place expression, with one component's
-    scratch for k_c (k . c / |k|^2).
+    scratch for k_c (k . c / |k|^2); a mode's bits do not depend on
+    whether it sits in a band or a full array.
     """
-    n = coeff.shape[1]
-    k, _, inv_k2 = _wavenumbers(n)
+    k, _, inv_k2 = _wavenumbers(n, cut)
     kdotv = np.einsum("aijk,aijk->ijk", k, coeff)
     kdotv *= inv_k2
     term = np.empty_like(kdotv)
@@ -247,7 +300,7 @@ def _leray_in_place(coeff):
         np.multiply(kc, kdotv, out=term)
         c -= term
     coeff[:, 0, 0, 0] = 0.0
-    if n % 2 == 0:
+    if cut is None and n % 2 == 0:
         coeff[:, n // 2, :, :] = 0.0
         coeff[:, :, n // 2, :] = 0.0
         coeff[:, :, :, n // 2] = 0.0
@@ -261,24 +314,18 @@ def stokes_solve(forcing):
     nonzero mean mode (the torus Stokes operator cannot balance it).
     """
     coeff = forcing.coeff.copy()
-    _stokes_in_place(coeff)
+    _stokes_in_place(coeff, forcing.n)
     return SpectralField(coeff)
 
 
-def _stokes_in_place(coeff):
-    """stokes_solve on a (3, n, n, n//2 + 1) array, overwriting it."""
-    n = coeff.shape[1]
+def _stokes_in_place(coeff, n, cut=None):
+    """stokes_solve on a (3, n, n, n//2 + 1) array or band, overwriting it."""
     mean = np.abs(coeff[:, 0, 0, 0] / n**3)
     scale = np.max([np.max(np.abs(c)) for c in coeff]) / n**3
     if np.any(mean > 1e-10 * max(scale, 1e-300)):
         raise ValueError("forcing must have zero mean")
-    _leray_in_place(coeff)
-    coeff *= _wavenumbers(n)[2]
-
-
-def dealias(fld):
-    """Zero every mode above the 2/3 cutoff."""
-    return SpectralField(fld.coeff * _dealias_mask(fld.n))
+    _leray_in_place(coeff, n, cut)
+    coeff *= _wavenumbers(n, cut)[2]
 
 
 @dataclass(frozen=True)
@@ -335,8 +382,9 @@ def _projection_deviation(samples, coeff):
     norm_raw = np.linalg.norm(samples)
     if not norm_raw > 0.0:
         return 0.0
-    for s, projected in zip(samples, _component_samples(coeff)):
-        np.subtract(projected, s, out=s)
+    n = samples.shape[1]
+    for s, c in zip(samples, coeff):
+        np.subtract(scipy.fft.irfftn(c, s=(n, n, n)), s, out=s)
     return float(np.linalg.norm(samples) / norm_raw)
 
 
@@ -357,12 +405,12 @@ def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
 
     samples = _mollified_samples(params, n, delta_in, delta_out)
     coeff = scipy.fft.rfftn(samples, axes=(1, 2, 3))
-    _leray_in_place(coeff)
+    _leray_in_place(coeff, n)
     deviation = _projection_deviation(samples, coeff)
     del samples
     phys = np.empty((3, n, n, n))
-    for dst, src in zip(phys, _component_samples(coeff, _dealias_mask(n))):
-        dst[...] = src
+    for dst, band in zip(phys, _take_band(coeff, n // 3)):
+        dst[...] = _band_to_physical(band, n)
     return MollifiedDrift(params=params, delta_in=delta_in, delta_out=delta_out,
                           field=SpectralField(coeff),
                           projection_deviation=deviation, phys_dealiased=phys)
@@ -372,36 +420,43 @@ def make_forcing(n, amplitude, seed=None):
     """Smooth mean-zero divergence-free forcing with max speed `amplitude`.
 
     With seed None the deterministic shear triple (sin(y/2), sin(z/2),
-    sin(x/2)) is used; an integer seed draws a random band-limited field
-    instead (modes up to |k_int| <= 3), Leray-projected and rescaled so
-    the maximal pointwise speed equals the amplitude.
+    sin(x/2)) is used, kept on its band of cut 1; an integer seed draws a
+    random band-limited field instead (modes up to |k_int| <= 3),
+    Leray-projected and rescaled so the maximal pointwise speed equals
+    the amplitude.  Both lie inside the band every Picard step keeps.
     """
     n = int(n)
     amplitude = float(amplitude)
     if not np.isfinite(amplitude) or amplitude < 0.0:
         raise ValueError("amplitude must be finite and nonnegative")
     if seed is None:
+        # the triple holds the integer frequency 1 alone; its band of cut
+        # 1 drops only the transform's round-off outside it
         wave = amplitude * np.sin(0.5 * _axis(n))
-        phys = np.empty((3, n, n, n))
-        phys[0] = wave[None, :, None]
-        phys[1] = wave[None, None, :]
-        phys[2] = wave[:, None, None]
-        return SpectralField.from_physical(phys)
+        comp = np.empty((n, n, n))
+        band = []
+        for shape in ((1, n, 1), (1, 1, n), (n, 1, 1)):
+            comp[...] = wave.reshape(shape)
+            band.append(_physical_to_band(comp, 1))
+        return SpectralField(_put_band(np.stack(band), n))
+    cut = 3
     rng = np.random.default_rng(seed)
-    coeff = scipy.fft.rfftn(rng.standard_normal((3, n, n, n)), axes=(1, 2, 3))
-    coeff *= _band(n, 3)
-    _leray_in_place(coeff)
+    # three (n, n, n) draws continue the stream as one (3, n, n, n) draw
+    band = np.stack([_physical_to_band(rng.standard_normal((n, n, n)), cut)
+                     for _ in range(3)])
+    _leray_in_place(band, n, cut)
     # |v|^2 summed over the components in order, as norm(axis=0) sums it
     speed2 = 0.0
-    for p in _component_samples(coeff):
+    for b in band:
+        p = _band_to_physical(b, n)
         p *= p
         speed2 += p
     speed = np.sqrt(speed2).max()
     if amplitude > 0.0 and speed == 0.0:
         raise RuntimeError("degenerate random forcing draw")
     scale = amplitude / speed if speed > 0.0 else 0.0
-    np.multiply(scale, coeff, out=coeff)
-    return SpectralField(coeff)
+    np.multiply(scale, band, out=band)
+    return SpectralField(_put_band(band, n))
 
 
 # the 6 distinct entries (i, j) of a symmetric 3x3 tensor, in the order
@@ -412,36 +467,36 @@ _SYM_PAIRS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))
 def picard_step(v, drift, forcing):
     """One application of the Picard map Phi.
 
-    Phi(v) solves the periodic Stokes problem with forcing
-    f - div( U (x) v + v (x) (U + v) ); the tensor products are formed in
-    physical space from 2/3-dealiased samples and the divergence is taken
-    spectrally, with the result truncated to the dealiased band.  The
-    tensor is symmetric, so only its 6 distinct entries are formed.
+    Phi(v) solves the periodic Stokes problem with the forcing
+    P_B (f - div( U (x) v + v (x) (U + v) )), P_B the truncation to the
+    dealiased band B of cut n // 3: the tensor products are formed in
+    physical space from the samples of v's band and the divergence is
+    taken spectrally on B.  Any part of f outside B is dropped (make_forcing
+    builds forcings inside it).  The tensor is symmetric, so only its 6
+    distinct entries are formed.
 
-    The step streams: 3 single-component irfftn bring v to physical
-    space, then each entry M_ij, in the order of _SYM_PAIRS, is formed in
-    one (n, n, n) scratch, transformed by one rfftn, and folded into the
-    divergence rows it feeds (row i gains k_j M_ij, row j gains k_i M_ij)
-    before the next is formed.  In that order every row adds its terms
-    as k_0 M_i0 + k_1 M_i1 + k_2 M_i2 from the left, except that row 1
-    starts with k_1 M_11 + k_0 M_10, a swap that IEEE addition does not
-    see; so the step keeps the bits of one stacked 6-entry transform.
-    The Stokes solve then runs in place on the step's own array.
+    The step streams: 3 pruned inverses bring v's band to physical space,
+    then each entry M_ij, in the order of _SYM_PAIRS, is formed in one
+    (n, n, n) scratch, transformed by one pruned forward to B, and folded
+    into the divergence rows it feeds (row i gains k_j M_ij, row j gains
+    k_i M_ij) before the next is formed.  In that order every row adds its
+    terms as k_0 M_i0 + k_1 M_i1 + k_2 M_i2 from the left, except that
+    row 1 starts with k_1 M_11 + k_0 M_10, a swap that IEEE addition does
+    not see; so the step keeps the bits of one stacked 6-entry transform.
+    The Stokes solve runs in place on the band, which is then written into
+    a zeroed half spectrum.
     """
     n = v.n
     if drift is not None and drift.n != n:
         raise ValueError("drift grid does not match the iterate")
-    k, _, _ = _wavenumbers(n)
-    mask = _dealias_mask(n)
-    v_phys = list(_component_samples(v.coeff, mask))
+    cut = n // 3   # the 2/3 rule
+    k, _, _ = _wavenumbers(n, cut)
+    v_phys = [_band_to_physical(b, n) for b in _take_band(v.coeff, cut)]
     u_phys = None if drift is None else drift.phys_dealiased
-    div_M = np.empty((3, n, n, n // 2 + 1), dtype=complex)
+    div_M = np.empty((3,) + k.shape[1:], dtype=complex)
     started = [False, False, False]
-    # one buffer serves as the real entry M_ij and, once M_ij is
-    # transformed, as the complex term k_j M_ij added to a row
-    scratch = np.empty(n * n * (n // 2 + 1), dtype=complex)
-    M = scratch.view(float)[:n**3].reshape(n, n, n)
-    term = scratch.reshape(n, n, n // 2 + 1)
+    term = np.empty(k.shape[1:], dtype=complex)
+    M = np.empty((n, n, n))
     w_j = None if drift is None else np.empty((n, n, n))
     for i, j in _SYM_PAIRS:
         # M_ij = U_i v_j + v_i (U + v)_j ; (div M)_i = d_j M_ij
@@ -452,7 +507,7 @@ def picard_step(v, drift, forcing):
             np.add(u_phys[j], v_phys[j], out=w_j)
             w_j *= v_phys[i]
             M += w_j
-        M_hat = scipy.fft.rfftn(M)
+        M_hat = _physical_to_band(M, cut)
         for row, kj in ((i, j),) if i == j else ((i, j), (j, i)):
             if started[row]:
                 np.multiply(k[kj], M_hat, out=term)
@@ -461,11 +516,11 @@ def picard_step(v, drift, forcing):
                 np.multiply(k[kj], M_hat, out=div_M[row])
                 started[row] = True
         del M_hat
-    del v_phys, scratch, M, term, w_j
-    div_M *= 1j * mask
-    np.subtract(forcing.coeff, div_M, out=div_M)
-    _stokes_in_place(div_M)
-    return SpectralField(div_M)
+    del v_phys, M, w_j
+    div_M *= 1j
+    np.subtract(_take_band(forcing.coeff, cut), div_M, out=div_M)
+    _stokes_in_place(div_M, n, cut)
+    return SpectralField(_put_band(div_M, n))
 
 
 @dataclass

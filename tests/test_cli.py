@@ -12,7 +12,7 @@ import pytest
 from pointflow import (FlowField, LandauField, LandauParams, ball_samples,
                        extract_force_weak, flux_integral, make_mollified_drift,
                        run_contraction)
-from pointflow.cli import (_MAX_NODES, EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL,
+from pointflow.cli import (_MAX_NODES, EXIT_CONFIG, EXIT_FAIL,
                            EXIT_OUT_OF_REGIME, EXIT_PASS, build_parser, main,
                            parse_field_spec)
 from pointflow.landau import BETA_MAX, BETA_MIN
@@ -346,22 +346,22 @@ class TestNormsCommand:
         assert report["passed"] is None
         assert report["payload"]["value"] > report["payload"]["tolerance"]
 
-    def test_overflowing_lorentz_norm_is_numerical_failure(self, tmp_path,
-                                                           capsys):
-        # v^40 of r^-2 overflows near the origin of a small ball
-        argv = ["norms", "--field", "r^-2", "--lorentz", "3,40",
-                "--domain", "ball:1e-3"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, report = run(tmp_path, *argv)
-        assert code == EXIT_NUMERICAL and report is None and not caught
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, report = run(tmp_path, *argv)
-        assert code == EXIT_NUMERICAL and report is None
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 2 and all(
-            line.startswith("numerical failure:") for line in lines)
+    def test_lorentz_norm_of_large_samples_is_finite(self, tmp_path, capsys):
+        # v^40 of r^-2 near the origin of a small ball, and v^64 at a fine
+        # radial resolution, overflow unless the powers are scaled first
+        for argv in (["norms", "--field", "r^-2", "--lorentz", "3,40",
+                      "--domain", "ball:1e-3"],
+                     ["norms", "--field", "r^-2", "--lorentz", "3,64",
+                      "--resolution", "1600,16,32"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, report = run(tmp_path, *argv)
+            assert code == EXIT_PASS and not caught
+            assert 0.0 < report["payload"]["value"] < np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(tmp_path, *argv)[0] == EXIT_PASS
+        assert capsys.readouterr().err == ""
 
 
 class TestReportContract:
@@ -601,6 +601,28 @@ class TestNormsFlags:
         code, report = run(tmp_path, "norms", "--sweep-beta", sweep)
         assert code == EXIT_CONFIG and report is None
         assert "--sweep-beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--field", "r^-1", "--weak-l3", "--ref", "A=2", "--q", "2.5",
+          "--shells", "0.3"], "--ref"),
+        (["--sweep-beta", "1:2:3", "--field", "r^-1", "--expect", "5"],
+         "--field"),
+        (["--sweep-beta", "1:2:3", "--resolution", "400,16,32"],
+         "--resolution"),
+        (["--field", "r^-1", "--lorentz", "3,2", "--q", "2"], "--q"),
+        (["--field", "r^-1", "--weak-l3", "--shel", "0.3"], "--shells"),
+        (["--field", "landau:A=2", "--decay", "--ref", "A=2",
+          "--domain", "ball:2"], "--domain"),
+        (["--field", "landau:A=2", "--decay", "--ref", "A=2", "--expect", "1"],
+         "--expect"),
+    ])
+    def test_flag_of_another_mode_is_config_error(self, tmp_path, capsys,
+                                                  argv, named):
+        # a flag its mode does not read, even at its default value
+        code, report = run(tmp_path, "norms", *argv)
+        assert code == EXIT_CONFIG and report is None
+        err = capsys.readouterr().err
+        assert f"{named} does not apply to norms" in err
 
     @pytest.mark.parametrize("flags, named", [
         (["--resolution", "1,1,1"], "--resolution"),

@@ -215,6 +215,22 @@ class TestLorentzQuasinorm:
         assert report.value == pytest.approx(plain, rel=1e-12)
         assert report.value == pytest.approx((4 * np.pi / 3.0)**(1 / 3.0), rel=0.02)
 
+    def test_finite_q_matches_the_unscaled_sum(self):
+        # the powers see v / v_max and t / t_total; against the unscaled
+        # sum only round-off moves, and q = inf keeps its expression
+        rng = np.random.default_rng(47)
+        values = 10.0 * rng.random(400)
+        weights = rng.random(400) + 0.1
+        order = np.argsort(values)[::-1]
+        v, t = values[order], np.cumsum(weights[order])
+        for p, q in [(3.0, 2.0), (2.5, 1.0), (3.0, 3.0), (2.0, 10.0)]:
+            tq = np.diff(np.concatenate(([0.0], t**(q / p))))
+            unscaled = (p / q * np.sum(v**q * tq))**(1.0 / q)
+            assert lorentz_quasinorm(values, weights, p, q).value == (
+                pytest.approx(unscaled, rel=1e-14))
+        assert (lorentz_quasinorm(values, weights, 3.0, np.inf).value
+                == float(np.max(t**(1.0 / 3.0) * v)))
+
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(41)
         values = rng.random(300)

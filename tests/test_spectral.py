@@ -3,14 +3,41 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
 
 from pointflow import (
-    BOX, ContractionDivergedError, LandauParams, SpectralField, dealias,
-    grid_coordinates, leray_project, make_forcing, make_mollified_drift,
-    picard_step, run_contraction, sobolev_norm, stokes_solve,
+    BOX, ContractionDivergedError, LandauParams, SpectralField, leray_project,
+    make_forcing, make_mollified_drift, picard_step, run_contraction,
+    sobolev_norm, stokes_solve,
 )
 
 N = 32
+
+
+def grid_coordinates(n):
+    """(3, n, n, n) coordinates of the torus grid, origin at a grid point."""
+    from pointflow.spectral import _axis
+    x1 = _axis(n)
+    return np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
+
+
+def band_mask(n, cut):
+    """Half-spectrum mask of the modes with every integer frequency <= cut."""
+    f = np.abs((np.arange(n) + n // 2) % n - n // 2)
+    fz = np.arange(n // 2 + 1)
+    return ((f[:, None, None] <= cut) & (f[None, :, None] <= cut)
+            & (fz[None, None, :] <= cut))
+
+
+def dealias(fld):
+    """Zero every mode above the 2/3 cutoff."""
+    return SpectralField(fld.coeff * band_mask(fld.n, fld.n // 3))
+
+
+def l2(fld):
+    """Physical L^2 norm over the torus (via Parseval)."""
+    from pointflow.spectral import _parseval_weights
+    return fld._parseval(fld._power(), _parseval_weights(fld.n)[0])
 
 
 def drift_beta_half(n=N):
@@ -283,7 +310,7 @@ class TestParsevalNorms:
         fld = SpectralField.from_physical(
             np.random.default_rng(8).standard_normal((3, n, n, n)))
         grid_sum = np.sqrt(np.sum(fld.to_physical()**2) * (BOX / n)**3)
-        assert fld.l2() == pytest.approx(grid_sum, rel=1e-12)
+        assert l2(fld) == pytest.approx(grid_sum, rel=1e-12)
 
 
 class TestTransformBudget:
@@ -308,15 +335,20 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("with_drift", [True, False])
     def test_picard_step_streams_single_components(self, calls, with_drift):
-        # 3 irfftn bring v to physical space, then one rfftn per tensor
-        # entry: the 9 component transforms of one stacked pair
+        # 3 band inverses bring v's dealiased band to physical space, then
+        # one band forward per tensor entry; each is three one-axis passes
+        # on the columns the band reaches, none a full 3-D transform
         drift = drift_beta_half() if with_drift else None
         forcing = make_forcing(N, 1e-3)
         v = stokes_solve(forcing)
         calls.clear()
         picard_step(v, drift, forcing)
-        assert calls == ([("irfftn", (N, N, N // 2 + 1))] * 3
-                         + [("rfftn", (N, N, N))] * 6)
+        c, w = N // 3, 2 * (N // 3) + 1
+        band_inverse = [("ifft", (N, w, c + 1)), ("ifft", (N, N, c + 1)),
+                        ("irfft", (N, N, N // 2 + 1))]
+        band_forward = [("rfft", (N, N, N)), ("fft", (N, N, c + 1)),
+                        ("fft", (w, N, c + 1))]
+        assert calls == band_inverse * 3 + band_forward * 6
 
     def test_w1r_two_makes_none(self, calls):
         v = stokes_solve(make_forcing(N, 1e-3))
@@ -382,12 +414,12 @@ class TestForcing:
 
 def reference_picard_step(v, drift, forcing):
     """Out-of-place, single-worker copy of the Picard step, kept as the pin."""
-    from pointflow.spectral import _SYM_PAIRS, _dealias_mask, _wavenumbers
+    from pointflow.spectral import _SYM_PAIRS, _wavenumbers
     # row i of div M reads the entries (i, 0), (i, 1), (i, 2) of _SYM_PAIRS
     sym_entry = ((0, 2, 3), (2, 1, 4), (3, 4, 5))
     n = v.n
     k, _, inv_k2 = _wavenumbers(n)
-    mask = _dealias_mask(n)
+    mask = band_mask(n, n // 3)
     v_phys = scipy.fft.irfftn(v.coeff * mask, s=(n, n, n), axes=(1, 2, 3))
     M = np.empty((6, n, n, n))
     if drift is None:
@@ -500,7 +532,6 @@ def reference_drift(params, n, delta_in=0.3, delta_out=1.5):
     Returns (field coefficients, phys_dealiased, projection_deviation).
     """
     from pointflow import landau_eval, smoothstep7
-    from pointflow.spectral import _dealias_mask
     coords = grid_coordinates(n)
     rho = np.sqrt((coords**2).sum(axis=0))
     rise, _, _, _ = smoothstep7((rho - delta_in / 2.0) / (delta_in / 2.0))
@@ -517,23 +548,22 @@ def reference_drift(params, n, delta_in=0.3, delta_out=1.5):
     if norm_raw > 0.0:
         phys = scipy.fft.irfftn(projected, s=(n, n, n), axes=(1, 2, 3))
         deviation = float(np.linalg.norm(phys - samples) / norm_raw)
-    dealiased = scipy.fft.irfftn(projected * _dealias_mask(n), s=(n, n, n),
+    dealiased = scipy.fft.irfftn(projected * band_mask(n, n // 3), s=(n, n, n),
                                  axes=(1, 2, 3))
     return projected, dealiased, deviation
 
 
 def reference_forcing(n, amplitude, seed):
     """Stacked-transform copy of make_forcing's coefficients."""
-    from pointflow.spectral import _band
     if seed is None:
         coords = grid_coordinates(n)
         phys = amplitude * np.stack([np.sin(0.5 * coords[1]),
                                      np.sin(0.5 * coords[2]),
                                      np.sin(0.5 * coords[0])])
-        return scipy.fft.rfftn(phys, axes=(1, 2, 3))
+        return scipy.fft.rfftn(phys, axes=(1, 2, 3)) * band_mask(n, 1)
     rng = np.random.default_rng(seed)
     white = scipy.fft.rfftn(rng.standard_normal((3, n, n, n)), axes=(1, 2, 3))
-    proj = reference_leray(white * _band(n, 3))
+    proj = reference_leray(white * band_mask(n, 3))
     samples = scipy.fft.irfftn(proj, s=(n, n, n), axes=(1, 2, 3))
     speed = np.linalg.norm(samples, axis=0).max()
     return (amplitude / speed) * proj
@@ -571,3 +601,44 @@ class TestStreamedBuilders:
                               reference_leray(field.coeff))
         assert np.array_equal(stokes_solve(field).coeff,
                               reference_leray(field.coeff) * _wavenumbers(n)[2])
+
+
+BAND_SIZES = [16, 17, 20, 24, 32, 33, 64]
+BAND_DRAWS = settings(derandomize=True, max_examples=3, deadline=None)
+
+
+class TestBandTransforms:
+    """The pruned transforms keep the bits of the full 3-D ones."""
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    @pytest.mark.parametrize("third", [True, False])
+    @BAND_DRAWS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_inverse_equals_masked_irfftn(self, n, third, seed):
+        from pointflow.spectral import _band_to_physical, _take_band
+        cut = n // 3 if third else 3
+        coeff = scipy.fft.rfftn(np.random.default_rng(seed).standard_normal((n, n, n)))
+        expected = scipy.fft.irfftn(coeff * band_mask(n, cut), s=(n, n, n))
+        assert np.array_equal(_band_to_physical(_take_band(coeff, cut), n),
+                              expected)
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    @pytest.mark.parametrize("third", [True, False])
+    @BAND_DRAWS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_forward_equals_rfftn_on_the_band(self, n, third, seed):
+        from pointflow.spectral import _physical_to_band, _take_band
+        cut = n // 3 if third else 3
+        samples = np.random.default_rng(seed).standard_normal((n, n, n))
+        assert np.array_equal(_physical_to_band(samples, cut),
+                              _take_band(scipy.fft.rfftn(samples), cut))
+
+    # 49 * (1 / 49) != 1 in floating point: a mask built from float
+    # frequencies drops the plane |f| = 16 there
+    @pytest.mark.parametrize("n", [7, 16, 17, 49, 64])
+    def test_band_holds_the_integer_frequencies(self, n):
+        from pointflow.spectral import _put_band, _take_band
+        coeff = scipy.fft.rfftn(np.random.default_rng(n).standard_normal((n, n, n)))
+        for cut in (1, 3, n // 3):
+            assert np.array_equal(_put_band(_take_band(coeff, cut), n),
+                                  coeff * band_mask(n, cut))
