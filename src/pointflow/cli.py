@@ -130,8 +130,8 @@ _SHAPE = _flag(float, lambda v: A_MIN < v <= A_MAX,
                f"a shape parameter in ({A_MIN!r}, {A_MAX:g}]")
 _MAGNITUDE = _flag(float, lambda v: v == 0.0 or BETA_MIN <= v <= BETA_MAX,
                    f"0 or a force magnitude in [{BETA_MIN!r}, {BETA_MAX!r}]")
-# a finite secondary Lorentz exponent above this overflows v^q on the
-# singular fields at the default resolution; q = inf is the weak norm
+# the largest finite secondary Lorentz exponent accepted; q = inf is the
+# weak norm
 _LORENTZ_Q_MAX = 64.0
 # the most quadrature nodes, samples or grid points one run may allocate:
 # at the heaviest measured cost (about 760 B per node) that is about 3 GB
@@ -598,22 +598,23 @@ class _ModeFlag(argparse.Action):
             self.option_strings[0],)
 
 
-# the mode-specific norms flags each mode reads
+# each norms mode flag, with the _ModeFlag flags that mode reads; the mode
+# is the one whose flag is set (argparse's dest of "--weak-l3" is weak_l3)
 _NORMS_MODE_FLAGS = {
     "--sweep-beta": (),
-    "--decay": ("--field", "--ref", "--q", "--shells"),
-    "--weak-l3": ("--field", "--domain", "--resolution", "--expect"),
-    "--lorentz": ("--field", "--domain", "--resolution", "--expect"),
+    "--decay": ("--field", "--ref", "--q", "--shells", "--tol"),
+    "--weak-l3": ("--field", "--domain", "--resolution", "--expect", "--tol"),
+    "--lorentz": ("--field", "--domain", "--resolution", "--expect", "--tol"),
 }
 
 
 def cmd_norms(args):
-    mode = ("--sweep-beta" if args.sweep_beta else "--decay" if args.decay
-            else "--weak-l3" if args.weak_l3 else "--lorentz")
+    mode, = (flag for flag in _NORMS_MODE_FLAGS
+             if getattr(args, flag[2:].replace("-", "_")))
     for flag in getattr(args, "given", ()):
         _require(flag in _NORMS_MODE_FLAGS[mode],
                  f"{flag} does not apply to norms {mode}")
-    if args.sweep_beta:
+    if mode == "--sweep-beta":
         start, stop, count = _numbers(args.sweep_beta, sep=":")
         betas = np.linspace(start, stop, int(count))
         sups = [sup_speed_on_unit_sphere(
@@ -625,7 +626,7 @@ def cmd_norms(args):
             "sup_speed_on_unit_sphere": sups,
             "nondecreasing": nondecreasing,
         }, nondecreasing
-    if args.decay:
+    if mode == "--decay":
         _require(args.field and args.ref, "--decay needs --field and --ref")
         probe = _probe(args.field, "norms --decay", ("landau",))
         ref = _probe("landau:" + args.ref, "norms --decay", ("landau",),
@@ -643,7 +644,7 @@ def cmd_norms(args):
             return payload, report.value <= args.tol
         return payload, None
     _require(args.field, "norm computation needs --field")
-    p, q = (3.0, np.inf) if args.weak_l3 else _numbers(args.lorentz)
+    p, q = (3.0, np.inf) if mode == "--weak-l3" else _numbers(args.lorentz)
     radius = _ball_radius(args.domain)
     resolution = _numbers(args.resolution, int)
     probe = _probe(args.field, "norms", ("landau", "grid", "scalar"))
@@ -658,7 +659,7 @@ def cmd_norms(args):
         "domain_radius": radius,
     }
     expected = args.expect
-    if expected is None and args.weak_l3 and args.field == "r^-1":
+    if expected is None and mode == "--weak-l3" and args.field == "r^-1":
         expected = WEAK_L3_R_INV
     if expected is None:
         return payload, None
@@ -765,12 +766,12 @@ def build_parser():
     p.add_argument("--field", action=_ModeFlag,
                    help="field spec (landau:A=2, r^-1, ...)")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--weak-l3", action="store_true", dest="weak_l3")
+    mode.add_argument("--weak-l3", action="store_true")
     mode.add_argument("--lorentz", type=_LORENTZ_PAIR,
                       help="exponent pair p,q")
     mode.add_argument("--decay", action="store_true",
                       help="weighted shell deviation from a reference")
-    mode.add_argument("--sweep-beta", type=_SWEEP, dest="sweep_beta",
+    mode.add_argument("--sweep-beta", type=_SWEEP,
                       help="start:stop:count sweep of sup |U| on |x| = 1")
     p.add_argument("--domain", type=_BALL, default="ball:2", action=_ModeFlag,
                    help="sampling domain ball:<R> (--weak-l3, --lorentz)")
@@ -786,7 +787,10 @@ def build_parser():
                    action=_ModeFlag, help="shell radii (--decay)")
     p.add_argument("--expect", type=_NONZERO, action=_ModeFlag,
                    help="reference value for pass/fail (--weak-l3, --lorentz)")
-    add_common(p, cmd_norms, 0.02)
+    p.add_argument("--tol", type=_POSITIVE, default=0.02, action=_ModeFlag,
+                   help="tolerance of the graded value (every mode but "
+                        "--sweep-beta)")
+    add_common(p, cmd_norms)
 
     return parser
 

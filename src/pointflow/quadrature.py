@@ -251,18 +251,21 @@ def lorentz_quasinorm(values, weights, p, q):
     v = values[order]
     t = np.cumsum(weights[order])
     # a value that still overflows fails NormReport's check unwarned
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if np.isinf(q):
             value = float(np.max(t**(1.0 / p) * v))
             norm_id = "weak-L3" if p == 3.0 else f"weak-L{p:g}"
         else:
-            # the powers see v / v_max and t / t_total, both <= 1, so no
-            # power of a large sample or measure overflows
-            top = v[0] if v[0] > 0.0 else 1.0
-            tq = (t / t[-1])**(q / p)
-            increments = np.diff(np.concatenate(([0.0], tq)))
-            value = float(top * t[-1]**(1.0 / p) * (
-                p / q * np.sum((v / top)**q * increments))**(1.0 / q))
+            # each term v_k^q t_k^{q/p} (1 - (t_{k-1}/t_k)^{q/p}) is taken
+            # by its logarithm and scaled by the largest one, so no power
+            # of a large or small sample or measure overflows or underflows
+            s = q / p
+            log_t = np.log(t)
+            log_terms = (q * np.log(v) + s * log_t + np.log(-np.expm1(
+                s * (np.concatenate(([-np.inf], log_t[:-1])) - log_t))))
+            top = np.max(log_terms)
+            value = 0.0 if top == -np.inf else float(np.exp(top / q) * (
+                p / q * np.sum(np.exp(log_terms - top)))**(1.0 / q))
             norm_id = f"L({p:g},{q:g})"
     return NormReport(value=value, norm_id=norm_id,
                       meta={"n_samples": int(values.size)})

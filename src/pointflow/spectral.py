@@ -421,9 +421,10 @@ def make_forcing(n, amplitude, seed=None):
 
     With seed None the deterministic shear triple (sin(y/2), sin(z/2),
     sin(x/2)) is used, kept on its band of cut 1; an integer seed draws a
-    random band-limited field instead (modes up to |k_int| <= 3),
-    Leray-projected and rescaled so the maximal pointwise speed equals
-    the amplitude.  Both lie inside the band every Picard step keeps.
+    random band-limited field instead (modes up to |k_int| <= min(3,
+    n // 3)), Leray-projected and rescaled so the maximal pointwise speed
+    equals the amplitude.  Both lie inside the band of cut n // 3 that
+    every Picard step keeps (the shear triple once n >= 3).
     """
     n = int(n)
     amplitude = float(amplitude)
@@ -439,7 +440,7 @@ def make_forcing(n, amplitude, seed=None):
             comp[...] = wave.reshape(shape)
             band.append(_physical_to_band(comp, 1))
         return SpectralField(_put_band(np.stack(band), n))
-    cut = 3
+    cut = min(3, n // 3)
     rng = np.random.default_rng(seed)
     # three (n, n, n) draws continue the stream as one (3, n, n, n) draw
     band = np.stack([_physical_to_band(rng.standard_normal((n, n, n)), cut)
@@ -472,7 +473,7 @@ def picard_step(v, drift, forcing):
     dealiased band B of cut n // 3: the tensor products are formed in
     physical space from the samples of v's band and the divergence is
     taken spectrally on B.  Any part of f outside B is dropped (make_forcing
-    builds forcings inside it).  The tensor is symmetric, so only its 6
+    builds forcings inside it for n >= 3).  The tensor is symmetric, so only its 6
     distinct entries are formed.
 
     The step streams: 3 pruned inverses bring v's band to physical space,

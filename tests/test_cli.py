@@ -363,6 +363,16 @@ class TestNormsCommand:
                 assert run(tmp_path, *argv)[0] == EXIT_PASS
         assert capsys.readouterr().err == ""
 
+    def test_lorentz_norm_with_small_scaled_terms(self, tmp_path):
+        # at p = 1.5 the terms scaled by v_max^q and t_total^{q/p} fall
+        # below the subnormals; the value computed with unscaled powers
+        # is finite, and the scaled terms keep it
+        code, report = run(tmp_path, "norms", "--field", "r^-2",
+                           "--lorentz", "1.5,64")
+        assert code == EXIT_PASS
+        assert report["payload"]["value"] == pytest.approx(
+            2.6658620427580786, rel=1e-14)
+
 
 class TestReportContract:
     def test_payload_determinism(self, tmp_path):
@@ -615,6 +625,7 @@ class TestNormsFlags:
           "--domain", "ball:2"], "--domain"),
         (["--field", "landau:A=2", "--decay", "--ref", "A=2", "--expect", "1"],
          "--expect"),
+        (["--sweep-beta", "1:2:3", "--tol", "5"], "--tol"),
     ])
     def test_flag_of_another_mode_is_config_error(self, tmp_path, capsys,
                                                   argv, named):

@@ -216,8 +216,8 @@ class TestLorentzQuasinorm:
         assert report.value == pytest.approx((4 * np.pi / 3.0)**(1 / 3.0), rel=0.02)
 
     def test_finite_q_matches_the_unscaled_sum(self):
-        # the powers see v / v_max and t / t_total; against the unscaled
-        # sum only round-off moves, and q = inf keeps its expression
+        # the terms are scaled by the largest one in log form; against the
+        # unscaled sum only round-off moves, and q = inf keeps its expression
         rng = np.random.default_rng(47)
         values = 10.0 * rng.random(400)
         weights = rng.random(400) + 0.1
@@ -230,6 +230,31 @@ class TestLorentzQuasinorm:
                 pytest.approx(unscaled, rel=1e-14))
         assert (lorentz_quasinorm(values, weights, 3.0, np.inf).value
                 == float(np.max(t**(1.0 / 3.0) * v)))
+
+    def test_finite_q_of_large_and_small_samples(self):
+        # r^-2 on a ball: the unscaled powers of the largest samples and of
+        # the smallest cumulative measures leave the float range at large
+        # q; the scaled terms reproduce the unscaled value where it is
+        # finite and stay positive and finite where it is not
+        values, weights = ball_samples(
+            lambda pts: np.sum(pts**2, axis=1)**-1.0, 2.0, n_r=400,
+            n_theta=16)
+        order = np.argsort(values)[::-1]
+        v, t = values[order], np.cumsum(weights[order])
+        for p, q in [(1.5, 64.0), (1.5, 40.0), (3.0, 64.0), (1.01, 64.0)]:
+            tq = np.diff(np.concatenate(([0.0], t**(q / p))))
+            unscaled = (p / q * np.sum(v**q * tq))**(1.0 / q)
+            assert 0.0 < unscaled < np.inf
+            assert lorentz_quasinorm(values, weights, p, q).value == (
+                pytest.approx(unscaled, rel=1e-14))
+        for scale in (1e-200, 1e200):
+            with np.errstate(over="ignore", under="ignore"):
+                tq = np.diff(np.concatenate(([0.0], t**(64.0 / 3.0))))
+                unscaled = (3.0 / 64.0 * np.sum((scale * v)**64 * tq))
+            assert unscaled in (0.0, np.inf)
+            value = lorentz_quasinorm(scale * values, weights, 3.0, 64.0).value
+            base = lorentz_quasinorm(values, weights, 3.0, 64.0).value
+            assert value == pytest.approx(scale * base, rel=1e-13)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(41)

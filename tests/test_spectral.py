@@ -407,6 +407,17 @@ class TestForcing:
         speed = np.linalg.norm(f.to_physical(), axis=0)
         assert speed.max() == pytest.approx(7e-2, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [3, 6, 8, 9, 16])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_forcing_inside_the_picard_band(self, n, seed):
+        # picard_step keeps the band of cut n // 3 and drops the rest of f
+        f = make_forcing(n, 1e-2, seed=seed)
+        k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+        outside = ((k[:, None, None] > n // 3) | (k[None, :, None] > n // 3)
+                   | (k[None, None, :n // 2 + 1] > n // 3))
+        assert np.any(f.coeff != 0.0)
+        assert not np.any(f.coeff[:, outside])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_forcing(N, -1.0)
