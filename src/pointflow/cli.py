@@ -611,7 +611,8 @@ _NORMS_MODE_FLAGS = {
 def cmd_norms(args):
     mode, = (flag for flag in _NORMS_MODE_FLAGS
              if getattr(args, flag[2:].replace("-", "_")))
-    for flag in getattr(args, "given", ()):
+    given = getattr(args, "given", ())
+    for flag in given:
         _require(flag in _NORMS_MODE_FLAGS[mode],
                  f"{flag} does not apply to norms {mode}")
     if mode == "--sweep-beta":
@@ -631,6 +632,9 @@ def cmd_norms(args):
         probe = _probe(args.field, "norms --decay", ("landau",))
         ref = _probe("landau:" + args.ref, "norms --decay", ("landau",),
                      "--ref").params
+        graded = probe.params.b.tolist() == ref.b.tolist()
+        _require(graded or "--tol" not in given,
+                 "--tol grades nothing in norms --decay against another force")
         shells = _numbers(args.shells)
         report = decay_report(probe, ref, args.q, shells)
         payload = {
@@ -640,10 +644,14 @@ def cmd_norms(args):
             "value": report.value,
             "tolerance": args.tol,
         }
-        if probe.params.b.tolist() == ref.b.tolist():
-            return payload, report.value <= args.tol
-        return payload, None
+        return payload, report.value <= args.tol if graded else None
     _require(args.field, "norm computation needs --field")
+    expected = args.expect
+    if expected is None and mode == "--weak-l3" and args.field == "r^-1":
+        expected = WEAK_L3_R_INV
+    _require(expected is not None or "--tol" not in given,
+             f"--tol grades nothing in norms {mode} of {args.field} without "
+             "--expect")
     p, q = (3.0, np.inf) if mode == "--weak-l3" else _numbers(args.lorentz)
     radius = _ball_radius(args.domain)
     resolution = _numbers(args.resolution, int)
@@ -658,9 +666,6 @@ def cmd_norms(args):
         "n_samples": report.meta["n_samples"],
         "domain_radius": radius,
     }
-    expected = args.expect
-    if expected is None and mode == "--weak-l3" and args.field == "r^-1":
-        expected = WEAK_L3_R_INV
     if expected is None:
         return payload, None
     err = abs(report.value - expected) / abs(expected)

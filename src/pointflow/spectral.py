@@ -35,8 +35,15 @@ Fields are real, so only half of their spectrum is stored: the
 (3, n, n, n//2 + 1) array that scipy.fft.rfftn returns, whose last axis
 holds the frequencies 0 .. n//2.  A band of cut c is the
 (2c + 1, 2c + 1, c + 1) block of it with every integer frequency <= c,
-its rows in FFT order (0 .. c, then -c .. -1).  W^{1,2} norms follow from
-the coefficients by Parseval.  The odd-derivative wavenumber is zero at
+its rows in FFT order (0 .. c, then -c .. -1).  A SpectralField stores
+either the whole half spectrum or, when every mode outside it is zero,
+the band of cut c together with n.  The forcing and the drift are stored
+whole; every Picard iterate is a band of cut n // 3, 30% of the half
+spectrum at n = 64, so the iteration never holds, subtracts or squares
+a whole one.  W^{1,2} norms follow from the coefficients by Parseval; a
+band's weighted |coeff|^2 terms are summed inside a zeroed half-spectrum
+array, so numpy's pairwise summation adds them in the same groups and
+every norm keeps its bits.  The odd-derivative wavenumber is zero at
 the Nyquist index of every axis, which is what the real part of a full
 complex derivative gives as well.
 
@@ -48,13 +55,17 @@ reaches.  The inverse runs its passes unscaled and applies irfftn's
 the full 3-D ones, while scaling after the first pass would not unless n
 is a power of two.  The Picard step brings v's band to physical space
 one component at a time, forms the 6 distinct entries of the symmetric
-tensor on the full grid (the only stage that needs it), transforms each
-straight to the band, and runs the Leray projection and the Stokes solve
-in place on the band, where both act mode by mode.  The drift build's
-dealiased samples and both forcing builds go through the same pruned
-transforms; the drift's own forward rfftn, like that of
-SpectralField.from_physical (and the irfftn of to_physical), is one
-full call stacked over the (3, n, n, n) samples.  A component's
+tensor on the full grid (the only stage that needs it), a slab of
+axis-0 planes at a time, each slab's rfft along the last axis straight
+after its products, finishes each entry's transform to the band, and
+runs the Leray projection and the Stokes solve in place on the band,
+where both act mode by mode.  The zero iterate skips all of that: its
+tensor is zero, so its image is the Stokes solve of the forcing's band.
+The drift build's dealiased samples, both forcing builds and the
+samples of a band field go through the same pruned transforms; the
+drift's own forward rfftn, like that of SpectralField.from_physical
+(and the irfftn of a whole field's to_physical), is one full call
+stacked over the (3, n, n, n) samples.  A component's or a slab's
 transform gives the same bits alone as inside a stacked call, and the
 in-place arithmetic repeats the out-of-place expressions element by
 element, so every result keeps its bits.
@@ -85,6 +96,11 @@ BOX = 4.0 * np.pi
 
 _DIVERGENCE_FACTOR = 1e3
 
+# bytes of the slab of axis-0 planes in which picard_step forms a tensor
+# entry and transforms it along the last axis: the products stay in
+# cache, and the step holds neither a whole entry nor its whole rfft
+_SLAB_BYTES = 2**18
+
 
 @lru_cache(maxsize=16)
 def _wavenumbers(n, cut=None):
@@ -105,12 +121,16 @@ def _wavenumbers(n, cut=None):
 
 
 @lru_cache(maxsize=8)
-def _parseval_weights(n):
+def _parseval_weights(n, cut=None):
     """(w, w |k|^2): how many modes each stored column stands for.
 
     Columns 1 .. n/2 - 1 of the last axis stand for themselves and their
-    conjugates; column 0 and, for even n, column n/2 for one mode.
+    conjugates; column 0 and, for even n, column n/2 for one mode.  With
+    a cut both are restricted to the band of that cut.
     """
+    if cut is not None:
+        w, wk2 = _parseval_weights(n)
+        return w[:cut + 1], _take_band(wk2, cut)
     w = np.full(n // 2 + 1, 2.0)
     w[0] = 1.0
     if n % 2 == 0:
@@ -141,7 +161,7 @@ def _take_band(coeff, cut):
 def _put_band(band, n):
     """The zero-filled (..., n, n, n//2 + 1) half spectrum holding band."""
     rows = _band_rows(n, band.shape[-1] - 1)
-    out = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=complex)
+    out = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=band.dtype)
     out[..., rows[:, None], rows, :band.shape[-1]] = band
     return out
 
@@ -167,7 +187,7 @@ def _band_to_physical(band, n):
     full[:, :w, :w] = tall[:, :w]
     full[:, n - cut:, :w] = tall[:, w:]
     del tall
-    full[..., :w] = scipy.fft.ifft(full[..., :w], axis=1, norm="forward")
+    scipy.fft.ifft(full[..., :w], axis=1, norm="forward", overwrite_x=True)
     samples = scipy.fft.irfft(full, n=n, axis=2, norm="forward")
     samples *= 1.0 / n**3
     return samples
@@ -182,8 +202,17 @@ def _physical_to_band(samples, cut):
     """
     rows = _band_rows(samples.shape[0], cut)
     half = scipy.fft.rfft(samples, axis=2)[..., :len(rows) // 2 + 1]
-    half = scipy.fft.fft(half, axis=0, overwrite_x=True)[rows]
-    return scipy.fft.fft(half, axis=1, overwrite_x=True)[:, rows]
+    return _columns_to_band(half, rows)
+
+
+def _columns_to_band(half, rows):
+    """The band rows of the fft along axes 0 and 1 of half.
+
+    half is an (n, n, cut + 1) block of rfft columns along axis 2; the
+    axis-0 pass overwrites it.
+    """
+    scipy.fft.fft(half, axis=0, overwrite_x=True)
+    return scipy.fft.fft(half[rows], axis=1, overwrite_x=True)[:, rows]
 
 
 def _axis(n):
@@ -193,55 +222,90 @@ def _axis(n):
 
 @dataclass
 class SpectralField:
-    """Real periodic 3-vector field stored as its half spectrum.
+    """Real periodic 3-vector field on the n^3 torus grid, stored as its
+    half spectrum or as a band of it.
 
-    coeff has the shape (3, n, n, n//2 + 1) of scipy.fft.rfftn output: the
-    last axis keeps the frequencies 0 .. n//2, the rest are the complex
-    conjugates of stored modes.  Columns 1 .. n/2 - 1 of that axis thus
-    stand for two modes each, column 0 and (for even n) column n/2 for
-    one, and Parseval norms weight them so.  Those two self-conjugate
-    columns are Hermitian in the first two axes, as rfftn makes them.
-    The odd-derivative wavenumber is zero at each axis' Nyquist index.
-    The mean mode is kept at zero by the operations here.
+    coeff has either the shape (3, n, n, n//2 + 1) of scipy.fft.rfftn
+    output, the whole half spectrum, or the shape (3, 2c + 1, 2c + 1,
+    c + 1) of its band of cut c < n / 2 (see _take_band), outside which
+    every mode is zero.  n is then given; it defaults to coeff.shape[1].
+    The last axis keeps the frequencies 0 .. n//2, the rest are the
+    complex conjugates of stored modes.  Columns 1 .. n/2 - 1 of that
+    axis thus stand for two modes each, column 0 and (for even n) column
+    n/2 for one, and Parseval norms weight them so.  Those two
+    self-conjugate columns are Hermitian in the first two axes, as rfftn
+    makes them.  The odd-derivative wavenumber is zero at each axis'
+    Nyquist index.  The mean mode is kept at zero by the operations here.
+    Every operation gives a band the bits it gives the zero-filled whole
+    spectrum.
     """
 
     coeff: np.ndarray
+    n: int = None
 
     def __post_init__(self):
         self.coeff = np.asarray(self.coeff, dtype=complex)
-        n = self.coeff.shape[1]
-        if self.coeff.shape != (3, n, n, n // 2 + 1):
-            raise ValueError("coefficients must have shape (3, n, n, n//2 + 1)")
+        m = self.coeff.shape[1]
+        self.n = m if self.n is None else int(self.n)
+        if self.coeff.shape != (3, m, m, m // 2 + 1) or not (
+                m == self.n or m % 2 == 1 and m < self.n):
+            raise ValueError("coefficients must have shape (3, n, n, n//2 + 1)"
+                             " or, for a band of cut c < n / 2, (3, 2c + 1,"
+                             " 2c + 1, c + 1)")
 
     @property
-    def n(self):
-        return self.coeff.shape[1]
+    def cut(self):
+        """The cut of the stored band, None for the whole half spectrum."""
+        m = self.coeff.shape[1]
+        return None if m == self.n else m // 2
 
     @classmethod
-    def zeros(cls, n):
-        return cls(np.zeros((3, n, n, n // 2 + 1), dtype=complex))
+    def zeros(cls, n, cut=None):
+        """The zero field, stored whole or as the band of cut."""
+        m = n if cut is None else 2 * cut + 1
+        return cls(np.zeros((3, m, m, m // 2 + 1), dtype=complex), n)
 
     @classmethod
     def from_physical(cls, values):
         return cls(scipy.fft.rfftn(np.asarray(values), axes=(1, 2, 3)))
 
+    def half_spectrum(self):
+        """The (3, n, n, n//2 + 1) coefficients, a band zero-filled."""
+        return self.coeff if self.cut is None else _put_band(self.coeff, self.n)
+
+    def _band(self, cut):
+        """The band of cut of coeff (coeff itself when stored so)."""
+        return self.coeff if self.cut == cut else _take_band(
+            self.half_spectrum(), cut)
+
     def to_physical(self):
-        """Real-space samples (3, n, n, n)."""
+        """Real-space samples (3, n, n, n); a band's through the pruned
+        inverses, a component at a time."""
         n = self.n
-        return scipy.fft.irfftn(self.coeff, s=(n, n, n), axes=(1, 2, 3))
+        if self.cut is None:
+            return scipy.fft.irfftn(self.coeff, s=(n, n, n), axes=(1, 2, 3))
+        samples = np.empty((3, n, n, n))
+        for dst, band in zip(samples, self.coeff):
+            dst[...] = _band_to_physical(band, n)
+        return samples
 
     def divergence_defect(self):
         """max |k . vhat| over modes, scaled by the field's gradient size."""
         k, _, _ = _wavenumbers(self.n)
-        div = np.einsum("aijk,aijk->ijk", k, self.coeff)
-        scale = np.max(np.abs(k) * np.max(np.abs(self.coeff)))
+        coeff = self.half_spectrum()
+        div = np.einsum("aijk,aijk->ijk", k, coeff)
+        scale = np.max(np.abs(k) * np.max(np.abs(coeff)))
         return float(np.max(np.abs(div)) / scale) if scale > 0.0 else 0.0
 
     def __sub__(self, other):
-        return SpectralField(self.coeff - other.coeff)
+        if other.n != self.n:
+            raise ValueError("fields on different grids")
+        if other.cut == self.cut:
+            return SpectralField(self.coeff - other.coeff, self.n)
+        return SpectralField(self.half_spectrum() - other.half_spectrum())
 
     def __rmul__(self, scalar):
-        return SpectralField(scalar * self.coeff)
+        return SpectralField(scalar * self.coeff, self.n)
 
     def _power(self):
         """|coeff|^2 summed over the components, one component at a time."""
@@ -253,9 +317,16 @@ class SpectralField:
                 power += c.real**2 + c.imag**2
         return power
 
-    def _parseval(self, power, weights):
-        """sqrt(BOX^3 / n^6 * sum of weights * power over stored modes)."""
-        return float(np.sqrt(np.sum(power * weights) * BOX**3 / self.n**6))
+    def _parseval(self, terms):
+        """sqrt(BOX^3 / n^6 * sum of terms), one term per stored mode.
+
+        A band's terms are summed in a zeroed (n, n, n//2 + 1) array, so
+        numpy's pairwise summation groups them as it does for the whole
+        half spectrum and the sum keeps its bits.
+        """
+        if self.cut is not None:
+            terms = _put_band(terms, self.n)
+        return float(np.sqrt(np.sum(terms) * BOX**3 / self.n**6))
 
     def w1r(self, r):
         """Discrete W^{1,r} norm with spectral gradients.
@@ -265,8 +336,8 @@ class SpectralField:
         """
         if r == 2.0:
             power = self._power()
-            w, wk2 = _parseval_weights(self.n)
-            return self._parseval(power, w) + self._parseval(power, wk2)
+            w, wk2 = _parseval_weights(self.n, self.cut)
+            return self._parseval(power * w) + self._parseval(power * wk2)
         return sobolev_norm(self.to_physical(), BOX, r).value
 
 
@@ -279,8 +350,8 @@ def leray_project(fld):
     field's component along that axis there, nor the projector remove it.
     """
     coeff = fld.coeff.copy()
-    _leray_in_place(coeff, fld.n)
-    return SpectralField(coeff)
+    _leray_in_place(coeff, fld.n, fld.cut)
+    return SpectralField(coeff, fld.n)
 
 
 def _leray_in_place(coeff, n, cut=None):
@@ -314,8 +385,8 @@ def stokes_solve(forcing):
     nonzero mean mode (the torus Stokes operator cannot balance it).
     """
     coeff = forcing.coeff.copy()
-    _stokes_in_place(coeff, forcing.n)
-    return SpectralField(coeff)
+    _stokes_in_place(coeff, forcing.n, forcing.cut)
+    return SpectralField(coeff, forcing.n)
 
 
 def _stokes_in_place(coeff, n, cut=None):
@@ -408,9 +479,7 @@ def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
     _leray_in_place(coeff, n)
     deviation = _projection_deviation(samples, coeff)
     del samples
-    phys = np.empty((3, n, n, n))
-    for dst, band in zip(phys, _take_band(coeff, n // 3)):
-        dst[...] = _band_to_physical(band, n)
+    phys = SpectralField(_take_band(coeff, n // 3), n).to_physical()
     return MollifiedDrift(params=params, delta_in=delta_in, delta_out=delta_out,
                           field=SpectralField(coeff),
                           projection_deviation=deviation, phys_dealiased=phys)
@@ -477,38 +546,54 @@ def picard_step(v, drift, forcing):
     distinct entries are formed.
 
     The step streams: 3 pruned inverses bring v's band to physical space,
-    then each entry M_ij, in the order of _SYM_PAIRS, is formed in one
-    (n, n, n) scratch, transformed by one pruned forward to B, and folded
+    then each entry M_ij, in the order of _SYM_PAIRS, is formed a slab of
+    _SLAB_BYTES at a time, each slab transformed along the last axis as
+    soon as it is formed, finished by the pruned passes to B, and folded
     into the divergence rows it feeds (row i gains k_j M_ij, row j gains
     k_i M_ij) before the next is formed.  In that order every row adds its
     terms as k_0 M_i0 + k_1 M_i1 + k_2 M_i2 from the left, except that
     row 1 starts with k_1 M_11 + k_0 M_10, a swap that IEEE addition does
     not see; so the step keeps the bits of one stacked 6-entry transform.
-    The Stokes solve runs in place on the band, which is then written into
-    a zeroed half spectrum.
+    The Stokes solve runs in place on the band, and the result is that
+    band: a SpectralField of cut n // 3.  When v's band is zero, so is the
+    tensor, and the step returns the Stokes solve of f's band without a
+    transform.
     """
     n = v.n
     if drift is not None and drift.n != n:
         raise ValueError("drift grid does not match the iterate")
     cut = n // 3   # the 2/3 rule
+    v_band = v._band(cut)
+    if not v_band.any():
+        # the tensor of the zero field is zero: Phi(0) = S(P_B f)
+        return stokes_solve(SpectralField(forcing._band(cut), n))
     k, _, _ = _wavenumbers(n, cut)
-    v_phys = [_band_to_physical(b, n) for b in _take_band(v.coeff, cut)]
+    v_phys = [_band_to_physical(b, n) for b in v_band]
+    del v_band   # a copy when v is stored whole
     u_phys = None if drift is None else drift.phys_dealiased
     div_M = np.empty((3,) + k.shape[1:], dtype=complex)
     started = [False, False, False]
     term = np.empty(k.shape[1:], dtype=complex)
-    M = np.empty((n, n, n))
-    w_j = None if drift is None else np.empty((n, n, n))
+    rows = _band_rows(n, cut)
+    half = np.empty((n, n, cut + 1), dtype=complex)
+    planes = max(1, _SLAB_BYTES // (8 * n * n))
+    M = np.empty((min(planes, n), n, n))
+    w_j = None if drift is None else np.empty_like(M)
     for i, j in _SYM_PAIRS:
         # M_ij = U_i v_j + v_i (U + v)_j ; (div M)_i = d_j M_ij
-        if drift is None:
-            np.multiply(v_phys[i], v_phys[j], out=M)
-        else:
-            np.multiply(u_phys[i], v_phys[j], out=M)
-            np.add(u_phys[j], v_phys[j], out=w_j)
-            w_j *= v_phys[i]
-            M += w_j
-        M_hat = _physical_to_band(M, cut)
+        for a in range(0, n, planes):
+            s = slice(a, min(a + planes, n))
+            m = M[:s.stop - a]
+            if drift is None:
+                np.multiply(v_phys[i][s], v_phys[j][s], out=m)
+            else:
+                w = w_j[:s.stop - a]
+                np.multiply(u_phys[i][s], v_phys[j][s], out=m)
+                np.add(u_phys[j][s], v_phys[j][s], out=w)
+                w *= v_phys[i][s]
+                m += w
+            half[s] = scipy.fft.rfft(m, axis=2)[..., :cut + 1]
+        M_hat = _columns_to_band(half, rows)
         for row, kj in ((i, j),) if i == j else ((i, j), (j, i)):
             if started[row]:
                 np.multiply(k[kj], M_hat, out=term)
@@ -519,9 +604,9 @@ def picard_step(v, drift, forcing):
         del M_hat
     del v_phys, M, w_j
     div_M *= 1j
-    np.subtract(_take_band(forcing.coeff, cut), div_M, out=div_M)
+    np.subtract(forcing._band(cut), div_M, out=div_M)
     _stokes_in_place(div_M, n, cut)
-    return SpectralField(_put_band(div_M, n))
+    return SpectralField(div_M, n)
 
 
 @dataclass
@@ -571,12 +656,14 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
     reached; raises ContractionDivergedError when the iterate norm grows
     beyond a thousand times the first iterate (the cheap witness of
     leaving the smallness regime) or stops being finite.  With
-    second_start a second run from v0 = StokesSolve(f) / 2 is performed
-    and the W^{1,r} distance between the two fixed points is reported,
-    the numerical counterpart of the uniqueness argument.  That start
-    lies in the contraction ball (on the segment from 0 to
-    Phi(0) = StokesSolve(f)) but not on the first run's trajectory, so
-    the two runs are independent witnesses.
+    second_start a second run from v0 = Phi(0) / 2 is performed and the
+    W^{1,r} distance between the two fixed points is reported, the
+    numerical counterpart of the uniqueness argument.  Phi(0) =
+    StokesSolve(P_B f) is the first run's first iterate, so that start
+    costs no step; it lies in the contraction ball (on the segment from
+    0 to Phi(0)) but not on the first run's trajectory, so the two runs
+    are independent witnesses.  The iterates are bands of cut n // 3
+    from the zero band on (see picard_step).
     """
     r = float(r)
     if not (1.0 < r < 3.0):
@@ -589,8 +676,9 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
         raise ValueError("tolerance must be positive")
 
     def iterate(v, trace):
+        """(last iterate, whether it converged, first iterate)."""
         # v is rebound each step, so the start is released after one
-        first_norm = None
+        first = first_norm = None
         previous_increment = None
         for _ in range(max_iters):
             v_next = picard_step(v, drift, forcing)
@@ -601,8 +689,8 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
                 trace.increments.append(increment)
                 if previous_increment is not None and previous_increment > 0.0:
                     trace.ratios.append(increment / previous_increment)
-            if first_norm is None:
-                first_norm = norm
+            if first is None:
+                first, first_norm = v_next, norm
             v = v_next
             # on overflow an inf first norm bounds nothing and NaN fails
             # every comparison, so a non-finite norm counts by itself
@@ -610,17 +698,18 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
                                          > _DIVERGENCE_FACTOR * first_norm):
                 raise ContractionDivergedError(trace)
             if increment < tol:
-                return v, True
+                return v, True, first
             previous_increment = increment
-        return v, False
+        return v, False, first
 
     trace = IterationTrace(norms=[], increments=[], ratios=[], residual=np.nan,
                            converged=False, tol=tol)
-    v_star, converged = iterate(SpectralField.zeros(forcing.n), trace)
+    n = forcing.n
+    v_star, converged, phi0 = iterate(SpectralField.zeros(n, n // 3), trace)
     trace.converged = converged
     trace.residual = (v_star - picard_step(v_star, drift, forcing)).w1r(r)
 
     if second_start:
-        v_alt, _ = iterate(0.5 * stokes_solve(forcing), None)
+        v_alt, _, _ = iterate(0.5 * phi0, None)
         trace.uniqueness_distance = (v_star - v_alt).w1r(r)
     return trace

@@ -646,6 +646,30 @@ class TestNormsFlags:
         assert code == EXIT_CONFIG and report is None
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [
+        ["--weak-l3", "--resolution", "8,4,8"],
+        ["--lorentz", "3,inf", "--resolution", "8,4,8"],
+        ["--decay", "--ref", "A=3"],
+    ])
+    def test_tolerance_without_a_graded_value_is_config_error(
+            self, tmp_path, capsys, mode):
+        # no --expect, no r^-1 reference, or a reference of another force:
+        # --tol would grade nothing
+        code, report = run(tmp_path, "norms", "--field", "landau:A=2", *mode,
+                           "--tol", "5")
+        assert code == EXIT_CONFIG and report is None
+        assert "--tol grades nothing" in capsys.readouterr().err
+        code, report = run(tmp_path, "norms", "--field", "landau:A=2", *mode)
+        assert code == EXIT_PASS and report["passed"] is None
+
+    @pytest.mark.parametrize("mode", [["--weak-l3"], ["--lorentz", "3,inf"]])
+    def test_tolerance_with_expect_is_graded(self, tmp_path, mode):
+        code, report = run(tmp_path, "norms", "--field", "landau:A=2", *mode,
+                           "--resolution", "8,4,8", "--expect", "1",
+                           "--tol", "1e6")
+        assert code == EXIT_PASS and report["passed"] is True
+        assert report["payload"]["tolerance"] == 1e6
+
     def test_minimal_resolution_runs(self, tmp_path):
         code, report = run(tmp_path, "norms", "--field", "r^-1", "--weak-l3",
                            "--resolution", "2,2,4", "--tol", "1")

@@ -5,7 +5,8 @@ renamed or deleted name would break `perfbench/run.py --trace 1` without
 failing any other test, so this loads the tracer by path (reading it,
 never editing it), installs it over the current library and checks that
 every pointflow name it wraps resolves and that uninstalling puts every
-original back.
+original back.  It also traces one small Picard run and replays the
+run's trace from the recorded spans, as the traced benchmark does.
 """
 
 import importlib
@@ -90,3 +91,28 @@ def test_install_wraps_and_uninstall_restores(tracing):
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert not changed, f"not restored: {changed}"
+
+
+def test_traced_contraction_replays_its_trace(tracing):
+    import pointflow.spectral as spectral
+    drift = spectral.make_mollified_drift(
+        pointflow.LandauParams.from_magnitude(0.5), 16)
+    forcing = spectral.make_forcing(16, 1e-2, seed=3)
+    tracer = tracing.Tracer().install()
+    try:
+        tracer.job = 0
+        tracer.active = True
+        trace = spectral.run_contraction(drift, forcing, tol=1e-9)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    assert tracing.well_formed(spans) == []
+    (index,) = [i for i, s in enumerate(spans)
+                if s.name == "spectral.contraction"]
+    seq = tracing.contraction_sequence(spans, index, trace.tol)
+    assert seq["start1"] == trace.iterations
+    assert seq["increments"] == trace.increments
+    assert seq["norms"] == trace.norms
+    assert seq["residual"] == trace.residual
+    assert seq["uniqueness"] == trace.uniqueness_distance
