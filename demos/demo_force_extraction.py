@@ -11,8 +11,8 @@ non-solution perturbation) shows how radius drift flags the failure.
 import numpy as np
 
 from pointflow import (
-    CallableField, LandauField, LandauParams, SumField, delta_limit_probe,
-    extract_force_weak, flux_integral, make_test_function, weak_residual,
+    CallableField, LandauField, LandauParams, SumField, extract_force_weak,
+    flux_integral, make_test_function, weak_residual,
 )
 
 
@@ -39,7 +39,7 @@ def main():
 
     banner("2. Shrinking spheres (the delta-extraction limit)")
     eps = [0.8, 0.4, 0.2, 0.1, 0.05]
-    probes = delta_limit_probe(field, eps)
+    probes = [flux_integral(field, e) for e in eps]
     print(f"{'eps':>6} {'b_z(eps)':>16} {'drift from first':>18}")
     for e, b in zip(eps, probes):
         print(f"{e:6.2f} {b[2]:16.10f} {np.linalg.norm(b - probes[0]):18.3e}")
@@ -61,7 +61,7 @@ def main():
         [np.sin(pts[:, 1] + 0.7), np.sin(pts[:, 2] - 0.4),
          np.sin(pts[:, 0] + 0.2)], axis=1))
     broken = SumField(field, pert)
-    probes = delta_limit_probe(broken, eps)
+    probes = [flux_integral(broken, e) for e in eps]
     print(f"{'eps':>6} {'b_z(eps)':>16}")
     for e, b in zip(eps, probes):
         print(f"{e:6.2f} {b[2]:16.8f}")

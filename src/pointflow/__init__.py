@@ -19,7 +19,7 @@ from .quadrature import (
     flux_integral, lorentz_quasinorm, sobolev_norm, sphere_rule, weak_l3,
 )
 from .weakform import (
-    TestFunction, WeakResidual, delta_limit_probe, extract_force_weak,
+    TestFunction, WeakResidual, extract_force_weak,
     make_test_function, smoothstep7, weak_residual,
 )
 from .spectral import (

@@ -31,44 +31,39 @@ delta_in / 2 and outside delta_out, re-projected to be divergence free
 caused by the projection is reported.  Quadratic products are dealiased
 by the 2/3 rule.
 
-Fields are real, so only half of their spectrum is stored: the
-(3, n, n, n//2 + 1) array that scipy.fft.rfftn returns, whose last axis
-holds the frequencies 0 .. n//2.  A band of cut c is the
-(2c + 1, 2c + 1, c + 1) block of it with every integer frequency <= c,
-its rows in FFT order (0 .. c, then -c .. -1).  A SpectralField stores
-either the whole half spectrum or, when every mode outside it is zero,
-the band of cut c together with n.  The forcing and the drift are stored
-whole; every Picard iterate is a band of cut n // 3, 30% of the half
-spectrum at n = 64, so the iteration never holds, subtracts or squares
-a whole one.  W^{1,2} norms follow from the coefficients by Parseval; a
-band's weighted |coeff|^2 terms are summed inside a zeroed half-spectrum
-array, so numpy's pairwise summation adds them in the same groups and
-every norm keeps its bits.  The odd-derivative wavenumber is zero at
-the Nyquist index of every axis, which is what the real part of a full
-complex derivative gives as well.
+Fields are real and stored as a band of their half spectrum: of the
+(n, n, n//2 + 1) array that scipy.fft.rfftn returns per component, the
+(2c + 1, 2c + 1, c + 1) block of the modes with every integer frequency
+<= c, for a cut c <= (n - 1) // 2, its rows in FFT order (0 .. c, then
+-c .. -1).  No band holds a Nyquist index.  There the odd-derivative
+wavenumber is zero, so the discrete divergence cannot see a component
+and a Leray projection on the whole grid drops it; the band of cut
+(n - 1) // 2 thus holds every mode a Leray-projected field can carry.
+The drift is that band, the forcing its own small one, and every Picard
+iterate the band of cut n // 3, 30% of the half spectrum at n = 64.
+W^{1,2} norms follow from the coefficients by Parseval; a band's
+weighted |coeff|^2 terms are summed inside a zeroed half-spectrum array,
+so numpy's pairwise summation adds them in the groups of the zero-filled
+half spectrum and every norm keeps those bits.
 
-Transforms that start or end on a band are pruned: one-axis passes in
-rfftn's order (rfft along the last axis, then fft along the first and
-the second), or irfftn's in reverse, each on only the columns the band
-reaches.  The inverse runs its passes unscaled and applies irfftn's
-1 / n^3 once, at the end; there the pruned transforms keep the bits of
-the full 3-D ones, while scaling after the first pass would not unless n
-is a power of two.  The Picard step brings v's band to physical space
-one component at a time, forms the 6 distinct entries of the symmetric
+Every transform is pruned: one-axis passes in rfftn's order (rfft along
+the last axis, then fft along the first and the second), or irfftn's in
+reverse, each on only the columns the band reaches, one component at a
+time.  The inverse runs its passes unscaled and applies irfftn's 1 / n^3
+once, at the end; so the pruned transforms keep the bits of the full
+3-D ones on the zero-filled half spectrum, while scaling after the first
+pass would not unless n is a power of two.  The Picard step brings v's
+band to physical space, forms the 6 distinct entries of the symmetric
 tensor on the full grid (the only stage that needs it), a slab of
 axis-0 planes at a time, each slab's rfft along the last axis straight
 after its products, finishes each entry's transform to the band, and
 runs the Leray projection and the Stokes solve in place on the band,
 where both act mode by mode.  The zero iterate skips all of that: its
 tensor is zero, so its image is the Stokes solve of the forcing's band.
-The drift build's dealiased samples, both forcing builds and the
-samples of a band field go through the same pruned transforms; the
-drift's own forward rfftn, like that of SpectralField.from_physical
-(and the irfftn of a whole field's to_physical), is one full call
-stacked over the (3, n, n, n) samples.  A component's or a slab's
-transform gives the same bits alone as inside a stacked call, and the
-in-place arithmetic repeats the out-of-place expressions element by
-element, so every result keeps its bits.
+A component's or a slab's transform gives the same bits alone as inside
+a stacked call, and the in-place arithmetic repeats the out-of-place
+expressions element by element, so every result keeps the bits of the
+stacked, whole-spectrum computation.
 
 The transforms keep scipy.fft's single worker.  Two workers give the
 same bits, but on a shared 2-vCPU host they made Picard runs slower and
@@ -103,17 +98,14 @@ _SLAB_BYTES = 2**18
 
 
 @lru_cache(maxsize=16)
-def _wavenumbers(n, cut=None):
-    """(k, |k|^2, 1/|k|^2 with the zero mode masked) on the half spectrum.
+def _wavenumbers(n, cut):
+    """(k, |k|^2, 1/|k|^2 with the zero mode masked) on the band of cut.
 
-    k is zero at the Nyquist index of each axis, and |k|^2 is taken from
-    that k, so it is also the Parseval weight of the gradient.  With a
-    cut the three tables are restricted to the band of that cut.
+    |k|^2 is also the Parseval weight of the gradient.
     """
-    if cut is not None:
-        return tuple(_take_band(t, cut) for t in _wavenumbers(n))
-    shape = (n, n, n // 2 + 1)
-    k = np.stack([np.broadcast_to(ka, shape) for ka in _half_wavenumbers(n, BOX)])
+    rows = _band_rows(n, cut)
+    kx, ky, kz = _half_wavenumbers(n, BOX)
+    k = np.stack(np.broadcast_arrays(kx[rows], ky[:, rows], kz[..., :cut + 1]))
     k2 = (k**2).sum(axis=0)
     inv_k2 = np.zeros_like(k2)
     inv_k2[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
@@ -121,28 +113,21 @@ def _wavenumbers(n, cut=None):
 
 
 @lru_cache(maxsize=8)
-def _parseval_weights(n, cut=None):
-    """(w, w |k|^2): how many modes each stored column stands for.
+def _parseval_weights(n, cut):
+    """(w, w |k|^2) on the band of cut: how many modes each column stands for.
 
-    Columns 1 .. n/2 - 1 of the last axis stand for themselves and their
-    conjugates; column 0 and, for even n, column n/2 for one mode.  With
-    a cut both are restricted to the band of that cut.
+    Column 0 of the last axis stands for one mode, every other column for
+    itself and its conjugate (a band has no Nyquist column).
     """
-    if cut is not None:
-        w, wk2 = _parseval_weights(n)
-        return w[:cut + 1], _take_band(wk2, cut)
-    w = np.full(n // 2 + 1, 2.0)
+    w = np.full(cut + 1, 2.0)
     w[0] = 1.0
-    if n % 2 == 0:
-        w[-1] = 1.0
-    return w, w * _wavenumbers(n)[1]
+    return w, w * _wavenumbers(n, cut)[1]
 
 
 def _band_rows(n, cut):
     """Indices of the integer frequencies -cut .. cut on a full FFT axis.
 
-    cut is capped at (n - 1) // 2, so the band never holds a Nyquist
-    index (which every Leray projection here zeroes anyway).
+    cut is capped at (n - 1) // 2, so the band never holds a Nyquist index.
     """
     cut = min(cut, (n - 1) // 2)
     return np.r_[0:cut + 1, n - cut:n]
@@ -153,13 +138,16 @@ def _take_band(coeff, cut):
 
     The band holds the modes with every integer frequency <= cut, the
     rows of its first two axes in FFT order (0 .. cut, then -cut .. -1).
+    A band of a larger cut c is such a half spectrum itself, its axes
+    FFT axes of length 2 c + 1.
     """
     rows = _band_rows(coeff.shape[-2], cut)
     return coeff[..., rows[:, None], rows, :len(rows) // 2 + 1]
 
 
 def _put_band(band, n):
-    """The zero-filled (..., n, n, n//2 + 1) half spectrum holding band."""
+    """The zero-filled (..., n, n, n//2 + 1) half spectrum holding band,
+    which with n = 2 c + 1 is the zero-filled band of a larger cut c."""
     rows = _band_rows(n, band.shape[-1] - 1)
     out = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=band.dtype)
     out[..., rows[:, None], rows, :band.shape[-1]] = band
@@ -222,87 +210,60 @@ def _axis(n):
 
 @dataclass
 class SpectralField:
-    """Real periodic 3-vector field on the n^3 torus grid, stored as its
-    half spectrum or as a band of it.
+    """Real periodic 3-vector field on the n^3 torus grid, stored as a band.
 
-    coeff has either the shape (3, n, n, n//2 + 1) of scipy.fft.rfftn
-    output, the whole half spectrum, or the shape (3, 2c + 1, 2c + 1,
-    c + 1) of its band of cut c < n / 2 (see _take_band), outside which
-    every mode is zero.  n is then given; it defaults to coeff.shape[1].
-    The last axis keeps the frequencies 0 .. n//2, the rest are the
-    complex conjugates of stored modes.  Columns 1 .. n/2 - 1 of that
-    axis thus stand for two modes each, column 0 and (for even n) column
-    n/2 for one, and Parseval norms weight them so.  Those two
-    self-conjugate columns are Hermitian in the first two axes, as rfftn
-    makes them.  The odd-derivative wavenumber is zero at each axis'
-    Nyquist index.  The mean mode is kept at zero by the operations here.
-    Every operation gives a band the bits it gives the zero-filled whole
-    spectrum.
+    coeff is the (3, 2c + 1, 2c + 1, c + 1) band of cut c <= (n - 1) // 2
+    of the field's rfftn half spectrum (see _take_band); every mode
+    outside it is zero.  The last axis keeps the frequencies 0 .. c, the
+    rest are the complex conjugates of stored modes, so column 0 stands
+    for one mode and every other column for two, and Parseval norms
+    weight them so.  Column 0 is Hermitian in the first two axes, as
+    rfftn makes it.  The mean mode is kept at zero by the operations here.
     """
 
     coeff: np.ndarray
-    n: int = None
+    n: int
 
     def __post_init__(self):
         self.coeff = np.asarray(self.coeff, dtype=complex)
-        m = self.coeff.shape[1]
-        self.n = m if self.n is None else int(self.n)
-        if self.coeff.shape != (3, m, m, m // 2 + 1) or not (
-                m == self.n or m % 2 == 1 and m < self.n):
-            raise ValueError("coefficients must have shape (3, n, n, n//2 + 1)"
-                             " or, for a band of cut c < n / 2, (3, 2c + 1,"
-                             " 2c + 1, c + 1)")
+        self.n = int(self.n)
+        m = 2 * self.coeff.shape[-1] - 1
+        if self.coeff.shape != (3, m, m, m // 2 + 1) or m > self.n:
+            raise ValueError("coefficients must have the shape (3, 2c + 1,"
+                             " 2c + 1, c + 1) of a band of cut"
+                             " c <= (n - 1) // 2")
 
     @property
     def cut(self):
-        """The cut of the stored band, None for the whole half spectrum."""
-        m = self.coeff.shape[1]
-        return None if m == self.n else m // 2
+        """The cut of the stored band."""
+        return self.coeff.shape[-1] - 1
 
     @classmethod
-    def zeros(cls, n, cut=None):
-        """The zero field, stored whole or as the band of cut."""
-        m = n if cut is None else 2 * cut + 1
-        return cls(np.zeros((3, m, m, m // 2 + 1), dtype=complex), n)
-
-    @classmethod
-    def from_physical(cls, values):
-        return cls(scipy.fft.rfftn(np.asarray(values), axes=(1, 2, 3)))
-
-    def half_spectrum(self):
-        """The (3, n, n, n//2 + 1) coefficients, a band zero-filled."""
-        return self.coeff if self.cut is None else _put_band(self.coeff, self.n)
+    def zeros(cls, n, cut):
+        """The zero field on the band of cut."""
+        m = 2 * cut + 1
+        return cls(np.zeros((3, m, m, cut + 1), dtype=complex), n)
 
     def _band(self, cut):
-        """The band of cut of coeff (coeff itself when stored so)."""
-        return self.coeff if self.cut == cut else _take_band(
-            self.half_spectrum(), cut)
+        """coeff trimmed or zero-padded to the band of cut (coeff itself at
+        its own cut)."""
+        if cut == self.cut:
+            return self.coeff
+        if cut < self.cut:
+            return _take_band(self.coeff, cut)
+        return _put_band(self.coeff, 2 * cut + 1)
 
     def to_physical(self):
-        """Real-space samples (3, n, n, n); a band's through the pruned
-        inverses, a component at a time."""
-        n = self.n
-        if self.cut is None:
-            return scipy.fft.irfftn(self.coeff, s=(n, n, n), axes=(1, 2, 3))
-        samples = np.empty((3, n, n, n))
+        """Real-space samples (3, n, n, n), a component at a time."""
+        samples = np.empty((3, self.n, self.n, self.n))
         for dst, band in zip(samples, self.coeff):
-            dst[...] = _band_to_physical(band, n)
+            dst[...] = _band_to_physical(band, self.n)
         return samples
 
-    def divergence_defect(self):
-        """max |k . vhat| over modes, scaled by the field's gradient size."""
-        k, _, _ = _wavenumbers(self.n)
-        coeff = self.half_spectrum()
-        div = np.einsum("aijk,aijk->ijk", k, coeff)
-        scale = np.max(np.abs(k) * np.max(np.abs(coeff)))
-        return float(np.max(np.abs(div)) / scale) if scale > 0.0 else 0.0
-
     def __sub__(self, other):
-        if other.n != self.n:
-            raise ValueError("fields on different grids")
-        if other.cut == self.cut:
-            return SpectralField(self.coeff - other.coeff, self.n)
-        return SpectralField(self.half_spectrum() - other.half_spectrum())
+        if (other.n, other.cut) != (self.n, self.cut):
+            raise ValueError("fields on different grids or bands")
+        return SpectralField(self.coeff - other.coeff, self.n)
 
     def __rmul__(self, scalar):
         return SpectralField(scalar * self.coeff, self.n)
@@ -320,13 +281,12 @@ class SpectralField:
     def _parseval(self, terms):
         """sqrt(BOX^3 / n^6 * sum of terms), one term per stored mode.
 
-        A band's terms are summed in a zeroed (n, n, n//2 + 1) array, so
-        numpy's pairwise summation groups them as it does for the whole
-        half spectrum and the sum keeps its bits.
+        The terms are summed in a zeroed (n, n, n//2 + 1) array, so numpy's
+        pairwise summation groups them as it does for the zero-filled half
+        spectrum and the sum keeps those bits.
         """
-        if self.cut is not None:
-            terms = _put_band(terms, self.n)
-        return float(np.sqrt(np.sum(terms) * BOX**3 / self.n**6))
+        return float(np.sqrt(np.sum(_put_band(terms, self.n)) * BOX**3
+                             / self.n**6))
 
     def w1r(self, r):
         """Discrete W^{1,r} norm with spectral gradients.
@@ -345,25 +305,22 @@ def leray_project(fld):
     """Project onto divergence-free fields: vhat -= k (k . vhat) / |k|^2.
 
     Idempotent, annihilates gradients, fixes solenoidal fields; the mean
-    mode is zeroed.  The Nyquist planes are dropped as well: k is zero at
-    each axis' Nyquist index, so the discrete divergence cannot see a
-    field's component along that axis there, nor the projector remove it.
+    mode is zeroed.
     """
     coeff = fld.coeff.copy()
-    _leray_in_place(coeff, fld.n, fld.cut)
+    _leray_in_place(coeff, fld.n)
     return SpectralField(coeff, fld.n)
 
 
-def _leray_in_place(coeff, n, cut=None):
-    """leray_project on a (3, n, n, n//2 + 1) array, overwriting it.
+def _leray_in_place(coeff, n):
+    """leray_project on a band (see _take_band), overwriting it.
 
-    With a cut, coeff is the band of that cut instead (see _take_band).
     Each component becomes c - k_c (k . c / |k|^2), the same element-wise
     arithmetic as the out-of-place expression, with one component's
-    scratch for k_c (k . c / |k|^2); a mode's bits do not depend on
-    whether it sits in a band or a full array.
+    scratch for k_c (k . c / |k|^2); a mode's bits do not depend on the
+    cut of the band it sits in.
     """
-    k, _, inv_k2 = _wavenumbers(n, cut)
+    k, _, inv_k2 = _wavenumbers(n, coeff.shape[-1] - 1)
     kdotv = np.einsum("aijk,aijk->ijk", k, coeff)
     kdotv *= inv_k2
     term = np.empty_like(kdotv)
@@ -371,10 +328,6 @@ def _leray_in_place(coeff, n, cut=None):
         np.multiply(kc, kdotv, out=term)
         c -= term
     coeff[:, 0, 0, 0] = 0.0
-    if cut is None and n % 2 == 0:
-        coeff[:, n // 2, :, :] = 0.0
-        coeff[:, :, n // 2, :] = 0.0
-        coeff[:, :, :, n // 2] = 0.0
 
 
 def stokes_solve(forcing):
@@ -385,18 +338,18 @@ def stokes_solve(forcing):
     nonzero mean mode (the torus Stokes operator cannot balance it).
     """
     coeff = forcing.coeff.copy()
-    _stokes_in_place(coeff, forcing.n, forcing.cut)
+    _stokes_in_place(coeff, forcing.n)
     return SpectralField(coeff, forcing.n)
 
 
-def _stokes_in_place(coeff, n, cut=None):
-    """stokes_solve on a (3, n, n, n//2 + 1) array or band, overwriting it."""
+def _stokes_in_place(coeff, n):
+    """stokes_solve on a band, overwriting it."""
     mean = np.abs(coeff[:, 0, 0, 0] / n**3)
     scale = np.max([np.max(np.abs(c)) for c in coeff]) / n**3
     if np.any(mean > 1e-10 * max(scale, 1e-300)):
         raise ValueError("forcing must have zero mean")
-    _leray_in_place(coeff, n, cut)
-    coeff *= _wavenumbers(n, cut)[2]
+    _leray_in_place(coeff, n)
+    coeff *= _wavenumbers(n, coeff.shape[-1] - 1)[2]
 
 
 @dataclass(frozen=True)
@@ -405,7 +358,8 @@ class MollifiedDrift:
 
     `field` is the Leray projection of the samples chi * U, which vanish
     exactly for |x| < delta_in/2 and |x| > delta_out (the grid drift must
-    be divergence free); projection_deviation is the relative grid-L^2
+    be divergence free), on the band of cut (n - 1) // 2 that holds every
+    mode it can carry; projection_deviation is the relative grid-L^2
     change caused by the projection.  phys_dealiased holds the samples of
     the 2/3-dealiased field that every Picard step reads.
     """
@@ -446,7 +400,7 @@ def _mollified_samples(params, n, delta_in, delta_out):
 
 
 def _projection_deviation(samples, coeff):
-    """|P s - s| / |s| in grid L^2, with coeff the projection P s.
+    """|P s - s| / |s| in grid L^2, with coeff the band of the projection P s.
 
     Overwrites samples with P s - s, a component at a time.
     """
@@ -455,7 +409,7 @@ def _projection_deviation(samples, coeff):
         return 0.0
     n = samples.shape[1]
     for s, c in zip(samples, coeff):
-        np.subtract(scipy.fft.irfftn(c, s=(n, n, n)), s, out=s)
+        np.subtract(_band_to_physical(c, n), s, out=s)
     return float(np.linalg.norm(samples) / norm_raw)
 
 
@@ -475,25 +429,27 @@ def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
     n = int(n)
 
     samples = _mollified_samples(params, n, delta_in, delta_out)
-    coeff = scipy.fft.rfftn(samples, axes=(1, 2, 3))
-    _leray_in_place(coeff, n)
-    deviation = _projection_deviation(samples, coeff)
+    field = SpectralField.zeros(n, (n - 1) // 2)
+    for band, s in zip(field.coeff, samples):
+        band[...] = _physical_to_band(s, field.cut)
+    _leray_in_place(field.coeff, n)
+    deviation = _projection_deviation(samples, field.coeff)
     del samples
-    phys = SpectralField(_take_band(coeff, n // 3), n).to_physical()
+    phys = SpectralField(field._band(n // 3), n).to_physical()
     return MollifiedDrift(params=params, delta_in=delta_in, delta_out=delta_out,
-                          field=SpectralField(coeff),
-                          projection_deviation=deviation, phys_dealiased=phys)
+                          field=field, projection_deviation=deviation,
+                          phys_dealiased=phys)
 
 
 def make_forcing(n, amplitude, seed=None):
     """Smooth mean-zero divergence-free forcing with max speed `amplitude`.
 
     With seed None the deterministic shear triple (sin(y/2), sin(z/2),
-    sin(x/2)) is used, kept on its band of cut 1; an integer seed draws a
-    random band-limited field instead (modes up to |k_int| <= min(3,
-    n // 3)), Leray-projected and rescaled so the maximal pointwise speed
-    equals the amplitude.  Both lie inside the band of cut n // 3 that
-    every Picard step keeps (the shear triple once n >= 3).
+    sin(x/2)) is used, held on its band of cut 1; an integer seed draws a
+    random field on the band of cut min(3, n // 3) instead, Leray-projected
+    and rescaled so the maximal pointwise speed equals the amplitude.  Both
+    lie inside the band of cut n // 3 that every Picard step keeps (the
+    shear triple once n >= 3).
     """
     n = int(n)
     amplitude = float(amplitude)
@@ -508,13 +464,13 @@ def make_forcing(n, amplitude, seed=None):
         for shape in ((1, n, 1), (1, 1, n), (n, 1, 1)):
             comp[...] = wave.reshape(shape)
             band.append(_physical_to_band(comp, 1))
-        return SpectralField(_put_band(np.stack(band), n))
+        return SpectralField(np.stack(band), n)
     cut = min(3, n // 3)
     rng = np.random.default_rng(seed)
     # three (n, n, n) draws continue the stream as one (3, n, n, n) draw
     band = np.stack([_physical_to_band(rng.standard_normal((n, n, n)), cut)
                      for _ in range(3)])
-    _leray_in_place(band, n, cut)
+    _leray_in_place(band, n)
     # |v|^2 summed over the components in order, as norm(axis=0) sums it
     speed2 = 0.0
     for b in band:
@@ -526,7 +482,7 @@ def make_forcing(n, amplitude, seed=None):
         raise RuntimeError("degenerate random forcing draw")
     scale = amplitude / speed if speed > 0.0 else 0.0
     np.multiply(scale, band, out=band)
-    return SpectralField(_put_band(band, n))
+    return SpectralField(band, n)
 
 
 # the 6 distinct entries (i, j) of a symmetric 3x3 tensor, in the order
@@ -569,7 +525,7 @@ def picard_step(v, drift, forcing):
         return stokes_solve(SpectralField(forcing._band(cut), n))
     k, _, _ = _wavenumbers(n, cut)
     v_phys = [_band_to_physical(b, n) for b in v_band]
-    del v_band   # a copy when v is stored whole
+    del v_band   # a copy when v holds another cut
     u_phys = None if drift is None else drift.phys_dealiased
     div_M = np.empty((3,) + k.shape[1:], dtype=complex)
     started = [False, False, False]
@@ -605,7 +561,7 @@ def picard_step(v, drift, forcing):
     del v_phys, M, w_j
     div_M *= 1j
     np.subtract(forcing._band(cut), div_M, out=div_M)
-    _stokes_in_place(div_M, n, cut)
+    _stokes_in_place(div_M, n)
     return SpectralField(div_M, n)
 
 

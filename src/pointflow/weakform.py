@@ -27,12 +27,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from .landau import as_flow_field, as_vec3
-from .quadrature import ball_shell_rule, flux_integral
+from .quadrature import ball_shell_rule
 
 __all__ = [
     "smoothstep7", "TestFunction", "make_test_function",
     "weak_residual", "WeakResidual", "extract_force_weak",
-    "delta_limit_probe",
 ]
 
 
@@ -199,20 +198,3 @@ def extract_force_weak(field, center=(0.0, 0.0, 0.0), a=0.5, b=1.0,
     components = [_pairing(u, make_test_function(center, a, b, c), rule)
                   for c in np.eye(3)]
     return WeakResidual(value=np.array(components), n_nodes=rule.n_nodes)
-
-
-def delta_limit_probe(field, epsilons, n_theta=64):
-    """Momentum flux through shrinking spheres around the origin.
-
-    Returns an (m, 3) array of flux_integral values, one row per radius.
-    For an exact point-force solution the rows are identical (the flux is
-    radius independent); a constant limit as the radii shrink is the
-    numerical witness of the Dirac-source extraction, and drift across
-    radii flags a field that is not a solution.
-    """
-    epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
-    if np.any((epsilons <= 0.0) | (epsilons >= 1.0)):
-        raise ValueError("probe radii must lie in (0, 1)")
-    fld = as_flow_field(field)
-    return np.array([flux_integral(fld, eps, n_theta=n_theta)
-                     for eps in epsilons])

@@ -11,9 +11,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pointflow import (
-    A_from_beta, LandauParams, SpectralField, beta_from_A, flux_integral,
-    landau_eval, leray_project, make_test_function, rotate_equivariance_check,
+    A_from_beta, LandauParams, beta_from_A, flux_integral, landau_eval,
+    leray_project, make_test_function, rotate_equivariance_check,
 )
+from test_spectral import divergence_defect, from_physical
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
 
@@ -85,11 +86,11 @@ def test_shape_magnitude_round_trip(exponent):
 @given(n=st.sampled_from([8, 12, 16]), seed=seeds)
 def test_leray_projection_is_idempotent(n, seed):
     samples = np.random.default_rng(seed).standard_normal((3, n, n, n))
-    once = leray_project(SpectralField.from_physical(samples))
+    once = leray_project(from_physical(samples))
     twice = leray_project(once)
     assert np.max(np.abs(twice.coeff - once.coeff)) <= 1e-12 * np.max(
         np.abs(once.coeff))
-    assert once.divergence_defect() <= 1e-12
+    assert divergence_defect(once) <= 1e-12
 
 
 @PROPERTY

@@ -10,8 +10,44 @@ from pointflow import (
     make_forcing, make_mollified_drift, picard_step, run_contraction,
     sobolev_norm, stokes_solve,
 )
+from pointflow.quadrature import _half_wavenumbers
+from pointflow.spectral import _parseval_weights, _put_band, _take_band
 
 N = 32
+
+
+def half_spectrum(fld):
+    """The (3, n, n, n//2 + 1) half spectrum of fld, its band zero-filled."""
+    return _put_band(fld.coeff, fld.n)
+
+
+def from_physical(values):
+    """The field of (3, n, n, n) samples: the band of cut (n - 1) // 2 of
+    their rfftn, which drops only the Nyquist planes of an even n."""
+    n = values.shape[-1]
+    return SpectralField(_take_band(scipy.fft.rfftn(values, axes=(1, 2, 3)),
+                                    (n - 1) // 2), n)
+
+
+def whole_wavenumbers(n):
+    """(k, |k|^2, 1/|k|^2 with the zero mode masked) on the whole half
+    spectrum, k zero at the Nyquist index of each axis."""
+    shape = (n, n, n // 2 + 1)
+    k = np.stack([np.broadcast_to(ka, shape)
+                  for ka in _half_wavenumbers(n, BOX)])
+    k2 = (k**2).sum(axis=0)
+    inv_k2 = np.zeros_like(k2)
+    inv_k2[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
+    return k, k2, inv_k2
+
+
+def divergence_defect(fld):
+    """max |k . vhat| over modes, scaled by the field's gradient size."""
+    k, _, _ = whole_wavenumbers(fld.n)
+    coeff = half_spectrum(fld)
+    div = np.einsum("aijk,aijk->ijk", k, coeff)
+    scale = np.max(np.abs(k) * np.max(np.abs(coeff)))
+    return float(np.max(np.abs(div)) / scale) if scale > 0.0 else 0.0
 
 
 def grid_coordinates(n):
@@ -30,13 +66,12 @@ def band_mask(n, cut):
 
 
 def dealias(fld):
-    """Zero every mode above the 2/3 cutoff."""
-    return SpectralField(fld.coeff * band_mask(fld.n, fld.n // 3))
+    """The band of the 2/3 cutoff."""
+    return SpectralField(_take_band(fld.coeff, fld.n // 3), fld.n)
 
 
 def l2(fld):
     """Physical L^2 norm over the torus (via Parseval)."""
-    from pointflow.spectral import _parseval_weights
     return fld._parseval(fld._power() * _parseval_weights(fld.n, fld.cut)[0])
 
 
@@ -52,12 +87,12 @@ def raw_samples(drift):
 
 
 def random_divfree(n, seed):
+    """The modes |f| <= 4 of white noise, projected, on the band of cut
+    (n - 1) // 2."""
     rng = np.random.default_rng(seed)
-    field = SpectralField.from_physical(rng.standard_normal((3, n, n, n)))
-    f = np.fft.fftfreq(n, d=1.0 / n)
-    fx, fy, fz = np.meshgrid(f, f, np.fft.rfftfreq(n, d=1.0 / n), indexing="ij")
-    band = (np.abs(fx) <= 4) & (np.abs(fy) <= 4) & (np.abs(fz) <= 4)
-    return leray_project(SpectralField(field.coeff * band))
+    white = from_physical(rng.standard_normal((3, n, n, n)))
+    band = _put_band(_take_band(white.coeff, 4), white.coeff.shape[1])
+    return leray_project(SpectralField(band, n))
 
 
 class TestLerayProjection:
@@ -67,14 +102,14 @@ class TestLerayProjection:
         grad = np.stack([0.5 * np.cos(0.5 * coords[0]) * np.cos(0.5 * coords[1]),
                          -0.5 * np.sin(0.5 * coords[0]) * np.sin(0.5 * coords[1]),
                          np.zeros((N, N, N))])
-        projected = leray_project(SpectralField.from_physical(grad))
+        projected = leray_project(from_physical(grad))
         assert np.max(np.abs(projected.to_physical())) < 1e-12
 
     def test_fixes_solenoidal_fields(self):
         coords = grid_coordinates(N)
         u = np.stack([np.sin(0.5 * coords[1]), np.zeros((N, N, N)),
                       np.zeros((N, N, N))])
-        field = SpectralField.from_physical(u)
+        field = from_physical(u)
         projected = leray_project(field)
         assert np.max(np.abs(projected.to_physical() - u)) < 1e-12
 
@@ -87,7 +122,7 @@ class TestLerayProjection:
 
     def test_divergence_defect_small(self):
         field = random_divfree(N, seed=2)
-        assert field.divergence_defect() <= 1e-12
+        assert divergence_defect(field) <= 1e-12
 
 
 class TestStokesSolve:
@@ -96,7 +131,7 @@ class TestStokesSolve:
         coords = grid_coordinates(N)
         u = np.stack([np.sin(coords[1]), np.zeros((N, N, N)),
                       np.zeros((N, N, N))])
-        field = SpectralField.from_physical(u)
+        field = from_physical(u)
         solved = stokes_solve(field)
         assert np.max(np.abs(solved.to_physical() - u)) < 1e-12
 
@@ -104,13 +139,13 @@ class TestStokesSolve:
         coords = grid_coordinates(N)
         grad = np.stack([0.5 * np.cos(0.5 * coords[0]), np.zeros((N, N, N)),
                          np.zeros((N, N, N))])
-        solved = stokes_solve(SpectralField.from_physical(grad))
+        solved = stokes_solve(from_physical(grad))
         assert np.max(np.abs(solved.to_physical())) < 1e-12
 
     def test_recovers_manufactured_solution(self):
         w = random_divfree(N, seed=3)
-        k, k2 = _wavenumber_tables()
-        forcing = SpectralField(w.coeff * k2)   # f = -Lap w
+        k2 = _take_band(whole_wavenumbers(N)[1], w.cut)
+        forcing = SpectralField(w.coeff * k2, N)   # f = -Lap w
         solved = stokes_solve(forcing)
         scale = np.max(np.abs(w.coeff))
         assert np.max(np.abs(solved.coeff - w.coeff)) < 1e-12 * scale
@@ -118,23 +153,16 @@ class TestStokesSolve:
     def test_spectral_residual_is_tiny(self):
         f = random_divfree(N, seed=4)
         v = stokes_solve(f)
-        k, k2 = _wavenumber_tables()
+        k2 = _take_band(whole_wavenumbers(N)[1], f.cut)
         residual = v.coeff * k2 - leray_project(f).coeff
         assert np.max(np.abs(residual)) < 1e-12 * np.max(np.abs(f.coeff))
 
     def test_rejects_nonzero_mean(self):
-        coeff = np.zeros((3, N, N, N // 2 + 1), dtype=complex)
-        coeff[0, 0, 0, 0] = N**3 * 0.5
-        coeff[1, 1, 0, 0] = N**3
+        fld = SpectralField.zeros(N, 1)
+        fld.coeff[0, 0, 0, 0] = N**3 * 0.5
+        fld.coeff[1, 1, 0, 0] = N**3
         with pytest.raises(ValueError, match="zero mean"):
-            stokes_solve(SpectralField(coeff))
-
-
-def _wavenumber_tables(n=N):
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=BOX / n)
-    kh = 2.0 * np.pi * np.fft.rfftfreq(n, d=BOX / n)
-    kx, ky, kz = np.meshgrid(k1, k1, kh, indexing="ij")
-    return np.stack([kx, ky, kz]), kx**2 + ky**2 + kz**2
+            stokes_solve(fld)
 
 
 class TestMollifiedDrift:
@@ -160,7 +188,7 @@ class TestMollifiedDrift:
     def test_projection_reported_and_divergence_free(self):
         drift = drift_beta_half()
         assert 0.0 < drift.projection_deviation < 1.0
-        assert drift.field.divergence_defect() <= 1e-12
+        assert divergence_defect(drift.field) <= 1e-12
 
     def test_zero_params_give_zero_drift(self):
         drift = make_mollified_drift(LandauParams.zero(), 16)
@@ -179,10 +207,10 @@ class TestPicardStep:
     def test_zero_start_gives_stokes_solution(self):
         drift = drift_beta_half()
         forcing = make_forcing(N, 1e-3)
-        v1 = picard_step(SpectralField.zeros(N), drift, forcing)
-        ref = stokes_solve(forcing)
-        assert np.max(np.abs(v1.half_spectrum() - ref.coeff)) < 1e-14 * max(
-            1.0, np.max(np.abs(ref.coeff)))
+        v1 = picard_step(SpectralField.zeros(N, (N - 1) // 2), drift, forcing)
+        ref = half_spectrum(stokes_solve(forcing))
+        assert np.max(np.abs(half_spectrum(v1) - ref)) < 1e-14 * max(
+            1.0, np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("with_drift", [True, False])
     def test_matches_full_tensor_reference(self, with_drift):
@@ -195,17 +223,18 @@ class TestPicardStep:
         M = (u_phys[:, None] * v_phys[None, :]
              + v_phys[:, None] * (u_phys + v_phys)[None, :])
         M_hat = np.fft.fftn(M, axes=(2, 3, 4))[..., :N // 2 + 1]
-        k, _ = _wavenumber_tables()
-        div_M = dealias(SpectralField(1j * np.einsum("bijk,abijk->aijk", k, M_hat)))
-        ref = stokes_solve(forcing - div_M)
+        k, _, _ = whole_wavenumbers(N)
+        div_M = 1j * np.einsum("bijk,abijk->aijk", k, M_hat)
+        ref = half_spectrum(stokes_solve(SpectralField(
+            _take_band(half_spectrum(forcing) - div_M, N // 3), N)))
         step = picard_step(v, drift, forcing)
-        assert (np.max(np.abs(step.half_spectrum() - ref.coeff))
-                <= 1e-12 * np.max(np.abs(ref.coeff)))
+        assert (np.max(np.abs(half_spectrum(step) - ref))
+                <= 1e-12 * np.max(np.abs(ref)))
 
     def test_zero_forcing_zero_iterate_is_fixed(self):
         drift = drift_beta_half()
-        forcing = SpectralField.zeros(N)
-        v = picard_step(SpectralField.zeros(N), drift, forcing)
+        forcing = SpectralField.zeros(N, 1)
+        v = picard_step(SpectralField.zeros(N, N // 3), drift, forcing)
         assert np.max(np.abs(v.coeff)) == 0.0
 
     def test_driftless_fixed_point_residual(self):
@@ -225,7 +254,7 @@ class TestRunContraction:
         assert trace.residual <= 10.0 * trace.tol
 
     def test_zero_forcing_converges_immediately(self):
-        trace = run_contraction(drift_beta_half(), SpectralField.zeros(N),
+        trace = run_contraction(drift_beta_half(), SpectralField.zeros(N, 1),
                                 tol=1e-9)
         assert trace.converged and trace.iterations == 1
         assert trace.norms[-1] == 0.0
@@ -279,9 +308,10 @@ class TestRunContraction:
 def full_spectrum(field):
     """The (3, n, n, n) complex spectrum, completed by the conjugate mirror."""
     n = field.n
+    half = half_spectrum(field)
     full = np.zeros((3, n, n, n), dtype=complex)
-    full[..., :n // 2 + 1] = field.coeff
-    mirror = np.roll(np.conj(field.coeff[:, ::-1, ::-1, :]), 1, axis=(1, 2))
+    full[..., :n // 2 + 1] = half
+    mirror = np.roll(np.conj(half[:, ::-1, ::-1, :]), 1, axis=(1, 2))
     for j in range(n // 2 + 1, n):   # frequency j - n mirrors n - j
         full[..., j] = mirror[..., n - j]
     return full
@@ -295,7 +325,7 @@ def reality_defect(field):
 class TestParsevalNorms:
     @pytest.mark.parametrize("n", [16, 17])
     def test_w1r_two_matches_sobolev_norm(self, n):
-        white = SpectralField.from_physical(
+        white = from_physical(
             np.random.default_rng(3).standard_normal((3, n, n, n)))
         for fld in (white, random_divfree(n, seed=5)):
             ref = sobolev_norm(fld.to_physical(), BOX, 2.0).value
@@ -308,7 +338,7 @@ class TestParsevalNorms:
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_l2_equals_grid_sum(self, n):
-        fld = SpectralField.from_physical(
+        fld = from_physical(
             np.random.default_rng(8).standard_normal((3, n, n, n)))
         grid_sum = np.sqrt(np.sum(fld.to_physical()**2) * (BOX / n)**3)
         assert l2(fld) == pytest.approx(grid_sum, rel=1e-12)
@@ -355,13 +385,12 @@ class TestTransformBudget:
     def test_zero_band_step_makes_none(self, calls, with_drift):
         # the tensor of the zero field is zero: Phi(0) is the Stokes solve
         # of f's band, with no transform
-        from pointflow.spectral import _take_band
         drift = drift_beta_half() if with_drift else None
         forcing = make_forcing(N, 1e-2, seed=3)
         calls.clear()
         step = picard_step(SpectralField.zeros(N, N // 3), drift, forcing)
         assert calls == []
-        band = SpectralField(_take_band(forcing.coeff, N // 3), N)
+        band = SpectralField(_put_band(forcing.coeff, 2 * (N // 3) + 1), N)
         assert step.cut == N // 3
         assert np.array_equal(step.coeff, stokes_solve(band).coeff)
 
@@ -388,18 +417,19 @@ class TestReality:
 
     def test_hermitian_symmetry_of_real_fields(self):
         white = np.random.default_rng(12).standard_normal((3, N, N, N))
-        # the projected field has no Nyquist content; white noise has
-        for field in (random_divfree(N, seed=12), SpectralField.from_physical(white)):
+        for field in (random_divfree(N, seed=12), from_physical(white)):
             c = field.coeff
-            for plane in (0, N // 2):   # the self-conjugate columns still stored
-                p = c[..., plane]
-                mirrored = np.roll(np.conj(p[:, ::-1, ::-1]), 1, axis=(1, 2))
-                assert np.max(np.abs(p - mirrored)) < 1e-9 * np.max(np.abs(c))
+            # column 0 is a band's one self-conjugate column: it holds no
+            # Nyquist index, and its rows are an FFT axis of length 2c + 1
+            p = c[..., 0]
+            mirrored = np.roll(np.conj(p[:, ::-1, ::-1]), 1, axis=(1, 2))
+            assert np.max(np.abs(p - mirrored)) < 1e-9 * np.max(np.abs(c))
 
     def test_full_spectrum_matches_complex_transform(self):
-        samples = np.random.default_rng(4).standard_normal((3, 16, 16, 16))
-        full = full_spectrum(SpectralField.from_physical(samples))
-        assert np.allclose(full, np.fft.fftn(samples, axes=(1, 2, 3)),
+        fld = from_physical(
+            np.random.default_rng(4).standard_normal((3, 16, 16, 16)))
+        assert np.allclose(full_spectrum(fld),
+                           np.fft.fftn(fld.to_physical(), axes=(1, 2, 3)),
                            rtol=0.0, atol=1e-12)
 
 
@@ -408,7 +438,7 @@ class TestForcing:
         f = make_forcing(N, 2.5e-3)
         speed = np.abs(f.to_physical())
         assert speed.max() == pytest.approx(2.5e-3, rel=1e-12)
-        assert f.divergence_defect() <= 1e-12
+        assert divergence_defect(f) <= 1e-12
 
     def test_seeded_draw_reproducible(self):
         a = make_forcing(N, 1e-3, seed=5)
@@ -426,12 +456,12 @@ class TestForcing:
     @pytest.mark.parametrize("seed", [None, 5])
     def test_forcing_inside_the_picard_band(self, n, seed):
         # picard_step keeps the band of cut n // 3 and drops the rest of f
-        f = make_forcing(n, 1e-2, seed=seed)
+        f = half_spectrum(make_forcing(n, 1e-2, seed=seed))
         k = np.abs(np.fft.fftfreq(n, 1.0 / n))
         outside = ((k[:, None, None] > n // 3) | (k[None, :, None] > n // 3)
                    | (k[None, None, :n // 2 + 1] > n // 3))
-        assert np.any(f.coeff != 0.0)
-        assert not np.any(f.coeff[:, outside])
+        assert np.any(f != 0.0)
+        assert not np.any(f[:, outside])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -440,13 +470,13 @@ class TestForcing:
 
 def reference_picard_step(v, drift, forcing):
     """Out-of-place, single-worker copy of the Picard step, kept as the pin."""
-    from pointflow.spectral import _SYM_PAIRS, _wavenumbers
+    from pointflow.spectral import _SYM_PAIRS
     # row i of div M reads the entries (i, 0), (i, 1), (i, 2) of _SYM_PAIRS
     sym_entry = ((0, 2, 3), (2, 1, 4), (3, 4, 5))
     n = v.n
-    k, _, inv_k2 = _wavenumbers(n)
+    k, _, inv_k2 = whole_wavenumbers(n)
     mask = band_mask(n, n // 3)
-    v_phys = scipy.fft.irfftn(v.half_spectrum() * mask, s=(n, n, n),
+    v_phys = scipy.fft.irfftn(half_spectrum(v) * mask, s=(n, n, n),
                               axes=(1, 2, 3))
     M = np.empty((6, n, n, n))
     if drift is None:
@@ -462,7 +492,7 @@ def reference_picard_step(v, drift, forcing):
     div_M = np.stack([sum(k[j] * M_hat[e] for j, e in enumerate(row))
                       for row in sym_entry])
     div_M *= 1j * mask
-    f = forcing.coeff - div_M
+    f = half_spectrum(forcing) - div_M
     kdotv = np.einsum("aijk,aijk->ijk", k, f)
     proj = f - k * (kdotv * inv_k2)
     proj[:, 0, 0, 0] = 0.0
@@ -479,12 +509,13 @@ class TestInPlaceArithmetic:
         drift = drift_beta_half(n) if with_drift else None
         forcing = make_forcing(n, 1e-2, seed=3)
         v = random_divfree(n, seed=11)
-        # the first step reads a whole half spectrum, the second a band
+        # the first step trims v from the band of cut (n - 1) // 2 and f
+        # pads from cut 3; the second reads v at the step's own cut n // 3
         for _ in range(2):
             expected = reference_picard_step(v, drift, forcing)
             v = picard_step(v, drift, forcing)
             assert v.cut == n // 3
-            assert np.array_equal(v.half_spectrum(), expected)
+            assert np.array_equal(half_spectrum(v), expected)
 
     @pytest.mark.parametrize("n", [16, 17])
     @pytest.mark.parametrize("with_drift", [True, False])
@@ -514,14 +545,38 @@ class TestInPlaceArithmetic:
             assert np.array_equal(a, b)
 
 
+def whole_w1r(coeff, r):
+    """W^{1,r} norm of a whole (3, n, n, n//2 + 1) half spectrum: Parseval
+    sums over it for r = 2, sobolev_norm of its stacked irfftn otherwise."""
+    n = coeff.shape[1]
+    if r != 2.0:
+        samples = scipy.fft.irfftn(coeff, s=(n, n, n), axes=(1, 2, 3))
+        return sobolev_norm(samples, BOX, r).value
+    power = coeff[0].real**2 + coeff[0].imag**2
+    for c in coeff[1:]:
+        power += c.real**2 + c.imag**2
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    wk2 = w * whole_wavenumbers(n)[1]
+    return sum(float(np.sqrt(np.sum(power * weight) * BOX**3 / n**6))
+               for weight in (w, wk2))
+
+
 def reference_contraction(drift, forcing, r, tol=1e-9, max_iters=40):
-    """run_contraction's trace from whole half spectra and
-    reference_picard_step, the witness started at StokesSolve(f) / 2."""
+    """run_contraction's trace from whole half spectra, reference_picard_step
+    and whole_w1r, the witness started at StokesSolve(f) / 2."""
+    n = forcing.n
+
     def norm(coeff):
-        return SpectralField(coeff).w1r(r)
+        return whole_w1r(coeff, r)
 
     def step(coeff):
-        return reference_picard_step(SpectralField(coeff), drift, forcing)
+        # the reference zeroes the Nyquist planes, the only modes outside
+        # the band of cut (n - 1) // 2
+        return reference_picard_step(
+            SpectralField(_take_band(coeff, (n - 1) // 2), n), drift, forcing)
 
     def iterate(v, record):
         for _ in range(max_iters):
@@ -539,9 +594,9 @@ def reference_contraction(drift, forcing, r, tol=1e-9, max_iters=40):
         return v
 
     record = {"norms": [], "increments": [], "ratios": []}
-    v_star = iterate(np.zeros_like(forcing.coeff), record)
+    v_star = iterate(np.zeros_like(half_spectrum(forcing)), record)
     record["residual"] = norm(v_star - step(v_star))
-    v_alt = iterate(0.5 * stokes_solve(forcing).coeff, None)
+    v_alt = iterate(0.5 * half_spectrum(stokes_solve(forcing)), None)
     record["uniqueness_distance"] = norm(v_star - v_alt)
     return record
 
@@ -559,7 +614,7 @@ class TestBandIterates:
         drift = drift_beta_half(n) if with_drift else None
         forcing = {"seeded": lambda: make_forcing(n, 1e-2, seed=3),
                    "shear": lambda: make_forcing(n, 1e-2),
-                   "zero": lambda: SpectralField.zeros(n)}[forcing_kind]()
+                   "zero": lambda: SpectralField.zeros(n, 1)}[forcing_kind]()
         trace = run_contraction(drift, forcing, r=r)
         expected = reference_contraction(drift, forcing, r)
         assert trace.iterations == len(expected["increments"])
@@ -569,33 +624,26 @@ class TestBandIterates:
         assert trace.residual == expected["residual"]
         assert trace.uniqueness_distance == expected["uniqueness_distance"]
 
-    def test_layouts_interoperate(self):
-        forcing = make_forcing(N, 1e-2, seed=3)
-        v = picard_step(stokes_solve(forcing), None, forcing)
-        whole = SpectralField(v.half_spectrum())
-        assert v.cut == N // 3 and whole.cut is None
-        for a, b in ((v, whole), (whole, v), (0.5 * v, 0.5 * whole)):
-            assert np.array_equal((a - b).half_spectrum(),
-                                  np.zeros_like(whole.coeff))
-        assert np.array_equal(v.to_physical(), whole.to_physical())
-        assert v.w1r(2.0) == whole.w1r(2.0)
-        assert v.divergence_defect() == whole.divergence_defect()
-        assert np.array_equal(leray_project(v).half_spectrum(),
-                              leray_project(whole).coeff)
-
     def test_band_shape_validation(self):
+        assert SpectralField.zeros(16, 7).cut == 7
+        assert SpectralField.zeros(17, 8).cut == 8
         with pytest.raises(ValueError):
             SpectralField(np.zeros((3, 12, 12, 7)), 16)   # even band side
         with pytest.raises(ValueError):
-            SpectralField(np.zeros((3, 17, 17, 9)), 16)   # wider than n
+            SpectralField(np.zeros((3, 17, 17, 9)), 16)   # cut 8 > 15 // 2
         with pytest.raises(ValueError):
             SpectralField.zeros(16, 8)
         with pytest.raises(ValueError):
             SpectralField.zeros(16, 5) - SpectralField.zeros(17, 5)
+        with pytest.raises(ValueError):
+            SpectralField.zeros(16, 5) - SpectralField.zeros(16, 4)
 
 
 class TestMemoryBudget:
-    """Peak new numpy memory, in units of one iterate's coefficients."""
+    """Peak new numpy memory, in units of one whole (3, n, n, n//2 + 1)
+    half spectrum at n = N."""
+
+    UNIT = 3 * N * N * (N // 2 + 1) * 16
 
     @staticmethod
     def peak(fn):
@@ -611,37 +659,36 @@ class TestMemoryBudget:
         drift, forcing = drift_beta_half(), make_forcing(N, 1e-2)
         v = stokes_solve(forcing)
         picard_step(v, drift, forcing)   # fill the table caches first
-        # measured 2.49: the three samples of v, one tensor entry and its
-        # scratch, the rfft columns of one entry and the band
-        assert self.peak(lambda: picard_step(v, drift, forcing)) <= 2.75 * v.coeff.nbytes
+        # the three samples of v, one tensor entry and its scratch, the rfft
+        # columns of one entry and the band
+        assert (self.peak(lambda: picard_step(v, drift, forcing))
+                <= 2.75 * self.UNIT)
 
     def test_mollified_drift_peak(self):
         params = LandauParams.from_magnitude(0.5)
-        drift = make_mollified_drift(params, N)
-        unit = drift.field.coeff.nbytes
-        assert self.peak(lambda: make_mollified_drift(params, N)) <= 4.0 * unit
+        make_mollified_drift(params, N)
+        assert (self.peak(lambda: make_mollified_drift(params, N))
+                <= 4.0 * self.UNIT)
 
     def test_run_contraction_peak(self):
         drift, forcing = drift_beta_half(), make_forcing(N, 1e-2, seed=3)
         run_contraction(drift, forcing)
-        # measured 3.61 with the iterates on the band; whole half spectra
-        # for the iterates peak at 4.67
+        # whole half spectra for the iterates peak at 4.67
         assert (self.peak(lambda: run_contraction(drift, forcing))
-                <= 4.0 * forcing.coeff.nbytes)
+                <= 4.0 * self.UNIT)
 
     def test_w1r_two_peak(self):
         v = stokes_solve(make_forcing(N, 1e-2))
         v.w1r(2.0)
-        # one |coeff|^2 pass, a component at a time; squaring the whole
-        # array at once peaks at 1.0
-        assert self.peak(lambda: v.w1r(2.0)) <= 0.75 * v.coeff.nbytes
+        # the Parseval terms are summed in one zeroed (n, n, n//2 + 1)
+        # array; squaring a whole half spectrum at once peaks at 1.0
+        assert self.peak(lambda: v.w1r(2.0)) <= 0.75 * self.UNIT
 
 
 def reference_leray(coeff):
     """Out-of-place Leray projection of a (3, n, n, n//2 + 1) array."""
-    from pointflow.spectral import _wavenumbers
     n = coeff.shape[1]
-    k, _, inv_k2 = _wavenumbers(n)
+    k, _, inv_k2 = whole_wavenumbers(n)
     kdotv = np.einsum("aijk,aijk->ijk", k, coeff)
     proj = coeff - k * (kdotv * inv_k2)
     proj[:, 0, 0, 0] = 0.0
@@ -707,7 +754,8 @@ class TestStreamedBuilders:
         params = LandauParams.from_magnitude(beta)
         drift = make_mollified_drift(params, n)
         coeff, dealiased, deviation = reference_drift(params, n)
-        assert np.array_equal(drift.field.coeff, coeff)
+        assert drift.field.cut == (n - 1) // 2
+        assert np.array_equal(half_spectrum(drift.field), coeff)
         assert np.array_equal(drift.phys_dealiased, dealiased)
         assert drift.projection_deviation == deviation
 
@@ -715,18 +763,19 @@ class TestStreamedBuilders:
     @pytest.mark.parametrize("seed", [None, 5])
     def test_forcing_equals_stacked_reference(self, n, seed):
         forcing = make_forcing(n, 3e-2, seed=seed)
-        assert np.array_equal(forcing.coeff, reference_forcing(n, 3e-2, seed))
+        assert forcing.cut == (1 if seed is None else 3)
+        assert np.array_equal(half_spectrum(forcing),
+                              reference_forcing(n, 3e-2, seed))
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_projection_and_solve_equal_references(self, n):
-        from pointflow.spectral import _wavenumbers
-        field = SpectralField.from_physical(
+        field = from_physical(
             np.random.default_rng(2).standard_normal((3, n, n, n)))
         field.coeff[:, 0, 0, 0] = 0.0
-        assert np.array_equal(leray_project(field).coeff,
-                              reference_leray(field.coeff))
-        assert np.array_equal(stokes_solve(field).coeff,
-                              reference_leray(field.coeff) * _wavenumbers(n)[2])
+        projected = reference_leray(half_spectrum(field))
+        assert np.array_equal(half_spectrum(leray_project(field)), projected)
+        assert np.array_equal(half_spectrum(stokes_solve(field)),
+                              projected * whole_wavenumbers(n)[2])
 
 
 BAND_SIZES = [16, 17, 20, 24, 32, 33, 64]
@@ -741,29 +790,29 @@ class TestBandTransforms:
     @BAND_DRAWS
     @given(seed=st.integers(0, 2**32 - 1))
     def test_inverse_equals_masked_irfftn(self, n, third, seed):
-        from pointflow.spectral import _band_to_physical, _take_band
-        cut = n // 3 if third else 3
+        # (n - 1) // 2 is the drift's band: every mode but the Nyquist planes
+        from pointflow.spectral import _band_to_physical
         coeff = scipy.fft.rfftn(np.random.default_rng(seed).standard_normal((n, n, n)))
-        expected = scipy.fft.irfftn(coeff * band_mask(n, cut), s=(n, n, n))
-        assert np.array_equal(_band_to_physical(_take_band(coeff, cut), n),
-                              expected)
+        for cut in (n // 3, (n - 1) // 2) if third else (3,):
+            expected = scipy.fft.irfftn(coeff * band_mask(n, cut), s=(n, n, n))
+            assert np.array_equal(_band_to_physical(_take_band(coeff, cut), n),
+                                  expected)
 
     @pytest.mark.parametrize("n", BAND_SIZES)
     @pytest.mark.parametrize("third", [True, False])
     @BAND_DRAWS
     @given(seed=st.integers(0, 2**32 - 1))
     def test_forward_equals_rfftn_on_the_band(self, n, third, seed):
-        from pointflow.spectral import _physical_to_band, _take_band
-        cut = n // 3 if third else 3
+        from pointflow.spectral import _physical_to_band
         samples = np.random.default_rng(seed).standard_normal((n, n, n))
-        assert np.array_equal(_physical_to_band(samples, cut),
-                              _take_band(scipy.fft.rfftn(samples), cut))
+        for cut in (n // 3, (n - 1) // 2) if third else (3,):
+            assert np.array_equal(_physical_to_band(samples, cut),
+                                  _take_band(scipy.fft.rfftn(samples), cut))
 
     # 49 * (1 / 49) != 1 in floating point: a mask built from float
     # frequencies drops the plane |f| = 16 there
     @pytest.mark.parametrize("n", [7, 16, 17, 49, 64])
     def test_band_holds_the_integer_frequencies(self, n):
-        from pointflow.spectral import _put_band, _take_band
         coeff = scipy.fft.rfftn(np.random.default_rng(n).standard_normal((n, n, n)))
         for cut in (1, 3, n // 3):
             assert np.array_equal(_put_band(_take_band(coeff, cut), n),

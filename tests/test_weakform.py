@@ -5,8 +5,7 @@ import pytest
 
 from pointflow import (
     CallableField, LandauField, LandauParams, SumField, ball_shell_rule,
-    delta_limit_probe, extract_force_weak, flux_integral,
-    make_test_function, weak_residual,
+    extract_force_weak, flux_integral, make_test_function, weak_residual,
 )
 
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -164,10 +163,18 @@ class TestWeakResidual:
         assert np.linalg.norm(weak - flux) < 1e-6 * params.beta
 
 
+def flux_through(field, radii):
+    """(m, 3) flux_integral values, one row per radius."""
+    return np.array([flux_integral(field, eps) for eps in radii])
+
+
 class TestDeltaLimitProbe:
+    """The flux through shrinking spheres: constant for a point-force
+    solution, the numerical witness of the Dirac-source extraction."""
+
     def test_landau_sequence_is_constant(self):
         params = LandauParams.from_shape(2.0)
-        probes = delta_limit_probe(LandauField(params), [0.8, 0.4, 0.2, 0.1])
+        probes = flux_through(LandauField(params), [0.8, 0.4, 0.2, 0.1])
         assert probes.shape == (4, 3)
         scale = np.linalg.norm(probes[0])
         for i in range(4):
@@ -176,7 +183,7 @@ class TestDeltaLimitProbe:
                 assert np.linalg.norm(probes[i] - probes[j]) < 1e-7 * scale
 
     def test_zero_field_gives_zeros(self):
-        probes = delta_limit_probe(LandauParams.zero(), [0.5, 0.25])
+        probes = flux_through(LandauParams.zero(), [0.5, 0.25])
         assert np.array_equal(probes, np.zeros((2, 3)))
 
     def test_perturbed_field_drifts(self):
@@ -185,14 +192,8 @@ class TestDeltaLimitProbe:
             [np.sin(pts[:, 1] + 0.7), np.sin(pts[:, 2] - 0.4),
              np.sin(pts[:, 0] + 0.2)], axis=1))
         field = SumField(LandauField(params), pert)
-        probes = delta_limit_probe(field, [0.8, 0.4, 0.2, 0.1])
+        probes = flux_through(field, [0.8, 0.4, 0.2, 0.1])
         scale = max(np.linalg.norm(p) for p in probes)
         deviation = max(np.linalg.norm(probes[i] - probes[j])
                         for i in range(4) for j in range(i + 1, 4))
         assert deviation > 1e-3 * scale
-
-    def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            delta_limit_probe(LandauParams.zero(), [1.5])
-        with pytest.raises(ValueError):
-            delta_limit_probe(LandauParams.zero(), [0.0])
