@@ -69,6 +69,8 @@ TRACE_CSV_COLUMNS = ["iter", "increment", "ratio"]
 
 # a landau point table is rendered this many points at a time
 EMIT_CHUNK = 2048
+# a grid: probe interpolates this many nodes at a time
+GRID_BLOCK = 8192
 # json.dumps renders the marker string "\0<k>" as "\u0000<k>"
 _MARKER = re.compile(r'"\\u0000(\d+)"')
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -232,7 +234,10 @@ def _load_grid_field(path):
 
     One interpolator runs over the stacked (ux, uy, uz, p) samples; its
     columns are bitwise equal to four per-component interpolators, since
-    linear interpolation weighs every trailing component alike.
+    linear interpolation weighs every trailing component alike.  It runs
+    GRID_BLOCK nodes at a time into one (m, 4) output, so its temporaries
+    stay a fixed size however many nodes a probe asks for; trilinear
+    interpolation works node by node, so the blocks keep every bit.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -258,8 +263,22 @@ def _load_grid_field(path):
     order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
     data = rows[order, 3:].reshape(len(xs), len(ys), len(zs), 4)
     interp = RegularGridInterpolator((xs, ys, zs), data)
-    return CallableField(velocity=lambda pts: interp(pts)[..., :3],
-                         pressure=lambda pts: interp(pts)[..., 3])
+
+    def samples(pts):
+        """(m, 4) interpolated (ux, uy, uz, p), GRID_BLOCK nodes at a time."""
+        # the interpolator's own bounds check, over every node at once, so
+        # the first failing axis is the one a single call would name
+        for axis, (coord, grid) in enumerate(zip(pts.T, (xs, ys, zs))):
+            if not (np.all(grid[0] <= coord) and np.all(coord <= grid[-1])):
+                raise ValueError("One of the requested xi is out of bounds "
+                                 f"in dimension {axis}")
+        out = np.empty((len(pts), 4))
+        for a in range(0, len(pts), GRID_BLOCK):
+            out[a:a + GRID_BLOCK] = interp(pts[a:a + GRID_BLOCK])
+        return out
+
+    return CallableField(velocity=lambda pts: samples(pts)[:, :3],
+                         pressure=lambda pts: samples(pts)[:, 3])
 
 
 def _report(command, config, payload, passed):

@@ -39,8 +39,9 @@ Fields are real and stored as a band of their half spectrum: of the
 wavenumber is zero, so the discrete divergence cannot see a component
 and a Leray projection on the whole grid drops it; the band of cut
 (n - 1) // 2 thus holds every mode a Leray-projected field can carry.
-The drift is that band, the forcing its own small one, and every Picard
-iterate the band of cut n // 3, 30% of the half spectrum at n = 64.
+The drift is projected on that band, which only its build holds; the
+forcing is its own small band, and every Picard iterate the band of cut
+n // 3, 30% of the half spectrum at n = 64.
 W^{1,2} norms follow from the coefficients by Parseval; a band's
 weighted |coeff|^2 terms are summed inside a zeroed half-spectrum array,
 so numpy's pairwise summation adds them in the groups of the zero-filled
@@ -49,10 +50,13 @@ half spectrum and every norm keeps those bits.
 Every transform is pruned: one-axis passes in rfftn's order (rfft along
 the last axis, then fft along the first and the second), or irfftn's in
 reverse, each on only the columns the band reaches, one component at a
-time.  The inverse runs its passes unscaled and applies irfftn's 1 / n^3
-once, at the end; so the pruned transforms keep the bits of the full
-3-D ones on the zero-filled half spectrum, while scaling after the first
-pass would not unless n is a power of two.  The Picard step brings v's
+time.  The drift's samples vanish outside a cube around the origin, so
+its forward passes also skip the lines that are zero there; a zero line
+transforms to zeros, up to the sign of a zero.  The inverse runs its
+passes unscaled and applies irfftn's 1 / n^3 once, at the end; so the
+pruned transforms keep the bits of the full 3-D ones on the zero-filled
+half spectrum, while scaling after the first pass would not unless n is
+a power of two.  The Picard step brings v's
 band to physical space, forms the 6 distinct entries of the symmetric
 tensor on the full grid (the only stage that needs it), a slab of
 axis-0 planes at a time, each slab's rfft along the last axis straight
@@ -101,12 +105,14 @@ _SLAB_BYTES = 2**18
 def _wavenumbers(n, cut):
     """(k, |k|^2, 1/|k|^2 with the zero mode masked) on the band of cut.
 
-    |k|^2 is also the Parseval weight of the gradient.
+    k is the tuple (k_0, k_1, k_2) of 1-D wavenumbers shaped to broadcast
+    over the band; |k|^2 is also the Parseval weight of the gradient.
     """
     rows = _band_rows(n, cut)
     kx, ky, kz = _half_wavenumbers(n, BOX)
-    k = np.stack(np.broadcast_arrays(kx[rows], ky[:, rows], kz[..., :cut + 1]))
-    k2 = (k**2).sum(axis=0)
+    k = (kx[rows], ky[:, rows], kz[..., :cut + 1])
+    # summed in the order (k**2).sum(axis=0) adds a stacked table
+    k2 = k[0]**2 + k[1]**2 + k[2]**2
     inv_k2 = np.zeros_like(k2)
     inv_k2[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
     return k, k2, inv_k2
@@ -181,26 +187,47 @@ def _band_to_physical(band, n):
     return samples
 
 
-def _physical_to_band(samples, cut):
-    """The band |f| <= cut of rfftn(samples) for one (n, n, n) component.
+def _physical_to_band(samples, cut, n=None, start=0):
+    """The band |f| <= cut of rfftn of one (n, n, n) component.
 
-    Equal bit for bit to rfftn's coefficients there: rfft along axis 2,
-    then fft along axis 0 and fft along axis 1, as rfftn orders them,
-    each pass on only the columns the band keeps.
+    samples is the (b, b, b) cube of the component at the indices
+    start .. start + b - 1 of every axis, and the component is zero
+    outside it; by default the cube is the whole grid.  Equal bit for bit
+    to rfftn's coefficients on the band: rfft along axis 2, then fft
+    along axis 0 and fft along axis 1, as rfftn orders them, each pass on
+    only the lines that are not zero and that the band keeps.  A skipped
+    zero line transforms to zeros, but pocketfft may give some of them a
+    negative sign, so a coefficient that is zero can differ from rfftn's
+    in its sign when the cube is not the whole grid.  The rfft runs a
+    slab of _SLAB_BYTES at a time, so no whole rfft output is held.
     """
-    rows = _band_rows(samples.shape[0], cut)
-    half = scipy.fft.rfft(samples, axis=2)[..., :len(rows) // 2 + 1]
-    return _columns_to_band(half, rows)
+    b = samples.shape[0]
+    n = b if n is None else n
+    box = slice(start, start + b)
+    half = np.zeros((n, n, cut + 1), dtype=complex)
+    planes = max(1, _SLAB_BYTES // (8 * n * b))
+    lines = np.zeros((min(planes, b), b, n))
+    for a in range(0, b, planes):
+        m = lines[:min(planes, b - a)]
+        m[..., box] = samples[a:a + len(m)]
+        half[start + a:start + a + len(m), box] = (
+            scipy.fft.rfft(m, axis=2)[..., :cut + 1])
+    return _columns_to_band(half, cut, box)
 
 
-def _columns_to_band(half, rows):
-    """The band rows of the fft along axes 0 and 1 of half.
+def _columns_to_band(half, cut, box=slice(None)):
+    """The band of cut of the fft along axes 0 and 1 of half.
 
-    half is an (n, n, cut + 1) block of rfft columns along axis 2; the
-    axis-0 pass overwrites it.
+    half is the (n, n, cut + 1) block of rfft columns along axis 2, zero
+    outside the columns box of axis 1.  Both passes run in place on half:
+    the axis-0 pass on the columns box, the axis-1 pass on the band's
+    rows.
     """
-    scipy.fft.fft(half, axis=0, overwrite_x=True)
-    return scipy.fft.fft(half[rows], axis=1, overwrite_x=True)[:, rows]
+    n = half.shape[0]
+    scipy.fft.fft(half[:, box], axis=0, overwrite_x=True)
+    scipy.fft.fft(half[:cut + 1], axis=1, overwrite_x=True)
+    scipy.fft.fft(half[n - cut:], axis=1, overwrite_x=True)
+    return _take_band(half, cut)
 
 
 def _axis(n):
@@ -317,13 +344,17 @@ def _leray_in_place(coeff, n):
 
     Each component becomes c - k_c (k . c / |k|^2), the same element-wise
     arithmetic as the out-of-place expression, with one component's
-    scratch for k_c (k . c / |k|^2); a mode's bits do not depend on the
-    cut of the band it sits in.
+    scratch for the products; a mode's bits do not depend on the cut of
+    the band it sits in.  k . c is summed from a zero start, k_0 c_0
+    first, as einsum("aijk,aijk->ijk") sums it, signed zeros included.
     """
     k, _, inv_k2 = _wavenumbers(n, coeff.shape[-1] - 1)
-    kdotv = np.einsum("aijk,aijk->ijk", k, coeff)
-    kdotv *= inv_k2
+    kdotv = np.zeros(coeff.shape[1:], dtype=complex)
     term = np.empty_like(kdotv)
+    for kc, c in zip(k, coeff):
+        np.multiply(kc, c, out=term)
+        kdotv += term
+    kdotv *= inv_k2
     for kc, c in zip(k, coeff):
         np.multiply(kc, kdotv, out=term)
         c -= term
@@ -354,49 +385,48 @@ def _stokes_in_place(coeff, n):
 
 @dataclass(frozen=True)
 class MollifiedDrift:
-    """Landau drift with a radial C^3 cutoff, realized on the torus grid.
+    """Landau drift with a radial C^3 cutoff, realized on the n^3 torus grid.
 
-    `field` is the Leray projection of the samples chi * U, which vanish
-    exactly for |x| < delta_in/2 and |x| > delta_out (the grid drift must
-    be divergence free), on the band of cut (n - 1) // 2 that holds every
-    mode it can carry; projection_deviation is the relative grid-L^2
-    change caused by the projection.  phys_dealiased holds the samples of
-    the 2/3-dealiased field that every Picard step reads.
+    The drift is the Leray projection of the samples chi * U, which
+    vanish exactly for |x| < delta_in/2 and |x| > delta_out (the grid
+    drift must be divergence free), on the band of cut (n - 1) // 2 that
+    holds every mode it can carry; projection_deviation is the relative
+    grid-L^2 change caused by the projection.  phys_dealiased holds the
+    samples of its 2/3-dealiased part, all that a Picard step reads.
     """
 
     params: LandauParams
     delta_in: float
     delta_out: float
-    field: SpectralField
+    n: int
     projection_deviation: float
     phys_dealiased: np.ndarray
 
-    @property
-    def n(self):
-        return self.field.n
 
+def _mollified_box(params, n, delta_in, delta_out):
+    """(box, (3, b, b, b) samples of chi(|x|) U^b on the cube box^3).
 
-def _mollified_samples(params, n, delta_in, delta_out):
-    """(3, n, n, n) samples of chi(|x|) U^b on the torus grid."""
-    x1 = _axis(n)
+    box is the slice of grid indices with |x_i| <= delta_out along one
+    axis.  chi vanishes outside its cube: a coordinate beyond delta_out
+    puts |x| there too, where the falling step is smoothstep7(1) == 1.0.
+    """
+    inside = np.flatnonzero(np.abs(_axis(n)) <= delta_out)
+    box = slice(inside[0], inside[-1] + 1)
+    x1 = _axis(n)[box]
     rho = np.sqrt(x1[:, None, None]**2 + x1[None, :, None]**2 + x1**2)
     rise = smoothstep7((rho - delta_in / 2.0) / (delta_in / 2.0))[0]
     fall = smoothstep7((rho - 0.75 * delta_out) / (0.25 * delta_out))[0]
-    del rho
-    np.subtract(1.0, fall, out=fall)
-    chi = rise
-    chi *= fall
-    del fall
+    chi = rise * (1.0 - fall)
 
-    samples = np.zeros((3, n, n, n))
+    samples = np.zeros((3,) + chi.shape)
     mask = chi > 0.0
     if params.beta > 0.0 and np.any(mask):
-        # C-ordered (m, 3), as coords[:, mask].T: landau_eval's bits
-        # depend on the layout of its points
+        # C-ordered (m, 3), as coords[:, mask].T on the whole grid:
+        # landau_eval's bits depend on the layout of its points
         pts = np.stack([x1[i] for i in np.nonzero(mask)], axis=-1)
         u = landau_eval(params, pts).u
         samples[:, mask] = (chi[mask][:, None] * u).T
-    return samples
+    return box, samples
 
 
 def _projection_deviation(samples, coeff):
@@ -427,18 +457,27 @@ def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
     if delta_out >= BOX / 2.0:
         raise ValueError("outer cutoff must fit inside the torus")
     n = int(n)
-
-    samples = _mollified_samples(params, n, delta_in, delta_out)
-    field = SpectralField.zeros(n, (n - 1) // 2)
-    for band, s in zip(field.coeff, samples):
-        band[...] = _physical_to_band(s, field.cut)
-    _leray_in_place(field.coeff, n)
-    deviation = _projection_deviation(samples, field.coeff)
-    del samples
-    phys = SpectralField(field._band(n // 3), n).to_physical()
+    band, deviation = _projected_drift(params, n, delta_in, delta_out)
+    phys = SpectralField(_take_band(band, n // 3), n).to_physical()
     return MollifiedDrift(params=params, delta_in=delta_in, delta_out=delta_out,
-                          field=field, projection_deviation=deviation,
+                          n=n, projection_deviation=deviation,
                           phys_dealiased=phys)
+
+
+def _projected_drift(params, n, delta_in, delta_out):
+    """(band of cut (n - 1) // 2 of the projected drift, projection deviation).
+
+    The samples are formed and transformed on their support cube only;
+    the deviation needs them on the whole grid, where they are zero-filled
+    after the transforms.
+    """
+    box, values = _mollified_box(params, n, delta_in, delta_out)
+    band = np.stack([_physical_to_band(v, (n - 1) // 2, n, box.start)
+                     for v in values])
+    _leray_in_place(band, n)
+    samples = np.zeros((3, n, n, n))
+    samples[:, box, box, box] = values
+    return band, _projection_deviation(samples, band)
 
 
 def make_forcing(n, amplitude, seed=None):
@@ -525,12 +564,11 @@ def picard_step(v, drift, forcing):
         return stokes_solve(SpectralField(forcing._band(cut), n))
     k, _, _ = _wavenumbers(n, cut)
     v_phys = [_band_to_physical(b, n) for b in v_band]
+    div_M = np.empty_like(v_band)
     del v_band   # a copy when v holds another cut
     u_phys = None if drift is None else drift.phys_dealiased
-    div_M = np.empty((3,) + k.shape[1:], dtype=complex)
     started = [False, False, False]
-    term = np.empty(k.shape[1:], dtype=complex)
-    rows = _band_rows(n, cut)
+    term = np.empty(div_M.shape[1:], dtype=complex)
     half = np.empty((n, n, cut + 1), dtype=complex)
     planes = max(1, _SLAB_BYTES // (8 * n * n))
     M = np.empty((min(planes, n), n, n))
@@ -549,7 +587,7 @@ def picard_step(v, drift, forcing):
                 w *= v_phys[i][s]
                 m += w
             half[s] = scipy.fft.rfft(m, axis=2)[..., :cut + 1]
-        M_hat = _columns_to_band(half, rows)
+        M_hat = _columns_to_band(half, cut)
         for row, kj in ((i, j),) if i == j else ((i, j), (j, i)):
             if started[row]:
                 np.multiply(k[kj], M_hat, out=term)

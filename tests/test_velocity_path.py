@@ -106,6 +106,50 @@ class TestGridProbe:
         inner = pts[np.all(np.abs(pts) < x[-2], axis=1)]   # room for the FD steps
         assert np.array_equal(probe(inner).p, interps[3](inner))
 
+    @staticmethod
+    def unblocked(x, rows):
+        """The probe as one interpolator call over every node."""
+        interp = RegularGridInterpolator(
+            (x, x, x), rows[:, 3:].reshape(len(x), len(x), len(x), 4))
+        return interp, CallableField(velocity=lambda pts: interp(pts)[..., :3],
+                                     pressure=lambda pts: interp(pts)[..., 3])
+
+    @pytest.mark.parametrize("extra", [(1, -1), (1, 0), (1, 1), (2, 7)])
+    def test_blocks_equal_one_call(self, tmp_path, extra):
+        x, rows = write_grid(tmp_path / "grid.csv")
+        _, probe = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
+        _, reference = self.unblocked(x, rows)
+        blocks, more = extra
+        count = blocks * cli.GRID_BLOCK + more
+        pts = np.random.default_rng(count).uniform(x[1], x[-2], (count, 3))
+        assert np.array_equal(probe.velocity(pts), reference.velocity(pts))
+        state, expected = probe(pts), reference(pts)
+        for got, want in ((state.u, expected.u), (state.p, expected.p),
+                          (state.grad_u, expected.grad_u)):
+            assert np.array_equal(got, want)
+
+    def test_out_of_samples_message_is_the_interpolators(self, tmp_path,
+                                                         capsys):
+        x, rows = write_grid(tmp_path / "grid.csv")
+        _, probe = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
+        interp, _ = self.unblocked(x, rows)
+        pts = np.zeros((2 * cli.GRID_BLOCK + 7, 3))
+        pts[5, 2] = 2.0           # the first block leaves the grid along z,
+        pts[-1, 0] = -2.0         # the last along x
+        with pytest.raises(ValueError) as expected:
+            interp(pts)
+        assert "dimension 0" in str(expected.value)
+        with pytest.raises(ValueError) as got:
+            probe.velocity(pts)
+        assert str(got.value) == str(expected.value)
+        # the CLI reports it as a numerical failure, exit 3
+        code = main(["norms", "--field", f"grid:{tmp_path / 'grid.csv'}",
+                     "--weak-l3", "--domain", "ball:1.7"])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: One of the requested xi is out of bounds in "
+            "dimension 0\n")
+
     @SETTINGS
     @given(arrays(np.float64, 125 * 4, elements=st.one_of(
         st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
@@ -128,6 +172,28 @@ class TestGridProbe:
         assert np.array_equal(probe.velocity(nodes), expected[:, :3])
         inner = np.all(np.abs(nodes) < 2.0, axis=1)   # room for the FD steps
         assert np.array_equal(probe(nodes[inner]).p, expected[inner, 3])
+
+
+class TestMemoryBudget:
+    # the ball samples of norms --weak-l3 --domain ball:1.5
+    @pytest.mark.parametrize("count", [102_400, 204_800])
+    def test_grid_probe_temporaries_do_not_grow(self, tmp_path, count):
+        import tracemalloc
+        x, _ = write_grid(tmp_path / "grid.csv")
+        _, probe = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
+        pts = np.random.default_rng(4).uniform(x[0], x[-1], (count, 3))
+        probe.velocity(pts[:10])
+        tracemalloc.start()
+        try:
+            u = probe.velocity(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.shape == (count, 3)
+        # beyond the (m, 4) output, a block's interpolator temporaries
+        # (about 240 bytes per node, 2.0 MB); one interpolator call over
+        # every node added 41 MB at 204,800 nodes
+        assert peak - 32 * count <= 320 * cli.GRID_BLOCK
 
 
 class TestWeakExtraction:
