@@ -57,7 +57,7 @@ def main():
           f"{result.value[1]:.2e}, {result.value[2]:.8f})")
 
     banner("4. Negative control: a perturbed field is not a solution")
-    pert = CallableField(velocity=lambda pts: np.stack(
+    pert = CallableField(lambda pts: np.stack(
         [np.sin(pts[:, 1] + 0.7), np.sin(pts[:, 2] - 0.4),
          np.sin(pts[:, 0] + 0.2)], axis=1))
     broken = SumField(field, pert)

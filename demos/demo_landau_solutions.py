@@ -9,8 +9,9 @@ equivariance.
 import numpy as np
 
 from pointflow import (
-    A_from_beta, LandauParams, RescaledField, beta_from_A, landau_eval,
-    ns_residual, rotate_equivariance_check, sup_speed_on_unit_sphere,
+    A_from_beta, LandauField, LandauParams, RescaledField, beta_from_A,
+    landau_eval, ns_residual, rotate_equivariance_check,
+    sup_speed_on_unit_sphere,
 )
 
 
@@ -64,7 +65,7 @@ def main():
     pts = rng.normal(size=(100, 3))
     ref = landau_eval(params, pts)
     for lam in (0.5, 2.0, 10.0):
-        st = RescaledField(params, lam)(pts)
+        st = RescaledField(LandauField(params), lam)(pts)
         defect = np.max(np.linalg.norm(st.u - ref.u, axis=1)
                         / np.linalg.norm(ref.u, axis=1))
         print(f"  lambda = {lam:5.1f}: rescaling defect {defect:.3e}")

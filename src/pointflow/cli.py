@@ -34,13 +34,13 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import re
 import stat
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -149,6 +149,9 @@ _SPHERE_N_THETA = _flag(int, lambda v: v >= 2 and 2 * v * v <= _MAX_NODES,
 
 # number lists keep their text, which the config echo shows
 _kept_text = functools.partial(_flag, keep_text=True)
+# open() raises ValueError, not OSError, on an embedded null byte
+_PATH = _flag(str, lambda v: "\0" not in v,
+              "a path without an embedded null byte")
 _VEC3 = _kept_text(_numbers, lambda v: len(v) == 3 and all(np.isfinite(v)),
                    "three finite numbers x,y,z")
 
@@ -192,8 +195,8 @@ def parse_field_spec(spec):
 
     'landau:A=<v>', 'landau:beta=<v>' and 'zero' give kind 'landau' and a
     LandauField, whose parameters are probe.params; 'grid:<file.csv>'
-    (uniform rectilinear samples with columns x,y,z,ux,uy,uz,p,
-    interpolated trilinearly) gives kind 'grid' and a CallableField;
+    (rectilinear samples with columns x,y,z,ux,uy,uz,p) gives kind 'grid'
+    and a CallableField over their trilinear interpolation;
     'r^-1' and 'r^-2' (norms only) give kind 'scalar' and the magnitude
     callable.
     """
@@ -232,35 +235,41 @@ def _probe(spec, command, kinds=("landau", "grid"), flag="--field"):
 def _load_grid_field(path):
     """Trilinear probe from a CSV of samples on a rectilinear grid.
 
+    The rows are parsed from the open file after the header and must list
+    every node of the product grid of their distinct coordinates once.
     One interpolator runs over the stacked (ux, uy, uz, p) samples; its
     columns are bitwise equal to four per-component interpolators, since
-    linear interpolation weighs every trailing component alike.  It runs
-    GRID_BLOCK nodes at a time into one (m, 4) output, so its temporaries
-    stay a fixed size however many nodes a probe asks for; trilinear
-    interpolation works node by node, so the blocks keep every bit.
+    linear interpolation weighs every trailing component alike.  Its
+    (m, 4) rows are the probe's one sampler, so a full evaluation
+    interpolates each node set once.  It runs GRID_BLOCK nodes at a time
+    into one (m, 4) output, so its temporaries stay a fixed size however
+    many nodes a probe asks for; trilinear interpolation works node by
+    node, so the blocks keep every bit.
     """
     from scipy.interpolate import RegularGridInterpolator
 
+    _require("\0" not in path, f"grid file {path!r} has an embedded null byte")
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
-        if [h.strip() for h in header] != POINT_CSV_COLUMNS:
-            raise ConfigError(
-                f"grid file {path}: expected header {','.join(POINT_CSV_COLUMNS)}")
-        body = fh.read()
-    if not body.strip():
-        raise ConfigError(f"grid file {path} holds no samples")
-    try:
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"',
-                          ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"grid file {path}: {exc}") from None
-    if rows.shape[1] != len(POINT_CSV_COLUMNS):
-        raise ConfigError(f"grid file {path}: expected "
-                          f"{len(POINT_CSV_COLUMNS)} columns per row")
+        _require([h.strip() for h in header] == POINT_CSV_COLUMNS, f"grid file "
+                 f"{path}: expected header {','.join(POINT_CSV_COLUMNS)}")
+        try:
+            with warnings.catch_warnings():
+                # a file without rows is reported below, not warned of
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"grid file {path}: {exc}") from None
+    _require(rows.size, f"grid file {path} holds no samples")
+    _require(rows.shape[1] == len(POINT_CSV_COLUMNS), f"grid file {path}: "
+             f"expected {len(POINT_CSV_COLUMNS)} columns per row")
     xs, ys, zs = (np.unique(rows[:, i]) for i in range(3))
-    if len(xs) * len(ys) * len(zs) != len(rows):
-        raise ConfigError(f"grid file {path} is not a complete rectilinear grid")
+    incomplete = f"grid file {path} is not a complete rectilinear grid"
+    # the count bounds the product grid that the rows are compared with
+    _require(len(xs) * len(ys) * len(zs) == len(rows), incomplete)
     order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+    _require(np.array_equal(rows[order, :3].T, np.reshape(
+        np.meshgrid(xs, ys, zs, indexing="ij"), (3, -1))), incomplete)
     data = rows[order, 3:].reshape(len(xs), len(ys), len(zs), 4)
     interp = RegularGridInterpolator((xs, ys, zs), data)
 
@@ -277,8 +286,7 @@ def _load_grid_field(path):
             out[a:a + GRID_BLOCK] = interp(pts[a:a + GRID_BLOCK])
         return out
 
-    return CallableField(velocity=lambda pts: samples(pts)[:, :3],
-                         pressure=lambda pts: samples(pts)[:, 3])
+    return CallableField(samples)
 
 
 def _report(command, config, payload, passed):
@@ -709,8 +717,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, func, tol=None, tol_help=None):
-        p.add_argument("--output", help="write the JSON report here "
-                                        "(default: stdout)")
+        p.add_argument("--output", type=_PATH,
+                       help="write the JSON report here (default: stdout)")
         p.add_argument("--seed", type=_at_least(0), default=0,
                        help="random seed recorded in the report")
         if tol is not None:
@@ -728,9 +736,10 @@ def build_parser():
     where = p.add_mutually_exclusive_group(required=True)
     where.add_argument("--point", type=_VEC3, action="append",
                        help="evaluation point x,y,z (repeatable)")
-    where.add_argument("--points-file",
+    where.add_argument("--points-file", type=_PATH,
                        help="CSV of evaluation points (x,y,z)")
-    p.add_argument("--csv", help="write x,y,z,ux,uy,uz,p rows here")
+    p.add_argument("--csv", type=_PATH,
+                   help="write x,y,z,ux,uy,uz,p rows here")
     add_common(p, cmd_landau)
 
     p = sub.add_parser("flux", help="force extraction by momentum flux")
@@ -739,7 +748,7 @@ def build_parser():
                    help="sphere radii r1,r2,...")
     p.add_argument("--n-theta", type=_SPHERE_N_THETA, default=64,
                    dest="n_theta")
-    p.add_argument("--csv", help="write radius,bx,by,bz rows here")
+    p.add_argument("--csv", type=_PATH, help="write radius,bx,by,bz rows here")
     add_common(p, cmd_flux, 1e-8,
                "pass threshold on the pairwise radius deviation")
 
@@ -783,7 +792,8 @@ def build_parser():
     p.add_argument("--drift-beta", type=_MAGNITUDE, default=0.5,
                    dest="drift_beta",
                    help="force magnitude of the mollified Landau drift")
-    p.add_argument("--csv", help="write iter,increment,ratio rows here")
+    p.add_argument("--csv", type=_PATH,
+                   help="write iter,increment,ratio rows here")
     add_common(p, cmd_picard, 1e-9)
 
     p = sub.add_parser("norms", help="norm machinery and diagnostic sweeps")

@@ -39,7 +39,6 @@ __all__ = [
     "landau_eval", "flux_tensor", "ns_residual",
     "rotate_equivariance_check", "sup_speed_on_unit_sphere",
     "FlowField", "LandauField", "CallableField", "SumField", "RescaledField",
-    "as_flow_field",
 ]
 
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -379,11 +378,12 @@ def ns_residual(params, x, h=None):
 class FlowField:
     """A point probe: maps x (or a batch of points) to a FlowState.
 
-    Calling the probe gives the full state: velocity, pressure and velocity
-    gradient.  velocity(x) gives u alone, bitwise equal to self(x).u; the
-    weak pairing, the ball sampler of the norms and the decay and
-    self-similarity checks read only u and go through it.  Subclasses
-    whose pressure or gradient cost extra work override it.
+    Every library check takes its field as one: LandauField wraps a
+    closed-form solution, CallableField a sampler.  Calling the probe gives
+    velocity, pressure and velocity gradient; velocity(x) gives u alone,
+    bitwise equal to self(x).u, and the checks that read only u (the weak
+    pairing, the norms' ball sampler, decay and self-similarity) go through
+    it.  Subclasses whose pressure or gradient cost extra work override it.
     """
 
     def __call__(self, x):
@@ -405,44 +405,44 @@ class LandauField(FlowField):
 
 
 class CallableField(FlowField):
-    """Probe built from user callables, all vectorized over (m, 3) points.
+    """Probe built from one sampler, vectorized over (m, 3) points.
 
-    velocity is required; pressure defaults to zero.  The gradient is
-    central differences of the velocity with step 1e-5 |x| per point (so
-    the relative accuracy is uniform across sphere radii); a full
-    evaluation thus calls the velocity callable 7 times.
-
-    velocity(x) calls the velocity callable once, on the points as given,
-    and nothing else: no pressure, no gradient, no finite differences.
+    samples(pts) returns (m, 3) velocities, or (m, 4) rows with the
+    pressure last; without that column the pressure is zero, and any
+    other shape raises ValueError.  The gradient is central differences
+    of the velocity with step 1e-5 |x| per point (so the relative accuracy
+    is uniform across sphere radii).  A full evaluation thus calls the
+    sampler 7 times: once for u and p, then at the 6 shifted point sets.
+    velocity(x) calls it once, on the points as given.
     """
 
-    def __init__(self, velocity, pressure=None):
-        self._velocity = velocity
-        self._pressure = pressure
+    def __init__(self, samples):
+        self._samples = samples
 
-    def _u(self, pts):
-        return np.asarray(self._velocity(pts), dtype=float).reshape(len(pts), 3)
+    def _rows(self, pts):
+        rows = np.asarray(self._samples(pts), dtype=float)
+        if rows.shape not in ((len(pts), 3), (len(pts), 4)):
+            raise ValueError(f"a sampler must return (m, 3) or (m, 4) rows "
+                             f"for m points, got shape {rows.shape}")
+        return rows
 
     def velocity(self, x):
         pts, single, lead = _as_points(x)
-        u = self._u(pts)
+        u = self._rows(pts)[:, :3]
         return u[0] if single else u.reshape(lead + (3,))
 
     def __call__(self, x):
         pts, single, lead = _as_points(x)
-        u = self._u(pts)
-        if self._pressure is None:
-            p = np.zeros(len(pts))
-        else:
-            p = np.asarray(self._pressure(pts), dtype=float).reshape(len(pts))
+        rows = self._rows(pts)
+        u = rows[:, :3]
+        p = rows[:, 3] if rows.shape[1] == 4 else np.zeros(len(pts))
         h = 1e-5 * np.maximum(np.linalg.norm(pts, axis=1), 1e-7)
         grad = np.empty((len(pts), 3, 3))
         for m in range(3):
             dx = np.zeros_like(pts)
             dx[:, m] = h
-            up = np.asarray(self._velocity(pts + dx), dtype=float)
-            um = np.asarray(self._velocity(pts - dx), dtype=float)
-            grad[:, m, :] = (up - um) / (2.0 * h)[:, None]
+            grad[:, m, :] = (self._rows(pts + dx)[:, :3]
+                             - self._rows(pts - dx)[:, :3]) / (2.0 * h)[:, None]
         if single:
             return FlowState(u=u[0], p=float(p[0]), grad_u=grad[0])
         return FlowState(u=u.reshape(lead + (3,)), p=p.reshape(lead),
@@ -455,7 +455,7 @@ class SumField(FlowField):
     def __init__(self, *fields):
         if not fields:
             raise ValueError("need at least one field")
-        self.fields = [as_flow_field(f) for f in fields]
+        self.fields = fields
 
     def __call__(self, x):
         states = [f(x) for f in self.fields]
@@ -479,7 +479,7 @@ class RescaledField(FlowField):
         lam = float(lam)
         if not np.isfinite(lam) or lam <= 0.0:
             raise ValueError("scaling factor must be positive")
-        self.base = as_flow_field(base)
+        self.base = base
         self.lam = lam
 
     def __call__(self, x):
@@ -489,15 +489,6 @@ class RescaledField(FlowField):
 
     def velocity(self, x):
         return self.lam * self.base.velocity(self.lam * np.asarray(x, dtype=float))
-
-
-def as_flow_field(obj):
-    """Coerce LandauParams or FlowField to a FlowField probe."""
-    if isinstance(obj, FlowField):
-        return obj
-    if isinstance(obj, LandauParams):
-        return LandauField(obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a flow field")
 
 
 def rotate_equivariance_check(params, R, x):

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.fft
 from dataclasses import dataclass, field
 
-from .landau import LandauField, as_flow_field, flux_tensor
+from .landau import flux_tensor, landau_eval
 
 __all__ = [
     "QuadratureRule", "sphere_rule", "ball_shell_rule",
@@ -163,12 +163,12 @@ def flux_integral(field, radius, n_theta=64):
     b_i = sum_k w_k T_ij(x_k) n_j(x_k) over a sphere rule of the given
     radius with n_theta polar and 2 n_theta azimuthal nodes.  For an exact
     solution with a point source at the origin the result is independent
-    of the radius.  The probe supplies the velocity gradient: analytic for
-    a LandauField, central differences of the velocity for a CallableField.
+    of the radius.  field is a FlowField, called once on the nodes; it
+    supplies the velocity gradient: analytic for a LandauField, central
+    differences of the velocity for a CallableField.
     """
-    fld = as_flow_field(field)
     rule = sphere_rule(radius, n_theta)
-    state = _evaluate_or_blame(fld, rule.nodes, f"flux_integral(R={radius:g})")
+    state = _evaluate_or_blame(field, rule.nodes, f"flux_integral(R={radius:g})")
     T = flux_tensor(state)
     normals = rule.nodes / radius
     return np.einsum("k,kij,kj->i", rule.weights, T, normals)
@@ -334,14 +334,15 @@ def sobolev_norm(values, box, r):
     return NormReport(value=lr + grad_lr, norm_id=f"W^(1,{r:g})")
 
 
-def decay_report(field, reference, q, shells, n_theta=32):
+def decay_report(field, reference, q, shells):
     """Weighted shell sup of the deviation from a reference Landau field.
 
     Computes, for each shell radius R in (0, 1],
 
         R^(3/q - 1) * sup_{|x| = R} |u(x) - U^ref(x)|
 
-    on a sphere rule of n_theta polar and 2 n_theta azimuthal nodes, and
+    with u from the FlowField field and U^ref from the LandauParams
+    reference, on a sphere rule of 32 polar and 64 azimuthal nodes, and
     reports the maximum over shells; the per-shell values are kept in
     meta["shell_weighted"] so growth as the shells shrink can be inspected.
     A field matching its reference gives zero; mismatched point forces
@@ -355,13 +356,10 @@ def decay_report(field, reference, q, shells, n_theta=32):
         raise ValueError("need at least one shell radius")
     if np.any((shells <= 0.0) | (shells > 1.0)):
         raise ValueError("shell radii must lie in (0, 1]")
-    fld = as_flow_field(field)
-    ref = LandauField(reference)
-
     weighted = []
     for R in shells:
-        rule = sphere_rule(R, n_theta)
-        du = fld.velocity(rule.nodes) - ref.velocity(rule.nodes)
+        rule = sphere_rule(R, 32)
+        du = field.velocity(rule.nodes) - landau_eval(reference, rule.nodes).u
         sup = float(np.max(np.linalg.norm(du, axis=1)))
         weighted.append(R**(3.0 / q - 1.0) * sup)
     return NormReport(value=float(np.max(weighted)),

@@ -67,7 +67,7 @@ tensor is zero, so its image is the Stokes solve of the forcing's band.
 A component's or a slab's transform gives the same bits alone as inside
 a stacked call, and the in-place arithmetic repeats the out-of-place
 expressions element by element, so every result keeps the bits of the
-stacked, whole-spectrum computation.
+stacked, whole-spectrum computation, up to the sign of a zero.
 
 The transforms keep scipy.fft's single worker.  Two workers give the
 same bits, but on a shared 2-vCPU host they made Picard runs slower and
@@ -343,21 +343,15 @@ def _leray_in_place(coeff, n):
     """leray_project on a band (see _take_band), overwriting it.
 
     Each component becomes c - k_c (k . c / |k|^2), the same element-wise
-    arithmetic as the out-of-place expression, with one component's
-    scratch for the products; a mode's bits do not depend on the cut of
-    the band it sits in.  k . c is summed from a zero start, k_0 c_0
-    first, as einsum("aijk,aijk->ijk") sums it, signed zeros included.
+    arithmetic as the out-of-place expression; a mode's value does not
+    depend on the cut of the band it sits in.  k . c is summed from a zero
+    start, k_0 c_0 first, as einsum("aijk,aijk->ijk") sums it.
     """
     k, _, inv_k2 = _wavenumbers(n, coeff.shape[-1] - 1)
-    kdotv = np.zeros(coeff.shape[1:], dtype=complex)
-    term = np.empty_like(kdotv)
-    for kc, c in zip(k, coeff):
-        np.multiply(kc, c, out=term)
-        kdotv += term
+    kdotv = sum(kc * c for kc, c in zip(k, coeff))
     kdotv *= inv_k2
     for kc, c in zip(k, coeff):
-        np.multiply(kc, kdotv, out=term)
-        c -= term
+        c -= kc * kdotv
     coeff[:, 0, 0, 0] = 0.0
 
 
@@ -511,12 +505,7 @@ def make_forcing(n, amplitude, seed=None):
                      for _ in range(3)])
     _leray_in_place(band, n)
     # |v|^2 summed over the components in order, as norm(axis=0) sums it
-    speed2 = 0.0
-    for b in band:
-        p = _band_to_physical(b, n)
-        p *= p
-        speed2 += p
-    speed = np.sqrt(speed2).max()
+    speed = np.sqrt(sum(_band_to_physical(b, n)**2 for b in band)).max()
     if amplitude > 0.0 and speed == 0.0:
         raise RuntimeError("degenerate random forcing draw")
     scale = amplitude / speed if speed > 0.0 else 0.0
@@ -545,10 +534,10 @@ def picard_step(v, drift, forcing):
     _SLAB_BYTES at a time, each slab transformed along the last axis as
     soon as it is formed, finished by the pruned passes to B, and folded
     into the divergence rows it feeds (row i gains k_j M_ij, row j gains
-    k_i M_ij) before the next is formed.  In that order every row adds its
-    terms as k_0 M_i0 + k_1 M_i1 + k_2 M_i2 from the left, except that
-    row 1 starts with k_1 M_11 + k_0 M_10, a swap that IEEE addition does
-    not see; so the step keeps the bits of one stacked 6-entry transform.
+    k_i M_ij) before the next is formed.  In that order every row sums
+    k_0 M_i0 + k_1 M_i1 + k_2 M_i2 from zero, except that row 1 adds
+    k_1 M_11 before k_0 M_10, a swap that IEEE addition does not see; so
+    the step keeps the values of one stacked 6-entry transform.
     The Stokes solve runs in place on the band, and the result is that
     band: a SpectralField of cut n // 3.  When v's band is zero, so is the
     tensor, and the step returns the Stokes solve of f's band without a
@@ -564,11 +553,9 @@ def picard_step(v, drift, forcing):
         return stokes_solve(SpectralField(forcing._band(cut), n))
     k, _, _ = _wavenumbers(n, cut)
     v_phys = [_band_to_physical(b, n) for b in v_band]
-    div_M = np.empty_like(v_band)
+    div_M = np.zeros_like(v_band)
     del v_band   # a copy when v holds another cut
     u_phys = None if drift is None else drift.phys_dealiased
-    started = [False, False, False]
-    term = np.empty(div_M.shape[1:], dtype=complex)
     half = np.empty((n, n, cut + 1), dtype=complex)
     planes = max(1, _SLAB_BYTES // (8 * n * n))
     M = np.empty((min(planes, n), n, n))
@@ -589,12 +576,7 @@ def picard_step(v, drift, forcing):
             half[s] = scipy.fft.rfft(m, axis=2)[..., :cut + 1]
         M_hat = _columns_to_band(half, cut)
         for row, kj in ((i, j),) if i == j else ((i, j), (j, i)):
-            if started[row]:
-                np.multiply(k[kj], M_hat, out=term)
-                div_M[row] += term
-            else:
-                np.multiply(k[kj], M_hat, out=div_M[row])
-                started[row] = True
+            div_M[row] += k[kj] * M_hat
         del M_hat
     del v_phys, M, w_j
     div_M *= 1j

@@ -26,7 +26,7 @@ makes the quadrature spectrally accurate.
 import numpy as np
 from dataclasses import dataclass
 
-from .landau import as_flow_field, as_vec3
+from .landau import as_vec3
 from .quadrature import ball_shell_rule
 
 __all__ = [
@@ -153,11 +153,10 @@ def weak_residual(field, phi, rule=None, n_r=32, n_theta=32):
     equals b . phi(0): the force component along the plateau direction
     when the plateau contains the origin, zero when the support avoids it.
     """
-    fld = as_flow_field(field)
     if rule is None:
         rule = ball_shell_rule(phi.plateau_radius, phi.support_radius,
                                n_r, n_theta, center=phi.center)
-    return _pairing(fld.velocity(rule.nodes), phi, rule)
+    return _pairing(field.velocity(rule.nodes), phi, rule)
 
 
 def _pairing(u, phi, rule):
@@ -194,7 +193,7 @@ def extract_force_weak(field, center=(0.0, 0.0, 0.0), a=0.5, b=1.0,
     """
     rule = ball_shell_rule(a, b, n_r, n_theta,
                            center=np.asarray(center, dtype=float))
-    u = as_flow_field(field).velocity(rule.nodes)
+    u = field.velocity(rule.nodes)
     components = [_pairing(u, make_test_function(center, a, b, c), rule)
                   for c in np.eye(3)]
     return WeakResidual(value=np.array(components), n_nodes=rule.n_nodes)

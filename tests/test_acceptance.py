@@ -36,7 +36,8 @@ class _Stopwatch:
 def test_criterion_1_force_extraction_consistency():
     watch = _Stopwatch(5.0)
     params = LandauParams.from_shape(2.0)
-    forces = {R: flux_integral(params, R, n_theta=64) for R in (0.5, 1.0, 1.5)}
+    forces = {R: flux_integral(LandauField(params), R, n_theta=64)
+              for R in (0.5, 1.0, 1.5)}
     worst_match = max(np.linalg.norm(b - params.b) / params.beta
                       for b in forces.values())
     assert worst_match < 1e-6
@@ -112,7 +113,7 @@ def test_criterion_5_homogeneity_and_self_similarity():
     reference = landau_eval(params, pts)
     worst = 0.0
     for lam in (0.5, 2.0, 10.0):
-        state = RescaledField(params, lam)(pts)
+        state = RescaledField(LandauField(params), lam)(pts)
         scale_u = np.linalg.norm(reference.u, axis=1)
         worst = max(worst, float(np.max(
             np.linalg.norm(state.u - reference.u, axis=1) / scale_u)))

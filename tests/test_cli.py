@@ -730,6 +730,36 @@ class TestBadFiles:
         assert code == EXIT_CONFIG and report is None
         assert str(pts) in capsys.readouterr().err
 
+    def test_grid_file_with_a_repeated_node_is_config_error(self, tmp_path,
+                                                           capsys):
+        # each axis keeps its 4 values and there are 4^3 rows, but the node
+        # (0.5, 0.5, 0.5) is missing and (0.5, 0.5, -0.5) listed twice
+        axis = [-1.5, -0.5, 0.5, 1.5]
+        nodes = [(x, y, z) for x in axis for y in axis for z in axis]
+        nodes[nodes.index((0.5, 0.5, 0.5))] = (0.5, 0.5, -0.5)
+        grid = tmp_path / "field.csv"
+        grid.write_text(self.GRID_HEADER + "".join(
+            f"{x},{y},{z},1,0,0,{x + 10 * y + 100 * z}\n" for x, y, z in nodes))
+        code, report = run(tmp_path, "norms", "--field", f"grid:{grid}",
+                           "--lorentz", "3,2", "--domain", "ball:1")
+        assert code == EXIT_CONFIG and report is None
+        assert "not a complete rectilinear grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["landau", "--A", "2", "--point", "0,0,1", "--output", "a\0b"],
+         "--output"),
+        (["landau", "--A", "2", "--point", "0,0,1", "--csv", "a\0b"], "--csv"),
+        (["landau", "--A", "2", "--points-file", "a\0b"], "--points-file"),
+        (["flux", "--field", "landau:A=2", "--radii", "1", "--csv", "a\0b"],
+         "--csv"),
+        (["picard", "--grid", "16", "--amp", "0", "--csv", "a\0b"], "--csv"),
+        (["flux", "--field", "grid:a\0b", "--radii", "1"], "--field"),
+    ])
+    def test_path_with_a_null_byte_is_config_error(self, capsys, argv, flag):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and "null byte" in err and "\0" not in err
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         code = main(["landau", "--A", "2", "--point", "0,0,1",
                      "--output", str(tmp_path)])
@@ -842,8 +872,8 @@ def flag_type(*path):
 class TestFlagContract:
     """Each flag's value is checked once, by its argparse type."""
 
-    # text that is a path or a field spec, checked when it is opened
-    UNTYPED = {"--output", "--csv", "--points-file", "--field", "--ref"}
+    # a field spec, checked when it is parsed
+    UNTYPED = {"--field", "--ref"}
 
     def test_every_value_flag_has_a_type(self):
         untyped = {(path, a.option_strings[0])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pointflow import (
-    A_from_beta, CallableField, FlowState, LandauParams, RescaledField,
-    beta_from_A, flux_tensor, landau_eval, ns_residual,
+    A_from_beta, CallableField, FlowState, LandauField, LandauParams,
+    RescaledField, beta_from_A, flux_tensor, landau_eval, ns_residual,
     rotate_equivariance_check, sup_speed_on_unit_sphere,
 )
 from pointflow.landau import A_MAX
@@ -308,11 +308,27 @@ class TestNsResidual:
             ns_residual(LandauParams.from_shape(2.0), [0.0, 0.0, 0.01], h=0.01)
 
 
+class TestCallableField:
+    def test_velocity_rows_give_zero_pressure(self):
+        field = CallableField(lambda pts: 2.0 * pts)
+        state = field(np.array([[0.5, -1.0, 2.0]]))
+        assert np.array_equal(state.p, [0.0])
+        assert np.allclose(state.grad_u[0], 2.0 * np.eye(3), rtol=1e-8)
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_other_widths_are_rejected(self, width):
+        field = CallableField(lambda pts: np.zeros((len(pts), width)))
+        with pytest.raises(ValueError, match="sampler"):
+            field(np.ones((4, 3)))
+        with pytest.raises(ValueError, match="sampler"):
+            field.velocity(np.ones((4, 3)))
+
+
 class TestRescale:
     def test_identity_factor(self):
         params = LandauParams.from_shape(2.0)
         x = np.array([0.3, 0.1, -0.8])
-        st = RescaledField(params, 1.0)(x)
+        st = RescaledField(LandauField(params), 1.0)(x)
         ref = landau_eval(params, x)
         assert np.array_equal(st.u, ref.u) and st.p == ref.p
 
@@ -321,24 +337,25 @@ class TestRescale:
         params = LandauParams.from_shape(2.0)
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(50, 3))
-        st = RescaledField(params, lam)(pts)
+        st = RescaledField(LandauField(params), lam)(pts)
         ref = landau_eval(params, pts)
         assert np.allclose(st.u, ref.u, rtol=1e-12, atol=0.0)
         assert np.allclose(st.p, ref.p, rtol=1e-12, atol=0.0)
         assert np.allclose(st.grad_u, ref.grad_u, rtol=1e-12, atol=1e-13)
 
     def test_nonhomogeneous_field_deviates(self):
-        field = CallableField(velocity=lambda pts: np.stack(
+        field = CallableField(lambda pts: np.stack(
             [np.sin(pts[:, 1]), np.zeros(len(pts)), np.zeros(len(pts))], axis=1))
         x = np.array([0.2, 0.7, 0.1])
         deviation = np.linalg.norm(RescaledField(field, 2.0)(x).u - field(x).u)
         assert deviation > 1e-3
 
     def test_bad_factor_rejected(self):
+        field = LandauField(LandauParams.from_shape(2.0))
         with pytest.raises(ValueError):
-            RescaledField(LandauParams.from_shape(2.0), 0.0)([0, 0, 1.0])
+            RescaledField(field, 0.0)([0, 0, 1.0])
         with pytest.raises(ValueError):
-            RescaledField(LandauParams.from_shape(2.0), -2.0)([0, 0, 1.0])
+            RescaledField(field, -2.0)([0, 0, 1.0])
 
 
 class TestRotationEquivariance:

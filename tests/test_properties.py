@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pointflow import (
-    A_from_beta, LandauParams, beta_from_A, flux_integral, landau_eval,
+    A_from_beta, LandauField, LandauParams, beta_from_A, flux_integral,
+    landau_eval,
     leray_project, make_test_function, rotate_equivariance_check,
 )
 from test_spectral import divergence_defect, from_physical
@@ -67,7 +68,7 @@ def test_landau_eval_is_rotation_equivariant(A, axis, quaternion, seed):
 def test_flux_is_independent_of_the_radius(A, axis, radii):
     # T scales as R^-2 and the sphere rule's weights as R^2, for every A
     params = LandauParams.from_shape(A, axis)
-    b1, b2 = (flux_integral(params, R, n_theta=32) for R in radii)
+    b1, b2 = (flux_integral(LandauField(params), R, n_theta=32) for R in radii)
     assert np.linalg.norm(b1 - b2) <= 1e-11 * params.beta
     if A >= 2.0:
         # 32 polar nodes resolve the jet of A >= 2 to round-off

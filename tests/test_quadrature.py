@@ -124,12 +124,13 @@ class TestBallShellRule:
 class TestFluxIntegral:
     def test_recovers_force_at_reference_resolution(self):
         params = LandauParams.from_shape(2.0)
-        b = flux_integral(params, 1.0, n_theta=64)
+        b = flux_integral(LandauField(params), 1.0, n_theta=64)
         assert np.linalg.norm(b - params.b) < 1e-6 * params.beta
 
     def test_radius_independence(self):
         params = LandauParams.from_shape(2.0)
-        forces = [flux_integral(params, R) for R in np.linspace(0.25, 1.75, 7)]
+        forces = [flux_integral(LandauField(params), R)
+                  for R in np.linspace(0.25, 1.75, 7)]
         scale = np.linalg.norm(forces[0])
         for i in range(len(forces)):
             for j in range(i + 1, len(forces)):
@@ -137,18 +138,18 @@ class TestFluxIntegral:
 
     def test_stable_under_refinement(self):
         params = LandauParams.from_shape(1.5)
-        coarse = flux_integral(params, 1.0, n_theta=64)
-        fine = flux_integral(params, 1.0, n_theta=128)
+        coarse = flux_integral(LandauField(params), 1.0, n_theta=64)
+        fine = flux_integral(LandauField(params), 1.0, n_theta=128)
         assert np.linalg.norm(fine - coarse) < 1e-9 * np.linalg.norm(coarse)
 
     def test_zero_field(self):
-        assert np.array_equal(flux_integral(LandauParams.zero(), 1.0),
-                              np.zeros(3))
+        zero = LandauField(LandauParams.zero())
+        assert np.array_equal(flux_integral(zero, 1.0), np.zeros(3))
 
     def test_general_axis(self):
         axis = np.array([2.0, -1.0, 2.0]) / 3.0
         params = LandauParams.from_shape(3.0, axis=axis)
-        b = flux_integral(params, 0.7)
+        b = flux_integral(LandauField(params), 0.7)
         assert np.linalg.norm(b - params.b) < 1e-8 * params.beta
 
     def test_rotation_equivariance(self):
@@ -157,16 +158,19 @@ class TestFluxIntegral:
         if np.linalg.det(Q) < 0:
             Q[:, 0] = -Q[:, 0]
         params = LandauParams.from_shape(2.0)
-        b = flux_integral(params, 1.0)
-        b_rot = flux_integral(params.rotated(Q), 1.0)
+        b = flux_integral(LandauField(params), 1.0)
+        b_rot = flux_integral(LandauField(params.rotated(Q)), 1.0)
         assert np.linalg.norm(b_rot - Q @ b) < 1e-10 * np.linalg.norm(b)
 
     def test_finite_difference_gradient_route(self):
         # probe with analytic velocity/pressure but differenced gradient
         params = LandauParams.from_shape(2.0)
-        probe = CallableField(
-            velocity=lambda pts: landau_eval(params, pts).u,
-            pressure=lambda pts: landau_eval(params, pts).p)
+
+        def samples(pts):
+            state = landau_eval(params, pts)
+            return np.column_stack([state.u, state.p])
+
+        probe = CallableField(samples)
         b = flux_integral(probe, 1.0, n_theta=64)
         assert np.linalg.norm(b - params.b) < 1e-6 * params.beta
 
@@ -176,13 +180,13 @@ class TestFluxIntegral:
                 raise FloatingPointError("synthetic failure")
             return np.zeros_like(pts)
 
-        probe = CallableField(velocity=bad_velocity)
+        probe = CallableField(bad_velocity)
         with pytest.raises(RuntimeError, match=r"node \("):
             flux_integral(probe, 1.0, n_theta=8)
 
     def test_non_finite_probe_names_the_node(self):
         probe = CallableField(
-            velocity=lambda pts: np.where(pts[:, 2:] > 0.5, np.nan, 0.0)
+            lambda pts: np.where(pts[:, 2:] > 0.5, np.nan, 0.0)
             * np.ones((len(pts), 3)))
         with pytest.raises(RuntimeError, match="non-finite"):
             flux_integral(probe, 1.0, n_theta=8)
@@ -347,7 +351,7 @@ class TestDecayReport:
                                     np.zeros(len(pts))], axis=1)
             return u
 
-        field = CallableField(velocity=pert)
+        field = CallableField(pert)
         shells = [0.8, 0.4, 0.2]
         report = decay_report(field, params, 2.0, shells)
         # oracle: evaluate the perturbation itself on the same shells

@@ -93,7 +93,7 @@ class TestWeakResidual:
 
     def test_zero_field(self):
         phi = make_test_function([0.0, 0.0, 0.0], 0.5, 1.0, E_Z)
-        assert weak_residual(LandauParams.zero(), phi) == 0.0
+        assert weak_residual(LandauField(LandauParams.zero()), phi) == 0.0
 
     def test_linearity_in_the_test_function(self):
         class PairSum:
@@ -183,12 +183,12 @@ class TestDeltaLimitProbe:
                 assert np.linalg.norm(probes[i] - probes[j]) < 1e-7 * scale
 
     def test_zero_field_gives_zeros(self):
-        probes = flux_through(LandauParams.zero(), [0.5, 0.25])
+        probes = flux_through(LandauField(LandauParams.zero()), [0.5, 0.25])
         assert np.array_equal(probes, np.zeros((2, 3)))
 
     def test_perturbed_field_drifts(self):
         params = LandauParams.from_shape(2.0)
-        pert = CallableField(velocity=lambda pts: np.stack(
+        pert = CallableField(lambda pts: np.stack(
             [np.sin(pts[:, 1] + 0.7), np.sin(pts[:, 2] - 0.4),
              np.sin(pts[:, 0] + 0.2)], axis=1))
         field = SumField(LandauField(params), pert)
