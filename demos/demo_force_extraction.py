@@ -11,8 +11,8 @@ non-solution perturbation) shows how radius drift flags the failure.
 import numpy as np
 
 from pointflow import (
-    CallableField, LandauField, LandauParams, SumField, extract_force_weak,
-    flux_integral, make_test_function, weak_residual,
+    CallableField, LandauField, LandauParams, SumField, TestFunction,
+    extract_force_weak, flux_integral, weak_residual,
 )
 
 
@@ -45,11 +45,11 @@ def main():
         print(f"{e:6.2f} {b[2]:16.10f} {np.linalg.norm(b - probes[0]):18.3e}")
 
     banner("3. Weak-form pairing against plateau test functions")
-    phi = make_test_function([0.0, 0.0, 0.0], 0.5, 1.0, [0.0, 0.0, 1.0])
+    phi = TestFunction([0.0, 0.0, 0.0], 0.5, 1.0, [0.0, 0.0, 1.0])
     value = weak_residual(field, phi)
     print(f"  plateau contains origin:  pairing = {value:.8f}"
           f"   (b . phi(0) = {params.beta:.8f})")
-    phi_off = make_test_function([0.0, 0.0, 1.2], 0.075, 0.15, [0.0, 0.0, 1.0])
+    phi_off = TestFunction([0.0, 0.0, 1.2], 0.075, 0.15, [0.0, 0.0, 1.0])
     print(f"  support avoids origin:    pairing = "
           f"{weak_residual(field, phi_off):.3e}   (zero distribution)")
     result = extract_force_weak(field)

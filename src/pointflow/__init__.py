@@ -16,11 +16,10 @@ from .landau import (
 )
 from .quadrature import (
     NormReport, QuadratureRule, ball_samples, ball_shell_rule, decay_report,
-    flux_integral, lorentz_quasinorm, sobolev_norm, sphere_rule, weak_l3,
+    flux_integral, lorentz_quasinorm, sobolev_norm, sphere_rule,
 )
 from .weakform import (
-    TestFunction, WeakResidual, extract_force_weak,
-    make_test_function, smoothstep7, weak_residual,
+    TestFunction, WeakResidual, extract_force_weak, smoothstep7, weak_residual,
 )
 from .spectral import (
     BOX, ContractionDivergedError, IterationTrace, MollifiedDrift,

@@ -52,7 +52,7 @@ from .quadrature import (ball_samples, decay_report, flux_integral,
                          lorentz_quasinorm)
 from .spectral import (BOX, ContractionDivergedError, make_forcing,
                        make_mollified_drift, run_contraction)
-from .weakform import extract_force_weak, make_test_function
+from .weakform import TestFunction, extract_force_weak
 
 SCHEMA_VERSION = 1
 
@@ -235,8 +235,9 @@ def _probe(spec, command, kinds=("landau", "grid"), flag="--field"):
 def _load_grid_field(path):
     """Trilinear probe from a CSV of samples on a rectilinear grid.
 
-    The rows are parsed from the open file after the header and must list
-    every node of the product grid of their distinct coordinates once.
+    The rows are parsed from the open file after the header; they must be
+    finite and list every node of the product grid of their distinct
+    coordinates once.
     One interpolator runs over the stacked (ux, uy, uz, p) samples; its
     columns are bitwise equal to four per-component interpolators, since
     linear interpolation weighs every trailing component alike.  Its
@@ -263,6 +264,8 @@ def _load_grid_field(path):
     _require(rows.size, f"grid file {path} holds no samples")
     _require(rows.shape[1] == len(POINT_CSV_COLUMNS), f"grid file {path}: "
              f"expected {len(POINT_CSV_COLUMNS)} columns per row")
+    _require(np.all(np.isfinite(rows)),
+             f"grid file {path} holds a non-finite value")
     xs, ys, zs = (np.unique(rows[:, i]) for i in range(3))
     incomplete = f"grid file {path} is not a complete rectilinear grid"
     # the count bounds the product grid that the rows are compared with
@@ -399,15 +402,11 @@ def _rewrite(path, newline=None):
 
 
 def _emit(report, output, duration):
-    report = dict(report)
-    report["duration_s"] = duration
-    if output:
-        with _rewrite(output) as fh:
-            fh.writelines(_json_chunks(report))
-            fh.write("\n")
-    else:
-        sys.stdout.writelines(_json_chunks(report))
-        sys.stdout.write("\n")
+    report = dict(report, duration_s=duration)
+    stream = _rewrite(output) if output else contextlib.nullcontext(sys.stdout)
+    with stream as fh:
+        fh.writelines(_json_chunks(report))
+        fh.write("\n")
 
 
 def _write_csv(path, header, rows):
@@ -426,10 +425,12 @@ def _write_point_csv(path, table):
 
 
 def _read_points_file(path):
-    """(n, 3) points from the x,y,z columns of a CSV; # rows are comments."""
+    """(n, 3) points from the x,y,z columns of a CSV; # rows are comments,
+    and a first row x,y,z (cells stripped, as in a grid file) is a header."""
     with open(path, newline="") as fh:
         lines = [line for line in fh if line.strip() and not line.startswith("#")]
-    if lines and next(csv.reader(lines[:1]))[:3] == ["x", "y", "z"]:
+    header = next(csv.reader(lines[:1]), [])[:3]
+    if [h.strip() for h in header] == ["x", "y", "z"]:
         lines = lines[1:]
     if not lines:
         return np.empty((0, 3))
@@ -538,7 +539,7 @@ def cmd_verify_weak(args):
     # covers test functions straddling it as well
     origin = np.zeros(3)
     expected = np.array([
-        params.b @ make_test_function(center, args.a, args.b, e)(origin)
+        params.b @ TestFunction(center, args.a, args.b, e)(origin)
         for e in np.eye(3)])
     err = (float(np.linalg.norm(result.value - expected))
            / max(params.beta, 1.0))

@@ -66,14 +66,17 @@ def as_vec3(v):
 
 
 def _as_points(x):
-    """Coerce x to an (m, 3) array; return it plus a shape-restoring flag."""
+    """(pts, lead): x as (m, 3) points and the lead shape x[..., 0] has.
+
+    Every result for x is shaped lead + its value shape, so a single
+    3-vector is the batch of lead ().
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != 3:
         raise ValueError(f"points must have trailing dimension 3, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point coordinates must be finite")
-    single = x.ndim == 1
-    return x.reshape(-1, 3), single, x.shape[:-1]
+    return x.reshape(-1, 3), x.shape[:-1]
 
 
 def beta_from_A(A):
@@ -209,8 +212,6 @@ class LandauParams:
         if beta < 0.0:
             raise ValueError(f"force magnitude beta must be >= 0, "
                              f"got {beta!r}")
-        if beta == 0.0:
-            return cls.zero()
         axis = as_vec3(axis)
         n = np.linalg.norm(axis)
         if n == 0.0:
@@ -225,12 +226,6 @@ class LandauParams:
     @property
     def is_zero(self):
         return self.beta == 0.0
-
-    def rotated(self, R):
-        """Parameters of the solution driven by the rotated force R b."""
-        R = np.asarray(R, dtype=float)
-        return LandauParams(b=R @ self.b, A=self.A, beta=self.beta,
-                            axis=R @ self.axis)
 
 
 @dataclass(frozen=True)
@@ -294,13 +289,13 @@ def landau_eval(params, x):
     """Evaluate a Landau solution at x (a 3-vector or an (..., 3) batch).
 
     Returns a FlowState holding the velocity, the pressure and the exact
-    analytic velocity gradient.  Raises ValueError at the origin.
+    analytic velocity gradient, shaped lead + (3,), lead and lead + (3, 3)
+    for the lead shape of x; at one point (lead ()) the pressure is a
+    float.  Raises ValueError at the origin.
     """
-    pts, single, lead = _as_points(x)
+    pts, lead = _as_points(x)
     u, p, grad, _ = _evaluate(params, pts)
-    if single:
-        return FlowState(u=u[0], p=float(p[0]), grad_u=grad[0])
-    return FlowState(u=u.reshape(lead + (3,)), p=p.reshape(lead),
+    return FlowState(u=u.reshape(lead + (3,)), p=p.reshape(lead)[()],
                      grad_u=grad.reshape(lead + (3, 3)))
 
 
@@ -356,7 +351,7 @@ def ns_residual(params, x, h=None):
     h : difference step, scalar or per-point; defaults to 1e-3 |x|.
         The five-point stencil requires |x| > 4 h.
     """
-    pts, single, lead = _as_points(x)
+    pts, lead = _as_points(x)
     r = np.linalg.norm(pts, axis=1)
     if np.any(r == 0.0):
         raise ValueError("residual is undefined at the origin")
@@ -372,7 +367,7 @@ def ns_residual(params, x, h=None):
     u, _, grad, gradp = _evaluate(params, pts)
     lap = _laplacian_fd(params, pts, h)
     res = -lap + np.einsum("km,kmn->kn", u, grad) + gradp
-    return res[0] if single else res.reshape(lead + (3,))
+    return res.reshape(lead + (3,))
 
 
 class FlowField:
@@ -427,12 +422,11 @@ class CallableField(FlowField):
         return rows
 
     def velocity(self, x):
-        pts, single, lead = _as_points(x)
-        u = self._rows(pts)[:, :3]
-        return u[0] if single else u.reshape(lead + (3,))
+        pts, lead = _as_points(x)
+        return self._rows(pts)[:, :3].reshape(lead + (3,))
 
     def __call__(self, x):
-        pts, single, lead = _as_points(x)
+        pts, lead = _as_points(x)
         rows = self._rows(pts)
         u = rows[:, :3]
         p = rows[:, 3] if rows.shape[1] == 4 else np.zeros(len(pts))
@@ -443,9 +437,7 @@ class CallableField(FlowField):
             dx[:, m] = h
             grad[:, m, :] = (self._rows(pts + dx)[:, :3]
                              - self._rows(pts - dx)[:, :3]) / (2.0 * h)[:, None]
-        if single:
-            return FlowState(u=u[0], p=float(p[0]), grad_u=grad[0])
-        return FlowState(u=u.reshape(lead + (3,)), p=p.reshape(lead),
+        return FlowState(u=u.reshape(lead + (3,)), p=p.reshape(lead)[()],
                          grad_u=grad.reshape(lead + (3, 3)))
 
 
@@ -504,8 +496,10 @@ def rotate_equivariance_check(params, R, x):
         raise ValueError("R is not orthogonal")
     if abs(np.linalg.det(R) - 1.0) > 1e-12:
         raise ValueError("R must have determinant +1")
-    pts, _, _ = _as_points(x)
-    lhs = landau_eval(params.rotated(R), pts @ R.T).u
+    pts, _ = _as_points(x)
+    rotated = LandauParams(b=R @ params.b, A=params.A, beta=params.beta,
+                           axis=R @ params.axis)
+    lhs = landau_eval(rotated, pts @ R.T).u
     rhs = landau_eval(params, pts).u @ R.T
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
 
@@ -517,8 +511,6 @@ def sup_speed_on_unit_sphere(params):
     1-D scan of 2001 angles including both poles suffices.  Used as the
     testable surrogate for monotonicity of the maximal speed in |b|.
     """
-    if params.is_zero:
-        return 0.0
     axis = params.axis
     # any unit vector orthogonal to the axis
     trial = E_Z if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])

@@ -28,7 +28,7 @@ from .landau import flux_tensor, landau_eval
 __all__ = [
     "QuadratureRule", "sphere_rule", "ball_shell_rule",
     "flux_integral", "NormReport", "ball_samples", "lorentz_quasinorm",
-    "weak_l3", "sobolev_norm", "decay_report",
+    "sobolev_norm", "decay_report",
 ]
 
 
@@ -269,11 +269,6 @@ def lorentz_quasinorm(values, weights, p, q):
             norm_id = f"L({p:g},{q:g})"
     return NormReport(value=value, norm_id=norm_id,
                       meta={"n_samples": int(values.size)})
-
-
-def weak_l3(values, weights):
-    """Weak-L^3 quasinorm sup_t t mu(|f| > t)^{1/3} of weighted samples."""
-    return lorentz_quasinorm(values, weights, 3.0, np.inf)
 
 
 def _half_wavenumbers(n, box):

@@ -525,9 +525,11 @@ def picard_step(v, drift, forcing):
     P_B (f - div( U (x) v + v (x) (U + v) )), P_B the truncation to the
     dealiased band B of cut n // 3: the tensor products are formed in
     physical space from the samples of v's band and the divergence is
-    taken spectrally on B.  Any part of f outside B is dropped (make_forcing
-    builds forcings inside it for n >= 3).  The tensor is symmetric, so only its 6
-    distinct entries are formed.
+    taken spectrally on B.  Any part of f outside B is dropped
+    (make_forcing builds forcings inside it for n >= 3).  The drift U is
+    a MollifiedDrift on v's grid, required: U = 0 is the drift of
+    LandauParams.zero().  The tensor is symmetric, so only its 6 distinct
+    entries are formed.
 
     The step streams: 3 pruned inverses bring v's band to physical space,
     then each entry M_ij, in the order of _SYM_PAIRS, is formed a slab of
@@ -544,7 +546,7 @@ def picard_step(v, drift, forcing):
     transform.
     """
     n = v.n
-    if drift is not None and drift.n != n:
+    if drift.n != n:
         raise ValueError("drift grid does not match the iterate")
     cut = n // 3   # the 2/3 rule
     v_band = v._band(cut)
@@ -555,24 +557,21 @@ def picard_step(v, drift, forcing):
     v_phys = [_band_to_physical(b, n) for b in v_band]
     div_M = np.zeros_like(v_band)
     del v_band   # a copy when v holds another cut
-    u_phys = None if drift is None else drift.phys_dealiased
+    u_phys = drift.phys_dealiased
     half = np.empty((n, n, cut + 1), dtype=complex)
     planes = max(1, _SLAB_BYTES // (8 * n * n))
     M = np.empty((min(planes, n), n, n))
-    w_j = None if drift is None else np.empty_like(M)
+    w_j = np.empty_like(M)
     for i, j in _SYM_PAIRS:
         # M_ij = U_i v_j + v_i (U + v)_j ; (div M)_i = d_j M_ij
         for a in range(0, n, planes):
             s = slice(a, min(a + planes, n))
             m = M[:s.stop - a]
-            if drift is None:
-                np.multiply(v_phys[i][s], v_phys[j][s], out=m)
-            else:
-                w = w_j[:s.stop - a]
-                np.multiply(u_phys[i][s], v_phys[j][s], out=m)
-                np.add(u_phys[j][s], v_phys[j][s], out=w)
-                w *= v_phys[i][s]
-                m += w
+            w = w_j[:s.stop - a]
+            np.multiply(u_phys[i][s], v_phys[j][s], out=m)
+            np.add(u_phys[j][s], v_phys[j][s], out=w)
+            w *= v_phys[i][s]
+            m += w
             half[s] = scipy.fft.rfft(m, axis=2)[..., :cut + 1]
         M_hat = _columns_to_band(half, cut)
         for row, kj in ((i, j),) if i == j else ((i, j), (j, i)):
@@ -628,8 +627,10 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
                     second_start=True):
     """Iterate the Picard map from v = 0 and record the contraction trace.
 
-    Stops when the W^{1,r} increment drops below tol or max_iters is
-    reached; raises ContractionDivergedError when the iterate norm grows
+    drift is the MollifiedDrift every step reads, on the forcing's grid
+    (make_mollified_drift(LandauParams.zero(), n) for no drift).  Stops
+    when the W^{1,r} increment drops below tol or max_iters is reached;
+    raises ContractionDivergedError when the iterate norm grows
     beyond a thousand times the first iterate (the cheap witness of
     leaving the smallness regime) or stops being finite.  With
     second_start a second run from v0 = Phi(0) / 2 is performed and the

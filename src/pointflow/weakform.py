@@ -30,8 +30,8 @@ from .landau import as_vec3
 from .quadrature import ball_shell_rule
 
 __all__ = [
-    "smoothstep7", "TestFunction", "make_test_function",
-    "weak_residual", "WeakResidual", "extract_force_weak",
+    "smoothstep7", "TestFunction", "weak_residual", "WeakResidual",
+    "extract_force_weak",
 ]
 
 
@@ -122,22 +122,14 @@ class TestFunction:
          (gamma, gamma1, gamma2)) = self._profile(x)
         lap = ((alpha2 + 2.0 * alpha1 / rho_s - 2.0 * gamma)[:, None] * self.direction
                - ((gamma2 + 6.0 * gamma1 / rho_s) * yc)[:, None] * y)
+        # within about 1e-108 of the center rho^3 underflows: gamma'' is 0/0
         lap[flat] = 0.0
         return lap.reshape(np.shape(x))
 
 
-def make_test_function(center, a, b, c):
-    """Divergence-free plateau bump centered at `center`.
-
-    a is the plateau radius (phi = c there), b > a the support radius,
-    c the nonzero plateau value.
-    """
-    return TestFunction(center=center, plateau_radius=a, support_radius=b,
-                        direction=c)
-
-
 def weak_residual(field, phi, rule=None, n_r=32, n_theta=32):
-    """Distributional momentum pairing of a flow probe against one phi.
+    """Distributional momentum pairing of a flow probe against one
+    TestFunction phi.
 
     Returns the quadrature value of
 
@@ -184,8 +176,8 @@ def extract_force_weak(field, center=(0.0, 0.0, 0.0), a=0.5, b=1.0,
                        n_r=32, n_theta=32):
     """Recover the full force vector from three axis-aligned pairings.
 
-    Pairs the field against plateau bumps with directions e_x, e_y, e_z
-    sharing one geometry; when the plateau contains the singularity each
+    Pairs the field against TestFunction(center, a, b, e_k) for the
+    directions e_x, e_y, e_z; when the plateau contains the singularity each
     pairing returns one Cartesian component of the point force.  The
     velocity is evaluated once on the shared rule, ball_shell_rule(a, b,
     n_r, n_theta) about center; each component equals
@@ -194,6 +186,6 @@ def extract_force_weak(field, center=(0.0, 0.0, 0.0), a=0.5, b=1.0,
     rule = ball_shell_rule(a, b, n_r, n_theta,
                            center=np.asarray(center, dtype=float))
     u = field.velocity(rule.nodes)
-    components = [_pairing(u, make_test_function(center, a, b, c), rule)
+    components = [_pairing(u, TestFunction(center, a, b, c), rule)
                   for c in np.eye(3)]
     return WeakResidual(value=np.array(components), n_nodes=rule.n_nodes)

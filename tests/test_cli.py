@@ -70,6 +70,17 @@ class TestLandauCommand:
         assert code == EXIT_PASS
         assert len(report["payload"]["points"]) == 2
 
+    @pytest.mark.parametrize("header", ["x, y, z", " x , y ,z "])
+    def test_points_file_header_cells_are_stripped(self, tmp_path, header):
+        # the header cells are stripped as a grid file's are
+        pts = tmp_path / "pts.csv"
+        pts.write_text(header + "\n0,0,1\n0,0,2\n")
+        code, report = run(tmp_path, "landau", "--A", "2",
+                           "--points-file", str(pts))
+        assert code == EXIT_PASS
+        assert [p["x"] for p in report["payload"]["points"]] == [
+            [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]
+
     def test_domain_error_maps_to_config(self, tmp_path):
         code, _ = run(tmp_path, "landau", "--A", "0.5", "--point", "0,0,1")
         assert code == EXIT_CONFIG
@@ -729,6 +740,23 @@ class TestBadFiles:
                            "--points-file", str(pts))
         assert code == EXIT_CONFIG and report is None
         assert str(pts) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("xs, ux, argv", [
+        ((-1, "inf"), 1, ["norms", "--weak-l3", "--domain", "ball:1"]),
+        ((-1, "inf"), 1, ["flux", "--radii", "1"]),
+        ((-1, 1), "nan", ["verify", "selfsim", "--lambda", "0.5"]),
+        ((-1, 1), "nan", ["norms", "--weak-l3"]),
+    ])
+    def test_grid_file_with_a_non_finite_value_is_config_error(
+            self, tmp_path, capsys, xs, ux, argv):
+        grid = tmp_path / "field.csv"
+        grid.write_text(self.GRID_HEADER + "".join(
+            f"{x},{y},{z},{ux},0,0,0\n" for x in xs for y in (-1, 1)
+            for z in (-1, 1)))
+        code, report = run(tmp_path, *argv, "--field", f"grid:{grid}")
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and report is None
+        assert f"grid file {grid} holds a non-finite value" in err
 
     def test_grid_file_with_a_repeated_node_is_config_error(self, tmp_path,
                                                            capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from pointflow import (
     A_from_beta, CallableField, FlowState, LandauField, LandauParams,
-    RescaledField, beta_from_A, flux_tensor, landau_eval, ns_residual,
-    rotate_equivariance_check, sup_speed_on_unit_sphere,
+    RescaledField, SumField, beta_from_A, flux_tensor, landau_eval,
+    ns_residual, rotate_equivariance_check, sup_speed_on_unit_sphere,
 )
 from pointflow.landau import A_MAX
 
@@ -120,6 +120,19 @@ class TestLandauParams:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             LandauParams.from_force([np.nan, 0.0, 0.0])
+
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [1.0, 2.0, -2.0],
+                                      [0.0, -3.0, 0.0]])
+    def test_zero_magnitude_is_the_zero_solution(self, axis):
+        params = LandauParams.from_magnitude(0.0, axis)
+        zero = LandauParams.zero()
+        assert params.is_zero and params.A == zero.A
+        assert np.array_equal(params.b, zero.b)
+        assert np.array_equal(params.axis, zero.axis)
+
+    def test_zero_magnitude_checks_its_axis(self):
+        with pytest.raises(ValueError, match="axis must be nonzero"):
+            LandauParams.from_magnitude(0.0, [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("A", [np.nextafter(A_MAX, np.inf), 1e150, 1e160,
                                    np.inf])
@@ -306,6 +319,62 @@ class TestNsResidual:
     def test_stencil_guard(self):
         with pytest.raises(ValueError):
             ns_residual(LandauParams.from_shape(2.0), [0.0, 0.0, 0.01], h=0.01)
+
+
+class TestShapeRule:
+    """A result at x is the result on the flat batch x.reshape(-1, 3),
+    reshaped to x's lead shape; one point is the lead shape ().  The
+    "landau" probe is landau_eval."""
+
+    PARAMS = LandauParams.from_magnitude(3.0, [0.3, -0.4, 0.866])
+    LEADS = [(), (1,), (4,), (2, 3)]
+
+    @staticmethod
+    def points(lead):
+        rng = np.random.default_rng(7)
+        return rng.uniform(0.3, 1.2, lead + (3,)) * rng.choice([-1.0, 1.0],
+                                                                lead + (3,))
+
+    @classmethod
+    def probes(cls):
+        landau = LandauField(cls.PARAMS)
+
+        def samples(pts):
+            state = landau_eval(cls.PARAMS, pts)
+            return np.column_stack([state.u, state.p])
+
+        sampled = CallableField(samples)
+        return {"landau": landau, "callable": sampled,
+                "sum": SumField(landau, sampled),
+                "rescaled": RescaledField(sampled, 0.5)}
+
+    @staticmethod
+    def assert_reshaped(result, flat, lead, value_shape):
+        assert np.shape(result) == lead + value_shape
+        assert np.array_equal(result, np.reshape(flat, lead + value_shape))
+
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_ns_residual(self, lead):
+        x = self.points(lead)
+        self.assert_reshaped(ns_residual(self.PARAMS, x),
+                             ns_residual(self.PARAMS, x.reshape(-1, 3)),
+                             lead, (3,))
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("name", ["landau", "callable", "sum", "rescaled"])
+    def test_probes(self, lead, name):
+        probe = self.probes()[name]
+        x = self.points(lead)
+        state, flat = probe(x), probe(x.reshape(-1, 3))
+        self.assert_reshaped(state.u, flat.u, lead, (3,))
+        self.assert_reshaped(state.p, flat.p, lead, ())
+        self.assert_reshaped(state.grad_u, flat.grad_u, lead, (3, 3))
+        self.assert_reshaped(probe.velocity(x),
+                             probe.velocity(x.reshape(-1, 3)), lead, (3,))
+
+    @pytest.mark.parametrize("name", ["landau", "callable", "sum", "rescaled"])
+    def test_one_point_pressure_is_a_float(self, name):
+        assert isinstance(self.probes()[name]([0.3, -0.5, 0.7]).p, float)
 
 
 class TestCallableField:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pointflow import (
     A_from_beta, LandauField, LandauParams, beta_from_A, flux_integral,
     landau_eval,
-    leray_project, make_test_function, rotate_equivariance_check,
+    leray_project, rotate_equivariance_check, weakform,
 )
 from test_spectral import divergence_defect, from_physical
 
@@ -101,7 +101,7 @@ def test_leray_projection_is_idempotent(n, seed):
 def test_test_function_plateau_support_and_divergence(center, a, ratio,
                                                       direction, seed):
     b = a * ratio
-    phi = make_test_function(center, a, b, direction)
+    phi = weakform.TestFunction(center, a, b, direction)
     rng = np.random.default_rng(seed)
     plateau = center + sphere_points(rng, 50, 0.0, 0.99 * a)
     assert np.array_equal(phi(plateau), np.tile(direction, (50, 1)))

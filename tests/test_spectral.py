@@ -79,6 +79,10 @@ def drift_beta_half(n=N):
     return make_mollified_drift(LandauParams.from_magnitude(0.5), n)
 
 
+def zero_drift(n=N):
+    return make_mollified_drift(LandauParams.zero(), n)
+
+
 def raw_samples(drift):
     """The (3, n, n, n) samples chi * U that make_mollified_drift projects."""
     from pointflow.spectral import _mollified_box
@@ -227,11 +231,11 @@ class TestPicardStep:
     @pytest.mark.parametrize("with_drift", [True, False])
     def test_matches_full_tensor_reference(self, with_drift):
         # the 9-entry flux tensor on the full complex spectrum
-        drift = drift_beta_half() if with_drift else None
+        drift = drift_beta_half() if with_drift else zero_drift()
         forcing = make_forcing(N, 1e-2, seed=3)
         v = random_divfree(N, seed=11)
         v_phys = dealias(v).to_physical()
-        u_phys = drift.phys_dealiased if with_drift else np.zeros_like(v_phys)
+        u_phys = drift.phys_dealiased
         M = (u_phys[:, None] * v_phys[None, :]
              + v_phys[:, None] * (u_phys + v_phys)[None, :])
         M_hat = np.fft.fftn(M, axes=(2, 3, 4))[..., :N // 2 + 1]
@@ -251,7 +255,8 @@ class TestPicardStep:
 
     def test_driftless_fixed_point_residual(self):
         forcing = make_forcing(N, 1e-3)
-        trace = run_contraction(None, forcing, tol=1e-12, max_iters=50)
+        trace = run_contraction(zero_drift(), forcing, tol=1e-12,
+                                max_iters=50)
         assert trace.converged
         assert trace.residual < 1e-10
 
@@ -306,15 +311,15 @@ class TestRunContraction:
 
     @pytest.mark.parametrize("with_drift", [True, False])
     def test_uniqueness_witness_is_a_second_run(self, with_drift):
-        drift = drift_beta_half() if with_drift else None
+        drift = drift_beta_half() if with_drift else zero_drift()
         trace = run_contraction(drift, make_forcing(N, 1e-3), tol=1e-9)
         assert 0.0 < trace.uniqueness_distance <= 10.0 * trace.tol
 
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
-            run_contraction(None, make_forcing(16, 1e-3), r=3.5)
+            run_contraction(zero_drift(16), make_forcing(16, 1e-3), r=3.5)
         with pytest.raises(ValueError):
-            run_contraction(None, make_forcing(16, 1e-3), tol=-1.0)
+            run_contraction(zero_drift(16), make_forcing(16, 1e-3), tol=-1.0)
 
 
 def full_spectrum(field):
@@ -382,7 +387,7 @@ class TestTransformBudget:
         # one band forward per tensor entry; each is one-axis passes on the
         # columns the band reaches, none a full 3-D transform, the forward
         # axis-1 pass in place on each of the band's two blocks of rows
-        drift = drift_beta_half() if with_drift else None
+        drift = drift_beta_half() if with_drift else zero_drift()
         forcing = make_forcing(N, 1e-3)
         v = stokes_solve(forcing)
         calls.clear()
@@ -398,7 +403,7 @@ class TestTransformBudget:
     def test_zero_band_step_makes_none(self, calls, with_drift):
         # the tensor of the zero field is zero: Phi(0) is the Stokes solve
         # of f's band, with no transform
-        drift = drift_beta_half() if with_drift else None
+        drift = drift_beta_half() if with_drift else zero_drift()
         forcing = make_forcing(N, 1e-2, seed=3)
         calls.clear()
         step = picard_step(SpectralField.zeros(N, N // 3), drift, forcing)
@@ -492,15 +497,11 @@ def reference_picard_step(v, drift, forcing):
     v_phys = scipy.fft.irfftn(half_spectrum(v) * mask, s=(n, n, n),
                               axes=(1, 2, 3))
     M = np.empty((6, n, n, n))
-    if drift is None:
-        for e, (i, j) in enumerate(_SYM_PAIRS):
-            np.multiply(v_phys[i], v_phys[j], out=M[e])
-    else:
-        u_phys = drift.phys_dealiased
-        w_phys = u_phys + v_phys
-        for e, (i, j) in enumerate(_SYM_PAIRS):
-            np.multiply(u_phys[i], v_phys[j], out=M[e])
-            M[e] += v_phys[i] * w_phys[j]
+    u_phys = drift.phys_dealiased
+    w_phys = u_phys + v_phys
+    for e, (i, j) in enumerate(_SYM_PAIRS):
+        np.multiply(u_phys[i], v_phys[j], out=M[e])
+        M[e] += v_phys[i] * w_phys[j]
     M_hat = scipy.fft.rfftn(M, axes=(1, 2, 3))
     div_M = np.stack([sum(k[j] * M_hat[e] for j, e in enumerate(row))
                       for row in sym_entry])
@@ -519,7 +520,7 @@ def reference_picard_step(v, drift, forcing):
 class TestInPlaceArithmetic:
     @staticmethod
     def two_steps_equal_reference(n, with_drift):
-        drift = drift_beta_half(n) if with_drift else None
+        drift = drift_beta_half(n) if with_drift else zero_drift(n)
         forcing = make_forcing(n, 1e-2, seed=3)
         v = random_divfree(n, seed=11)
         # the first step trims v from the band of cut (n - 1) // 2 and f
@@ -624,7 +625,7 @@ class TestBandIterates:
     @pytest.mark.parametrize("forcing_kind", ["seeded", "shear", "zero"])
     def test_trace_equals_whole_spectrum_reference(self, n, with_drift, r,
                                                    forcing_kind):
-        drift = drift_beta_half(n) if with_drift else None
+        drift = drift_beta_half(n) if with_drift else zero_drift(n)
         forcing = {"seeded": lambda: make_forcing(n, 1e-2, seed=3),
                    "shear": lambda: make_forcing(n, 1e-2),
                    "zero": lambda: SpectralField.zeros(n, 1)}[forcing_kind]()

@@ -21,7 +21,7 @@ from scipy.interpolate import RegularGridInterpolator
 from pointflow import (
     CallableField, LandauField, LandauParams, RescaledField, SumField,
     ball_shell_rule, extract_force_weak, flux_tensor, landau_eval,
-    make_test_function, weak_residual,
+    weak_residual, weakform,
 )
 from pointflow import cli
 from pointflow.cli import EXIT_PASS, main
@@ -241,7 +241,7 @@ class TestWeakExtraction:
             value = extract_force_weak(field, center, a, b, n_r=10,
                                        n_theta=8).value
             rule = ball_shell_rule(a, b, 10, 8, center=np.asarray(center))
-            phis = [make_test_function(center, a, b, e) for e in np.eye(3)]
+            phis = [weakform.TestFunction(center, a, b, e) for e in np.eye(3)]
             separate = [weak_residual(field, phi, rule=rule) for phi in phis]
             from_state = [pairing_from_state(field, phi, rule) for phi in phis]
             assert value.tolist() == separate == from_state
@@ -270,8 +270,8 @@ class TestCallBudget:
 
     def test_weak_pairing_evaluates_once(self):
         field, calls = self.counting_field(LandauField(PARAMS))
-        weak_residual(field, make_test_function([0, 0, 0], 0.5, 1.0, [0, 0, 1]),
-                      n_r=8, n_theta=6)
+        phi = weakform.TestFunction([0, 0, 0], 0.5, 1.0, [0, 0, 1])
+        weak_residual(field, phi, n_r=8, n_theta=6)
         assert calls == [8 * 6 * 12]
 
     def test_full_evaluation_calls_seven_times(self):

@@ -5,7 +5,7 @@ import pytest
 
 from pointflow import (
     CallableField, LandauField, LandauParams, SumField, ball_shell_rule,
-    extract_force_weak, flux_integral, make_test_function, weak_residual,
+    extract_force_weak, flux_integral, weak_residual, weakform,
 )
 
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -13,7 +13,8 @@ E_Z = np.array([0.0, 0.0, 1.0])
 
 class TestTestFunction:
     def test_plateau_value_exact(self):
-        phi = make_test_function([0.1, -0.2, 0.0], 0.4, 0.9, [1.0, 2.0, -1.0])
+        phi = weakform.TestFunction([0.1, -0.2, 0.0], 0.4, 0.9,
+                                    [1.0, 2.0, -1.0])
         rng = np.random.default_rng(3)
         dirs = rng.normal(size=(200, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -23,7 +24,7 @@ class TestTestFunction:
         assert np.array_equal(phi(np.array([0.1, -0.2, 0.0])), [1.0, 2.0, -1.0])
 
     def test_support_containment_exact(self):
-        phi = make_test_function([0.0, 0.0, 0.0], 0.3, 0.8, [0.0, 0.0, 1.0])
+        phi = weakform.TestFunction([0.0, 0.0, 0.0], 0.3, 0.8, [0.0, 0.0, 1.0])
         rng = np.random.default_rng(5)
         dirs = rng.normal(size=(100, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -33,14 +34,15 @@ class TestTestFunction:
         assert np.all(phi.laplacian(pts) == 0.0)
 
     def test_divergence_free_everywhere(self):
-        phi = make_test_function([0.05, 0.0, -0.1], 0.35, 1.1, [0.3, -1.0, 0.5])
+        phi = weakform.TestFunction([0.05, 0.0, -0.1], 0.35, 1.1,
+                                    [0.3, -1.0, 0.5])
         rng = np.random.default_rng(7)
         pts = rng.uniform(-1.3, 1.3, size=(1000, 3))
         div = np.trace(phi.gradient(pts), axis1=-2, axis2=-1)
         assert np.max(np.abs(div)) <= 1e-10
 
     def test_gradient_matches_finite_differences(self):
-        phi = make_test_function([0.0, 0.0, 0.0], 0.5, 1.0, [0.0, 0.0, 1.0])
+        phi = weakform.TestFunction([0.0, 0.0, 0.0], 0.5, 1.0, [0.0, 0.0, 1.0])
         pts = np.array([[0.7, 0.1, -0.2], [0.55, -0.3, 0.4], [0.0, 0.6, 0.55]])
         grad = phi.gradient(pts)
         h = 1e-6
@@ -51,7 +53,8 @@ class TestTestFunction:
             assert np.max(np.abs(grad[:, m, :] - fd)) < 1e-8
 
     def test_laplacian_matches_finite_differences(self):
-        phi = make_test_function([0.0, 0.0, 0.0], 0.5, 1.0, [1.0, -0.5, 2.0])
+        phi = weakform.TestFunction([0.0, 0.0, 0.0], 0.5, 1.0,
+                                    [1.0, -0.5, 2.0])
         pts = np.array([[0.7, 0.1, -0.2], [0.0, 0.6, 0.55]])
         lap = phi.laplacian(pts)
         h = 1e-5
@@ -63,7 +66,7 @@ class TestTestFunction:
         assert np.max(np.abs(lap - fd)) < 1e-5 * np.max(np.abs(lap))
 
     def test_laplacian_continuous_at_gluing_spheres(self):
-        phi = make_test_function([0.0, 0.0, 0.0], 0.5, 1.0, [0.0, 0.0, 1.0])
+        phi = weakform.TestFunction([0.0, 0.0, 0.0], 0.5, 1.0, [0.0, 0.0, 1.0])
         for rho in (0.5, 1.0):
             inner = phi.laplacian(np.array([rho - 1e-9, 0.0, 0.0]))
             outer = phi.laplacian(np.array([rho + 1e-9, 0.0, 0.0]))
@@ -71,28 +74,28 @@ class TestTestFunction:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            make_test_function([0, 0, 0], 0.8, 0.5, [0, 0, 1.0])
+            weakform.TestFunction([0, 0, 0], 0.8, 0.5, [0, 0, 1.0])
         with pytest.raises(ValueError):
-            make_test_function([0, 0, 0], 0.0, 0.5, [0, 0, 1.0])
+            weakform.TestFunction([0, 0, 0], 0.0, 0.5, [0, 0, 1.0])
         with pytest.raises(ValueError):
-            make_test_function([0, 0, 0], 0.2, 0.5, [0, 0, 0.0])
+            weakform.TestFunction([0, 0, 0], 0.2, 0.5, [0, 0, 0.0])
 
 
 class TestWeakResidual:
     def test_landau_pairing_recovers_force_component(self):
         params = LandauParams.from_shape(2.0)
-        phi = make_test_function([0.0, 0.0, 0.0], 0.5, 1.0, E_Z)
+        phi = weakform.TestFunction([0.0, 0.0, 0.0], 0.5, 1.0, E_Z)
         value = weak_residual(LandauField(params), phi)
         assert value == pytest.approx(params.beta, rel=1e-8)
 
     def test_support_avoiding_origin_gives_zero(self):
         params = LandauParams.from_shape(2.0)
-        phi = make_test_function([0.0, 0.0, 1.2], 0.075, 0.15, E_Z)
+        phi = weakform.TestFunction([0.0, 0.0, 1.2], 0.075, 0.15, E_Z)
         value = weak_residual(LandauField(params), phi)
         assert abs(value) < 1e-6 * params.beta
 
     def test_zero_field(self):
-        phi = make_test_function([0.0, 0.0, 0.0], 0.5, 1.0, E_Z)
+        phi = weakform.TestFunction([0.0, 0.0, 0.0], 0.5, 1.0, E_Z)
         assert weak_residual(LandauField(LandauParams.zero()), phi) == 0.0
 
     def test_linearity_in_the_test_function(self):
@@ -111,8 +114,10 @@ class TestWeakResidual:
 
         params = LandauParams.from_shape(2.0)
         field = LandauField(params)
-        phi1 = make_test_function([0.0, 0.0, 0.0], 0.3, 0.7, [0.0, 0.0, 1.0])
-        phi2 = make_test_function([0.1, 0.0, 0.0], 0.2, 0.9, [1.0, 0.0, 0.0])
+        phi1 = weakform.TestFunction([0.0, 0.0, 0.0], 0.3, 0.7,
+                                     [0.0, 0.0, 1.0])
+        phi2 = weakform.TestFunction([0.1, 0.0, 0.0], 0.2, 0.9,
+                                     [1.0, 0.0, 0.0])
         rule = ball_shell_rule(1e-4, 1.05, 48, 32, center=np.zeros(3))
         lhs = weak_residual(field, PairSum(phi1, phi2), rule=rule)
         rhs = (weak_residual(field, phi1, rule=rule)
@@ -146,7 +151,7 @@ class TestWeakResidual:
     def test_refinement_at_least_halves_the_error(self):
         params = LandauParams.from_shape(2.0)
         field = LandauField(params)
-        phi = make_test_function([0.0, 0.0, 0.0], 0.5, 1.0, E_Z)
+        phi = weakform.TestFunction([0.0, 0.0, 0.0], 0.5, 1.0, E_Z)
         errors = []
         for n_r in (3, 6, 12, 24):
             value = weak_residual(field, phi, n_r=n_r, n_theta=2 * n_r)
