@@ -52,7 +52,7 @@ def main():
     for amp in (1e-4, 1e-3, 1e-2, 1e-1, 10.0):
         try:
             tr = run_contraction(drift, make_forcing(n, amp), r=2.0,
-                                 tol=1e-11, max_iters=30, second_start=False)
+                                 tol=1e-11, max_iters=30)
             verdict = ("contraction" if max(tr.ratios) < 0.5
                        else "outside ratio < 1/2")
             print(f"{amp:12.0e} {tr.iterations:7d} {max(tr.ratios):11.4f} "
@@ -67,8 +67,7 @@ def main():
     banner("3. Grid independence of the small-data fixed point")
     for grid in (32, 64):
         d = make_mollified_drift(LandauParams.from_magnitude(0.5), grid)
-        tr = run_contraction(d, make_forcing(grid, 1e-3), r=2.0, tol=1e-11,
-                             second_start=False)
+        tr = run_contraction(d, make_forcing(grid, 1e-3), r=2.0, tol=1e-11)
         print(f"  {grid:3d}^3 grid: |v*|_W(1,2) = {tr.norms[-1]:.10f}")
 
 

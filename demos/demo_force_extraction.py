@@ -11,7 +11,7 @@ non-solution perturbation) shows how radius drift flags the failure.
 import numpy as np
 
 from pointflow import (
-    CallableField, LandauField, LandauParams, SumField, TestFunction,
+    CallableField, LandauField, LandauParams, TestFunction,
     extract_force_weak, flux_integral, weak_residual,
 )
 
@@ -57,10 +57,14 @@ def main():
           f"{result.value[1]:.2e}, {result.value[2]:.8f})")
 
     banner("4. Negative control: a perturbed field is not a solution")
-    pert = CallableField(lambda pts: np.stack(
-        [np.sin(pts[:, 1] + 0.7), np.sin(pts[:, 2] - 0.4),
-         np.sin(pts[:, 0] + 0.2)], axis=1))
-    broken = SumField(field, pert)
+    def broken_rows(pts):
+        """Landau u plus a smooth perturbation, and the Landau p."""
+        st = field(pts)
+        pert = np.stack([np.sin(pts[:, 1] + 0.7), np.sin(pts[:, 2] - 0.4),
+                         np.sin(pts[:, 0] + 0.2)], axis=1)
+        return np.column_stack([st.u + pert, st.p])
+
+    broken = CallableField(broken_rows)
     probes = [flux_integral(broken, e) for e in eps]
     print(f"{'eps':>6} {'b_z(eps)':>16}")
     for e, b in zip(eps, probes):

@@ -10,9 +10,8 @@ Landau leading term.
 
 from .landau import (
     A_from_beta, CallableField, FlowField, FlowState, LandauField,
-    LandauParams, RescaledField, SumField, as_vec3, beta_from_A,
-    flux_tensor, landau_eval, ns_residual, rotate_equivariance_check,
-    sup_speed_on_unit_sphere,
+    LandauParams, RescaledField, as_vec3, beta_from_A, flux_tensor,
+    landau_eval, ns_residual, sup_speed_on_unit_sphere,
 )
 from .quadrature import (
     NormReport, QuadratureRule, ball_samples, ball_shell_rule, decay_report,

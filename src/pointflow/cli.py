@@ -589,13 +589,12 @@ def cmd_picard(args):
     forcing = make_forcing(args.grid, args.amp, seed=args.seed)
     trace = run_contraction(drift, forcing, r=args.r, max_iters=args.iters,
                             tol=args.tol)
-    late_ratios = trace.ratios[1:]
-    max_late_ratio = max(late_ratios) if late_ratios else 0.0
+    ratios = trace.ratios
+    max_late_ratio = max(ratios[1:]) if ratios[1:] else 0.0
     if args.csv:
         _write_csv(args.csv, TRACE_CSV_COLUMNS, (
             [str(i), repr(float(inc)),
-             repr(float(trace.ratios[i - 2])) if 2 <= i < len(trace.ratios) + 2
-             else ""]
+             repr(float(ratios[i - 2])) if 2 <= i < len(ratios) + 2 else ""]
             for i, inc in enumerate(trace.increments, start=1)))
     return {
         "grid": args.grid,
@@ -607,7 +606,7 @@ def cmd_picard(args):
         "converged": trace.converged,
         "norms": trace.norms,
         "increments": trace.increments,
-        "ratios": trace.ratios,
+        "ratios": ratios,
         "max_ratio_after_first": max_late_ratio,
         "fixed_point_residual": trace.residual,
         "uniqueness_distance": trace.uniqueness_distance,

@@ -36,9 +36,8 @@ __all__ = [
     "A_MIN", "A_MAX", "BETA_MIN", "BETA_MAX", "E_Z",
     "as_vec3", "beta_from_A", "A_from_beta",
     "LandauParams", "FlowState",
-    "landau_eval", "flux_tensor", "ns_residual",
-    "rotate_equivariance_check", "sup_speed_on_unit_sphere",
-    "FlowField", "LandauField", "CallableField", "SumField", "RescaledField",
+    "landau_eval", "flux_tensor", "ns_residual", "sup_speed_on_unit_sphere",
+    "FlowField", "LandauField", "CallableField", "RescaledField",
 ]
 
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -198,10 +197,13 @@ class LandauParams:
 
     @classmethod
     def from_force(cls, b):
-        """Parameters from the point-force vector b (b = 0 allowed)."""
+        """Parameters from the point-force vector b (b = 0 allowed; a
+        nonzero b whose norm underflows to 0 raises ValueError)."""
         b = as_vec3(b)
         beta = float(np.linalg.norm(b))
         if beta == 0.0:
+            if np.any(b):
+                raise ValueError("the nonzero force's norm underflows to 0")
             return cls.zero()
         axis = b / beta
         return cls(b=b, A=A_from_beta(beta), beta=beta, axis=axis)
@@ -336,36 +338,22 @@ def _laplacian_fd(params, pts, h):
     return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
 
 
-def ns_residual(params, x, h=None):
-    """Pointwise momentum residual -Delta u + (u . grad) u + grad p.
+def ns_residual(params, x):
+    """Pointwise momentum residual -Delta u + (u . grad) u + grad p at x,
+    a 3-vector or an (..., 3) batch away from the origin.
 
     Vanishes identically away from the origin for an exact Landau field;
-    what is returned is pure discretization error of the Laplacian, of
-    size O(h^4) relative to the local field scale.  The advective term
-    and the pressure gradient are analytic.
-
-    Parameters
-    ----------
-    params : LandauParams
-    x : 3-vector or (..., 3) batch, away from the origin
-    h : difference step, scalar or per-point; defaults to 1e-3 |x|.
-        The five-point stencil requires |x| > 4 h.
+    what is returned is pure discretization error of the Laplacian, whose
+    difference step is h = 1e-3 |x| at each point, of size O(h^4)
+    relative to the local field scale.  The advective term and the
+    pressure gradient are analytic.
     """
     pts, lead = _as_points(x)
     r = np.linalg.norm(pts, axis=1)
     if np.any(r == 0.0):
         raise ValueError("residual is undefined at the origin")
-    if h is None:
-        h = 1e-3 * r
-    else:
-        h = np.broadcast_to(np.asarray(h, dtype=float), r.shape).copy()
-        if np.any(h <= 0.0):
-            raise ValueError("difference step must be positive")
-    if np.any(r <= 4.0 * h):
-        raise ValueError("stencil too close to the origin: need |x| > 4 h")
-
     u, _, grad, gradp = _evaluate(params, pts)
-    lap = _laplacian_fd(params, pts, h)
+    lap = _laplacian_fd(params, pts, 1e-3 * r)
     res = -lap + np.einsum("km,kmn->kn", u, grad) + gradp
     return res.reshape(lead + (3,))
 
@@ -441,24 +429,6 @@ class CallableField(FlowField):
                          grad_u=grad.reshape(lead + (3, 3)))
 
 
-class SumField(FlowField):
-    """Pointwise sum of probes (not a solution in general: NS is nonlinear)."""
-
-    def __init__(self, *fields):
-        if not fields:
-            raise ValueError("need at least one field")
-        self.fields = fields
-
-    def __call__(self, x):
-        states = [f(x) for f in self.fields]
-        return FlowState(u=sum(s.u for s in states),
-                         p=sum(s.p for s in states),
-                         grad_u=sum(s.grad_u for s in states))
-
-    def velocity(self, x):
-        return sum(f.velocity(x) for f in self.fields)
-
-
 class RescaledField(FlowField):
     """The rescaled probe x -> (lam u(lam x), lam^2 p(lam x), lam^2 du(lam x)).
 
@@ -481,27 +451,6 @@ class RescaledField(FlowField):
 
     def velocity(self, x):
         return self.lam * self.base.velocity(self.lam * np.asarray(x, dtype=float))
-
-
-def rotate_equivariance_check(params, R, x):
-    """Max pointwise defect |U^{Rb}(Rx) - R U^b(x)| over the given points.
-
-    R must be a rotation (orthogonal, det +1, verified to 1e-12).  The
-    Cartesian assembly makes the two construction paths agree to round-off.
-    """
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
-        raise ValueError("R must be a finite 3x3 matrix")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
-        raise ValueError("R is not orthogonal")
-    if abs(np.linalg.det(R) - 1.0) > 1e-12:
-        raise ValueError("R must have determinant +1")
-    pts, _ = _as_points(x)
-    rotated = LandauParams(b=R @ params.b, A=params.A, beta=params.beta,
-                           axis=R @ params.axis)
-    lhs = landau_eval(rotated, pts @ R.T).u
-    rhs = landau_eval(params, pts).u @ R.T
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
 
 
 def sup_speed_on_unit_sphere(params):

@@ -414,12 +414,11 @@ def _mollified_box(params, n, delta_in, delta_out):
 
     samples = np.zeros((3,) + chi.shape)
     mask = chi > 0.0
-    if params.beta > 0.0 and np.any(mask):
-        # C-ordered (m, 3), as coords[:, mask].T on the whole grid:
-        # landau_eval's bits depend on the layout of its points
-        pts = np.stack([x1[i] for i in np.nonzero(mask)], axis=-1)
-        u = landau_eval(params, pts).u
-        samples[:, mask] = (chi[mask][:, None] * u).T
+    # C-ordered (m, 3), as coords[:, mask].T on the whole grid:
+    # landau_eval's bits depend on the layout of its points
+    pts = np.stack([x1[i] for i in np.nonzero(mask)], axis=-1)
+    u = landau_eval(params, pts).u
+    samples[:, mask] = (chi[mask][:, None] * u).T
     return box, samples
 
 
@@ -588,27 +587,33 @@ def picard_step(v, drift, forcing):
 class IterationTrace:
     """Per-iteration record of a Picard run.
 
-    norms[i] is the W^{1,r} norm of the i-th iterate, increments[i] the
-    norm of the i-th update, ratios[i] the successive increment quotient
-    (one entry shorter).  residual is the W^{1,r} norm of the fixed-point
-    defect v - Phi(v) at the final iterate, which for r = 2 equals the
-    H^{-1}-type norm of the momentum equation residual.  converged says
-    whether an increment fell below tol; uniqueness_distance is the
-    W^{1,r} distance to the fixed point reached from the second start
-    (None without one).
+    norms[i] is the W^{1,r} norm of the i-th iterate and increments[i]
+    the norm of the i-th update; ratios derives from them.  residual is
+    the W^{1,r} norm of the fixed-point defect v - Phi(v) at the final
+    iterate, which for r = 2 equals the H^{-1}-type norm of the momentum
+    equation residual.  converged says whether an increment fell below
+    tol; uniqueness_distance is the W^{1,r} distance to the fixed point
+    reached from the second start.  The trace of a diverged run holds NaN
+    for both distances.
     """
 
     norms: list
     increments: list
-    ratios: list
     residual: float
     converged: bool
     tol: float
-    uniqueness_distance: float = None
+    uniqueness_distance: float
 
     @property
     def iterations(self):
         return len(self.increments)
+
+    @property
+    def ratios(self):
+        """Quotients of successive increments, one entry shorter (a zero
+        increment divides nothing)."""
+        inc = self.increments
+        return [b / a for a, b in zip(inc, inc[1:]) if a > 0.0]
 
 
 class ContractionDivergedError(RuntimeError):
@@ -623,23 +628,23 @@ class ContractionDivergedError(RuntimeError):
         self.trace = trace
 
 
-def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
-                    second_start=True):
-    """Iterate the Picard map from v = 0 and record the contraction trace.
+def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9):
+    """Iterate the Picard map from two starts and record the contraction
+    trace of the first.
 
     drift is the MollifiedDrift every step reads, on the forcing's grid
-    (make_mollified_drift(LandauParams.zero(), n) for no drift).  Stops
-    when the W^{1,r} increment drops below tol or max_iters is reached;
-    raises ContractionDivergedError when the iterate norm grows
+    (make_mollified_drift(LandauParams.zero(), n) for no drift).  Each run
+    stops when the W^{1,r} increment drops below tol or max_iters is
+    reached; raises ContractionDivergedError when the iterate norm grows
     beyond a thousand times the first iterate (the cheap witness of
-    leaving the smallness regime) or stops being finite.  With
-    second_start a second run from v0 = Phi(0) / 2 is performed and the
-    W^{1,r} distance between the two fixed points is reported, the
-    numerical counterpart of the uniqueness argument.  Phi(0) =
-    StokesSolve(P_B f) is the first run's first iterate, so that start
-    costs no step; it lies in the contraction ball (on the segment from
-    0 to Phi(0)) but not on the first run's trajectory, so the two runs
-    are independent witnesses.  The iterates are bands of cut n // 3
+    leaving the smallness regime) or stops being finite.  The trace
+    records the run from v = 0; a second run from v0 = Phi(0) / 2 always
+    follows, and the W^{1,r} distance between the two fixed points is
+    reported, the numerical counterpart of the uniqueness argument.
+    Phi(0) = StokesSolve(P_B f) is the first run's first iterate, so that
+    start costs no step; it lies in the contraction ball (on the segment
+    from 0 to Phi(0)) but not on the first run's trajectory, so the two
+    runs are independent witnesses.  The iterates are bands of cut n // 3
     from the zero band on (see picard_step).
     """
     r = float(r)
@@ -656,7 +661,6 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
         """(last iterate, whether it converged, first iterate)."""
         # v is rebound each step, so the start is released after one
         first = first_norm = None
-        previous_increment = None
         for _ in range(max_iters):
             v_next = picard_step(v, drift, forcing)
             increment = (v_next - v).w1r(r)
@@ -664,8 +668,6 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
             if trace is not None:
                 trace.norms.append(norm)
                 trace.increments.append(increment)
-                if previous_increment is not None and previous_increment > 0.0:
-                    trace.ratios.append(increment / previous_increment)
             if first is None:
                 first, first_norm = v_next, norm
             v = v_next
@@ -676,17 +678,15 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9,
                 raise ContractionDivergedError(trace)
             if increment < tol:
                 return v, True, first
-            previous_increment = increment
         return v, False, first
 
-    trace = IterationTrace(norms=[], increments=[], ratios=[], residual=np.nan,
-                           converged=False, tol=tol)
+    trace = IterationTrace(norms=[], increments=[], residual=np.nan,
+                           converged=False, tol=tol,
+                           uniqueness_distance=np.nan)
     n = forcing.n
     v_star, converged, phi0 = iterate(SpectralField.zeros(n, n // 3), trace)
     trace.converged = converged
     trace.residual = (v_star - picard_step(v_star, drift, forcing)).w1r(r)
-
-    if second_start:
-        v_alt, _, _ = iterate(0.5 * phi0, None)
-        trace.uniqueness_distance = (v_star - v_alt).w1r(r)
+    v_alt, _, _ = iterate(0.5 * phi0, None)
+    trace.uniqueness_distance = (v_star - v_alt).w1r(r)
     return trace

@@ -145,8 +145,7 @@ def test_criterion_6_contraction_demonstration():
     for amp in (1e-4, 1e-3, 1e-2, 1e-1):
         try:
             sweep = run_contraction(drift, make_forcing(32, amp), r=2.0,
-                                    tol=1e-11, max_iters=25,
-                                    second_start=False)
+                                    tol=1e-11, max_iters=25)
             max_ratios.append(max(sweep.ratios))
         except ContractionDivergedError:
             max_ratios.append(np.inf)

@@ -929,6 +929,11 @@ class TestFlagContract:
         # outside [beta(A_MAX), beta_max], the range A_from_beta inverts
         (["landau", "--beta", "1e-9", "--point", "0,0,1"], "--beta"),
         (["landau", "--beta", "1e300", "--point", "0,0,1"], "--beta"),
+        # so small that |b| underflows to 0, which is not the zero solution
+        (["flux", "--field", "landau:beta=1e-320", "--radii", "1"], "--field"),
+        (["verify", "weak", "--field", "landau:beta=1e-200"], "--field"),
+        (["norms", "--field", "landau:A=2", "--decay", "--ref", "beta=1e-300"],
+         "--ref"),
     ])
     def test_negative_magnitude_is_config_error(self, tmp_path, capsys, argv,
                                                 named):

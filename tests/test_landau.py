@@ -5,8 +5,8 @@ import pytest
 
 from pointflow import (
     A_from_beta, CallableField, FlowState, LandauField, LandauParams,
-    RescaledField, SumField, beta_from_A, flux_tensor, landau_eval,
-    ns_residual, rotate_equivariance_check, sup_speed_on_unit_sphere,
+    RescaledField, beta_from_A, flux_tensor, landau_eval, ns_residual,
+    sup_speed_on_unit_sphere,
 )
 from pointflow.landau import A_MAX
 
@@ -23,6 +23,16 @@ def high_precision_beta(A, dps=50):
         value = 16 * mp.pi * (A + A**2 / 2 * mp.log((A - 1) / (A + 1))
                               + 4 * A / (3 * (A**2 - 1)))
         return float(value)
+
+
+def equivariance_defect(params, R, x):
+    """max |U^{Rb}(Rx) - R U^b(x)| over the points x, for a rotation R."""
+    pts = np.reshape(np.asarray(x, dtype=float), (-1, 3))
+    rotated = LandauParams(b=R @ params.b, A=params.A, beta=params.beta,
+                           axis=R @ params.axis)
+    lhs = landau_eval(rotated, pts @ R.T).u
+    rhs = landau_eval(params, pts).u @ R.T
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
 
 
 class TestBetaFromA:
@@ -120,6 +130,14 @@ class TestLandauParams:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             LandauParams.from_force([np.nan, 0.0, 0.0])
+
+    @pytest.mark.parametrize("make, arg", [
+        ("from_force", [0.0, 0.0, 1e-320]),
+        ("from_force", [1e-200, -1e-200, 0.0]), ("from_magnitude", 1e-300)])
+    def test_underflowing_force_rejected(self, make, arg):
+        # |b| rounds to 0, yet b is not the zero force
+        with pytest.raises(ValueError, match="underflows"):
+            getattr(LandauParams, make)(arg)
 
     @pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [1.0, 2.0, -2.0],
                                       [0.0, -3.0, 0.0]])
@@ -304,21 +322,17 @@ class TestFluxTensor:
 
 class TestNsResidual:
     def test_small_at_unit_distance(self):
-        res = ns_residual(LandauParams.from_shape(2.0), [0.0, 0.0, 1.0], h=1e-3)
+        res = ns_residual(LandauParams.from_shape(2.0), [0.0, 0.0, 1.0])
         assert np.linalg.norm(res) < 1e-6
 
     def test_zero_for_zero_force(self):
-        res = ns_residual(LandauParams.zero(), [0.2, 0.5, -0.1], h=1e-3)
+        res = ns_residual(LandauParams.zero(), [0.2, 0.5, -0.1])
         assert np.all(res == 0.0)
 
     def test_scaled_bound_near_origin(self):
         x = 0.01 * np.ones(3) / np.sqrt(3.0)
-        res = ns_residual(LandauParams.from_shape(2.0), x, h=1e-5)
+        res = ns_residual(LandauParams.from_shape(2.0), x)
         assert np.linalg.norm(res) * 0.01**3 < 1e-4
-
-    def test_stencil_guard(self):
-        with pytest.raises(ValueError):
-            ns_residual(LandauParams.from_shape(2.0), [0.0, 0.0, 0.01], h=0.01)
 
 
 class TestShapeRule:
@@ -345,7 +359,6 @@ class TestShapeRule:
 
         sampled = CallableField(samples)
         return {"landau": landau, "callable": sampled,
-                "sum": SumField(landau, sampled),
                 "rescaled": RescaledField(sampled, 0.5)}
 
     @staticmethod
@@ -361,7 +374,7 @@ class TestShapeRule:
                              lead, (3,))
 
     @pytest.mark.parametrize("lead", LEADS)
-    @pytest.mark.parametrize("name", ["landau", "callable", "sum", "rescaled"])
+    @pytest.mark.parametrize("name", ["landau", "callable", "rescaled"])
     def test_probes(self, lead, name):
         probe = self.probes()[name]
         x = self.points(lead)
@@ -372,7 +385,7 @@ class TestShapeRule:
         self.assert_reshaped(probe.velocity(x),
                              probe.velocity(x.reshape(-1, 3)), lead, (3,))
 
-    @pytest.mark.parametrize("name", ["landau", "callable", "sum", "rescaled"])
+    @pytest.mark.parametrize("name", ["landau", "callable", "rescaled"])
     def test_one_point_pressure_is_a_float(self, name):
         assert isinstance(self.probes()[name]([0.3, -0.5, 0.7]).p, float)
 
@@ -430,14 +443,14 @@ class TestRescale:
 class TestRotationEquivariance:
     def test_identity_rotation(self):
         params = LandauParams.from_shape(2.0)
-        assert rotate_equivariance_check(params, np.eye(3), [0.3, -0.2, 0.9]) == 0.0
+        assert equivariance_defect(params, np.eye(3), [0.3, -0.2, 0.9]) == 0.0
 
     def test_quarter_turn(self):
         R = np.array([[1.0, 0.0, 0.0],
                       [0.0, 0.0, -1.0],
                       [0.0, 1.0, 0.0]])
         params = LandauParams.from_shape(2.0)
-        assert rotate_equivariance_check(params, R, [0.3, -0.2, 0.9]) <= 1e-10
+        assert equivariance_defect(params, R, [0.3, -0.2, 0.9]) <= 1e-10
 
     def test_random_rotations(self):
         rng = np.random.default_rng(23)
@@ -447,18 +460,11 @@ class TestRotationEquivariance:
             Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             if np.linalg.det(Q) < 0:
                 Q[:, 0] = -Q[:, 0]
-            assert rotate_equivariance_check(params, Q, pts) <= 1e-10
+            assert equivariance_defect(params, Q, pts) <= 1e-10
 
     def test_zero_force(self):
         R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert rotate_equivariance_check(LandauParams.zero(), R, [1.0, 0, 0]) == 0.0
-
-    def test_non_rotation_rejected(self):
-        params = LandauParams.from_shape(2.0)
-        with pytest.raises(ValueError):
-            rotate_equivariance_check(params, 2.0 * np.eye(3), [1.0, 0, 0])
-        with pytest.raises(ValueError):
-            rotate_equivariance_check(params, -np.eye(3), [1.0, 0, 0])
+        assert equivariance_defect(LandauParams.zero(), R, [1.0, 0, 0]) == 0.0
 
 
 class TestSupSpeedMonotonicity:

@@ -266,6 +266,8 @@ class TestRunContraction:
         trace = run_contraction(drift_beta_half(), make_forcing(N, 1e-3),
                                 tol=1e-9)
         assert trace.converged and trace.iterations < 15
+        inc = trace.increments
+        assert trace.ratios == [b / a for a, b in zip(inc, inc[1:])]
         assert all(rho < 0.5 for rho in trace.ratios[1:])
         assert trace.uniqueness_distance <= 10.0 * trace.tol
         assert trace.residual <= 10.0 * trace.tol
@@ -275,12 +277,18 @@ class TestRunContraction:
                                 tol=1e-9)
         assert trace.converged and trace.iterations == 1
         assert trace.norms[-1] == 0.0
+        assert type(trace.uniqueness_distance) is float
+        assert trace.uniqueness_distance == 0.0
 
     def test_divergence_detector_fires(self):
         with pytest.raises(ContractionDivergedError) as excinfo:
             run_contraction(drift_beta_half(16), make_forcing(16, 50.0),
                             tol=1e-9, max_iters=60)
-        assert excinfo.value.trace.iterations >= 1
+        trace = excinfo.value.trace
+        inc = trace.increments
+        assert len(inc) >= 2
+        assert trace.ratios == [b / a for a, b in zip(inc, inc[1:])]
+        assert np.isnan(trace.uniqueness_distance)
 
     def test_ratios_nondecreasing_in_amplitude(self):
         drift = drift_beta_half()
@@ -288,8 +296,7 @@ class TestRunContraction:
         for amp in (1e-4, 1e-3, 1e-2, 1e-1):
             try:
                 traces[amp] = run_contraction(drift, make_forcing(N, amp),
-                                              tol=1e-11, max_iters=25,
-                                              second_start=False).ratios
+                                              tol=1e-11, max_iters=25).ratios
             except ContractionDivergedError:
                 traces[amp] = None   # only permitted for the largest amplitude
         amps = sorted(traces)
@@ -305,7 +312,7 @@ class TestRunContraction:
         norms = {}
         for n in (32, 64):
             trace = run_contraction(drift_beta_half(n), make_forcing(n, 1e-3),
-                                    tol=1e-11, second_start=False)
+                                    tol=1e-11)
             norms[n] = trace.norms[-1]
         assert abs(norms[64] - norms[32]) < 0.01 * norms[32]
 
@@ -313,6 +320,7 @@ class TestRunContraction:
     def test_uniqueness_witness_is_a_second_run(self, with_drift):
         drift = drift_beta_half() if with_drift else zero_drift()
         trace = run_contraction(drift, make_forcing(N, 1e-3), tol=1e-9)
+        assert type(trace.uniqueness_distance) is float
         assert 0.0 < trace.uniqueness_distance <= 10.0 * trace.tol
 
     def test_exponent_validation(self):

@@ -19,9 +19,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import RegularGridInterpolator
 
 from pointflow import (
-    CallableField, LandauField, LandauParams, RescaledField, SumField,
-    ball_shell_rule, extract_force_weak, flux_tensor, landau_eval,
-    weak_residual, weakform,
+    CallableField, LandauField, LandauParams, RescaledField, ball_shell_rule,
+    extract_force_weak, flux_tensor, landau_eval, weak_residual, weakform,
 )
 from pointflow import cli
 from pointflow.cli import EXIT_PASS, main
@@ -84,8 +83,7 @@ class TestVelocityMatchesState:
     def test_composite_probes(self, pts, lam):
         pts = pts + 2.5   # keep the Landau part away from its singularity
         pert = CallableField(wavy_velocity)
-        for field in (SumField(LandauField(PARAMS), pert),
-                      RescaledField(pert, lam), LandauField(PARAMS)):
+        for field in (RescaledField(pert, lam), LandauField(PARAMS)):
             assert np.array_equal(field.velocity(pts), field(pts).u)
             assert np.array_equal(field.velocity(pts[0]), field(pts[0]).u)
 

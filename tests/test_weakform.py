@@ -1,10 +1,12 @@
 """Tests for divergence-free test functions and the Dirac-source pairing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pointflow import (
-    CallableField, LandauField, LandauParams, SumField, ball_shell_rule,
+    CallableField, LandauField, LandauParams, ball_shell_rule,
     extract_force_weak, flux_integral, weak_residual, weakform,
 )
 
@@ -71,6 +73,17 @@ class TestTestFunction:
             inner = phi.laplacian(np.array([rho - 1e-9, 0.0, 0.0]))
             outer = phi.laplacian(np.array([rho + 1e-9, 0.0, 0.0]))
             assert np.max(np.abs(inner - outer)) < 1e-5
+
+    @pytest.mark.parametrize("rho", [1e-110, 1e-130, 1e-150])
+    def test_no_warning_next_to_the_center(self, rho):
+        # rho^3 underflows there; the plateau values are exact all the same
+        phi = weakform.TestFunction([0.0, 0.0, 0.0], 0.5, 1.0, E_Z)
+        x = np.array([[rho, 0.0, 0.0], [0.0, rho, -rho]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(phi.laplacian(x), np.zeros((2, 3)))
+            assert np.array_equal(phi.gradient(x), np.zeros((2, 3, 3)))
+            assert np.array_equal(phi(x), [E_Z, E_Z])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -192,11 +205,16 @@ class TestDeltaLimitProbe:
         assert np.array_equal(probes, np.zeros((2, 3)))
 
     def test_perturbed_field_drifts(self):
-        params = LandauParams.from_shape(2.0)
-        pert = CallableField(lambda pts: np.stack(
-            [np.sin(pts[:, 1] + 0.7), np.sin(pts[:, 2] - 0.4),
-             np.sin(pts[:, 0] + 0.2)], axis=1))
-        field = SumField(LandauField(params), pert)
+        landau = LandauField(LandauParams.from_shape(2.0))
+
+        def rows(pts):
+            # Landau u plus a smooth perturbation, and the Landau p
+            st = landau(pts)
+            pert = np.stack([np.sin(pts[:, 1] + 0.7), np.sin(pts[:, 2] - 0.4),
+                             np.sin(pts[:, 0] + 0.2)], axis=1)
+            return np.column_stack([st.u + pert, st.p])
+
+        field = CallableField(rows)
         probes = flux_through(field, [0.8, 0.4, 0.2, 0.1])
         scale = max(np.linalg.norm(p) for p in probes)
         deviation = max(np.linalg.norm(probes[i] - probes[j])
