@@ -499,6 +499,8 @@ def cmd_landau(args):
 
 
 def cmd_flux(args):
+    """Passes when the forces of the radii agree within --tol, and for a
+    Landau field also when each is within --tol of b, relative to beta."""
     probe = _probe(args.field, "flux")
     radii = _numbers(args.radii)
     forces = [flux_integral(probe, R, n_theta=args.n_theta) for R in radii]
@@ -512,17 +514,19 @@ def cmd_flux(args):
         "max_pairwise_relative_deviation": deviation,
         "tolerance": args.tol,
     }
+    passed = deviation <= args.tol
     if isinstance(probe, LandauField):
         params = probe.params
         payload["expected_force"] = params.b.tolist()
-        payload["max_relative_force_error"] = max(
+        payload["max_relative_force_error"] = error = max(
             float(np.linalg.norm(b - params.b)) / max(params.beta, 1e-300)
             for b in forces)
+        passed = passed and error <= args.tol
     if args.csv:
         _write_csv(args.csv, ["radius", "bx", "by", "bz"],
                    ([repr(float(R)), *(repr(float(v)) for v in b)]
                     for R, b in zip(radii, forces)))
-    return payload, deviation <= args.tol
+    return payload, passed
 
 
 def cmd_verify_weak(args):
@@ -750,7 +754,8 @@ def build_parser():
                    dest="n_theta")
     p.add_argument("--csv", type=_PATH, help="write radius,bx,by,bz rows here")
     add_common(p, cmd_flux, 1e-8,
-               "pass threshold on the pairwise radius deviation")
+               "pass threshold on the pairwise radius deviation and, for a "
+               "Landau field, on the relative force error")
 
     p = sub.add_parser("verify", help="weak / pointwise / self-similarity checks")
     vsub = p.add_subparsers(dest="mode", required=True)

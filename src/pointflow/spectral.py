@@ -27,9 +27,9 @@ one half) does not depend on that geometry choice.
 
 The drift is the Landau field with a C^3 radial cutoff vanishing inside
 delta_in / 2 and outside delta_out, re-projected to be divergence free
-(the torus grid cannot represent the 1/|x| singularity); the deviation
-caused by the projection is reported.  Quadratic products are dealiased
-by the 2/3 rule.
+(the torus grid cannot represent the 1/|x| singularity); the grid-L^2
+deviation caused by the projection is reported.  Quadratic products are
+dealiased by the 2/3 rule.
 
 Fields are real and stored as a band of their half spectrum: of the
 (n, n, n//2 + 1) array that scipy.fft.rfftn returns per component, the
@@ -42,10 +42,11 @@ and a Leray projection on the whole grid drops it; the band of cut
 The drift is projected on that band, which only its build holds; the
 forcing is its own small band, and every Picard iterate the band of cut
 n // 3, 30% of the half spectrum at n = 64.
-W^{1,2} norms follow from the coefficients by Parseval; a band's
-weighted |coeff|^2 terms are summed inside a zeroed half-spectrum array,
-so numpy's pairwise summation adds them in the groups of the zero-filled
-half spectrum and every norm keeps those bits.
+W^{1,2} norms, and the drift's projection deviation, follow from the
+coefficients by Parseval; a band's weighted |coeff|^2 terms are summed
+inside a zeroed half-spectrum array, so numpy's pairwise summation adds
+them in the groups of the zero-filled half spectrum and every norm keeps
+those bits.
 
 Every transform is pruned: one-axis passes in rfftn's order (rfft along
 the last axis, then fft along the first and the second), or irfftn's in
@@ -116,18 +117,6 @@ def _wavenumbers(n, cut):
     inv_k2 = np.zeros_like(k2)
     inv_k2[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
     return k, k2, inv_k2
-
-
-@lru_cache(maxsize=8)
-def _parseval_weights(n, cut):
-    """(w, w |k|^2) on the band of cut: how many modes each column stands for.
-
-    Column 0 of the last axis stands for one mode, every other column for
-    itself and its conjugate (a band has no Nyquist column).
-    """
-    w = np.full(cut + 1, 2.0)
-    w[0] = 1.0
-    return w, w * _wavenumbers(n, cut)[1]
 
 
 def _band_rows(n, cut):
@@ -306,14 +295,18 @@ class SpectralField:
         return power
 
     def _parseval(self, terms):
-        """sqrt(BOX^3 / n^6 * sum of terms), one term per stored mode.
+        """sqrt(BOX^3 / n^6 * sum of weighted terms), one term per stored mode.
 
-        The terms are summed in a zeroed (n, n, n//2 + 1) array, so numpy's
-        pairwise summation groups them as it does for the zero-filled half
-        spectrum and the sum keeps those bits.
+        Column 0 of the last axis stands for one mode, every other column
+        for itself and its conjugate (a band has no Nyquist column), so its
+        terms count twice.  The terms are weighted and summed in a zeroed
+        (n, n, n//2 + 1) array, so numpy's pairwise summation groups them
+        as it does for the zero-filled half spectrum and the sum keeps
+        those bits.
         """
-        return float(np.sqrt(np.sum(_put_band(terms, self.n)) * BOX**3
-                             / self.n**6))
+        full = _put_band(terms, self.n)
+        full[..., 1:terms.shape[-1]] *= 2.0
+        return float(np.sqrt(np.sum(full) * BOX**3 / self.n**6))
 
     def w1r(self, r):
         """Discrete W^{1,r} norm with spectral gradients.
@@ -323,8 +316,8 @@ class SpectralField:
         """
         if r == 2.0:
             power = self._power()
-            w, wk2 = _parseval_weights(self.n, self.cut)
-            return self._parseval(power * w) + self._parseval(power * wk2)
+            k2 = _wavenumbers(self.n, self.cut)[1]
+            return self._parseval(power) + self._parseval(power * k2)
         return sobolev_norm(self.to_physical(), BOX, r).value
 
 
@@ -385,8 +378,9 @@ class MollifiedDrift:
     vanish exactly for |x| < delta_in/2 and |x| > delta_out (the grid
     drift must be divergence free), on the band of cut (n - 1) // 2 that
     holds every mode it can carry; projection_deviation is the relative
-    grid-L^2 change caused by the projection.  phys_dealiased holds the
-    samples of its 2/3-dealiased part, all that a Picard step reads.
+    grid-L^2 change caused by the projection, taken by Parseval (see
+    _projected_drift).  phys_dealiased holds the samples of its
+    2/3-dealiased part, all that a Picard step reads.
     """
 
     params: LandauParams
@@ -422,20 +416,6 @@ def _mollified_box(params, n, delta_in, delta_out):
     return box, samples
 
 
-def _projection_deviation(samples, coeff):
-    """|P s - s| / |s| in grid L^2, with coeff the band of the projection P s.
-
-    Overwrites samples with P s - s, a component at a time.
-    """
-    norm_raw = np.linalg.norm(samples)
-    if not norm_raw > 0.0:
-        return 0.0
-    n = samples.shape[1]
-    for s, c in zip(samples, coeff):
-        np.subtract(_band_to_physical(c, n), s, out=s)
-    return float(np.linalg.norm(samples) / norm_raw)
-
-
 def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
     """Sample chi(|x|) U^b on the n^3 torus grid and re-project.
 
@@ -460,17 +440,24 @@ def make_mollified_drift(params, n, delta_in=0.3, delta_out=1.5):
 def _projected_drift(params, n, delta_in, delta_out):
     """(band of cut (n - 1) // 2 of the projected drift, projection deviation).
 
-    The samples are formed and transformed on their support cube only;
-    the deviation needs them on the whole grid, where they are zero-filled
-    after the transforms.
+    The samples s are formed and transformed on their support cube only.
+    The band truncation composed with the Leray projection is an
+    orthogonal projector P in grid L^2, so |P s - s|^2 = |s|^2 - |P s|^2:
+    the deviation |P s - s| / |s| takes |s| from the cube's samples and
+    |P s| from the band by Parseval, with no transform back.  Deviations
+    of a cut-off Landau drift are about one half or more, so the
+    difference loses no digits to cancellation.
     """
     box, values = _mollified_box(params, n, delta_in, delta_out)
     band = np.stack([_physical_to_band(v, (n - 1) // 2, n, box.start)
                      for v in values])
     _leray_in_place(band, n)
-    samples = np.zeros((3, n, n, n))
-    samples[:, box, box, box] = values
-    return band, _projection_deviation(samples, band)
+    norm_raw = np.sqrt(sum(np.sum(v**2) for v in values))
+    if not norm_raw > 0.0:
+        return band, 0.0
+    fld = SpectralField(band, n)
+    ratio = fld._parseval(fld._power()) / (norm_raw * np.sqrt((BOX / n)**3))
+    return band, float(np.sqrt(1.0 - ratio**2))
 
 
 def make_forcing(n, amplitude, seed=None):

@@ -8,12 +8,15 @@ corpus.json beside this script:
 - its exit code, stderr, stdout and the warnings it raised;
 - its report without the duration_s line: as JSON, or by sha256 and size
   when the report text is over REPORT_INLINE_BYTES;
-- the sha256 of every CSV it wrote.
+- every CSV it wrote: by value, as its columns keyed csv:<header cell>
+  with each cell an int, a float or the text (an empty cell stays ""), or
+  by sha256 when the file is over REPORT_INLINE_BYTES or not rectangular.
 
 The Python, numpy and scipy versions are recorded too; the test skips when
 numpy or scipy differ.  ulp_budget.json, also beside this script, is the
-per-key float tolerance of the test; regenerating keeps its entries and
-adds a 0 budget for every new key.
+per-key float tolerance of the test (a CSV column's key is csv:<header
+cell>); regenerating keeps its entries and adds a 0 budget for every new
+key.
 
 Run from the repository root, with the commit whose reports are the
 reference checked out:
@@ -22,6 +25,7 @@ reference checked out:
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -40,7 +44,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 CORPUS = HERE / "corpus.json"
 BUDGET = HERE / "ulp_budget.json"
 
-# a report longer than this is kept by sha256 only
+# a report or CSV longer than this is kept by sha256 only
 REPORT_INLINE_BYTES = 64 * 1024
 _DURATION_LINE = re.compile(r'^  "duration_s": .*\n', re.MULTILINE)
 
@@ -100,6 +104,26 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _cell(text):
+    """text as an int, else as a float, else as itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def csv_columns(data):
+    """{csv:<header cell>: the column's cells} of CSV bytes, in header
+    order; None when a row's length differs from the header's."""
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    if any(len(row) != len(header) for row in rows):
+        return None
+    return {f"csv:{name}": [_cell(row[i]) for row in rows]
+            for i, name in enumerate(header)}
+
+
 def write_inputs(workdir):
     """The points file of the landau export."""
     with open(workdir / "points.csv", "w") as fh:
@@ -135,10 +159,16 @@ def run_one(name, argv):
             record["report_bytes"] = len(text)
         else:
             record["report"] = json.loads(text)
-    record["csv_sha256"] = {
-        path: _sha256(pathlib.Path(path).read_bytes())
-        for flag, path in zip(argv, argv[1:])
-        if flag == "--csv" and pathlib.Path(path).exists()}
+    record["csv"], record["csv_sha256"] = {}, {}
+    for flag, path in zip(argv, argv[1:]):
+        if flag == "--csv" and pathlib.Path(path).exists():
+            data = pathlib.Path(path).read_bytes()
+            table = (csv_columns(data) if len(data) <= REPORT_INLINE_BYTES
+                     else None)
+            if table is None:
+                record["csv_sha256"][path] = _sha256(data)
+            else:
+                record["csv"][path] = table
     return record
 
 
@@ -175,7 +205,7 @@ def main():
                                   "runs": records}, indent=1) + "\n")
     budget = json.loads(BUDGET.read_text()) if BUDGET.exists() else {}
     for record in records:
-        for key in float_keys(record.get("report", {})):
+        for key in float_keys([record.get("report", {}), record["csv"]]):
             budget.setdefault(key, 0)
     BUDGET.write_text(json.dumps(budget, indent=1, sort_keys=True) + "\n")
     print(f"{len(records)} runs -> {CORPUS.relative_to(HERE.parents[1])}")

@@ -137,6 +137,23 @@ class TestFluxCommand:
         assert code == EXIT_FAIL
         assert report["passed"] is False
 
+    @pytest.mark.parametrize("flags, expected", [
+        # relative force errors at R = 1: 0.32, 7.6e-4 and 3.8e-9; the
+        # radii agree to round-off in all three
+        (["--field", "landau:A=1.001", "--radii", "1,2"], EXIT_FAIL),
+        (["--field", "landau:A=1.1", "--radii", "1", "--n-theta", "16"],
+         EXIT_FAIL),
+        (["--field", "landau:A=1.1", "--radii", "1", "--n-theta", "32"],
+         EXIT_PASS),
+    ])
+    def test_landau_force_error_is_graded(self, tmp_path, flags, expected):
+        code, report = run(tmp_path, "flux", *flags)
+        assert code == expected
+        payload = report["payload"]
+        assert payload["max_pairwise_relative_deviation"] <= 1e-8
+        assert report["passed"] is (
+            payload["max_relative_force_error"] <= payload["tolerance"])
+
     def test_grid_field_round_trip(self, tmp_path):
         # sample a Landau field on a grid, reload it, extract the force
         from pointflow import LandauParams, landau_eval

@@ -3,15 +3,17 @@
 tests/corpus/corpus.json holds, for each config of
 tests/corpus/regenerate.py, the exit code, stdout, stderr and warnings of
 the run, its report with duration_s dropped (or the report's sha256 when
-it is large) and the sha256 of every CSV it wrote.  This test re-runs the
-configs in-process and compares:
+it is large) and every CSV it wrote, as columns of cells (or the CSV's
+sha256 when it is large).  This test re-runs the configs in-process and
+compares:
 
-- exit codes, output streams, warnings, hashes and every string, integer
-  and bool of a report exactly;
-- every float of a report within the ulp budget that
-  tests/corpus/ulp_budget.json gives its key (the innermost dict key it
-  sits under).  A change that moves last bits on purpose raises that key's
-  budget, so its diff states the tolerance it needs.
+- exit codes, output streams, warnings, hashes, the column names and
+  order of a CSV and every string, integer, bool and empty cell exactly;
+- every float of a report or a CSV within the ulp budget that
+  tests/corpus/ulp_budget.json gives its key: the innermost dict key it
+  sits under, csv:<header cell> for a CSV column.  A change that moves
+  last bits on purpose raises that key's budget, so its diff states the
+  tolerance it needs.
 
 Reports differ across numpy and scipy versions in their last bits, so the
 test skips when either differs from the versions the corpus records.
@@ -55,14 +57,16 @@ def mismatches(got, want, path="report", key=None):
             f"{path}: {got!r} != {want!r} ({ulps(got, want)} ulps, "
             f"budget {budget} for key {key!r})"]
     if isinstance(want, dict) and isinstance(got, dict) \
-            and got.keys() == want.keys():
+            and list(got) == list(want):
         return [m for k in want
                 for m in mismatches(got[k], want[k], f"{path}.{k}", k)]
     if isinstance(want, list) and isinstance(got, list) \
             and len(got) == len(want):
         return [m for i, (g, w) in enumerate(zip(got, want))
                 for m in mismatches(g, w, f"{path}[{i}]", key)]
-    if type(got) is type(want) and got == want:
+    # dicts that reach here differ in their keys or in the keys' order
+    if type(got) is type(want) and not isinstance(want, dict) \
+            and got == want:
         return []
     return [f"{path}: {got!r} != {want!r}"]
 
@@ -85,8 +89,8 @@ def test_corpus_holds_every_config():
 
 
 def test_budget_names_every_float_key():
-    keys = set().union(*(regenerate.float_keys(r.get("report", {}))
-                         for r in RUNS))
+    keys = regenerate.float_keys([[r.get("report", {}), r["csv"]]
+                                  for r in RUNS])
     assert keys <= BUDGET.keys()
     assert all(isinstance(v, int) and v >= 0 for v in BUDGET.values())
 
@@ -105,6 +109,15 @@ def test_mismatches_apply_the_budget(monkeypatch):
     assert not mismatches({"value": one_up}, {"value": 1.0})
     assert mismatches({"value": 1}, {"value": 1.0})
     assert mismatches({"value": [1.0]}, {"value": [1.0, 1.0]})
+    assert mismatches({"b": 1.0, "a": 1.0}, {"a": 1.0, "b": 1.0})
+
+
+def test_csv_columns():
+    table = regenerate.csv_columns(b"iter,increment,ratio\r\n1,0.5,\r\n"
+                                   b"2,0.25,0.5\r\n")
+    assert table == {"csv:iter": [1, 2], "csv:increment": [0.5, 0.25],
+                     "csv:ratio": ["", 0.5]}
+    assert regenerate.csv_columns(b"a,b\r\n1\r\n") is None
 
 
 @pytest.mark.parametrize("want", RUNS, ids=[r["name"] for r in RUNS])
@@ -115,3 +128,4 @@ def test_run_matches_the_corpus(fresh, want):
         assert got.get(field) == want.get(field), field
     assert ("report" in got) == ("report" in want)
     assert mismatches(got.get("report"), want.get("report")) == []
+    assert mismatches(got["csv"], want["csv"], "csv") == []

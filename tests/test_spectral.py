@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pointflow import (
     BOX, ContractionDivergedError, LandauParams, SpectralField, leray_project,
@@ -11,7 +11,7 @@ from pointflow import (
     sobolev_norm, stokes_solve,
 )
 from pointflow.quadrature import _half_wavenumbers
-from pointflow.spectral import _parseval_weights, _put_band, _take_band
+from pointflow.spectral import _put_band, _take_band
 
 N = 32
 
@@ -72,7 +72,7 @@ def dealias(fld):
 
 def l2(fld):
     """Physical L^2 norm over the torus (via Parseval)."""
-    return fld._parseval(fld._power() * _parseval_weights(fld.n, fld.cut)[0])
+    return fld._parseval(fld._power())
 
 
 def drift_beta_half(n=N):
@@ -210,6 +210,28 @@ class TestMollifiedDrift:
         drift = make_mollified_drift(LandauParams.zero(), 16)
         assert np.all(raw_samples(drift) == 0.0)
         assert drift.projection_deviation == 0.0
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(n=st.sampled_from([16, 17, 24, 32]),
+           beta=st.floats(-3.0, np.log10(30.0)).map(lambda e: 10.0**e),
+           delta_out=st.floats(0.2, 6.2), share=st.floats(0.05, 0.95))
+    @example(n=24, beta=0.0, delta_out=1.5, share=0.2)
+    def test_deviation_by_parseval(self, n, beta, delta_out, share):
+        # the band truncation composed with the Leray projection is an
+        # orthogonal projector P in grid L^2, so the grid sums split as
+        # cell |s|^2 = |P s|^2 + |P s - s|^2
+        params = LandauParams.from_magnitude(beta)
+        delta_in = share * delta_out
+        drift = make_mollified_drift(params, n, delta_in, delta_out)
+        deviation = reference_drift(params, n, delta_in, delta_out)[2]
+        assert drift.projection_deviation == pytest.approx(
+            deviation, rel=1e-14, abs=0.0)
+        samples, field = raw_samples(drift), drift_field(drift)
+        cell = (BOX / n)**3
+        defect = field.to_physical() - samples
+        split = l2(field)**2 + cell * np.sum(defect**2)
+        assert split == pytest.approx(cell * np.sum(samples**2), rel=1e-13,
+                                      abs=0.0)
 
     def test_cutoff_validation(self):
         params = LandauParams.from_magnitude(0.5)
@@ -784,7 +806,9 @@ class TestStreamedBuilders:
         assert field.cut == (n - 1) // 2
         assert np.array_equal(half_spectrum(field), coeff)
         assert np.array_equal(drift.phys_dealiased, dealiased)
-        assert drift.projection_deviation == deviation
+        # the deviation comes by Parseval, not from the physical samples
+        assert drift.projection_deviation == pytest.approx(
+            deviation, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [16, 17])
     @pytest.mark.parametrize("seed", [None, 5])
