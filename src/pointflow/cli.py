@@ -48,8 +48,8 @@ from .landau import (A_MAX, A_MIN, BETA_MAX, BETA_MIN, FlowField,
                      LandauField, LandauParams, CallableField, RescaledField,
                      flux_tensor, landau_eval, ns_residual,
                      sup_speed_on_unit_sphere)
-from .quadrature import (ball_samples, decay_report, flux_integral,
-                         lorentz_quasinorm)
+from .quadrature import (NODE_BLOCK, ball_samples, decay_report,
+                         flux_integral, lorentz_quasinorm)
 from .spectral import (BOX, ContractionDivergedError, make_forcing,
                        make_mollified_drift, run_contraction)
 from .weakform import TestFunction, extract_force_weak
@@ -69,8 +69,6 @@ TRACE_CSV_COLUMNS = ["iter", "increment", "ratio"]
 
 # a landau point table is rendered this many points at a time
 EMIT_CHUNK = 2048
-# a grid: probe interpolates this many nodes at a time
-GRID_BLOCK = 8192
 # json.dumps renders the marker string "\0<k>" as "\u0000<k>"
 _MARKER = re.compile(r'"\\u0000(\d+)"')
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -242,7 +240,7 @@ def _load_grid_field(path):
     columns are bitwise equal to four per-component interpolators, since
     linear interpolation weighs every trailing component alike.  Its
     (m, 4) rows are the probe's one sampler, so a full evaluation
-    interpolates each node set once.  It runs GRID_BLOCK nodes at a time
+    interpolates each node set once.  It runs NODE_BLOCK nodes at a time
     into one (m, 4) output, so its temporaries stay a fixed size however
     many nodes a probe asks for; trilinear interpolation works node by
     node, so the blocks keep every bit.
@@ -277,7 +275,7 @@ def _load_grid_field(path):
     interp = RegularGridInterpolator((xs, ys, zs), data)
 
     def samples(pts):
-        """(m, 4) interpolated (ux, uy, uz, p), GRID_BLOCK nodes at a time."""
+        """(m, 4) interpolated (ux, uy, uz, p), NODE_BLOCK nodes at a time."""
         # the interpolator's own bounds check, over every node at once, so
         # the first failing axis is the one a single call would name
         for axis, (coord, grid) in enumerate(zip(pts.T, (xs, ys, zs))):
@@ -285,8 +283,8 @@ def _load_grid_field(path):
                 raise ValueError("One of the requested xi is out of bounds "
                                  f"in dimension {axis}")
         out = np.empty((len(pts), 4))
-        for a in range(0, len(pts), GRID_BLOCK):
-            out[a:a + GRID_BLOCK] = interp(pts[a:a + GRID_BLOCK])
+        for a in range(0, len(pts), NODE_BLOCK):
+            out[a:a + NODE_BLOCK] = interp(pts[a:a + NODE_BLOCK])
         return out
 
     return CallableField(samples)
@@ -313,39 +311,43 @@ class PointTable:
     """The points block of a landau report, kept as one (n, 25) array.
 
     Row k holds x, u, p, grad_u and T of point k flattened in that order,
-    so its first 7 columns are the --csv columns.  _emit writes it out as
-    the list of {"x", "u", "p", "grad_u", "T"} objects without building
-    them.  Numbers are written as float.__repr__ strings; the strings of
-    the columns written to --csv are kept, and the JSON report reuses them.
+    so its first 7 columns are the --csv columns, which go to the path csv
+    (None for no file).  _json_chunks writes the table out as the list of
+    {"x", "u", "p", "grad_u", "T"} objects without building them, and the
+    csv rows in the same pass.
     """
 
-    def __init__(self, points, state, tensors):
+    def __init__(self, points, state, tensors, csv=None):
         n = len(points)
         self.values = np.concatenate(
             [points, state.u, np.reshape(state.p, (n, 1)),
              state.grad_u.reshape(n, 9), tensors.reshape(n, 9)], axis=1)
-        self._kept = {}
+        self.csv = csv
 
-    def column_text(self, k, start=0, stop=None):
-        """float.__repr__ of column k, rows start:stop."""
-        if k in self._kept:
-            return self._kept[k][start:stop]
-        return list(map(float.__repr__, self.values[start:stop, k].tolist()))
+    def text_chunks(self, csv=None):
+        """(rows, float.__repr__ of each column) per EMIT_CHUNK rows; the
+        --csv header and rows go to the text stream csv, if given."""
+        if csv is not None:
+            csv.writelines(_csv_lines([POINT_CSV_COLUMNS]))
+        for start in range(0, len(self.values), EMIT_CHUNK):
+            rows = self.values[start:start + EMIT_CHUNK]
+            text = [list(map(float.__repr__, col.tolist())) for col in rows.T]
+            if csv is not None:
+                csv.writelines(_csv_lines(zip(*text[:len(POINT_CSV_COLUMNS)])))
+            yield rows, text
 
-    def keep_text(self, columns):
-        for k in columns:
-            self._kept[k] = self.column_text(k)
 
-
-def _json_chunks(report):
+def _json_chunks(report, csv=None):
     """json.dumps(report, indent=2, sort_keys=True), as strings to concatenate.
 
-    A PointTable in payload["points"] is written without per-point dicts.
+    A PointTable in payload["points"] is written without per-point dicts,
+    one text_chunks chunk at a time, with its csv rows on every path.
     json.dumps of the report with two marker points (each number replaced
     by the marker string "\\0<column>") splits at the markers into the text
     before the points, one point's layout around its 25 numbers, the text
     between two points and the text after them.  The numbers, formatted as
-    json formats floats, fill that layout point by point.
+    json formats floats (NaN where the CSV keeps nan), fill that layout
+    point by point.
     """
     payload = report.get("payload")
     table = payload.get("points") if isinstance(payload, dict) else None
@@ -361,19 +363,21 @@ def _json_chunks(report):
     marker_point = _point_dict([f"\0{k}" for k in range(width)])
     pieces = _MARKER.split(dumps([marker_point, marker_point]))
     texts, columns = pieces[0::2], [int(k) for k in pieces[1::2]]
+    chunks = table.text_chunks(csv)
     if len(columns) != 2 * width or len(table.values) == 0:
         # no points, or another string of the report reads like a marker
+        for _ in chunks:   # the csv rows
+            pass
         yield dumps([_point_dict(row) for row in table.values.tolist()])
         return
     between = texts[width]
     layout = "%s" + "".join(t.replace("%", "%%") + "%s" for t in texts[1:width])
     yield texts[0]
-    for start in range(0, len(table.values), EMIT_CHUNK):
-        stop = start + EMIT_CHUNK
-        text = [table.column_text(k, start, stop) for k in columns[:width]]
-        if not np.all(np.isfinite(table.values[start:stop])):
+    for i, (rows, text) in enumerate(chunks):
+        text = [text[k] for k in columns[:width]]
+        if not np.all(np.isfinite(rows)):
             text = [[_JSON_NONFINITE.get(v, v) for v in col] for col in text]
-        if start:
+        if i:
             yield between
         yield between.join(layout % row for row in zip(*text))
     yield texts[2 * width]
@@ -402,26 +406,31 @@ def _rewrite(path, newline=None):
 
 
 def _emit(report, output, duration):
+    """Write the report to output (stdout when None) and a PointTable's
+    csv in one pass; csv is opened first and may not be the file output."""
     report = dict(report, duration_s=duration)
-    stream = _rewrite(output) if output else contextlib.nullcontext(sys.stdout)
-    with stream as fh:
-        fh.writelines(_json_chunks(report))
+    table = report["payload"].get("points")
+    csv_path = table.csv if isinstance(table, PointTable) else None
+    with contextlib.ExitStack() as files:
+        csv = (files.enter_context(_rewrite(csv_path, newline=""))
+               if csv_path else None)
+        _require(not (csv and output and os.path.isfile(output)
+                      and os.path.samefile(csv_path, output)),
+                 f"--csv {csv_path} is the same file as --output {output}")
+        fh = files.enter_context(_rewrite(output)) if output else sys.stdout
+        fh.writelines(_json_chunks(report, csv))
         fh.write("\n")
 
 
+def _csv_lines(rows):
+    """Rows of number text as CRLF-terminated CSV lines."""
+    return (",".join(row) + "\r\n" for row in rows)
+
+
 def _write_csv(path, header, rows):
-    """The header and rows of number text, as CRLF-terminated CSV lines."""
+    """The header and rows of number text, as CSV lines."""
     with _rewrite(path, newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in rows)
-
-
-def _write_point_csv(path, table):
-    """The x,y,z,ux,uy,uz,p rows of a PointTable, whose text it keeps."""
-    columns = range(len(POINT_CSV_COLUMNS))
-    table.keep_text(columns)
-    _write_csv(path, POINT_CSV_COLUMNS,
-               zip(*(table.column_text(k) for k in columns)))
+        fh.writelines(_csv_lines([header, *rows]))
 
 
 def _read_points_file(path):
@@ -487,14 +496,11 @@ def cmd_landau(args):
              "at the origin".format(source, *_RADII))
 
     state = landau_eval(params, points)
-    table = PointTable(points, state, flux_tensor(state))
-    if args.csv:
-        _write_point_csv(args.csv, table)
     return {
         "A": params.A if np.isfinite(params.A) else "inf",
         "beta": params.beta,
         "axis": params.axis.tolist(),
-        "points": table,
+        "points": PointTable(points, state, flux_tensor(state), args.csv),
     }, None
 
 
@@ -866,7 +872,7 @@ def main(argv=None):
     report = _report(command, _config_echo(args), payload, passed)
     try:
         _emit(report, args.output, time.perf_counter() - start)
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return code

@@ -31,6 +31,9 @@ __all__ = [
     "sobolev_norm", "decay_report",
 ]
 
+# the grid: probe and the weak pairing work this many nodes at a time
+NODE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class QuadratureRule:

@@ -102,12 +102,14 @@ _DIVERGENCE_FACTOR = 1e3
 _SLAB_BYTES = 2**18
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _wavenumbers(n, cut):
     """(k, |k|^2, 1/|k|^2 with the zero mode masked) on the band of cut.
 
     k is the tuple (k_0, k_1, k_2) of 1-D wavenumbers shaped to broadcast
     over the band; |k|^2 is also the Parseval weight of the gradient.
+    Only the last cut is kept: a contraction reads the drift's cut once,
+    then the step cut n // 3 for every step and norm.
     """
     rows = _band_rows(n, cut)
     kx, ky, kz = _half_wavenumbers(n, BOX)

@@ -27,7 +27,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .landau import as_vec3
-from .quadrature import ball_shell_rule
+from .quadrature import NODE_BLOCK, ball_shell_rule
 
 __all__ = [
     "smoothstep7", "TestFunction", "weak_residual", "WeakResidual",
@@ -154,11 +154,15 @@ def weak_residual(field, phi, rule=None, n_r=32, n_theta=32):
 
 
 def _pairing(u, phi, rule):
-    """The pairing integral from the velocity u on the nodes of rule."""
-    lap = phi.laplacian(rule.nodes)
-    grad = phi.gradient(rule.nodes)
-    integrand = (-np.einsum("ki,ki->k", u, lap)
-                 - np.einsum("ki,kj,kji->k", u, u, grad))
+    """The pairing integral from the velocity u on the nodes of rule: the
+    integrand is formed NODE_BLOCK nodes at a time and summed by one dot,
+    so the value keeps the bits of a pass over every node at once."""
+    integrand = np.empty(len(u))
+    for a in range(0, len(u), NODE_BLOCK):
+        s = slice(a, a + NODE_BLOCK)
+        nodes, v = rule.nodes[s], u[s]
+        integrand[s] = (-np.einsum("ki,ki->k", v, phi.laplacian(nodes))
+                        - np.einsum("ki,kj,kji->k", v, v, phi.gradient(nodes)))
     return float(rule.weights @ integrand)
 
 
@@ -181,9 +185,10 @@ def extract_force_weak(field, center=(0.0, 0.0, 0.0), a=0.5, b=1.0,
     Pairs the field against TestFunction(center, a, b, e_k) for the
     directions e_x, e_y, e_z; when the plateau contains the singularity each
     pairing returns one Cartesian component of the point force.  The
-    velocity is evaluated once on the shared rule, ball_shell_rule(a, b,
-    n_r, n_theta) about center; each component equals
-    weak_residual(field, phi_k, rule=rule) bitwise.
+    velocity is evaluated once over all nodes of the shared rule,
+    ball_shell_rule(a, b, n_r, n_theta) about center, and paired in node
+    blocks; each component equals weak_residual(field, phi_k, rule=rule)
+    bitwise.
     """
     rule = ball_shell_rule(a, b, n_r, n_theta,
                            center=np.asarray(center, dtype=float))

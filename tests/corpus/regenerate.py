@@ -50,6 +50,10 @@ _DURATION_LINE = re.compile(r'^  "duration_s": .*\n', re.MULTILINE)
 
 # the 12^3 cell-centred grid of the landau export, inside [-1.65, 1.65]^3
 _GRID_AXIS = ((np.arange(12) - 5.5) * 0.3).tolist()
+# the 13^3 cell-centred grid of the export whose 2,197 points cross a
+# cli.EMIT_CHUNK (2,048) boundary, on [-1.6, 1.65]^3 so that no point is
+# the origin
+_GRID_AXIS_13 = ((np.arange(13) - 5.9) * 0.25).tolist()
 
 
 def _picard(grid, amp, seed, *extra):
@@ -69,6 +73,8 @@ CONFIGS = [
     _picard(16, "50", 0),
     ("landau-export", ["landau", "--beta", "2.5", "--axis", "0,0.6,0.8",
                        "--points-file", "points.csv", "--csv", "export.csv"]),
+    ("landau-export-13", ["landau", "--A", "3", "--points-file", "points13.csv",
+                          "--csv", "export13.csv"]),
     ("grid-flux", ["flux", "--field", GRID_FIELD, "--radii", "0.6,1.2",
                    "--n-theta", "16", "--csv", "grid-flux.csv"]),
     ("grid-weak-l3", ["norms", "--field", GRID_FIELD, "--weak-l3",
@@ -125,13 +131,15 @@ def csv_columns(data):
 
 
 def write_inputs(workdir):
-    """The points file of the landau export."""
-    with open(workdir / "points.csv", "w") as fh:
-        fh.write("x,y,z\n")
-        for x in _GRID_AXIS:
-            for y in _GRID_AXIS:
-                for z in _GRID_AXIS:
-                    fh.write(f"{x!r},{y!r},{z!r}\n")
+    """The points files of the landau exports."""
+    for name, axis in (("points.csv", _GRID_AXIS),
+                       ("points13.csv", _GRID_AXIS_13)):
+        with open(workdir / name, "w") as fh:
+            fh.write("x,y,z\n")
+            for x in axis:
+                for y in axis:
+                    for z in axis:
+                        fh.write(f"{x!r},{y!r},{z!r}\n")
 
 
 def run_one(name, argv):

@@ -863,6 +863,35 @@ class TestOutputRewrite:
     def test_dev_null_output(self):
         assert main(self.ARGV + ["--output", "/dev/null"]) == EXIT_PASS
 
+    def test_dev_null_csv_and_output(self):
+        assert main(self.ARGV + ["--csv", "/dev/null",
+                                 "--output", "/dev/null"]) == EXIT_PASS
+
+    def test_unopenable_csv_leaves_the_report_untouched(self, tmp_path,
+                                                        capsys):
+        out, rows = tmp_path / "r.json", tmp_path / "missing" / "u.csv"
+        out.write_text("old report\n")
+        code = main(self.ARGV + ["--csv", str(rows), "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert str(rows) in capsys.readouterr().err
+        assert out.read_text() == "old report\n"
+
+    @pytest.mark.parametrize("how", ["same path", "new file", "hard link"])
+    def test_csv_that_is_the_output_is_config_error(self, tmp_path, capsys,
+                                                    how):
+        out = rows = tmp_path / "r.json"
+        if how != "new file":
+            out.write_text("old report\n")
+        if how == "hard link":
+            rows = tmp_path / "u.csv"
+            rows.hardlink_to(out)
+        code = main(self.ARGV + ["--csv", str(rows), "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: --csv {rows} is the same file as "
+            f"--output {out}\n")
+        assert out.read_text() == ""
+
     def test_exception_mid_write_leaves_no_stale_tail(self, tmp_path):
         from pointflow.cli import _rewrite
         path = tmp_path / "partial.txt"

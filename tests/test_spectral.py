@@ -294,6 +294,15 @@ class TestRunContraction:
         assert trace.uniqueness_distance <= 10.0 * trace.tol
         assert trace.residual <= 10.0 * trace.tol
 
+    def test_no_drift_table_stays_cached(self):
+        from pointflow.spectral import _wavenumbers
+        run_contraction(drift_beta_half(), make_forcing(N, 1e-3), tol=1e-9)
+        # the drift's cut (n - 1) // 2 tables are read by its build alone
+        assert _wavenumbers.cache_info().currsize == 1
+        misses = _wavenumbers.cache_info().misses
+        _wavenumbers(N, (N - 1) // 2)
+        assert _wavenumbers.cache_info().misses == misses + 1
+
     def test_zero_forcing_converges_immediately(self):
         trace = run_contraction(drift_beta_half(), SpectralField.zeros(N, 1),
                                 tol=1e-9)

@@ -9,6 +9,7 @@ the per-point dicts and rows.
 import csv
 import io
 import json
+import os
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,11 +20,13 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import RegularGridInterpolator
 
 from pointflow import (
-    CallableField, LandauField, LandauParams, RescaledField, ball_shell_rule,
-    extract_force_weak, flux_tensor, landau_eval, weak_residual, weakform,
+    CallableField, LandauField, LandauParams, QuadratureRule, RescaledField,
+    ball_shell_rule, extract_force_weak, flux_tensor, landau_eval,
+    weak_residual, weakform,
 )
 from pointflow import cli
 from pointflow.cli import EXIT_PASS, main
+from pointflow.quadrature import NODE_BLOCK
 
 PARAMS = LandauParams.from_magnitude(3.0, [0.3, -0.4, 0.866])
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -54,12 +57,16 @@ def cli_open(buf):
                              create=True)
 
 
-def pairing_from_state(field, phi, rule):
-    """The weak pairing computed from the full FlowState of the field."""
-    u = field(rule.nodes).u
+def whole_pairing(u, phi, rule):
+    """The weak pairing from the velocity u, over every node of rule at once."""
     integrand = (-np.einsum("ki,ki->k", u, phi.laplacian(rule.nodes))
                  - np.einsum("ki,kj,kji->k", u, u, phi.gradient(rule.nodes)))
     return float(rule.weights @ integrand)
+
+
+def pairing_from_state(field, phi, rule):
+    """The weak pairing computed from the full FlowState of the field."""
+    return whole_pairing(field(rule.nodes).u, phi, rule)
 
 
 points_3 = st.integers(1, 6).flatmap(lambda m: arrays(
@@ -117,7 +124,7 @@ class TestGridProbe:
         _, probe = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
         _, reference = self.unblocked(x, rows)
         blocks, more = extra
-        count = blocks * cli.GRID_BLOCK + more
+        count = blocks * NODE_BLOCK + more
         pts = np.random.default_rng(count).uniform(x[1], x[-2], (count, 3))
         assert np.array_equal(probe.velocity(pts), reference.velocity(pts))
         state, expected = probe(pts), reference(pts)
@@ -148,7 +155,7 @@ class TestGridProbe:
         x, rows = write_grid(tmp_path / "grid.csv")
         _, probe = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
         interp, _ = self.unblocked(x, rows)
-        pts = np.zeros((2 * cli.GRID_BLOCK + 7, 3))
+        pts = np.zeros((2 * NODE_BLOCK + 7, 3))
         pts[5, 2] = 2.0           # the first block leaves the grid along z,
         pts[-1, 0] = -2.0         # the last along x
         with pytest.raises(ValueError) as expected:
@@ -208,7 +215,7 @@ class TestMemoryBudget:
         # beyond the (m, 4) output, a block's interpolator temporaries
         # (about 240 bytes per node, 2.0 MB); one interpolator call over
         # every node added 41 MB at 204,800 nodes
-        assert peak - 32 * count <= 320 * cli.GRID_BLOCK
+        assert peak - 32 * count <= 320 * NODE_BLOCK
 
 
     def test_grid_load_parses_the_open_file(self, tmp_path):
@@ -228,6 +235,52 @@ class TestMemoryBudget:
         # parsing a copy of the whole file text peaked at about 750
         assert peak <= 200 * n**3
 
+    def test_landau_export_holds_one_chunk_of_text(self, tmp_path):
+        import tracemalloc
+        n = 32
+        axis = ((np.arange(n) - 15.5) * 0.1).tolist()
+        (tmp_path / "pts.csv").write_text("x,y,z\n" + "".join(
+            f"{a!r},{b!r},{c!r}\n" for a in axis for b in axis for c in axis))
+
+        def export(points):
+            return main(["landau", "--beta", "2.5", "--axis", "0.3,-0.4,0.866",
+                         "--points-file", str(points),
+                         "--csv", str(tmp_path / "g.csv"),
+                         "--output", str(tmp_path / "r.json")])
+
+        (tmp_path / "one.csv").write_text("x,y,z\n0.5,0.5,0.5\n")
+        assert export(tmp_path / "one.csv") == EXIT_PASS   # the first call
+        tracemalloc.start()
+        try:
+            assert export(tmp_path / "pts.csv") == EXIT_PASS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, 25) table and landau_eval's arrays take about 410 bytes
+        # per point, and a chunk's number text and report text about 4 KB
+        # per point of the chunk: 15.1 MB at 32^3 (460 bytes per point).
+        # Keeping the text of the 7 CSV columns for the report peaked at
+        # 30.8 MB (941 bytes per point); the bound is 22.1 MB
+        assert peak <= 420 * n**3 + 4096 * cli.EMIT_CHUNK
+
+    def test_weak_extraction_pairs_in_node_blocks(self, tmp_path):
+        import tracemalloc
+        write_grid(tmp_path / "grid.csv", n=32)
+        _, probe = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
+        extract_force_weak(probe, n_r=4, n_theta=4)
+        tracemalloc.start()
+        try:
+            m = extract_force_weak(probe).n_nodes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the nodes, weights, velocity and integrand take about 72 bytes per
+        # node, and a block's test-function and einsum temporaries about
+        # 290 bytes per node of the block: 7.1 MB at the default 65,536
+        # nodes (108 bytes per node).  Pairing every node at once peaked
+        # at 23.3 MB (355 bytes per node); the bound is 9.6 MB
+        assert peak <= 96 * m + 400 * NODE_BLOCK
+
 
 class TestWeakExtraction:
     @pytest.mark.parametrize("center, a, b", [((0.0, 0.0, 0.0), 0.5, 1.0),
@@ -243,6 +296,56 @@ class TestWeakExtraction:
             separate = [weak_residual(field, phi, rule=rule) for phi in phis]
             from_state = [pairing_from_state(field, phi, rule) for phi in phis]
             assert value.tolist() == separate == from_state
+
+
+def first_nodes(rule, m):
+    """The rule of the first m nodes of rule."""
+    weights = rule.weights[:m]
+    return QuadratureRule(rule.nodes[:m], weights, float(weights.sum()), 0)
+
+
+# a test function whose plateau holds the singularity
+plateaus = st.tuples(
+    st.tuples(*[st.floats(-0.1, 0.1)] * 3), st.floats(0.2, 0.6),
+    st.floats(0.1, 0.8)).map(lambda t: (t[0], t[1], t[1] + t[2]))
+
+
+class TestBlockedPairing:
+    """The pairing runs NODE_BLOCK nodes at a time and keeps the bits of
+    a pairing over every node at once."""
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(plateaus)
+    def test_pairing_and_residual_equal_the_whole_array(self, plateau):
+        center, a, b = plateau
+        field = LandauField(PARAMS)
+        # 13 * 2 * 32^2 = 26,624 nodes, enough for every size below
+        rule = ball_shell_rule(a, b, 13, 32, center=np.asarray(center))
+        phi = weakform.TestFunction(center, a, b, [0.2, -0.5, 0.8])
+        for m in (1, NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1,
+                  3 * NODE_BLOCK + 5):
+            part = first_nodes(rule, m)
+            u = field.velocity(part.nodes)
+            expected = whole_pairing(u, phi, part)
+            assert weakform._pairing(u, phi, part) == expected
+            assert weak_residual(field, phi, rule=part) == expected
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(plateaus)
+    def test_extraction_equals_the_whole_array(self, plateau):
+        center, a, b = plateau
+        field = LandauField(PARAMS)
+        # rules of NODE_BLOCK - 128, NODE_BLOCK, NODE_BLOCK + 22 and
+        # 3 NODE_BLOCK nodes
+        for n_r, n_theta in ((7, 24), (4, 32), (3, 37), (12, 32)):
+            rule = ball_shell_rule(a, b, n_r, n_theta,
+                                   center=np.asarray(center))
+            u = field.velocity(rule.nodes)
+            expected = [whole_pairing(u, weakform.TestFunction(
+                center, a, b, e), rule) for e in np.eye(3)]
+            got = extract_force_weak(field, center, a, b, n_r=n_r,
+                                     n_theta=n_theta)
+            assert got.value.tolist() == expected
 
 
 class TestCallBudget:
@@ -319,8 +422,9 @@ def point_tables(draw):
             for shape in ((n, 3), (n, 3), (n,), (n, 3, 3), (n, 3, 3))]
 
 
-def landau_report(points, u, p, grad, T, config=None):
-    table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T)
+def landau_report(points, u, p, grad, T, config=None, csv=None):
+    table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T,
+                           csv)
     payload = {"A": 2.0, "beta": 34.7, "axis": [0.0, 0.0, 1.0],
                "points": table}
     report = cli._report("landau", config or {"seed": 0}, payload, None)
@@ -391,14 +495,69 @@ class TestLandauReport:
     @given(point_tables())
     def test_csv_rows_equal_csv_writer(self, tmp_path_factory, arrays5):
         points, u, p, grad, T = arrays5
-        table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T)
         # one path for every example: each rewrite, longer or shorter than
         # the last, must leave exactly its own rows
         path = tmp_path_factory.getbasetemp() / "rewritten.csv"
-        cli._write_point_csv(path, table)
+        report, _ = landau_report(*arrays5, csv=str(path))
+        cli._emit(report, os.devnull, 0.5)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(cli.POINT_CSV_COLUMNS)
         for pt, v, q in zip(points, u, p):
             writer.writerow([repr(float(c)) for c in (*pt, *v, q)])
         assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("chunk", [10, 5, 2])   # 1, 2 and 5 chunks
+    @pytest.mark.parametrize("config", [{"seed": 0}, {"output": "\x000"}],
+                             ids=["layout", "marker-lookalike"])
+    def test_one_pass_equals_json_dumps_and_csv_writer(self, tmp_path, chunk,
+                                                       config):
+        rng = np.random.default_rng(chunk)
+        parts = [rng.normal(size=s) for s in ((10, 3), (10, 3), (10,),
+                                              (10, 3, 3), (10, 3, 3))]
+        parts[0][3, 1], parts[1][7, 2], parts[2][9] = np.nan, np.inf, -np.inf
+        parts[4][0, 1, 1] = np.nan
+        report, expected = landau_report(*parts, config=config,
+                                         csv=str(tmp_path / "u.csv"))
+        del report["duration_s"]
+        with mock.patch.object(cli, "EMIT_CHUNK", chunk):
+            cli._emit(report, str(tmp_path / "r.json"), 0.5)
+        assert (tmp_path / "r.json").read_text() == expected + "\n"
+        assert (tmp_path / "u.csv").read_bytes() == csv_writer_bytes(*parts[:3])
+
+    def test_an_exception_cuts_both_files(self, tmp_path):
+        rng = np.random.default_rng(6)
+        parts = [rng.normal(size=s) for s in ((6, 3), (6, 3), (6,),
+                                              (6, 3, 3), (6, 3, 3))]
+        rows, out = tmp_path / "u.csv", tmp_path / "r.json"
+        for path in (rows, out):
+            path.write_text("stale " * 10_000)
+        report, expected = landau_report(*parts, csv=str(rows))
+        del report["duration_s"]
+        text_chunks = cli.PointTable.text_chunks
+
+        def first_chunk_only(table, csv=None):
+            yield next(text_chunks(table, csv))
+            raise RuntimeError("interrupted")
+
+        with mock.patch.object(cli, "EMIT_CHUNK", 2), \
+                mock.patch.object(cli.PointTable, "text_chunks",
+                                  first_chunk_only), \
+                pytest.raises(RuntimeError):
+            cli._emit(report, str(out), 0.5)
+        # the header and the first chunk's two rows, and the report up to
+        # the first chunk's two points
+        assert rows.read_bytes().splitlines(keepends=True) == \
+            csv_writer_bytes(*parts[:3]).splitlines(keepends=True)[:3]
+        text = out.read_text()
+        assert expected.startswith(text) and text.count('"grad_u"') == 2
+
+
+def csv_writer_bytes(points, u, p):
+    """The x,y,z,ux,uy,uz,p CSV of the points, as csv.writer writes it."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(cli.POINT_CSV_COLUMNS)
+    for pt, v, q in zip(points, u, p):
+        writer.writerow([repr(float(c)) for c in (*pt, *v, q)])
+    return expected.getvalue().encode()
