@@ -19,9 +19,9 @@ byte-identical payloads; only the wall-clock duration field varies.
 Each flag's value is parsed and range-checked once, by its argparse
 type (number lists keep their text for the config echo); either/or flags
 form required mutually exclusive groups.  A cmd_* checks only relations
-between flags, files and field specs, and returns (payload, passed);
-main alone builds the report.  Report and CSV files are rewritten in
-place.
+between flags, files and field specs and returns (payload, passed), flux
+and picard also their --csv rows; it opens no output file.  main alone
+builds the report and writes it and the CSV, both rewritten in place.
 
 Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (a bad,
 malformed, missing or conflicting flag, counts above the node cap and
@@ -148,8 +148,8 @@ _SPHERE_N_THETA = _flag(int, lambda v: v >= 2 and 2 * v * v <= _MAX_NODES,
 # number lists keep their text, which the config echo shows
 _kept_text = functools.partial(_flag, keep_text=True)
 # open() raises ValueError, not OSError, on an embedded null byte
-_PATH = _flag(str, lambda v: "\0" not in v,
-              "a path without an embedded null byte")
+_PATH = _flag(str, lambda v: v and "\0" not in v,
+              "a nonempty path without an embedded null byte")
 _VEC3 = _kept_text(_numbers, lambda v: len(v) == 3 and all(np.isfinite(v)),
                    "three finite numbers x,y,z")
 
@@ -249,10 +249,11 @@ def _load_grid_field(path):
 
     _require("\0" not in path, f"grid file {path!r} has an embedded null byte")
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        _require([h.strip() for h in header] == POINT_CSV_COLUMNS, f"grid file "
-                 f"{path}: expected header {','.join(POINT_CSV_COLUMNS)}")
-        try:
+        try:   # a UnicodeDecodeError, of a non-text file, is a ValueError
+            header = next(csv.reader([fh.readline()]), [])
+            _require([h.strip() for h in header] == POINT_CSV_COLUMNS,
+                     f"grid file {path}: expected header "
+                     f"{','.join(POINT_CSV_COLUMNS)}")
             with warnings.catch_warnings():
                 # a file without rows is reported below, not warned of
                 warnings.simplefilter("ignore", UserWarning)
@@ -311,18 +312,16 @@ class PointTable:
     """The points block of a landau report, kept as one (n, 25) array.
 
     Row k holds x, u, p, grad_u and T of point k flattened in that order,
-    so its first 7 columns are the --csv columns, which go to the path csv
-    (None for no file).  _json_chunks writes the table out as the list of
-    {"x", "u", "p", "grad_u", "T"} objects without building them, and the
-    csv rows in the same pass.
+    so its first 7 columns are the --csv columns.  _json_chunks writes the
+    table out as the list of {"x", "u", "p", "grad_u", "T"} objects
+    without building them, and the csv rows in the same pass.
     """
 
-    def __init__(self, points, state, tensors, csv=None):
+    def __init__(self, points, state, tensors):
         n = len(points)
         self.values = np.concatenate(
             [points, state.u, np.reshape(state.p, (n, 1)),
              state.grad_u.reshape(n, 9), tensors.reshape(n, 9)], axis=1)
-        self.csv = csv
 
     def text_chunks(self, csv=None):
         """(rows, float.__repr__ of each column) per EMIT_CHUNK rows; the
@@ -405,12 +404,11 @@ def _rewrite(path, newline=None):
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def _emit(report, output, duration):
-    """Write the report to output (stdout when None) and a PointTable's
-    csv in one pass; csv is opened first and may not be the file output."""
+def _emit(report, output, duration, csv_path=None, rows=()):
+    """Write the report to output (stdout when None) and to csv_path the rows
+    (header first) or a PointTable's, in the report's one pass; csv_path is
+    opened first and may not be the file output."""
     report = dict(report, duration_s=duration)
-    table = report["payload"].get("points")
-    csv_path = table.csv if isinstance(table, PointTable) else None
     with contextlib.ExitStack() as files:
         csv = (files.enter_context(_rewrite(csv_path, newline=""))
                if csv_path else None)
@@ -418,6 +416,8 @@ def _emit(report, output, duration):
                       and os.path.samefile(csv_path, output)),
                  f"--csv {csv_path} is the same file as --output {output}")
         fh = files.enter_context(_rewrite(output)) if output else sys.stdout
+        if csv:
+            csv.writelines(_csv_lines(rows))
         fh.writelines(_json_chunks(report, csv))
         fh.write("\n")
 
@@ -427,25 +427,20 @@ def _csv_lines(rows):
     return (",".join(row) + "\r\n" for row in rows)
 
 
-def _write_csv(path, header, rows):
-    """The header and rows of number text, as CSV lines."""
-    with _rewrite(path, newline="") as fh:
-        fh.writelines(_csv_lines([header, *rows]))
-
-
 def _read_points_file(path):
     """(n, 3) points from the x,y,z columns of a CSV; # rows are comments,
-    and a first row x,y,z (cells stripped, as in a grid file) is a header."""
-    with open(path, newline="") as fh:
-        lines = [line for line in fh if line.strip() and not line.startswith("#")]
-    header = next(csv.reader(lines[:1]), [])[:3]
-    if [h.strip() for h in header] == ["x", "y", "z"]:
-        lines = lines[1:]
-    if not lines:
-        return np.empty((0, 3))
+    and a first row x,y,z (cells stripped, as in a grid file) is a header.
+    A ValueError, a non-text file's UnicodeDecodeError too, names the file."""
     try:
-        return np.loadtxt(lines, delimiter=",", quotechar='"', usecols=(0, 1, 2),
-                          ndmin=2)
+        with open(path, newline="") as fh:
+            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
+        header = next(csv.reader(lines[:1]), [])[:3]
+        if [h.strip() for h in header] == ["x", "y", "z"]:
+            lines = lines[1:]
+        if not lines:
+            return np.empty((0, 3))
+        return np.loadtxt(lines, delimiter=",", quotechar='"',
+                          usecols=(0, 1, 2), ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"points file {path}: {exc}") from None
 
@@ -463,7 +458,8 @@ def _random_sphere_points(seed, n, rmin, rmax):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (payload, passed), passed None when not graded
+# subcommands: each returns (payload, passed), passed None when not graded;
+# flux and picard append their --csv rows, header first
 
 
 def _landau(flag, make, *args):
@@ -500,7 +496,7 @@ def cmd_landau(args):
         "A": params.A if np.isfinite(params.A) else "inf",
         "beta": params.beta,
         "axis": params.axis.tolist(),
-        "points": PointTable(points, state, flux_tensor(state), args.csv),
+        "points": PointTable(points, state, flux_tensor(state)),
     }, None
 
 
@@ -528,11 +524,9 @@ def cmd_flux(args):
             float(np.linalg.norm(b - params.b)) / max(params.beta, 1e-300)
             for b in forces)
         passed = passed and error <= args.tol
-    if args.csv:
-        _write_csv(args.csv, ["radius", "bx", "by", "bz"],
-                   ([repr(float(R)), *(repr(float(v)) for v in b)]
-                    for R, b in zip(radii, forces)))
-    return payload, passed
+    return payload, passed, [["radius", "bx", "by", "bz"], *(
+        [repr(float(R)), *(repr(float(v)) for v in b)]
+        for R, b in zip(radii, forces))]
 
 
 def cmd_verify_weak(args):
@@ -601,11 +595,10 @@ def cmd_picard(args):
                             tol=args.tol)
     ratios = trace.ratios
     max_late_ratio = max(ratios[1:]) if ratios[1:] else 0.0
-    if args.csv:
-        _write_csv(args.csv, TRACE_CSV_COLUMNS, (
-            [str(i), repr(float(inc)),
-             repr(float(ratios[i - 2])) if 2 <= i < len(ratios) + 2 else ""]
-            for i, inc in enumerate(trace.increments, start=1)))
+    rows = [TRACE_CSV_COLUMNS, *(
+        [str(i), repr(float(inc)),
+         repr(float(ratios[i - 2])) if 2 <= i < len(ratios) + 2 else ""]
+        for i, inc in enumerate(trace.increments, start=1))]
     return {
         "grid": args.grid,
         "amplitude": args.amp,
@@ -622,7 +615,7 @@ def cmd_picard(args):
         "uniqueness_distance": trace.uniqueness_distance,
         "tolerance": args.tol,
     }, (trace.converged and max_late_ratio < 0.5
-        and trace.uniqueness_distance <= 10.0 * args.tol)
+        and trace.uniqueness_distance <= 10.0 * args.tol), rows
 
 
 class _ModeFlag(argparse.Action):
@@ -848,13 +841,16 @@ def main(argv=None):
         # argparse exits with 2 on usage errors, matching EXIT_CONFIG
         return exc.code if exc.code else EXIT_PASS
 
+    csv_path = getattr(args, "csv", None)
     start = time.perf_counter()
     try:
-        payload, passed = args.func(args)
+        payload, passed, *rows = args.func(args)
         code = EXIT_FAIL if passed is False else EXIT_PASS
     except ContractionDivergedError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         payload, passed, code = {"diverged": True}, False, EXIT_OUT_OF_REGIME
+        # a diverged run has no trace table, so its --csv is left alone
+        csv_path, rows = None, ()
         if exc.trace is not None:
             payload.update(iterations=exc.trace.iterations,
                            norms=exc.trace.norms,
@@ -871,7 +867,8 @@ def main(argv=None):
                                      getattr(args, "mode", None)]))
     report = _report(command, _config_echo(args), payload, passed)
     try:
-        _emit(report, args.output, time.perf_counter() - start)
+        _emit(report, args.output, time.perf_counter() - start, csv_path,
+              *rows)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

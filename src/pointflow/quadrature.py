@@ -197,9 +197,11 @@ def ball_samples(f, radius, n_r=400, n_theta=16, n_phi=None):
     of a sphere rule; every sample carries the exact measure of its cell.
     Sample points sit on the outer edge of their radial cell, so a profile
     that blows up toward the center is never paired with more measure than
-    its own level set: for radially nonincreasing functions the cumulative
-    weights match mu(|f| >= value) exactly and the discrete weak-L^p
-    quasinorm is exact up to the angular resolution.
+    its own level set.  If |f| is radially nonincreasing and the same in
+    every direction, the cumulative weights match mu(|f| >= value) exactly.
+    If |f| varies with angle, as a Landau field's does, the discrete weak-L^p
+    quasinorm's error is radial, O(1/n_r), and finer angular cells do not cut
+    it: relative 1.1e-3 at n_r = 400 for A = 2, 1.4e-3 with 32 x 64 cells.
 
     f is a vectorized callable on (m, 3) points returning scalars (take a
     magnitude first for vector fields).  Returns (values, weights).

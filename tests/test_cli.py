@@ -101,6 +101,9 @@ class TestLandauCommand:
         (["--point", "0,0,1", "--axis", "0,0,0"], "--axis"),
         (["--point", "0,0,1", "--axis", "1e-320,0,0"], "--axis"),
         (["--point", "0,0,1", "--axis", "1e200,1e200,0"], "--axis"),
+        (["--point", "0,0,1", "--output", ""], "--output"),
+        (["--point", "0,0,1", "--csv", ""], "--csv"),
+        (["--points-file", ""], "--points-file"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         code, report = run(tmp_path, "landau", "--A", "2", *flags)
@@ -132,10 +135,18 @@ class TestFluxCommand:
         assert code == EXIT_CONFIG
 
     def test_unachievable_tolerance_fails(self, tmp_path):
+        csv_path = tmp_path / "forces.csv"
         code, report = run(tmp_path, "flux", "--field", "landau:A=2",
-                           "--radii", "0.7,1.3", "--tol", "1e-30")
+                           "--radii", "0.7,1.3", "--tol", "1e-30",
+                           "--csv", str(csv_path))
         assert code == EXIT_FAIL
         assert report["passed"] is False
+        # a failed run still writes its rows
+        rows = list(csv.reader(csv_path.open()))
+        assert rows[0] == ["radius", "bx", "by", "bz"]
+        assert [float(r[0]) for r in rows[1:]] == [0.7, 1.3]
+        assert [[float(v) for v in r[1:]] for r in rows[1:]] == \
+            report["payload"]["force_per_radius"]
 
     @pytest.mark.parametrize("flags, expected", [
         # relative force errors at R = 1: 0.32, 7.6e-4 and 3.8e-9; the
@@ -192,6 +203,7 @@ class TestFluxCommand:
         # above A_MAX; at 1e160 the closed form overflows
         (["--field", "landau:A=1e160"], "--field"),
         (["--field", "landau:A=1e150"], "--field"),
+        (["--csv", ""], "--csv"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         code, report = run(tmp_path, "flux", "--field", "landau:A=2",
@@ -283,20 +295,26 @@ class TestPicardCommand:
         assert report["payload"]["iterations"] == 1
 
     def test_large_amplitude_out_of_regime(self, tmp_path):
+        csv_path = tmp_path / "trace.csv"
         code, report = run(tmp_path, "picard", "--amp", "50", "--grid", "16",
-                           "--iters", "60")
+                           "--iters", "60", "--csv", str(csv_path))
         assert code == EXIT_OUT_OF_REGIME
         assert report["payload"]["diverged"] is True
         assert report["passed"] is False
+        assert not csv_path.exists()
 
     def test_overflow_is_out_of_regime(self, tmp_path):
         # the first norm overflows to inf, which no ratio to it exceeds;
         # the non-finite norm itself stops the run
+        csv_path = tmp_path / "trace.csv"
+        csv_path.write_text("old trace\n")
         code, report = run(tmp_path, "picard", "--amp", "1e200", "--grid",
-                           "16")
+                           "16", "--csv", str(csv_path))
         assert code == EXIT_OUT_OF_REGIME
         assert report["payload"]["diverged"] is True
         assert report["payload"]["iterations"] == 1
+        # a diverged run writes no trace, nor cuts the old one
+        assert csv_path.read_text() == "old trace\n"
 
     def test_overflow_prints_only_the_regime_line(self, tmp_path, capsys):
         # the overflowed norm is read by the divergence detector; numpy
@@ -332,6 +350,7 @@ class TestPicardCommand:
         (["--drift-beta", "1e300"], "--drift-beta"),
         # in range, but A_from_beta's A misses the consistency check
         (["--drift-beta", "1e9"], "--drift-beta"),
+        (["--csv", ""], "--csv"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, flags, named):
         argv = ["picard", "--amp", "1e-3", "--grid", "16"] + flags
@@ -722,11 +741,13 @@ class TestBadFiles:
         (GRID_HEADER + "0,0,0,1,0,0,0\n0,0,0,1,0,0\n", "grid file"),
         (GRID_HEADER + "0,0,0,1,0,0,0\n1,1,1,1,0,0,0\n",
          "not a complete rectilinear grid"),
+        (b"\xff\xfe\x00\x01", "can't decode"),
     ])
     def test_bad_grid_file_is_config_error(self, tmp_path, capsys, content,
                                            message):
         grid = tmp_path / "field.csv"
-        grid.write_text(content)
+        grid.write_bytes(content if isinstance(content, bytes)
+                         else content.encode())
         code, report = run(tmp_path, "flux", "--field", f"grid:{grid}",
                            "--radii", "0.5")
         err = capsys.readouterr().err
@@ -749,10 +770,12 @@ class TestBadFiles:
                                          "x,y,z\n0,0,1\n1,inf,0\n",
                                          "x,y,z\n0,0,1\n1e-320,0,0\n",
                                          "x,y,z\n1e308,1e308,0\n",
-                                         "x,y,z\n"])
+                                         "x,y,z\n",
+                                         b"x,y,z\n0,0,1\n\xff\xfe\n"])
     def test_bad_points_file_is_config_error(self, tmp_path, capsys, content):
         pts = tmp_path / "pts.csv"
-        pts.write_text(content)
+        pts.write_bytes(content if isinstance(content, bytes)
+                        else content.encode())
         code, report = run(tmp_path, "landau", "--A", "2",
                            "--points-file", str(pts))
         assert code == EXIT_CONFIG and report is None
@@ -816,6 +839,12 @@ class TestOutputRewrite:
     """Outputs are rewritten in place: no truncation on open, no stale tail."""
 
     ARGV = ["landau", "--A", "2", "--point", "0,0,1"]
+    # a run of each command that writes a --csv
+    CSV_ARGV = {
+        "landau": ARGV,
+        "flux": ["flux", "--field", "landau:A=2", "--radii", "1,2"],
+        "picard": ["picard", "--grid", "16", "--amp", "0"],
+    }
 
     def fresh_report(self, tmp_path):
         path = tmp_path / "fresh.json"
@@ -867,25 +896,39 @@ class TestOutputRewrite:
         assert main(self.ARGV + ["--csv", "/dev/null",
                                  "--output", "/dev/null"]) == EXIT_PASS
 
+    @pytest.mark.parametrize("command", CSV_ARGV)
     def test_unopenable_csv_leaves_the_report_untouched(self, tmp_path,
-                                                        capsys):
+                                                        capsys, command):
         out, rows = tmp_path / "r.json", tmp_path / "missing" / "u.csv"
         out.write_text("old report\n")
-        code = main(self.ARGV + ["--csv", str(rows), "--output", str(out)])
+        code = main(self.CSV_ARGV[command] + ["--csv", str(rows),
+                                              "--output", str(out)])
         assert code == EXIT_CONFIG
         assert str(rows) in capsys.readouterr().err
         assert out.read_text() == "old report\n"
 
+    @pytest.mark.parametrize("command", CSV_ARGV)
+    def test_unopenable_output_cuts_the_csv(self, tmp_path, capsys, command):
+        rows, out = tmp_path / "u.csv", tmp_path / "missing" / "r.json"
+        rows.write_text("old rows\n")
+        code = main(self.CSV_ARGV[command] + ["--csv", str(rows),
+                                              "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+        assert rows.read_text() == ""
+
+    @pytest.mark.parametrize("command", CSV_ARGV)
     @pytest.mark.parametrize("how", ["same path", "new file", "hard link"])
     def test_csv_that_is_the_output_is_config_error(self, tmp_path, capsys,
-                                                    how):
+                                                    how, command):
         out = rows = tmp_path / "r.json"
         if how != "new file":
             out.write_text("old report\n")
         if how == "hard link":
             rows = tmp_path / "u.csv"
             rows.hardlink_to(out)
-        code = main(self.ARGV + ["--csv", str(rows), "--output", str(out)])
+        code = main(self.CSV_ARGV[command] + ["--csv", str(rows),
+                                              "--output", str(out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"configuration error: --csv {rows} is the same file as "

@@ -422,9 +422,8 @@ def point_tables(draw):
             for shape in ((n, 3), (n, 3), (n,), (n, 3, 3), (n, 3, 3))]
 
 
-def landau_report(points, u, p, grad, T, config=None, csv=None):
-    table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T,
-                           csv)
+def landau_report(points, u, p, grad, T, config=None):
+    table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T)
     payload = {"A": 2.0, "beta": 34.7, "axis": [0.0, 0.0, 1.0],
                "points": table}
     report = cli._report("landau", config or {"seed": 0}, payload, None)
@@ -498,8 +497,8 @@ class TestLandauReport:
         # one path for every example: each rewrite, longer or shorter than
         # the last, must leave exactly its own rows
         path = tmp_path_factory.getbasetemp() / "rewritten.csv"
-        report, _ = landau_report(*arrays5, csv=str(path))
-        cli._emit(report, os.devnull, 0.5)
+        report, _ = landau_report(*arrays5)
+        cli._emit(report, os.devnull, 0.5, str(path))
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(cli.POINT_CSV_COLUMNS)
@@ -517,11 +516,11 @@ class TestLandauReport:
                                               (10, 3, 3), (10, 3, 3))]
         parts[0][3, 1], parts[1][7, 2], parts[2][9] = np.nan, np.inf, -np.inf
         parts[4][0, 1, 1] = np.nan
-        report, expected = landau_report(*parts, config=config,
-                                         csv=str(tmp_path / "u.csv"))
+        report, expected = landau_report(*parts, config=config)
         del report["duration_s"]
         with mock.patch.object(cli, "EMIT_CHUNK", chunk):
-            cli._emit(report, str(tmp_path / "r.json"), 0.5)
+            cli._emit(report, str(tmp_path / "r.json"), 0.5,
+                      str(tmp_path / "u.csv"))
         assert (tmp_path / "r.json").read_text() == expected + "\n"
         assert (tmp_path / "u.csv").read_bytes() == csv_writer_bytes(*parts[:3])
 
@@ -532,7 +531,7 @@ class TestLandauReport:
         rows, out = tmp_path / "u.csv", tmp_path / "r.json"
         for path in (rows, out):
             path.write_text("stale " * 10_000)
-        report, expected = landau_report(*parts, csv=str(rows))
+        report, expected = landau_report(*parts)
         del report["duration_s"]
         text_chunks = cli.PointTable.text_chunks
 
@@ -544,7 +543,7 @@ class TestLandauReport:
                 mock.patch.object(cli.PointTable, "text_chunks",
                                   first_chunk_only), \
                 pytest.raises(RuntimeError):
-            cli._emit(report, str(out), 0.5)
+            cli._emit(report, str(out), 0.5, str(rows))
         # the header and the first chunk's two rows, and the report up to
         # the first chunk's two points
         assert rows.read_bytes().splitlines(keepends=True) == \
