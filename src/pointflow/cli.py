@@ -16,12 +16,15 @@ configuration (including the seed) and carries pass/fail flags that are
 recomputable from the payload alone.  Identical configurations produce
 byte-identical payloads; only the wall-clock duration field varies.
 
-Each flag's value is parsed and range-checked once, by its argparse
-type (number lists keep their text for the config echo); either/or flags
-form required mutually exclusive groups.  A cmd_* checks only relations
-between flags, files and field specs and returns (payload, passed), flux
-and picard also their --csv rows; it opens no output file.  main alone
-builds the report and writes it and the CSV, both rewritten in place.
+Each flag's value is parsed and range-checked once, by its argparse type
+(number lists keep their text for the config echo), and a landau: spec's
+A or beta by that of --A or --beta; either/or flags form required
+mutually exclusive groups.  One guard, _naming, names the flag or file
+of a ValueError raised while an input is consumed.  A cmd_* checks only
+relations between flags, files and field specs and returns (payload,
+passed), flux and picard also their --csv rows; it opens no output file.
+main alone builds the report and writes it and the CSV, both rewritten
+in place.
 
 Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (a bad,
 malformed, missing or conflicting flag, counts above the node cap and
@@ -34,6 +37,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import os
 import re
@@ -74,8 +78,18 @@ _MARKER = re.compile(r'"\\u0000(\d+)"')
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid combination or value of command-line parameters."""
+
+
+@contextlib.contextmanager
+def _naming(what):
+    """Raise a ValueError (a ConfigError too, so guards nest) or a flag
+    type's ArgumentTypeError raised inside as a ConfigError "what: ..."."""
+    try:
+        yield
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def _require(condition, message):
@@ -160,6 +174,8 @@ def _norm(v):
         return np.linalg.norm(v)
 
 
+_CENTER = _kept_text(_numbers, lambda v: len(v) == 3 and _norm(v) < _RADII[1],
+                     "three numbers x,y,z with |x| < {:g}".format(_RADII[1]))
 _AXIS = _kept_text(
     _numbers, lambda v: len(v) == 3 and _RADII[0] < _norm(v) < _RADII[1],
     "three numbers x,y,z with {:g} < |x| < {:g}".format(*_RADII))
@@ -206,13 +222,12 @@ def parse_field_spec(spec):
     if spec.startswith("landau:"):
         key, eq, value = spec[len("landau:"):].partition("=")
         _require(eq, f"bad landau spec {spec!r}: expected key=value")
-        make = {"A": LandauParams.from_shape,
-                "beta": LandauParams.from_magnitude}.get(key)
-        _require(make, f"unknown landau parameter {key!r} (use A or beta)")
-        try:
-            return "landau", LandauField(make(float(value)))
-        except ValueError as exc:
-            raise ConfigError(f"bad landau spec {spec!r}: {exc}") from None
+        _require(key in ("A", "beta"),
+                 f"unknown landau parameter {key!r} (use A or beta)")
+        with _naming(f"bad landau spec {spec!r}"):   # --A's or --beta's rule
+            return "landau", LandauField(
+                LandauParams.from_shape(_SHAPE(value)) if key == "A" else
+                LandauParams.from_magnitude(_MAGNITUDE(value)))
     if spec.startswith("grid:"):
         return "grid", _load_grid_field(spec[len("grid:"):])
     raise ConfigError(f"unrecognized field spec {spec!r}")
@@ -221,12 +236,10 @@ def parse_field_spec(spec):
 def _probe(spec, command, kinds=("landau", "grid"), flag="--field"):
     """The probe of a field spec whose kind `command` accepts; a bad spec
     is a ConfigError that names flag."""
-    try:
+    with _naming(flag):
         kind, probe = parse_field_spec(spec)
-    except ConfigError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-    _require(kind in kinds,
-             f"{command} needs a {' or '.join(kinds)} field spec, got {spec!r}")
+        _require(kind in kinds, f"{command} needs a {' or '.join(kinds)} "
+                 f"field spec, got {spec!r}")
     return probe
 
 
@@ -248,18 +261,15 @@ def _load_grid_field(path):
     from scipy.interpolate import RegularGridInterpolator
 
     _require("\0" not in path, f"grid file {path!r} has an embedded null byte")
-    with open(path, newline="") as fh:
-        try:   # a UnicodeDecodeError, of a non-text file, is a ValueError
-            header = next(csv.reader([fh.readline()]), [])
-            _require([h.strip() for h in header] == POINT_CSV_COLUMNS,
-                     f"grid file {path}: expected header "
-                     f"{','.join(POINT_CSV_COLUMNS)}")
-            with warnings.catch_warnings():
-                # a file without rows is reported below, not warned of
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"grid file {path}: {exc}") from None
+    # a UnicodeDecodeError, of a non-text file, is a ValueError
+    with open(path, newline="") as fh, _naming(f"grid file {path}"):
+        header = next(csv.reader([fh.readline()]), [])
+        _require([h.strip() for h in header] == POINT_CSV_COLUMNS,
+                 f"expected header {','.join(POINT_CSV_COLUMNS)}")
+        with warnings.catch_warnings():
+            # a file without rows is reported below, not warned of
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
     _require(rows.size, f"grid file {path} holds no samples")
     _require(rows.shape[1] == len(POINT_CSV_COLUMNS), f"grid file {path}: "
              f"expected {len(POINT_CSV_COLUMNS)} columns per row")
@@ -428,21 +438,20 @@ def _csv_lines(rows):
 
 
 def _read_points_file(path):
-    """(n, 3) points from the x,y,z columns of a CSV; # rows are comments,
-    and a first row x,y,z (cells stripped, as in a grid file) is a header.
-    A ValueError, a non-text file's UnicodeDecodeError too, names the file."""
-    try:
-        with open(path, newline="") as fh:
-            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-        header = next(csv.reader(lines[:1]), [])[:3]
-        if [h.strip() for h in header] == ["x", "y", "z"]:
-            lines = lines[1:]
-        if not lines:
-            return np.empty((0, 3))
-        return np.loadtxt(lines, delimiter=",", quotechar='"',
-                          usecols=(0, 1, 2), ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"points file {path}: {exc}") from None
+    """(n, 3) points from the x,y,z columns of a CSV, parsed as it is read;
+    blank and # lines are comments, and a first other line x,y,z (cells
+    stripped, as in a grid file) is a header."""
+    with _naming(f"points file {path}"), open(path, newline="") as fh:
+        lines = (ln for ln in fh if ln.strip() and not ln.startswith("#"))
+        first = next(lines, "")
+        header = next(csv.reader([first]), [])[:3]
+        if [h.strip() for h in header] != ["x", "y", "z"]:
+            lines = itertools.chain([first], lines)
+        with warnings.catch_warnings():
+            # a file without rows is refused by the command, not warned of
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(lines, delimiter=",", quotechar='"',
+                              usecols=(0, 1, 2), ndmin=2)
 
 
 def _random_sphere_points(seed, n, rmin, rmax):
@@ -462,23 +471,14 @@ def _random_sphere_points(seed, n, rmin, rmax):
 # flux and picard append their --csv rows, header first
 
 
-def _landau(flag, make, *args):
-    """make(*args), with a ValueError raised as a ConfigError naming flag.
-
-    A magnitude in its flag's range can still fail: above about 1e7 the A
-    of A_from_beta can miss LandauParams' consistency check, and |b| taken
-    along a non-unit --axis can round one ulp past the range ends."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-
-
 def cmd_landau(args):
     axis = _numbers(args.axis) if args.axis else [0.0, 0.0, 1.0]
-    params = (_landau("--A", LandauParams.from_shape, args.A, axis)
-              if args.A is not None else
-              _landau("--beta", LandauParams.from_magnitude, args.beta, axis))
+    # a value in its flag's range can still fail: above about 1e7 the A of
+    # A_from_beta can miss LandauParams' consistency check, and |b| taken
+    # along a non-unit --axis can round one ulp past the range ends
+    with _naming("--A" if args.A is not None else "--beta"):
+        params = (LandauParams.from_shape(args.A, axis) if args.A is not None
+                  else LandauParams.from_magnitude(args.beta, axis))
     if args.point:
         source, points = "--point", np.array([_numbers(p) for p in args.point])
     else:
@@ -587,9 +587,10 @@ def cmd_verify_selfsim(args):
 
 def cmd_picard(args):
     _require(args.delta_in < args.delta_out, "need --delta-in < --delta-out")
-    drift = make_mollified_drift(
-        _landau("--drift-beta", LandauParams.from_magnitude, args.drift_beta),
-        args.grid, args.delta_in, args.delta_out)
+    with _naming("--drift-beta"):   # fails in range too; see cmd_landau
+        params = LandauParams.from_magnitude(args.drift_beta)
+    drift = make_mollified_drift(params, args.grid, args.delta_in,
+                                 args.delta_out)
     forcing = make_forcing(args.grid, args.amp, seed=args.seed)
     trace = run_contraction(drift, forcing, r=args.r, max_iters=args.iters,
                             tol=args.tol)
@@ -648,9 +649,9 @@ def cmd_norms(args):
     if mode == "--sweep-beta":
         start, stop, count = _numbers(args.sweep_beta, sep=":")
         betas = np.linspace(start, stop, int(count))
-        sups = [sup_speed_on_unit_sphere(
-            _landau("--sweep-beta", LandauParams.from_magnitude, b))
-            for b in betas]
+        with _naming("--sweep-beta"):   # fails in range too; see cmd_landau
+            sups = [sup_speed_on_unit_sphere(LandauParams.from_magnitude(b))
+                    for b in betas]
         nondecreasing = bool(np.all(np.diff(sups) >= 0.0))
         return {
             "betas": betas.tolist(),
@@ -707,11 +708,6 @@ def cmd_norms(args):
 # parser and dispatch
 
 
-def _config_echo(args):
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "given") and v is not None}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pointflow",
@@ -761,7 +757,7 @@ def build_parser():
 
     pv = vsub.add_parser("weak", help="distributional pairing vs b phi(0)")
     pv.add_argument("--field", required=True)
-    pv.add_argument("--center", type=_VEC3, default="0,0,0")
+    pv.add_argument("--center", type=_CENTER, default="0,0,0")
     pv.add_argument("--a", type=_RADIUS, default=0.5, help="plateau radius")
     pv.add_argument("--b", type=_RADIUS, default=1.0, help="support radius")
     pv.add_argument("--n-r", type=_at_least(3), default=32, dest="n_r")
@@ -865,7 +861,9 @@ def main(argv=None):
 
     command = "-".join(filter(None, [args.subcommand,
                                      getattr(args, "mode", None)]))
-    report = _report(command, _config_echo(args), payload, passed)
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("func", "given") and v is not None}
+    report = _report(command, config, payload, passed)
     try:
         _emit(report, args.output, time.perf_counter() - start, csv_path,
               *rows)

@@ -57,7 +57,7 @@ class TestLandauCommand:
         code, _ = run(tmp_path, "landau", "--A", "2", "--point", "0,0,1",
                       "--point", "0,0,-1", "--csv", str(csv_path))
         assert code == EXIT_PASS
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0] == ["x", "y", "z", "ux", "uy", "uz", "p"]
         assert len(rows) == 3
         assert float(rows[1][5]) == pytest.approx(4.0)
@@ -142,7 +142,7 @@ class TestFluxCommand:
         assert code == EXIT_FAIL
         assert report["passed"] is False
         # a failed run still writes its rows
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0] == ["radius", "bx", "by", "bz"]
         assert [float(r[0]) for r in rows[1:]] == [0.7, 1.3]
         assert [[float(v) for v in r[1:]] for r in rows[1:]] == \
@@ -267,6 +267,8 @@ class TestVerifyCommand:
         (["weak", "--n-theta", "257"], "--n-theta"),
         (["weak", "--n-r", "4097", "--n-theta", "24"], "--n-r"),
         (["ns", "--samples", str(_MAX_NODES + 1)], "--samples"),
+        (["weak", "--center", "1e300,0,0"], "--center"),
+        (["weak", "--center", "1e200,1e200,0"], "--center"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, argv, named):
         code, report = run(tmp_path, "verify", argv[0], "--field",
@@ -284,7 +286,7 @@ class TestPicardCommand:
         payload = report["payload"]
         assert payload["converged"] is True
         assert payload["max_ratio_after_first"] < 0.5
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0] == ["iter", "increment", "ratio"]
         assert rows[1][2] == ""            # no ratio for the first increment
         assert len(rows) == payload["iterations"] + 1
@@ -869,8 +871,8 @@ class TestOutputRewrite:
         assert main(["flux", "--field", "landau:A=2", "--radii", "1",
                      "--csv", str(radii), "--output",
                      str(tmp_path / "b.json")]) == EXIT_PASS
-        assert len(list(csv.reader(points.open()))) == 2
-        assert len(list(csv.reader(radii.open()))) == 2
+        assert len(points.read_text().splitlines()) == 2
+        assert len(radii.read_text().splitlines()) == 2
 
     def test_links_and_mode_are_kept(self, tmp_path):
         target = tmp_path / "target.json"
@@ -963,6 +965,7 @@ class TestRangeEdges:
         ["landau", "--A", "2", "--axis", "1e49,1e49,0", "--point", "0,0,1"],
         ["flux", "--field", "landau:A=1e8", "--radii", "1", "--tol", "1"],
         ["norms", "--sweep-beta", f"{BETA_MIN!r}:1:3"],
+        ["verify", "weak", "--field", "landau:A=2", "--center", "1e49,0,0"],
     ])
     def test_values_inside_the_ranges_run(self, tmp_path, argv):
         code, report = run(tmp_path, *argv)
@@ -1023,12 +1026,41 @@ class TestFlagContract:
         (["verify", "weak", "--field", "landau:beta=1e-200"], "--field"),
         (["norms", "--field", "landau:A=2", "--decay", "--ref", "beta=1e-300"],
          "--ref"),
+        # above beta_max, where the library's A_from_beta overflows
+        (["flux", "--field", "landau:beta=1e300", "--radii", "1"], "--field"),
+        (["flux", "--field", "landau:beta=inf", "--radii", "1"], "--field"),
+        (["norms", "--field", "landau:A=2", "--decay", "--ref", "beta=inf"],
+         "--ref"),
     ])
     def test_negative_magnitude_is_config_error(self, tmp_path, capsys, argv,
                                                 named):
         code, report = run(tmp_path, *argv)
         assert code == EXIT_CONFIG and report is None
         assert named in capsys.readouterr().err
+
+    def test_a_spec_error_has_one_prefix_per_guard(self, tmp_path, capsys):
+        with pytest.raises(argparse.ArgumentTypeError) as rule:
+            flag_type("landau", "--A")("0.5")
+        code, report = run(tmp_path, "norms", "--field", "landau:A=2",
+                           "--decay", "--ref", "A=0.5")
+        assert code == EXIT_CONFIG and report is None
+        assert capsys.readouterr().err == (
+            "configuration error: --ref: bad landau spec 'landau:A=0.5': "
+            f"{rule.value}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["flux", "--field", "r^-1", "--radii", "1"],
+        ["verify", "weak", "--field", "r^-2"],
+        ["verify", "ns", "--field", "r^-1"],
+        ["verify", "selfsim", "--field", "r^-1", "--lambda", "0.5"],
+        ["norms", "--field", "r^-1", "--decay", "--ref", "A=2"],
+    ])
+    def test_a_spec_of_another_kind_names_field(self, tmp_path, capsys,
+                                                argv):
+        code, report = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG and report is None
+        assert capsys.readouterr().err.startswith(
+            "configuration error: --field: ")
 
     # the type is called, never run: a run at the cap takes gigabytes
     @pytest.mark.parametrize("path, inside, outside", [
