@@ -71,8 +71,8 @@ WEAK_L3_R_INV = float((4.0 * np.pi / 3.0)**(1.0 / 3.0))
 POINT_CSV_COLUMNS = ["x", "y", "z", "ux", "uy", "uz", "p"]
 TRACE_CSV_COLUMNS = ["iter", "increment", "ratio"]
 
-# a landau point table is rendered this many points at a time
-EMIT_CHUNK = 2048
+# a landau point table is filled and rendered this many points at a time
+EMIT_CHUNK = 512
 # json.dumps renders the marker string "\0<k>" as "\u0000<k>"
 _MARKER = re.compile(r'"\\u0000(\d+)"')
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -246,7 +246,8 @@ def _probe(spec, command, kinds=("landau", "grid"), flag="--field"):
 def _load_grid_field(path):
     """Trilinear probe from a CSV of samples on a rectilinear grid.
 
-    The rows are parsed from the open file after the header; they must be
+    The rows are parsed from the open file after the header, the first
+    line, without its blank and comment lines (_data_lines); they must be
     finite and list every node of the product grid of their distinct
     coordinates once.
     One interpolator runs over the stacked (ux, uy, uz, p) samples; its
@@ -269,7 +270,8 @@ def _load_grid_field(path):
         with warnings.catch_warnings():
             # a file without rows is reported below, not warned of
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
+            rows = np.loadtxt(_data_lines(fh), delimiter=",", quotechar='"',
+                              ndmin=2)
     _require(rows.size, f"grid file {path} holds no samples")
     _require(rows.shape[1] == len(POINT_CSV_COLUMNS), f"grid file {path}: "
              f"expected {len(POINT_CSV_COLUMNS)} columns per row")
@@ -318,20 +320,26 @@ def _point_dict(row):
             "T": [row[16:19], row[19:22], row[22:25]]}
 
 
+def _point_rows(points, state, tensors):
+    """The (n, 25) PointTable rows of n points, their FlowState and T."""
+    n = len(points)
+    return np.concatenate([points, state.u, np.reshape(state.p, (n, 1)),
+                           state.grad_u.reshape(n, 9), tensors.reshape(n, 9)],
+                          axis=1)
+
+
 class PointTable:
     """The points block of a landau report, kept as one (n, 25) array.
 
-    Row k holds x, u, p, grad_u and T of point k flattened in that order,
-    so its first 7 columns are the --csv columns.  _json_chunks writes the
-    table out as the list of {"x", "u", "p", "grad_u", "T"} objects
-    without building them, and the csv rows in the same pass.
+    Row k holds x, u, p, grad_u and T of point k flattened in that order
+    (_point_rows), so its first 7 columns are the --csv columns.
+    _json_chunks writes the table out as the list of {"x", "u", "p",
+    "grad_u", "T"} objects without building them, and the csv rows in the
+    same pass.
     """
 
-    def __init__(self, points, state, tensors):
-        n = len(points)
-        self.values = np.concatenate(
-            [points, state.u, np.reshape(state.p, (n, 1)),
-             state.grad_u.reshape(n, 9), tensors.reshape(n, 9)], axis=1)
+    def __init__(self, values):
+        self.values = values
 
     def text_chunks(self, csv=None):
         """(rows, float.__repr__ of each column) per EMIT_CHUNK rows; the
@@ -437,12 +445,18 @@ def _csv_lines(rows):
     return (",".join(row) + "\r\n" for row in rows)
 
 
+def _data_lines(lines):
+    """The lines that are not blank and whose first non-blank character is
+    not # (a comment)."""
+    return (ln for ln in lines if ln.lstrip()[:1] not in ("", "#"))
+
+
 def _read_points_file(path):
     """(n, 3) points from the x,y,z columns of a CSV, parsed as it is read;
-    blank and # lines are comments, and a first other line x,y,z (cells
-    stripped, as in a grid file) is a header."""
+    _data_lines drops blank and comment lines, and a first other line
+    x,y,z (cells stripped, as in a grid file) is a header."""
     with _naming(f"points file {path}"), open(path, newline="") as fh:
-        lines = (ln for ln in fh if ln.strip() and not ln.startswith("#"))
+        lines = _data_lines(fh)
         first = next(lines, "")
         header = next(csv.reader([first]), [])[:3]
         if [h.strip() for h in header] != ["x", "y", "z"]:
@@ -491,12 +505,21 @@ def cmd_landau(args):
              "{}: points need {:g} < |x| < {:g}; Landau fields are singular "
              "at the origin".format(source, *_RADII))
 
-    state = landau_eval(params, points)
+    # EMIT_CHUNK points at a time, so only one chunk's FlowState and tensors
+    # are alive beside the table.  A last chunk of one point joins the one
+    # before: numpy takes e @ axis of a single point by another kernel,
+    # whose bits differ from those of the same point in a batch
+    table = np.empty((len(points), 25))
+    starts = range(0, max(len(points) - 1, 1), EMIT_CHUNK)
+    for start, stop in zip(starts, [*starts[1:], len(points)]):
+        state = landau_eval(params, points[start:stop])
+        table[start:stop] = _point_rows(points[start:stop], state,
+                                        flux_tensor(state))
     return {
         "A": params.A if np.isfinite(params.A) else "inf",
         "beta": params.beta,
         "axis": params.axis.tolist(),
-        "points": PointTable(points, state, flux_tensor(state)),
+        "points": PointTable(table),
     }, None
 
 

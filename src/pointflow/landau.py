@@ -28,6 +28,8 @@ residual check is obtained from Richardson-extrapolated central differences
 of the analytic gradient.
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass
 from scipy.optimize import brentq
@@ -243,48 +245,75 @@ class FlowState:
     grad_u: np.ndarray
 
 
-def _evaluate(params, pts):
-    """Velocity, pressure, du and dp of a Landau field at points (m, 3).
+class _Stages:
+    """A Landau field at points (m, 3), one stage per quantity: u, p, grad
+    (grad[k, i, j] = d_i u_j(x_k)) and gradp.
 
-    Returns (u, p, grad, gradp) with grad[k, i, j] = d_i u_j(x_k).
+    The stages share r, e, c and d, and u and grad also g1 and g2, p and
+    gradp also q; each is computed by the expressions of a single pass over
+    all four, so a stage has the same bits alone as with the others.  The
+    stages of the zero field are zeros.
     """
-    m = len(pts)
-    r = np.sqrt(np.einsum("ki,ki->k", pts, pts))
-    if np.any(r == 0.0):
-        raise ValueError("Landau fields are singular at the origin")
-    if params.is_zero:
-        return (np.zeros((m, 3)), np.zeros(m),
-                np.zeros((m, 3, 3)), np.zeros((m, 3)))
 
-    A = params.A
-    axis = params.axis
-    e = pts / r[:, None]
-    c = np.clip(e @ axis, -1.0, 1.0)
-    d = A - c
-    A2m1 = A * A - 1.0
+    def __init__(self, params, pts):
+        self.m = len(pts)
+        self.r = r = np.sqrt(np.einsum("ki,ki->k", pts, pts))
+        if np.any(r == 0.0):
+            raise ValueError("Landau fields are singular at the origin")
+        self.params = params
+        if not params.is_zero:
+            self.e = pts / r[:, None]
+            self.c = np.clip(self.e @ params.axis, -1.0, 1.0)
+            self.d = params.A - self.c
 
-    g1 = A2m1 / d**2 - 1.0 - c / d
-    g2 = 1.0 / d
-    dg1 = 2.0 * A2m1 / d**3 - A / d**2
-    dg2 = 1.0 / d**2
+    @functools.cached_property
+    def _g(self):
+        """(g1, g2) of u = (2/r) (g1 e + g2 axis)."""
+        A, c, d = self.params.A, self.c, self.d
+        return (A * A - 1.0) / d**2 - 1.0 - c / d, 1.0 / d
 
-    u = (2.0 / r[:, None]) * (g1[:, None] * e + g2[:, None] * axis)
+    @functools.cached_property
+    def _q(self):
+        """q = r^2 p."""
+        A, c, d = self.params.A, self.c, self.d
+        return 4.0 * (A * c - 1.0) / d**2
 
-    q = 4.0 * (A * c - 1.0) / d**2
-    p = q / r**2
+    def u(self):
+        if self.params.is_zero:
+            return np.zeros((self.m, 3))
+        g1, g2 = self._g
+        return (2.0 / self.r[:, None]) * (g1[:, None] * self.e
+                                          + g2[:, None] * self.params.axis)
 
-    # grad[k, i, j] = (2/r^2) (g1 delta_ij + w_i e_j + v_i a_j)
-    w = dg1[:, None] * (axis - c[:, None] * e) - 2.0 * g1[:, None] * e
-    v = dg2[:, None] * (axis - c[:, None] * e) - g2[:, None] * e
-    grad = (2.0 / r**2)[:, None, None] * (
-        g1[:, None, None] * np.eye(3)
-        + w[:, :, None] * e[:, None, :]
-        + v[:, :, None] * axis[None, None, :])
+    def p(self):
+        if self.params.is_zero:
+            return np.zeros(self.m)
+        return self._q / self.r**2
 
-    dq = 4.0 * (A * A + A * c - 2.0) / d**3
-    gradp = (dq[:, None] * (axis - c[:, None] * e) - 2.0 * q[:, None] * e) \
-        / (r**3)[:, None]
-    return u, p, grad, gradp
+    def grad(self):
+        if self.params.is_zero:
+            return np.zeros((self.m, 3, 3))
+        A, axis, r, e, c, d = (self.params.A, self.params.axis, self.r,
+                               self.e, self.c, self.d)
+        g1, g2 = self._g
+        dg1 = 2.0 * (A * A - 1.0) / d**3 - A / d**2
+        dg2 = 1.0 / d**2
+        # grad[k, i, j] = (2/r^2) (g1 delta_ij + w_i e_j + v_i a_j)
+        w = dg1[:, None] * (axis - c[:, None] * e) - 2.0 * g1[:, None] * e
+        v = dg2[:, None] * (axis - c[:, None] * e) - g2[:, None] * e
+        return (2.0 / r**2)[:, None, None] * (
+            g1[:, None, None] * np.eye(3)
+            + w[:, :, None] * e[:, None, :]
+            + v[:, :, None] * axis[None, None, :])
+
+    def gradp(self):
+        if self.params.is_zero:
+            return np.zeros((self.m, 3))
+        A, axis, r, e, c, d = (self.params.A, self.params.axis, self.r,
+                               self.e, self.c, self.d)
+        dq = 4.0 * (A * A + A * c - 2.0) / d**3
+        return (dq[:, None] * (axis - c[:, None] * e)
+                - 2.0 * self._q[:, None] * e) / (r**3)[:, None]
 
 
 def landau_eval(params, x):
@@ -296,9 +325,10 @@ def landau_eval(params, x):
     float.  Raises ValueError at the origin.
     """
     pts, lead = _as_points(x)
-    u, p, grad, _ = _evaluate(params, pts)
-    return FlowState(u=u.reshape(lead + (3,)), p=p.reshape(lead)[()],
-                     grad_u=grad.reshape(lead + (3, 3)))
+    stages = _Stages(params, pts)
+    return FlowState(u=stages.u().reshape(lead + (3,)),
+                     p=stages.p().reshape(lead)[()],
+                     grad_u=stages.grad().reshape(lead + (3, 3)))
 
 
 def flux_tensor(state):
@@ -330,8 +360,8 @@ def _laplacian_fd(params, pts, h):
         for m in range(3):
             dx = np.zeros_like(pts)
             dx[:, m] = step
-            _, _, gp, _ = _evaluate(params, pts + dx)
-            _, _, gm, _ = _evaluate(params, pts - dx)
+            gp = _Stages(params, pts + dx).grad()
+            gm = _Stages(params, pts - dx).grad()
             lap += (gp[:, m, :] - gm[:, m, :]) / (2.0 * step)[:, None]
         return lap
 
@@ -352,7 +382,8 @@ def ns_residual(params, x):
     r = np.linalg.norm(pts, axis=1)
     if np.any(r == 0.0):
         raise ValueError("residual is undefined at the origin")
-    u, _, grad, gradp = _evaluate(params, pts)
+    stages = _Stages(params, pts)
+    u, grad, gradp = stages.u(), stages.grad(), stages.gradp()
     lap = _laplacian_fd(params, pts, 1e-3 * r)
     res = -lap + np.einsum("km,kmn->kn", u, grad) + gradp
     return res.reshape(lead + (3,))
@@ -366,7 +397,9 @@ class FlowField:
     velocity, pressure and velocity gradient; velocity(x) gives u alone,
     bitwise equal to self(x).u, and the checks that read only u (the weak
     pairing, the norms' ball sampler, decay and self-similarity) go through
-    it.  Subclasses whose pressure or gradient cost extra work override it.
+    it.  The library's probes override it to compute no pressure and no
+    gradient: LandauField runs the velocity stage alone, CallableField
+    calls its sampler once, RescaledField asks its base for u.
     """
 
     def __call__(self, x):
@@ -385,6 +418,11 @@ class LandauField(FlowField):
 
     def __call__(self, x):
         return landau_eval(self.params, x)
+
+    def velocity(self, x):
+        """u(x) from the velocity stage alone: no pressure, no gradient."""
+        pts, lead = _as_points(x)
+        return _Stages(self.params, pts).u().reshape(lead + (3,))
 
 
 class CallableField(FlowField):
@@ -467,5 +505,5 @@ def sup_speed_on_unit_sphere(params):
     perp /= np.linalg.norm(perp)
     theta = np.linspace(0.0, np.pi, 2001)
     pts = np.cos(theta)[:, None] * axis + np.sin(theta)[:, None] * perp
-    u = landau_eval(params, pts).u
+    u = LandauField(params).velocity(pts)
     return float(np.max(np.linalg.norm(u, axis=1)))

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.fft
 from dataclasses import dataclass, field
 
-from .landau import flux_tensor, landau_eval
+from .landau import LandauField, flux_tensor
 
 __all__ = [
     "QuadratureRule", "sphere_rule", "ball_shell_rule",
@@ -204,7 +204,13 @@ def ball_samples(f, radius, n_r=400, n_theta=16, n_phi=None):
     it: relative 1.1e-3 at n_r = 400 for A = 2, 1.4e-3 with 32 x 64 cells.
 
     f is a vectorized callable on (m, 3) points returning scalars (take a
-    magnitude first for vector fields).  Returns (values, weights).
+    magnitude first for vector fields).  Returns (values, weights), shell
+    by shell from the center out.  f is called on groups of whole shells
+    of at most NODE_BLOCK nodes (one shell when a shell is larger), the
+    outermost group first: every shell is a positive multiple of one unit
+    rule with nodes of both signs on every axis, so the outermost shell
+    holds each axis' extreme coordinates, and an f that checks bounds axis
+    by axis fails on the first group as on one call over every node.
     """
     radius = float(radius)
     if radius <= 0.0:
@@ -216,11 +222,17 @@ def ball_samples(f, radius, n_r=400, n_theta=16, n_phi=None):
     cell_volumes = 4.0 * np.pi / 3.0 * np.diff(
         np.concatenate(([0.0], edges))**3)
     unit = sphere_rule(1.0, n_theta, n_phi)
-    pts = edges[:, None, None] * unit.nodes[None, :, :]
-    values = np.abs(np.asarray(f(pts.reshape(-1, 3)), dtype=float))
+    k = unit.n_nodes
+    shells = max(NODE_BLOCK // k, 1)
+    values = np.empty(n_r * k)
+    for stop in range(n_r, 0, -shells):
+        start = max(stop - shells, 0)
+        pts = edges[start:stop, None, None] * unit.nodes[None, :, :]
+        values[start * k:stop * k] = np.abs(
+            np.asarray(f(pts.reshape(-1, 3)), dtype=float)).reshape(-1)
     weights = (cell_volumes[:, None]
                * (unit.weights / (4.0 * np.pi))[None, :]).reshape(-1)
-    return values.reshape(-1), weights
+    return values, weights
 
 
 def lorentz_quasinorm(values, weights, p, q):
@@ -254,11 +266,15 @@ def lorentz_quasinorm(values, weights, p, q):
 
     order = np.argsort(values)[::-1]
     v = values[order]
-    t = np.cumsum(weights[order])
+    t = weights[order]
+    np.cumsum(t, out=t)
     # a value that still overflows fails NormReport's check unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if np.isinf(q):
-            value = float(np.max(t**(1.0 / p) * v))
+            # in place, by the ufuncs of t**(1/p) * v
+            t **= 1.0 / p
+            t *= v
+            value = float(np.max(t))
             norm_id = "weak-L3" if p == 3.0 else f"weak-L{p:g}"
         else:
             # each term v_k^q t_k^{q/p} (1 - (t_{k-1}/t_k)^{q/p}) is taken
@@ -359,7 +375,8 @@ def decay_report(field, reference, q, shells):
     weighted = []
     for R in shells:
         rule = sphere_rule(R, 32)
-        du = field.velocity(rule.nodes) - landau_eval(reference, rule.nodes).u
+        du = (field.velocity(rule.nodes)
+              - LandauField(reference).velocity(rule.nodes))
         sup = float(np.max(np.linalg.norm(du, axis=1)))
         weighted.append(R**(3.0 / q - 1.0) * sup)
     return NormReport(value=float(np.max(weighted)),

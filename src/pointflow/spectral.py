@@ -80,7 +80,7 @@ import scipy.fft
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .landau import LandauParams, landau_eval
+from .landau import LandauField, LandauParams
 from .quadrature import _half_wavenumbers, sobolev_norm
 from .weakform import smoothstep7
 
@@ -411,9 +411,9 @@ def _mollified_box(params, n, delta_in, delta_out):
     samples = np.zeros((3,) + chi.shape)
     mask = chi > 0.0
     # C-ordered (m, 3), as coords[:, mask].T on the whole grid:
-    # landau_eval's bits depend on the layout of its points
+    # the velocity's bits depend on the layout of its points
     pts = np.stack([x1[i] for i in np.nonzero(mask)], axis=-1)
-    u = landau_eval(params, pts).u
+    u = LandauField(params).velocity(pts)
     samples[:, mask] = (chi[mask][:, None] * u).T
     return box, samples
 
@@ -646,10 +646,13 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9):
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
 
+    phi0 = []   # Phi(0), the traced run's first iterate, until it is halved
+
     def iterate(v, trace):
-        """(last iterate, whether it converged, first iterate)."""
+        """(last iterate, whether it converged); the traced run puts its
+        first iterate in phi0, and a run keeps only its first norm."""
         # v is rebound each step, so the start is released after one
-        first = first_norm = None
+        first_norm = None
         for _ in range(max_iters):
             v_next = picard_step(v, drift, forcing)
             increment = (v_next - v).w1r(r)
@@ -657,8 +660,10 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9):
             if trace is not None:
                 trace.norms.append(norm)
                 trace.increments.append(increment)
-            if first is None:
-                first, first_norm = v_next, norm
+            if first_norm is None:
+                first_norm = norm
+                if trace is not None:
+                    phi0.append(v_next)
             v = v_next
             # on overflow an inf first norm bounds nothing and NaN fails
             # every comparison, so a non-finite norm counts by itself
@@ -666,16 +671,17 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9):
                                          > _DIVERGENCE_FACTOR * first_norm):
                 raise ContractionDivergedError(trace)
             if increment < tol:
-                return v, True, first
-        return v, False, first
+                return v, True
+        return v, False
 
     trace = IterationTrace(norms=[], increments=[], residual=np.nan,
                            converged=False, tol=tol,
                            uniqueness_distance=np.nan)
     n = forcing.n
-    v_star, converged, phi0 = iterate(SpectralField.zeros(n, n // 3), trace)
+    v_star, converged = iterate(SpectralField.zeros(n, n // 3), trace)
     trace.converged = converged
     trace.residual = (v_star - picard_step(v_star, drift, forcing)).w1r(r)
-    v_alt, _, _ = iterate(0.5 * phi0, None)
+    # popped, Phi(0) is released once halved, and the half after one step
+    v_alt, _ = iterate(0.5 * phi0.pop(), None)
     trace.uniqueness_distance = (v_star - v_alt).w1r(r)
     return trace

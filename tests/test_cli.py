@@ -766,6 +766,31 @@ class TestBadFiles:
         assert report["payload"]["force_per_radius"][0] == pytest.approx(
             [0.0, 0.0, 0.0], abs=1e-9)
 
+    @pytest.mark.parametrize("filler", ["   \n", "  # note\n", "\t#\n",
+                                        " \t \r\n"],
+                             ids=["blanks", "indented-comment", "tab-comment",
+                                  "blanks-crlf"])
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, filler):
+        # a line of blanks, or of blanks before a #, anywhere after the
+        # grid header and anywhere in a points file
+        rows = self.grid_rows().splitlines(keepends=True)
+        grid = tmp_path / "field.csv"
+        grid.write_text(self.GRID_HEADER + filler + "".join(rows[:3])
+                        + filler + "".join(rows[3:]) + filler)
+        code, report = run(tmp_path, "flux", "--field", f"grid:{grid}",
+                           "--radii", "0.5", "--n-theta", "4", "--tol", "1")
+        assert code == EXIT_PASS
+        assert report["payload"]["force_per_radius"][0] == pytest.approx(
+            [0.0, 0.0, 0.0], abs=1e-9)
+        pts = tmp_path / "pts.csv"
+        pts.write_text(filler + "x,y,z\n" + filler + "0.5,0.5,0.5\n" + filler
+                       + "0,0,1\n")
+        code, report = run(tmp_path, "landau", "--A", "2",
+                           "--points-file", str(pts))
+        assert code == EXIT_PASS
+        assert [p["x"] for p in report["payload"]["points"]] == [
+            [0.5, 0.5, 0.5], [0.0, 0.0, 1.0]]
+
     @pytest.mark.parametrize("content", ["x,y,z\n0.5,0.5\n",
                                          "x,y,z\n0,0,1\n0.5,zz,1\n",
                                          "x,y,z\n0,0,1\n0,0,0\n",

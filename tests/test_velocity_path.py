@@ -21,11 +21,13 @@ from scipy.interpolate import RegularGridInterpolator
 
 from pointflow import (
     CallableField, LandauField, LandauParams, QuadratureRule, RescaledField,
-    ball_shell_rule, extract_force_weak, flux_tensor, landau_eval,
+    ball_samples, ball_shell_rule, extract_force_weak, flux_tensor,
+    landau_eval, make_forcing, make_mollified_drift, sphere_rule,
     weak_residual, weakform,
 )
-from pointflow import cli
+from pointflow import cli, landau, quadrature, spectral
 from pointflow.cli import EXIT_PASS, main
+from pointflow.landau import A_MAX, A_MIN
 from pointflow.quadrature import NODE_BLOCK
 
 PARAMS = LandauParams.from_magnitude(3.0, [0.3, -0.4, 0.866])
@@ -93,6 +95,30 @@ class TestVelocityMatchesState:
         for field in (RescaledField(pert, lam), LandauField(PARAMS)):
             assert np.array_equal(field.velocity(pts), field(pts).u)
             assert np.array_equal(field.velocity(pts[0]), field(pts[0]).u)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.just(None), st.just(A_MAX),
+        st.floats(np.log10(A_MIN - 1.0) + 0.01, 8.0).map(
+            lambda s: min(1.0 + 10.0**s, A_MAX))),
+        arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+            lambda a: np.linalg.norm(a) > 1e-3),
+        st.sampled_from([(), (2, 3, 3)]),
+        st.floats(-12.0, -1.0), st.integers(0, 2**32 - 1))
+    def test_landau_velocity_is_the_states(self, A, axis, lead, tilt, seed):
+        # the zero field (None) and shapes from next to A_MIN to A_MAX;
+        # points on the axis, a distance 10^tilt off it, and anywhere
+        params = (LandauParams.zero() if A is None
+                  else LandauParams.from_shape(A, axis))
+        rng = np.random.default_rng(seed)
+        a = params.axis
+        off = np.cross(a, rng.normal(size=3))
+        off *= 10.0**tilt / np.linalg.norm(off)
+        pts = rng.normal(size=lead + (3,))
+        near = rng.choice([-2.0, 0.5, 1.0, 3.0], size=lead)[..., None] * a
+        field = LandauField(params)
+        for x in (pts, near, near + off):
+            assert np.array_equal(field.velocity(x), landau_eval(params, x).u)
 
 
 class TestGridProbe:
@@ -172,6 +198,25 @@ class TestGridProbe:
             "numerical failure: One of the requested xi is out of bounds in "
             "dimension 0\n")
 
+    def test_ball_out_of_bounds_names_the_first_axis(self, tmp_path, capsys):
+        # x in [-1, 1], y in [-0.5, 0.5], z in [-2, 2]: the ball of radius
+        # 1.5 leaves the grid along x and y, and its shells up to radius 1
+        # only along y; the samples' outermost group comes first, so the
+        # message names dimension 0, as one call over every sample would
+        xs, ys, zs = (np.linspace(-h, h, k) for h, k in ((1, 5), (0.5, 3),
+                                                         (2, 9)))
+        pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        rows = np.column_stack([pts, wavy_velocity(pts), pts[:, 0]])
+        (tmp_path / "box.csv").write_text("x,y,z,ux,uy,uz,p\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        code = main(["norms", "--field", f"grid:{tmp_path / 'box.csv'}",
+                     "--weak-l3", "--domain", "ball:1.5"])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: One of the requested xi is out of bounds in "
+            "dimension 0\n")
+
     @SETTINGS
     @given(arrays(np.float64, 125 * 4, elements=st.one_of(
         st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
@@ -194,6 +239,62 @@ class TestGridProbe:
         assert np.array_equal(probe.velocity(nodes), expected[:, :3])
         inner = np.all(np.abs(nodes) < 2.0, axis=1)   # room for the FD steps
         assert np.array_equal(probe(nodes[inner]).p, expected[inner, 3])
+
+
+def whole_ball_samples(f, radius, n_r, n_theta, n_phi=None):
+    """ball_samples' (values, weights) from one call of f over every sample."""
+    edges = radius * np.arange(1, n_r + 1) / n_r
+    cell_volumes = 4.0 * np.pi / 3.0 * np.diff(
+        np.concatenate(([0.0], edges))**3)
+    unit = sphere_rule(1.0, n_theta, n_phi)
+    pts = edges[:, None, None] * unit.nodes[None, :, :]
+    values = np.abs(np.asarray(f(pts.reshape(-1, 3)), dtype=float))
+    weights = (cell_volumes[:, None]
+               * (unit.weights / (4.0 * np.pi))[None, :]).reshape(-1)
+    return values.reshape(-1), weights
+
+
+def landau_speed(pts):
+    return np.linalg.norm(LandauField(PARAMS).velocity(pts), axis=1)
+
+
+class TestBlockedBallSamples:
+    """ball_samples calls f on groups of whole shells of at most NODE_BLOCK
+    nodes, the outermost first, and keeps the bits of one call."""
+
+    @staticmethod
+    def check(n_r, n_theta, n_phi, block):
+        calls = []
+
+        def f(pts):
+            calls.append(np.linalg.norm(pts, axis=1))
+            return landau_speed(pts)
+
+        shell = n_theta * (n_phi or 2 * n_theta)
+        with mock.patch.object(quadrature, "NODE_BLOCK", block):
+            got = ball_samples(f, 1.3, n_r, n_theta, n_phi)
+        want = whole_ball_samples(landau_speed, 1.3, n_r, n_theta, n_phi)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        per = max(block // shell, 1)
+        assert [len(r) for r in calls] == [
+            shell * min(stop, per) for stop in range(n_r, 0, -per)]
+        # whole shells, outermost group first
+        assert all(a.min() > b.max() for a, b in zip(calls, calls[1:]))
+
+    # a 2 x 4 rule: 8 nodes per shell
+    @pytest.mark.parametrize("block", [5, 8, 20, 24, 64])
+    @pytest.mark.parametrize("n_r", [2, 3, 7, 9, 24])
+    def test_blocks_equal_one_call(self, block, n_r):
+        self.check(n_r, 2, None, block)
+
+    # NODE_BLOCK itself: 512-node shells 16 to a group, and 8,320-node
+    # shells one to a group
+    @pytest.mark.parametrize("n_r, n_theta, n_phi", [
+        (15, 16, 32), (16, 16, 32), (33, 16, 32), (400, 16, 32),
+        (3, 64, 130)])
+    def test_node_block_equals_one_call(self, n_r, n_theta, n_phi):
+        self.check(n_r, n_theta, n_phi, NODE_BLOCK)
 
 
 class TestMemoryBudget:
@@ -256,12 +357,71 @@ class TestMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the (n, 25) table and landau_eval's arrays take about 410 bytes
-        # per point, and a chunk's number text and report text about 4 KB
-        # per point of the chunk: 15.1 MB at 32^3 (460 bytes per point).
-        # Keeping the text of the 7 CSV columns for the report peaked at
-        # 30.8 MB (941 bytes per point); the bound is 22.1 MB
-        assert peak <= 420 * n**3 + 4096 * cli.EMIT_CHUNK
+        # the points and the (n, 25) table take about 230 bytes per point,
+        # and a chunk's FlowState, tensors, number text and report text at
+        # most 4 KB per point of the chunk: 8.8 MB at 32^3 (267 bytes per
+        # point).  Evaluating every point before the table peaked at 13.5 MB
+        # at this EMIT_CHUNK (410 bytes per point); the bound is 10.0 MB
+        assert peak <= 240 * n**3 + 4096 * cli.EMIT_CHUNK
+
+    @staticmethod
+    def norms_peak(field):
+        import tracemalloc
+        argv = ["norms", "--field", field, "--weak-l3", "--domain",
+                "ball:1.5", "--output", os.devnull]
+        assert main(argv) == EXIT_PASS   # the first call
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_PASS
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_weak_l3_of_a_grid_samples_in_node_blocks(self, tmp_path):
+        n, m = 32, 400 * 16 * 32
+        write_grid(tmp_path / "grid.csv", n=n)
+        peak = self.norms_peak(f"grid:{tmp_path / 'grid.csv'}")
+        # the samples, their weights and the sort take 48 bytes per sample,
+        # and the grid's samples 32 bytes per grid point: 11.0 MB at the
+        # default 204,800 samples.  Sampling every node at once peaked at
+        # 20.8 MB; the bound is 12.7 MB
+        assert peak <= 52 * m + 64 * n**3
+
+    def test_weak_l3_of_landau_runs_the_velocity_stage(self):
+        m = 400 * 16 * 32
+        peak = self.norms_peak("landau:beta=3.7")
+        # as on a grid, 48 bytes per sample: 9.9 MB.  A full landau_eval
+        # over every sample peaked at 70.7 MB; the bound is 10.6 MB
+        assert peak <= 52 * m
+
+    def test_witness_does_not_raise_the_peak(self, monkeypatch):
+        import tracemalloc
+        n = 32
+        drift = make_mollified_drift(LandauParams.from_magnitude(0.5), n)
+        forcing = make_forcing(n, 1e-2, seed=3)
+        step, peaks = spectral.picard_step, []
+
+        def traced_step(*args):
+            tracemalloc.reset_peak()
+            out = step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(spectral, "picard_step", traced_step)
+        tracemalloc.start()
+        try:
+            trace = spectral.run_contraction(drift, forcing)
+        finally:
+            tracemalloc.stop()
+        main_run = peaks[:trace.iterations]
+        witness = peaks[trace.iterations + 1:]
+        assert main_run and witness
+        # the traced run holds Phi(0), the witness the traced run's fixed
+        # point.  Holding Phi(0) and the witness's own first iterate as
+        # well raised the witness's steps by two bands (466 KB at n = 32);
+        # the bound allows a tenth of one
+        band = 16 * 3 * (2 * (n // 3) + 1)**2 * (n // 3 + 1)
+        assert max(witness) <= max(main_run) + band // 10
 
     def test_weak_extraction_pairs_in_node_blocks(self, tmp_path):
         import tracemalloc
@@ -375,6 +535,25 @@ class TestCallBudget:
         weak_residual(field, phi, n_r=8, n_theta=6)
         assert calls == [8 * 6 * 12]
 
+    def test_velocity_readers_skip_pressure_and_gradient(self, tmp_path,
+                                                          monkeypatch):
+        def refuse(self):
+            raise AssertionError("a velocity reader ran another stage")
+
+        for stage in ("p", "grad", "gradp"):
+            monkeypatch.setattr(landau._Stages, stage, refuse)
+        out = ["--output", str(tmp_path / "r.json")]
+        for argv in (["norms", "--field", "landau:A=2", "--weak-l3"],
+                     ["norms", "--field", "landau:A=2", "--lorentz", "3,2"],
+                     ["norms", "--field", "landau:A=2", "--decay", "--ref",
+                      "A=2"],
+                     ["norms", "--sweep-beta", "1:2:3"],
+                     ["verify", "selfsim", "--field", "landau:A=2",
+                      "--lambda", "0.5"],
+                     ["verify", "weak", "--field", "landau:A=2"]):
+            assert main(argv + out) == EXIT_PASS
+        make_mollified_drift(PARAMS, 16)
+
     def test_full_evaluation_calls_seven_times(self):
         field, calls = self.counting_field(LandauField(PARAMS))
         field(np.full((5, 3), 0.5))
@@ -423,7 +602,8 @@ def point_tables(draw):
 
 
 def landau_report(points, u, p, grad, T, config=None):
-    table = cli.PointTable(points, SimpleNamespace(u=u, p=p, grad_u=grad), T)
+    table = cli.PointTable(cli._point_rows(
+        points, SimpleNamespace(u=u, p=p, grad_u=grad), T))
     payload = {"A": 2.0, "beta": 34.7, "axis": [0.0, 0.0, 1.0],
                "points": table}
     report = cli._report("landau", config or {"seed": 0}, payload, None)
@@ -489,6 +669,24 @@ class TestLandauReport:
         for pt, u, p in zip(pts, state.u, state.p):
             writer.writerow([repr(float(v)) for v in (*pt, *u, p)])
         assert (tmp_path / "u.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_a_one_point_chunk_joins_the_one_before(self, tmp_path):
+        # numpy takes e @ axis of a single point by other kernels than a
+        # batch's, so a last chunk of one point would move bits
+        pts = np.random.default_rng(8).normal(size=(41, 3))
+        for count in range(3, 42, 2):
+            (tmp_path / "pts.csv").write_text("".join(
+                ",".join(map(repr, row)) + "\n" for row in pts[:count].tolist()))
+            with mock.patch.object(cli, "EMIT_CHUNK", 2):
+                assert main(["landau", "--beta", "3.0",
+                             "--axis", "0.3,-0.4,0.866",
+                             "--points-file", str(tmp_path / "pts.csv"),
+                             "--output", str(tmp_path / "r.json")]) == EXIT_PASS
+            state = landau_eval(PARAMS, pts[:count])
+            got = json.loads((tmp_path / "r.json").read_text())
+            assert got["payload"]["points"] == reference_points(
+                pts[:count], state.u, state.p, state.grad_u,
+                flux_tensor(state))
 
     @SETTINGS
     @given(point_tables())
