@@ -166,6 +166,8 @@ _PATH = _flag(str, lambda v: v and "\0" not in v,
               "a nonempty path without an embedded null byte")
 _VEC3 = _kept_text(_numbers, lambda v: len(v) == 3 and all(np.isfinite(v)),
                    "three finite numbers x,y,z")
+# after a space argparse takes a value that starts with "-" for a flag
+_EQUALS = "; a negative first component takes the = form, --%(dest)s=-1,0,0"
 
 
 def _norm(v):
@@ -314,51 +316,39 @@ def _report(command, config, payload, passed):
 
 
 def _point_dict(row):
-    """One landau point of a report from its 25 numbers; see PointTable."""
+    """One landau point of a report from its 25 numbers (_point_rows)."""
     return {"x": row[0:3], "u": row[3:6], "p": row[6],
             "grad_u": [row[7:10], row[10:13], row[13:16]],
             "T": [row[16:19], row[19:22], row[22:25]]}
 
 
 def _point_rows(points, state, tensors):
-    """The (n, 25) PointTable rows of n points, their FlowState and T."""
-    n = len(points)
-    return np.concatenate([points, state.u, np.reshape(state.p, (n, 1)),
-                           state.grad_u.reshape(n, 9), tensors.reshape(n, 9)],
-                          axis=1)
+    """The (n, 25) rows of n points, their FlowState and T: row k holds x,
+    u, p, grad_u and T of point k flattened in that order, so its first 7
+    columns are the --csv columns."""
+    return np.concatenate([points, state.u, state.p[:, None],
+                           state.grad_u.reshape(-1, 9),
+                           tensors.reshape(-1, 9)], axis=1)
 
 
-class PointTable:
-    """The points block of a landau report, kept as one (n, 25) array.
-
-    Row k holds x, u, p, grad_u and T of point k flattened in that order
-    (_point_rows), so its first 7 columns are the --csv columns.
-    _json_chunks writes the table out as the list of {"x", "u", "p",
-    "grad_u", "T"} objects without building them, and the csv rows in the
-    same pass.
-    """
-
-    def __init__(self, values):
-        self.values = values
-
-    def text_chunks(self, csv=None):
-        """(rows, float.__repr__ of each column) per EMIT_CHUNK rows; the
-        --csv header and rows go to the text stream csv, if given."""
+def _text_chunks(table, csv=None):
+    """(rows, float.__repr__ of each column) per EMIT_CHUNK rows of table;
+    the --csv header and rows go to the text stream csv, if given."""
+    if csv is not None:
+        csv.writelines(_csv_lines([POINT_CSV_COLUMNS]))
+    for start in range(0, len(table), EMIT_CHUNK):
+        rows = table[start:start + EMIT_CHUNK]
+        text = [list(map(float.__repr__, col.tolist())) for col in rows.T]
         if csv is not None:
-            csv.writelines(_csv_lines([POINT_CSV_COLUMNS]))
-        for start in range(0, len(self.values), EMIT_CHUNK):
-            rows = self.values[start:start + EMIT_CHUNK]
-            text = [list(map(float.__repr__, col.tolist())) for col in rows.T]
-            if csv is not None:
-                csv.writelines(_csv_lines(zip(*text[:len(POINT_CSV_COLUMNS)])))
-            yield rows, text
+            csv.writelines(_csv_lines(zip(*text[:len(POINT_CSV_COLUMNS)])))
+        yield rows, text
 
 
 def _json_chunks(report, csv=None):
     """json.dumps(report, indent=2, sort_keys=True), as strings to concatenate.
 
-    A PointTable in payload["points"] is written without per-point dicts,
-    one text_chunks chunk at a time, with its csv rows on every path.
+    A landau payload's (n, 25) _point_rows array "points" is written without
+    per-point dicts, a _text_chunks chunk at a time, csv rows on every path.
     json.dumps of the report with two marker points (each number replaced
     by the marker string "\\0<column>") splits at the markers into the text
     before the points, one point's layout around its 25 numbers, the text
@@ -368,7 +358,7 @@ def _json_chunks(report, csv=None):
     """
     payload = report.get("payload")
     table = payload.get("points") if isinstance(payload, dict) else None
-    if not isinstance(table, PointTable):
+    if not isinstance(table, np.ndarray):
         yield json.dumps(report, indent=2, sort_keys=True)
         return
 
@@ -376,16 +366,16 @@ def _json_chunks(report, csv=None):
         return json.dumps(dict(report, payload=dict(payload, points=points)),
                           indent=2, sort_keys=True)
 
-    width = table.values.shape[1]
+    width = table.shape[1]
     marker_point = _point_dict([f"\0{k}" for k in range(width)])
     pieces = _MARKER.split(dumps([marker_point, marker_point]))
     texts, columns = pieces[0::2], [int(k) for k in pieces[1::2]]
-    chunks = table.text_chunks(csv)
-    if len(columns) != 2 * width or len(table.values) == 0:
+    chunks = _text_chunks(table, csv)
+    if len(columns) != 2 * width or len(table) == 0:
         # no points, or another string of the report reads like a marker
         for _ in chunks:   # the csv rows
             pass
-        yield dumps([_point_dict(row) for row in table.values.tolist()])
+        yield dumps([_point_dict(row) for row in table.tolist()])
         return
     between = texts[width]
     layout = "%s" + "".join(t.replace("%", "%%") + "%s" for t in texts[1:width])
@@ -424,8 +414,8 @@ def _rewrite(path, newline=None):
 
 def _emit(report, output, duration, csv_path=None, rows=()):
     """Write the report to output (stdout when None) and to csv_path the rows
-    (header first) or a PointTable's, in the report's one pass; csv_path is
-    opened first and may not be the file output."""
+    (header first) or a landau point table's, in the report's one pass;
+    csv_path is opened first and may not be the file output."""
     report = dict(report, duration_s=duration)
     with contextlib.ExitStack() as files:
         csv = (files.enter_context(_rewrite(csv_path, newline=""))
@@ -506,20 +496,17 @@ def cmd_landau(args):
              "at the origin".format(source, *_RADII))
 
     # EMIT_CHUNK points at a time, so only one chunk's FlowState and tensors
-    # are alive beside the table.  A last chunk of one point joins the one
-    # before: numpy takes e @ axis of a single point by another kernel,
-    # whose bits differ from those of the same point in a batch
+    # are alive beside the table
     table = np.empty((len(points), 25))
-    starts = range(0, max(len(points) - 1, 1), EMIT_CHUNK)
-    for start, stop in zip(starts, [*starts[1:], len(points)]):
-        state = landau_eval(params, points[start:stop])
-        table[start:stop] = _point_rows(points[start:stop], state,
-                                        flux_tensor(state))
+    for start in range(0, len(points), EMIT_CHUNK):
+        s = slice(start, start + EMIT_CHUNK)
+        state = landau_eval(params, points[s])
+        table[s] = _point_rows(points[s], state, flux_tensor(state))
     return {
         "A": params.A if np.isfinite(params.A) else "inf",
         "beta": params.beta,
         "axis": params.axis.tolist(),
-        "points": PointTable(table),
+        "points": table,
     }, None
 
 
@@ -754,10 +741,10 @@ def build_parser():
     shape.add_argument("--beta", type=_MAGNITUDE,
                        help="force magnitude (0, or beta(A) for such A)")
     p.add_argument("--axis", type=_AXIS,
-                   help="force direction as x,y,z (default e_z)")
+                   help="force direction as x,y,z (default e_z)" + _EQUALS)
     where = p.add_mutually_exclusive_group(required=True)
     where.add_argument("--point", type=_VEC3, action="append",
-                       help="evaluation point x,y,z (repeatable)")
+                       help="evaluation point x,y,z (repeatable)" + _EQUALS)
     where.add_argument("--points-file", type=_PATH,
                        help="CSV of evaluation points (x,y,z)")
     p.add_argument("--csv", type=_PATH,
@@ -780,7 +767,8 @@ def build_parser():
 
     pv = vsub.add_parser("weak", help="distributional pairing vs b phi(0)")
     pv.add_argument("--field", required=True)
-    pv.add_argument("--center", type=_CENTER, default="0,0,0")
+    pv.add_argument("--center", type=_CENTER, default="0,0,0",
+                    help="test function center x,y,z" + _EQUALS)
     pv.add_argument("--a", type=_RADIUS, default=0.5, help="plateau radius")
     pv.add_argument("--b", type=_RADIUS, default=1.0, help="support radius")
     pv.add_argument("--n-r", type=_at_least(3), default=32, dest="n_r")

@@ -26,6 +26,12 @@ are regular points of the evaluation.  First derivatives are analytic
 (hand differentiated closed forms); the Laplacian needed for the pointwise
 residual check is obtained from Richardson-extrapolated central differences
 of the analytic gradient.
+
+Evaluation is pointwise to the bit: a point's u, p, grad u and grad p
+depend only on the point and the parameters, not on its batch, its place
+there or the batch's memory layout (points are made C-contiguous, and dot
+products are elementwise sums in a fixed order, _dot).  The CLI's
+EMIT_CHUNK export and the NODE_BLOCK loops rely on this.
 """
 
 import functools
@@ -77,7 +83,13 @@ def _as_points(x):
         raise ValueError(f"points must have trailing dimension 3, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point coordinates must be finite")
-    return x.reshape(-1, 3), x.shape[:-1]
+    return np.ascontiguousarray(x.reshape(-1, 3)), x.shape[:-1]
+
+
+def _dot(x, v):
+    """x0 v0 + x1 v1 + x2 v2 for each row x of (m, 3) points: a row's bits
+    do not depend on its batch or layout, as those of numpy's x @ v do."""
+    return x[:, 0] * v[0] + x[:, 1] * v[1] + x[:, 2] * v[2]
 
 
 def beta_from_A(A):
@@ -263,7 +275,7 @@ class _Stages:
         self.params = params
         if not params.is_zero:
             self.e = pts / r[:, None]
-            self.c = np.clip(self.e @ params.axis, -1.0, 1.0)
+            self.c = np.clip(_dot(self.e, params.axis), -1.0, 1.0)
             self.d = params.A - self.c
 
     @functools.cached_property

@@ -264,16 +264,18 @@ def lorentz_quasinorm(values, weights, p, q):
     if not (1.0 <= q):
         raise ValueError("secondary exponent must lie in [1, inf]")
 
+    # the |values| copy and the order go once used, to save memory
     order = np.argsort(values)[::-1]
-    v = values[order]
+    values = values[order]
     t = weights[order]
+    del order
     np.cumsum(t, out=t)
     # a value that still overflows fails NormReport's check unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if np.isinf(q):
-            # in place, by the ufuncs of t**(1/p) * v
+            # in place, by the ufuncs of t**(1/p) * values
             t **= 1.0 / p
-            t *= v
+            t *= values
             value = float(np.max(t))
             norm_id = "weak-L3" if p == 3.0 else f"weak-L{p:g}"
         else:
@@ -282,7 +284,7 @@ def lorentz_quasinorm(values, weights, p, q):
             # of a large or small sample or measure overflows or underflows
             s = q / p
             log_t = np.log(t)
-            log_terms = (q * np.log(v) + s * log_t + np.log(-np.expm1(
+            log_terms = (q * np.log(values) + s * log_t + np.log(-np.expm1(
                 s * (np.concatenate(([-np.inf], log_t[:-1])) - log_t))))
             top = np.max(log_terms)
             value = 0.0 if top == -np.inf else float(np.exp(top / q) * (

@@ -410,10 +410,7 @@ def _mollified_box(params, n, delta_in, delta_out):
 
     samples = np.zeros((3,) + chi.shape)
     mask = chi > 0.0
-    # C-ordered (m, 3), as coords[:, mask].T on the whole grid:
-    # the velocity's bits depend on the layout of its points
-    pts = np.stack([x1[i] for i in np.nonzero(mask)], axis=-1)
-    u = LandauField(params).velocity(pts)
+    u = LandauField(params).velocity(x1[np.argwhere(mask)])
     samples[:, mask] = (chi[mask][:, None] * u).T
     return box, samples
 

@@ -26,7 +26,7 @@ makes the quadrature spectrally accurate.
 import numpy as np
 from dataclasses import dataclass
 
-from .landau import as_vec3
+from .landau import _dot, as_vec3
 from .quadrature import NODE_BLOCK, ball_shell_rule
 
 __all__ = [
@@ -99,7 +99,7 @@ class TestFunction:
             gamma = (psi1 / (2.0 * rho_s),
                      psi2 / (2.0 * rho_s) - psi1 / (2.0 * rho_s**2),
                      psi3 / (2.0 * rho_s) - psi2 / rho_s**2 + psi1 / rho_s**3)
-        return y, rho_s, y @ self.direction, rho <= a, alpha, gamma
+        return y, rho_s, _dot(y, self.direction), rho <= a, alpha, gamma
 
     def __call__(self, x):
         """phi(x); shape (..., 3)."""

@@ -12,6 +12,9 @@ corpus.json beside this script:
   with each cell an int, a float or the text (an empty cell stays ""), or
   by sha256 when the file is over REPORT_INLINE_BYTES or not rectangular.
 
+It prints the name of every run whose record differs from the one in the
+corpus.json it replaces (a new run included).
+
 The Python, numpy and scipy versions are recorded too; the test skips when
 numpy or scipy differ.  ulp_budget.json, also beside this script, is the
 per-key float tolerance of the test (a CSV column's key is csv:<header
@@ -28,6 +31,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -50,10 +54,15 @@ _DURATION_LINE = re.compile(r'^  "duration_s": .*\n', re.MULTILINE)
 
 # the 12^3 cell-centred grid of the landau export, inside [-1.65, 1.65]^3
 _GRID_AXIS = ((np.arange(12) - 5.5) * 0.3).tolist()
-# the 13^3 cell-centred grid of the export whose 2,197 points cross a
-# cli.EMIT_CHUNK (2,048) boundary, on [-1.6, 1.65]^3 so that no point is
+# the 13^3 cell-centred grid of the export whose 2,197 points cross four
+# cli.EMIT_CHUNK (512) boundaries, on [-1.6, 1.65]^3 so that no point is
 # the origin
 _GRID_AXIS_13 = ((np.arange(13) - 5.9) * 0.25).tolist()
+# (file, grid axis, how many of its points); the first 1,025 points of the
+# 13^3 grid are two full cli.EMIT_CHUNK chunks and one of a single point
+_POINTS_FILES = (("points.csv", _GRID_AXIS, None),
+                 ("points13.csv", _GRID_AXIS_13, None),
+                 ("points1025.csv", _GRID_AXIS_13, 1025))
 
 
 def _picard(grid, amp, seed, *extra):
@@ -75,6 +84,13 @@ CONFIGS = [
                        "--points-file", "points.csv", "--csv", "export.csv"]),
     ("landau-export-13", ["landau", "--A", "3", "--points-file", "points13.csv",
                           "--csv", "export13.csv"]),
+    ("landau-point-tilted", ["landau", "--beta", "2.5",
+                             "--axis", "0.3,-0.4,0.866",
+                             "--point=-0.5,0.25,1"]),
+    ("landau-export-1025", ["landau", "--beta", "2.5",
+                            "--axis", "0.3,-0.4,0.866",
+                            "--points-file", "points1025.csv",
+                            "--csv", "export1025.csv"]),
     ("grid-flux", ["flux", "--field", GRID_FIELD, "--radii", "0.6,1.2",
                    "--n-theta", "16", "--csv", "grid-flux.csv"]),
     ("grid-weak-l3", ["norms", "--field", GRID_FIELD, "--weak-l3",
@@ -132,14 +148,11 @@ def csv_columns(data):
 
 def write_inputs(workdir):
     """The points files of the landau exports."""
-    for name, axis in (("points.csv", _GRID_AXIS),
-                       ("points13.csv", _GRID_AXIS_13)):
+    for name, axis, count in _POINTS_FILES:
+        points = itertools.islice(itertools.product(axis, repeat=3), count)
         with open(workdir / name, "w") as fh:
             fh.write("x,y,z\n")
-            for x in axis:
-                for y in axis:
-                    for z in axis:
-                        fh.write(f"{x!r},{y!r},{z!r}\n")
+            fh.writelines(f"{x!r},{y!r},{z!r}\n" for x, y, z in points)
 
 
 def run_one(name, argv):
@@ -209,6 +222,12 @@ def float_keys(value, key=None):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         records = run_all(tmp)
+    previous = (json.loads(CORPUS.read_text())["runs"]
+                if CORPUS.exists() else [])
+    previous = {r["name"]: json.dumps(r, sort_keys=True) for r in previous}
+    for record in records:
+        if previous.get(record["name"]) != json.dumps(record, sort_keys=True):
+            print(f"changed: {record['name']}")
     CORPUS.write_text(json.dumps({"environment": environment(),
                                   "runs": records}, indent=1) + "\n")
     budget = json.loads(BUDGET.read_text()) if BUDGET.exists() else {}

@@ -110,6 +110,37 @@ class TestLandauCommand:
         assert code == EXIT_CONFIG and report is None
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["landau", "--A", "2", "--point", "-0.5,0,1"],
+        ["landau", "--A", "2", "--point", "0,0,1", "--axis", "-1,0,0"],
+        ["verify", "weak", "--field", "landau:A=2", "--center", "-0.2,0,0"],
+    ])
+    def test_a_negative_first_component_takes_the_equals_form(
+            self, tmp_path, capsys, argv):
+        # after a space argparse reads "-0.5,0,1" as a flag
+        *head, flag, value = argv
+        code, report = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG and report is None
+        assert f"argument {flag}: expected one argument" in \
+            capsys.readouterr().err
+        code, report = run(tmp_path, *head, f"{flag}={value}")
+        assert code == EXIT_PASS
+        assert value in json.dumps(report["config"])
+
+    def test_a_point_prints_its_points_file_row(self, tmp_path):
+        pts = np.random.default_rng(3).normal(size=(200, 3))
+        (tmp_path / "pts.csv").write_text("".join(
+            ",".join(map(repr, row)) + "\n" for row in pts.tolist()))
+        flags = ["landau", "--beta", "2.5", "--axis", "0.3,-0.4,0.866"]
+        code, report = run(tmp_path, *flags,
+                           "--points-file", str(tmp_path / "pts.csv"))
+        assert code == EXIT_PASS
+        for row, entry in zip(pts.tolist(), report["payload"]["points"]):
+            code, one = run(tmp_path, *flags,
+                            "--point=" + ",".join(map(repr, row)),
+                            name="one.json")
+            assert code == EXIT_PASS and one["payload"]["points"] == [entry]
+
 
 class TestFluxCommand:
     def test_landau_three_radii(self, tmp_path):

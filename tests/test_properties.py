@@ -1,8 +1,9 @@
 """The structural identities as properties over random parameters.
 
 Homogeneity, rotation equivariance, radius independence of the flux, the
-A -> beta -> A round trip, idempotence of the Leray projection, and the
-plateau, support and divergence of the test functions.  Hypothesis draws
+A -> beta -> A round trip, idempotence of the Leray projection, the
+plateau, support and divergence of the test functions, and the bitwise
+pointwise evaluation of Landau fields and test functions.  Hypothesis draws
 the parameters with derandomize=True and a fixed example budget, so every
 run checks the same examples; a seed it draws fixes the numpy points.
 """
@@ -12,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from pointflow import (
     A_from_beta, LandauField, LandauParams, beta_from_A, flux_integral,
-    landau_eval, leray_project, weakform,
+    landau_eval, leray_project, ns_residual, weakform,
 )
+from pointflow.landau import A_MAX, A_MIN, _as_points, _Stages
+from pointflow.quadrature import NODE_BLOCK
 from test_landau import equivariance_defect
 from test_spectral import divergence_defect, from_physical
 
@@ -115,3 +118,59 @@ def test_test_function_plateau_support_and_divergence(center, a, ratio,
     grad = phi.gradient(annulus)
     div = np.trace(grad, axis1=-2, axis2=-1)
     assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(grad))
+
+
+# the same (m, 3) points in every memory layout a caller may hand over
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "strided rows": lambda x: np.repeat(x, 2, axis=0)[::2],
+    "strided columns": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+    # the transpose of a C-ordered (3, m) array
+    "transposed": lambda x: np.ascontiguousarray(x.T).T,
+}
+WINDOWS = [*range(1, 12), 255, 256, 257, NODE_BLOCK - 1, NODE_BLOCK,
+           NODE_BLOCK + 1]
+
+
+def landau_stages(params):
+    """Each Landau stage and the velocity as functions of (m, 3) points."""
+    def stage(name):
+        return lambda x: getattr(_Stages(params, _as_points(x)[0]), name)()
+    return [*(stage(name) for name in ("u", "p", "grad", "gradp")),
+            LandauField(params).velocity]
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(exponent=st.floats(np.log10(A_MIN - 1.0) + 0.05, np.log10(A_MAX - 1.0)),
+       axis=vectors, direction=vectors, a=st.floats(0.2, 1.0),
+       ratio=st.floats(1.05, 3.0), shift=st.integers(0, len(LAYOUTS) - 1),
+       seed=seeds)
+def test_a_points_values_depend_on_the_point_alone(exponent, axis, direction,
+                                                   a, ratio, shift, seed):
+    # a row of a batch equals the point alone, and every window of each
+    # WINDOWS size, in one of the LAYOUTS by turn, equals its rows, to the
+    # bit: blocked callers rely on it
+    params = LandauParams.from_shape(1.0 + 10.0**exponent, axis)
+    phi = weakform.TestFunction(0.1 * axis, a, a * ratio, direction)
+    rng = np.random.default_rng(seed)
+    pts = sphere_points(rng, NODE_BLOCK + 4, 0.05, 4.0)
+    layouts = sorted(LAYOUTS)
+
+    def residual(x):
+        return ns_residual(params, x)
+
+    for kernel in [*landau_stages(params), residual,
+                   phi, phi.gradient, phi.laplacian]:
+        # no caller blocks ns_residual, 50 times a stage's cost: it takes
+        # the windows up to 257 points
+        batch = pts[:260] if kernel is residual else pts
+        whole = kernel(batch)
+        k = rng.integers(len(batch))
+        assert np.array_equal(np.reshape(kernel(batch[k]), whole.shape[1:]),
+                              whole[k])
+        for i, window in enumerate(w for w in WINDOWS if w < len(batch)):
+            start = rng.integers(len(batch) - window + 1)
+            part = LAYOUTS[layouts[(i + shift) % len(layouts)]](
+                batch[start:start + window])
+            assert np.array_equal(kernel(part), whole[start:start + window])
