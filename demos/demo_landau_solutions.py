@@ -57,8 +57,8 @@ def main():
         res = ns_residual(p, radii[:, None] * dirs)
         worst = np.max(radii**3 * np.linalg.norm(res, axis=1))
         print(f"{A:6.1f} {worst:40.3e}")
-    print("\nThe residual is pure discretization error of the Laplacian "
-          "stencil:\nthe fields solve the equations exactly.")
+    print("\nEvery term is a closed form, so the residual is round-off:"
+          "\nthe fields solve the equations exactly.")
 
     banner("4. Exact (-1)-homogeneity")
     pts = rng.normal(size=(100, 3))

@@ -22,15 +22,15 @@ General force directions are obtained by rotation.
 
 Everything here is assembled in Cartesian components directly from
 r = |x| and c = (x . axis)/r, so the coordinate poles theta in {0, pi}
-are regular points of the evaluation.  First derivatives are analytic
-(hand differentiated closed forms); the Laplacian needed for the pointwise
-residual check is obtained from Richardson-extrapolated central differences
-of the analytic gradient.
+are regular points of the evaluation.  The derivatives are analytic too:
+the gradients of u and p and the Laplacian of u that the pointwise
+residual check needs are hand-differentiated closed forms.
 
-Evaluation is pointwise to the bit: a point's u, p, grad u and grad p
-depend only on the point and the parameters, not on its batch, its place
-there or the batch's memory layout (points are made C-contiguous, and dot
-products are elementwise sums in a fixed order, _dot).  The CLI's
+Evaluation is pointwise to the bit: a point's u, p, grad u, grad p and
+Delta u depend only on the point and the parameters, not on its batch,
+its place there or the batch's memory layout (points are made
+C-contiguous, and dot products are elementwise sums in a fixed order,
+_dot).  The CLI's
 EMIT_CHUNK export and the NODE_BLOCK loops rely on this.
 """
 
@@ -259,11 +259,11 @@ class FlowState:
 
 class _Stages:
     """A Landau field at points (m, 3), one stage per quantity: u, p, grad
-    (grad[k, i, j] = d_i u_j(x_k)) and gradp.
+    (grad[k, i, j] = d_i u_j(x_k)), gradp and laplacian (Delta u).
 
     The stages share r, e, c and d, and u and grad also g1 and g2, p and
     gradp also q; each is computed by the expressions of a single pass over
-    all four, so a stage has the same bits alone as with the others.  The
+    all five, so a stage has the same bits alone as with the others.  The
     stages of the zero field are zeros.
     """
 
@@ -327,6 +327,14 @@ class _Stages:
         return (dq[:, None] * (axis - c[:, None] * e)
                 - 2.0 * self._q[:, None] * e) / (r**3)[:, None]
 
+    def laplacian(self):
+        if self.params.is_zero:
+            return np.zeros((self.m, 3))
+        A, axis, r, e, c, d = (self.params.A, self.params.axis, self.r,
+                               self.e, self.c, self.d)
+        return (4.0 * (A * A - 1.0) / (r**3 * d**3))[:, None] * (
+            axis - (3.0 * (A * c - 1.0) / d)[:, None] * e)
+
 
 def landau_eval(params, x):
     """Evaluate a Landau solution at x (a 3-vector or an (..., 3) batch).
@@ -361,43 +369,20 @@ def flux_tensor(state):
             + u[..., :, None] * u[..., None, :] - sym)
 
 
-def _laplacian_fd(params, pts, h):
-    """Richardson-extrapolated vector Laplacian from the analytic gradient.
-
-    Central first differences of d_m u at steps h and h/2, combined as
-    (4 D(h/2) - D(h)) / 3 for an O(h^4) truncation error.
-    """
-    def diff(step):
-        lap = np.zeros_like(pts)
-        for m in range(3):
-            dx = np.zeros_like(pts)
-            dx[:, m] = step
-            gp = _Stages(params, pts + dx).grad()
-            gm = _Stages(params, pts - dx).grad()
-            lap += (gp[:, m, :] - gm[:, m, :]) / (2.0 * step)[:, None]
-        return lap
-
-    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-
-
 def ns_residual(params, x):
     """Pointwise momentum residual -Delta u + (u . grad) u + grad p at x,
     a 3-vector or an (..., 3) batch away from the origin.
 
-    Vanishes identically away from the origin for an exact Landau field;
-    what is returned is pure discretization error of the Laplacian, whose
-    difference step is h = 1e-3 |x| at each point, of size O(h^4)
-    relative to the local field scale.  The advective term and the
-    pressure gradient are analytic.
+    Every term is a closed form, so for an exact Landau field, which solves
+    the equation away from the origin, what is returned is round-off.  Near
+    the axis of a jet (A close to 1) it grows like ulp(1)/(A - 1) relative
+    to the terms, as d = A - c cancels.  Raises ValueError at the origin.
     """
     pts, lead = _as_points(x)
-    r = np.linalg.norm(pts, axis=1)
-    if np.any(r == 0.0):
-        raise ValueError("residual is undefined at the origin")
     stages = _Stages(params, pts)
-    u, grad, gradp = stages.u(), stages.grad(), stages.gradp()
-    lap = _laplacian_fd(params, pts, 1e-3 * r)
-    res = -lap + np.einsum("km,kmn->kn", u, grad) + gradp
+    res = (-stages.laplacian()
+           + np.einsum("km,kmn->kn", stages.u(), stages.grad())
+           + stages.gradp())
     return res.reshape(lead + (3,))
 
 

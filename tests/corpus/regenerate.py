@@ -104,6 +104,8 @@ CONFIGS = [
                      "--center", "0.1,-0.2,0.05", "--n-r", "16",
                      "--n-theta", "16"]),
     ("verify-ns", ["verify", "ns", "--field", "landau:beta=3", "--seed", "7"]),
+    ("verify-ns-jet", ["verify", "ns", "--field", "landau:A=1.001",
+                       "--samples", "1000", "--seed", "0"]),
     ("verify-selfsim", ["verify", "selfsim", "--field", "landau:A=1.5",
                         "--lambda", "0.3"]),
     ("flux", ["flux", "--field", "landau:A=2", "--radii", "0.5,1,1.5",

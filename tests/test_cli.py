@@ -265,6 +265,17 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
         assert report["payload"]["max_weighted_residual"] < 1e-4
 
+    @pytest.mark.parametrize("samples", ["100", "1000"])
+    @pytest.mark.parametrize("A", ["1.001", "1.0001", "1.000001"])
+    def test_ns_passes_exact_jets_on_every_seed(self, tmp_path, A, samples):
+        # a jet's angular width is sqrt(2 (A - 1)); its exact residual must
+        # pass wherever the random points fall
+        failed = [seed for seed in range(20)
+                  if run(tmp_path, "verify", "ns", "--field", f"landau:A={A}",
+                         "--samples", samples, "--seed", str(seed))[0]
+                  != EXIT_PASS]
+        assert failed == []
+
     def test_selfsim(self, tmp_path):
         code, report = run(tmp_path, "verify", "selfsim", "--field",
                            "landau:A=2", "--lambda", "0.5")

@@ -1,32 +1,44 @@
 """Generated argv for every subcommand: the exit-code contract as a property.
 
 Each flag's value is drawn from edge classes (0, -1, NaN, +-inf, 1e+-300,
-1e+-49, "", "abc" and malformed lists) or a valid value, and each field
-spec from landau: specs with those values, zero, r^-1, r^-2, an unknown
-kind and a missing grid: file.  Counts stay tiny, so a run takes
-milliseconds; counts at the node cap stay with test_cli's type checks.
+1e+-49, "", "abc" and malformed lists) or a valid value, each path flag's
+from a file in one temporary directory (which an earlier run may have
+written), "" and a path in a missing directory, and each field spec from
+landau: specs with those values, zero, r^-1, r^-2, an unknown kind and a
+missing grid: file.  Counts stay tiny, so a run takes milliseconds; counts
+at the node cap stay with test_cli's type checks.
 
 Every run must return from main without an exception or a warning, with
 exit 0, 1, 2 or 4: no grid: file is ever read, so no probe leaves its
-samples (the one documented exit 3).  An exit 2 must name a flag or the
-file.  Hypothesis draws with derandomize=True and a fixed example budget,
-so every run checks the same argv.
+samples (the one documented exit 3).  An exit 2 must name a flag or a
+file.  Every option string of every subcommand of build_parser must be
+drawn, so a new flag fails until it is drawn here.  Hypothesis draws with
+derandomize=True and a fixed example budget, so every run checks the same
+argv.
 """
 
+import argparse
+import collections
 import contextlib
 import io
+import os
 import re
+import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointflow.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OUT_OF_REGIME,
-                           EXIT_PASS, main)
+                           EXIT_PASS, build_parser, main)
 
 EDGES = ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
          "1e49", "1e-49", "", "abc"]
 MALFORMED = ["1,,2", "1,", ",", "1;2;3", "1 2 3"]
 MISSING = "no-such-dir/missing.csv"
+TMP = tempfile.TemporaryDirectory()
+PATHS = st.sampled_from([os.path.join(TMP.name, "a.json"),
+                         os.path.join(TMP.name, "b.csv"), "", MISSING])
 
 
 def sometimes(edges, *valid):
@@ -76,36 +88,45 @@ def argv(*parts):
                        for p in parts]).map(lambda ps: sum(ps, []))
 
 
+def common(tol=None):
+    """The flags every subcommand has: --output, --seed and, given its
+    valid value, --tol."""
+    return [flag("--output", PATHS), flag("--seed", value("3")),
+            *([flag("--tol", value(tol))] if tol else [])]
+
+
 LANDAU = argv(
     "landau",
     st.sampled_from(["--A", "--beta"]).flatmap(
         lambda name: flag(name, value("2", "5"), True)),
     flag("--axis", items("0,0,1", "1e49,1e49,0")),
     st.one_of(flag("--point", items("0,0,1", "1,2,3"), True),
-              flag("--points-file", st.just(MISSING), True)))
+              flag("--points-file", PATHS, True)),
+    flag("--csv", PATHS), *common())
 FLUX = argv(
     "flux", flag("--field", SPECS, True),
     flag("--radii", items("1", "0.5,2"), True), flag("--n-theta", value("8")),
-    flag("--tol", value("1")), flag("--seed", value("3")))
+    flag("--csv", PATHS), *common("1"))
 WEAK = argv(
     "verify", "weak", flag("--field", SPECS, True),
     flag("--center", items("0,0,0", "0,0,1.2", "1e49,0,0")),
     flag("--a", value("0.5")), flag("--b", value("1")),
     flag("--n-r", value("3"), True), flag("--n-theta", value("2"), True),
-    flag("--tol", value("0.02")))
+    *common("0.02"))
 NS = argv(
     "verify", "ns", flag("--field", SPECS, True),
     flag("--samples", value("10"), True), flag("--rmin", value("0.01")),
-    flag("--rmax", value("1.5")), flag("--seed", value("7")))
+    flag("--rmax", value("1.5")), *common("1e-4"))
 SELFSIM = argv(
     "verify", "selfsim", flag("--field", SPECS, True),
-    flag("--lambda", value("0.5"), True), flag("--samples", value("10"), True))
+    flag("--lambda", value("0.5"), True), flag("--samples", value("10"), True),
+    *common("1e-12"))
 PICARD = argv(
     "picard", flag("--amp", value("0.1"), True),
     flag("--grid", value("16"), True), flag("--iters", value("3"), True),
     flag("--r", value("2")), flag("--delta-in", value("0.3")),
     flag("--delta-out", value("1.5")), flag("--drift-beta", value("0.5")),
-    flag("--tol", value("1e-9")))
+    flag("--csv", PATHS), *common("1e-9"))
 # each norms mode with its own flags and sometimes one of another mode
 NORMS = st.one_of(
     argv("norms", st.one_of(flag("--weak-l3", required=True),
@@ -114,22 +135,43 @@ NORMS = st.one_of(
          flag("--field", SPECS, True), flag("--domain", value("ball:1").map(
              lambda v: v if v.startswith("ball:") else f"ball:{v}")),
          flag("--resolution", items("4,2,4"), True),
-         flag("--expect", value("1.6")), flag("--tol", value("0.02")),
+         flag("--expect", value("1.6")), *common("0.02"),
          foreign("--shells", items("0.5"))),
     argv("norms", flag("--decay", required=True), flag("--field", SPECS, True),
          flag("--ref", st.builds("{}={}".format, st.sampled_from(
              ["A", "beta", "C"]), value("2", "5")), True),
          flag("--q", value("2")), flag("--shells", items("0.4,0.2")),
-         flag("--tol", value("0.02")), foreign("--resolution", items("4,2,4"))),
+         *common("0.02"), foreign("--resolution", items("4,2,4"))),
     argv("norms", flag("--sweep-beta", st.one_of(
         items("1:2:3", sep=":", most=3),
         st.tuples(value("1"), value("2"), value("3")).map(":".join)), True),
-         foreign("--field", SPECS)))
+         foreign("--field", SPECS), *common()))
+
+# the option strings drawn for each subcommand, by its words
+DRAWN = collections.defaultdict(set)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _remove_tmp():
+    yield
+    TMP.cleanup()
+
+
+def subcommands(parser, words=()):
+    """(words, parser) of each subcommand under parser that has none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommands(sub, words + (name,))
+            return
+    yield words, parser
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(argv=st.one_of(LANDAU, FLUX, WEAK, NS, SELFSIM, PICARD, NORMS))
-def test_generated_argv_keeps_the_exit_contract(argv):
+def exit_contract(argv):
+    words = tuple(a for a in argv if not a.startswith("--"))
+    DRAWN[words].update(a.split("=")[0] for a in argv if a.startswith("--"))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -138,5 +180,15 @@ def test_generated_argv_keeps_the_exit_contract(argv):
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_OUT_OF_REGIME), (
         err.getvalue())
     if code == EXIT_CONFIG:
-        assert re.search("--[a-z]|" + re.escape(MISSING), err.getvalue()), (
+        assert re.search("|".join(["--[a-z]", re.escape(MISSING),
+                                   re.escape(TMP.name)]), err.getvalue()), (
             err.getvalue())
+
+
+def test_generated_argv_keeps_the_exit_contract():
+    DRAWN.clear()
+    exit_contract()
+    for words, parser in subcommands(build_parser()):
+        options = {option for action in parser._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert options - DRAWN[words] == set(), words

@@ -8,7 +8,7 @@ from pointflow import (
     RescaledField, beta_from_A, flux_tensor, landau_eval, ns_residual,
     sup_speed_on_unit_sphere,
 )
-from pointflow.landau import A_MAX
+from pointflow.landau import A_MAX, _Stages
 
 # beta(2) evaluated term by term at 50 digits (see oracle test below)
 BETA_A2 = 34.766840318785736
@@ -271,6 +271,60 @@ class TestGradient:
         st1 = landau_eval(params, x)
         st2 = landau_eval(params, 3.0 * x)
         assert st1.p == pytest.approx(9.0 * st2.p, rel=1e-12)
+
+
+def oracle_laplacian(A, axis, x, dps=40):
+    """Delta u at x from mpmath's second derivatives of the closed-form u,
+    at dps digits, for the float A, axis and x as given."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        A, a, x = mp.mpf(A), [mp.mpf(v) for v in axis], [mp.mpf(v) for v in x]
+
+        def component(j):
+            def u_j(*y):
+                r = mp.sqrt(y[0]**2 + y[1]**2 + y[2]**2)
+                c = (y[0] * a[0] + y[1] * a[1] + y[2] * a[2]) / r
+                d = A - c
+                g1 = (A * A - 1) / d**2 - 1 - c / d
+                return 2 / r * (g1 * y[j] / r + a[j] / d)
+            return u_j
+
+        return np.array([float(sum(mp.diff(component(j), x, order)
+                                   for order in ((2, 0, 0), (0, 2, 0),
+                                                 (0, 0, 2))))
+                         for j in range(3)])
+
+
+class TestLaplacian:
+    @pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-6])
+    def test_matches_mpmath_oracle(self, eps):
+        # tilted axes, 8 points within 5 jet widths sqrt(2 eps) of the axis
+        # and 4 anywhere.  d = A - c holds c only to ulp(1)/eps of itself,
+        # so the error bound, relative to the size of the two terms of
+        # Delta u = (4 (A^2-1)/(r^3 d^3)) (axis - 3 (A c - 1)/d e), is a
+        # multiple of eps64/eps plus a floor
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        eps64 = np.finfo(float).eps
+        for _ in range(3):
+            params = LandauParams.from_shape(1.0 + eps, rng.normal(size=3))
+            axis, A = params.axis, params.A
+            perp = rng.normal(size=(8, 3))
+            perp -= np.outer(perp @ axis, axis)
+            perp /= np.linalg.norm(perp, axis=1)[:, None]
+            theta = np.sqrt(2.0 * eps) * rng.uniform(0.0, 5.0, 8)
+            dirs = np.vstack([np.cos(theta)[:, None] * axis
+                              + np.sin(theta)[:, None] * perp,
+                              rng.normal(size=(4, 3))])
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            pts = rng.uniform(0.1, 2.0, len(dirs))[:, None] * dirs
+            stages = _Stages(params, pts)
+            r, c, d = stages.r, stages.c, stages.d
+            terms = (4.0 * (A * A - 1.0) / (r * d)**3
+                     * (1.0 + 3.0 * np.abs(A * c - 1.0) / d))
+            oracle = np.array([oracle_laplacian(A, axis, x) for x in pts])
+            err = np.linalg.norm(stages.laplacian() - oracle, axis=1)
+            assert np.all(err <= (8.0 / (A - 1.0) + 8.0) * eps64 * terms)
 
 
 class TestFluxTensor:

@@ -137,7 +137,8 @@ def landau_stages(params):
     """Each Landau stage and the velocity as functions of (m, 3) points."""
     def stage(name):
         return lambda x: getattr(_Stages(params, _as_points(x)[0]), name)()
-    return [*(stage(name) for name in ("u", "p", "grad", "gradp")),
+    return [*(stage(name) for name in ("u", "p", "grad", "gradp",
+                                       "laplacian")),
             LandauField(params).velocity]
 
 
@@ -156,21 +157,14 @@ def test_a_points_values_depend_on_the_point_alone(exponent, axis, direction,
     rng = np.random.default_rng(seed)
     pts = sphere_points(rng, NODE_BLOCK + 4, 0.05, 4.0)
     layouts = sorted(LAYOUTS)
-
-    def residual(x):
-        return ns_residual(params, x)
-
-    for kernel in [*landau_stages(params), residual,
+    for kernel in [*landau_stages(params), lambda x: ns_residual(params, x),
                    phi, phi.gradient, phi.laplacian]:
-        # no caller blocks ns_residual, 50 times a stage's cost: it takes
-        # the windows up to 257 points
-        batch = pts[:260] if kernel is residual else pts
-        whole = kernel(batch)
-        k = rng.integers(len(batch))
-        assert np.array_equal(np.reshape(kernel(batch[k]), whole.shape[1:]),
+        whole = kernel(pts)
+        k = rng.integers(len(pts))
+        assert np.array_equal(np.reshape(kernel(pts[k]), whole.shape[1:]),
                               whole[k])
-        for i, window in enumerate(w for w in WINDOWS if w < len(batch)):
-            start = rng.integers(len(batch) - window + 1)
+        for i, window in enumerate(WINDOWS):
+            start = rng.integers(len(pts) - window + 1)
             part = LAYOUTS[layouts[(i + shift) % len(layouts)]](
-                batch[start:start + window])
+                pts[start:start + window])
             assert np.array_equal(kernel(part), whole[start:start + window])
