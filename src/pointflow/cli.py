@@ -355,6 +355,16 @@ def _json_chunks(report, csv=None):
     between two points and the text after them.  The numbers, formatted as
     json formats floats (NaN where the CSV keeps nan), fill that layout
     point by point.
+
+    Markers are looked for only from the payload's "points" key on, so no
+    other string of the report can take their place.  JSON escapes every
+    quote and newline inside a string, so a line that starts '"payload": {'
+    at indent 2 is the report's own payload key, and the first line after
+    it that starts '"points": [' at indent 4 is the payload's own points
+    key; under sort_keys the config comes before payload.  The 2 * width
+    markers that follow are the two points' own, as the points come first
+    after their key; a string further on that reads like a marker stays in
+    the text after the points.  An empty table is dumped with no points.
     """
     payload = report.get("payload")
     table = payload.get("points") if isinstance(payload, dict) else None
@@ -366,20 +376,20 @@ def _json_chunks(report, csv=None):
         return json.dumps(dict(report, payload=dict(payload, points=points)),
                           indent=2, sort_keys=True)
 
+    chunks = _text_chunks(table, csv)
+    if len(table) == 0:
+        next(chunks, None)   # writes the csv header
+        yield dumps([])
+        return
     width = table.shape[1]
     marker_point = _point_dict([f"\0{k}" for k in range(width)])
-    pieces = _MARKER.split(dumps([marker_point, marker_point]))
+    dump = dumps([marker_point, marker_point])
+    cut = dump.index('\n    "points": [', dump.index('\n  "payload": {'))
+    pieces = _MARKER.split(dump[cut:], maxsplit=2 * width)
     texts, columns = pieces[0::2], [int(k) for k in pieces[1::2]]
-    chunks = _text_chunks(table, csv)
-    if len(columns) != 2 * width or len(table) == 0:
-        # no points, or another string of the report reads like a marker
-        for _ in chunks:   # the csv rows
-            pass
-        yield dumps([_point_dict(row) for row in table.tolist()])
-        return
     between = texts[width]
     layout = "%s" + "".join(t.replace("%", "%%") + "%s" for t in texts[1:width])
-    yield texts[0]
+    yield dump[:cut] + texts[0]
     for i, (rows, text) in enumerate(chunks):
         text = [text[k] for k in columns[:width]]
         if not np.all(np.isfinite(rows)):

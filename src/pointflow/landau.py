@@ -38,7 +38,6 @@ import functools
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.optimize import brentq
 
 __all__ = [
     "A_MIN", "A_MAX", "BETA_MIN", "BETA_MAX", "E_Z",
@@ -142,6 +141,7 @@ def A_from_beta(beta):
         raise ValueError(
             f"force magnitude {beta:g} outside invertible range "
             f"[{BETA_MIN:.3e}, {BETA_MAX:.3e}]")
+    from scipy.optimize import brentq
     s = brentq(lambda t: beta_from_A(1.0 + np.exp(t)) - beta,
                *_S_BRACKET, xtol=1e-13, rtol=4 * np.finfo(float).eps,
                maxiter=200)

@@ -4,6 +4,10 @@ import argparse
 import csv
 import inspect
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -1190,3 +1194,18 @@ class TestLibraryDefaults:
         assert n_theta == library["n_theta"].default
         # n_phi None stands for the sphere rule's 2 n_theta
         assert library["n_phi"].default is None and n_phi == 2 * n_theta
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # brentq is imported where A_from_beta needs it, so a command that
+    # never turns a magnitude into A starts without scipy.optimize
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, pointflow.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "False"

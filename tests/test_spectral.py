@@ -720,11 +720,19 @@ class TestMemoryBudget:
     def test_mollified_drift_peak(self):
         params = LandauParams.from_magnitude(0.5)
         make_mollified_drift(params, N)
-        # the zero-filled samples and the drift's band, while one
-        # component's inverse measures the projection deviation (2.75);
-        # samples and transforms over the whole grid peaked at 3.69
+        # the drift's wide band is freed before the three inverses of its
+        # dealiased band (1.87, a 7% margin); holding it through them
+        # peaked at 2.75, and samples and transforms over the whole grid
+        # at 3.69
         assert (self.peak(lambda: make_mollified_drift(params, N))
-                <= 3.0 * self.UNIT)
+                <= 2.0 * self.UNIT)
+
+    def test_forcing_peak(self):
+        make_forcing(N, 1e-2, seed=3)
+        # one whole-grid draw, its zero-filled lines and their rfft
+        # columns, the whole-grid caller of the forward transform (1.05)
+        assert (self.peak(lambda: make_forcing(N, 1e-2, seed=3))
+                <= 1.25 * self.UNIT)
 
     def test_run_contraction_peak(self):
         drift, forcing = drift_beta_half(), make_forcing(N, 1e-2, seed=3)
@@ -868,6 +876,20 @@ class TestBandTransforms:
         for cut in (n // 3, (n - 1) // 2) if third else (3,):
             assert np.array_equal(_physical_to_band(samples, cut),
                                   _take_band(scipy.fft.rfftn(samples), cut))
+
+    @pytest.mark.parametrize("n", [16, 17, 33])
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_support_cube_equals_rfftn_of_the_zero_filled_grid(self, n,
+                                                              start):
+        from pointflow.spectral import _physical_to_band
+        b = n // 2
+        cube = np.random.default_rng(n + start).standard_normal((b, b, b))
+        grid = np.zeros((n, n, n))
+        grid[start:start + b, start:start + b, start:start + b] = cube
+        for cut in (3, n // 3, (n - 1) // 2):
+            # array_equal: a zero's sign may differ (see _physical_to_band)
+            assert np.array_equal(_physical_to_band(cube, cut, n, start),
+                                  _take_band(scipy.fft.rfftn(grid), cut))
 
     # 49 * (1 / 49) != 1 in floating point: a mask built from float
     # frequencies drops the plane |f| = 16 there

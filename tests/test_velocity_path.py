@@ -641,9 +641,40 @@ class TestLandauReport:
         rng = np.random.default_rng(2)
         parts = [rng.normal(size=s) for s in ((4, 3), (4, 3), (4,),
                                               (4, 3, 3), (4, 3, 3))]
-        for text in ("\x000", "\x0024", '"\x003"', "%s", "{0}"):
+        for text in ("\x000", "\x0024", '"\x003"', "%s", "{0}",
+                     '"points": [', "\\u00000"):
             report, expected = landau_report(*parts, config={"output": text})
             assert "".join(cli._json_chunks(report)) == expected
+
+    def test_lookalike_config_builds_only_the_marker_point(self):
+        # no path renders the report again through per-point dicts, and
+        # lookalikes before and after the payload's points stay text
+        rng = np.random.default_rng(3)
+        parts = [rng.normal(size=s) for s in ((6, 3), (6, 3), (6,),
+                                              (6, 3, 3), (6, 3, 3))]
+        report, expected = landau_report(
+            *parts, config={"output": "\x000", "points": ["\x002"]})
+        report["payload"]["units"] = "\x001"
+        expected = json.loads(expected)
+        expected["payload"]["units"] = "\x001"
+        expected = json.dumps(expected, indent=2, sort_keys=True)
+        with mock.patch.object(cli, "_point_dict",
+                               wraps=cli._point_dict) as point_dict:
+            assert "".join(cli._json_chunks(report)) == expected
+        assert point_dict.call_count == 1
+        assert point_dict.call_args.args[0][0] == "\x000"
+
+    def test_empty_table_writes_no_points_and_the_csv_header(self, tmp_path):
+        empty = [np.empty(s) for s in ((0, 3), (0, 3), (0,), (0, 3, 3),
+                                       (0, 3, 3))]
+        report, expected = landau_report(*empty)
+        del report["duration_s"]
+        cli._emit(report, str(tmp_path / "r.json"), 0.5,
+                  str(tmp_path / "u.csv"))
+        text = (tmp_path / "r.json").read_text()
+        assert text == expected + "\n"
+        assert json.loads(text)["payload"]["points"] == []
+        assert (tmp_path / "u.csv").read_bytes() == csv_writer_bytes(*empty[:3])
 
     def test_emit_writes_json_dumps_and_newline(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
