@@ -7,7 +7,9 @@ corpus.json beside this script:
 
 - its exit code, stderr, stdout and the warnings it raised;
 - its report without the duration_s line: as JSON, or by sha256 and size
-  when the report text is over REPORT_INLINE_BYTES;
+  when the report text is over REPORT_INLINE_BYTES, together with the
+  sha256 of json.dumps(payload, sort_keys=True), so that a change of
+  layout alone moves only the report's own hash;
 - every CSV it wrote: by value, as its columns keyed csv:<header cell>
   with each cell an int, a float or the text (an empty cell stays ""), or
   by sha256 when the file is over REPORT_INLINE_BYTES or not rectangular.
@@ -180,6 +182,8 @@ def run_one(name, argv):
         if len(text) > REPORT_INLINE_BYTES:
             record["report_sha256"] = _sha256(text.encode())
             record["report_bytes"] = len(text)
+            record["report_payload_sha256"] = _sha256(json.dumps(
+                json.loads(text)["payload"], sort_keys=True).encode())
         else:
             record["report"] = json.loads(text)
     record["csv"], record["csv_sha256"] = {}, {}

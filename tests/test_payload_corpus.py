@@ -2,8 +2,8 @@
 
 tests/corpus/corpus.json holds, for each config of
 tests/corpus/regenerate.py, the exit code, stdout, stderr and warnings of
-the run, its report with duration_s dropped (or the report's sha256 when
-it is large) and every CSV it wrote, as columns of cells (or the CSV's
+the run, its report with duration_s dropped (or, when it is large, the
+sha256 of the report and of its payload) and every CSV it wrote, as columns of cells (or the CSV's
 sha256 when it is large).  This test re-runs the configs in-process and
 compares:
 
@@ -124,7 +124,7 @@ def test_csv_columns():
 def test_run_matches_the_corpus(fresh, want):
     got = fresh[want["name"]]
     for field in ("exit", "stdout", "stderr", "warnings", "csv_sha256",
-                  "report_sha256", "report_bytes"):
+                  "report_sha256", "report_bytes", "report_payload_sha256"):
         assert got.get(field) == want.get(field), field
     assert ("report" in got) == ("report" in want)
     assert mismatches(got.get("report"), want.get("report")) == []
