@@ -40,7 +40,6 @@ import functools
 import itertools
 import json
 import os
-import re
 import stat
 import sys
 import time
@@ -73,8 +72,13 @@ TRACE_CSV_COLUMNS = ["iter", "increment", "ratio"]
 
 # a landau point table is filled and rendered this many points at a time
 EMIT_CHUNK = 512
-# json.dumps renders the marker string "\0<k>" as "\u0000<k>"
-_MARKER = re.compile(r'"\\u0000(\d+)"')
+# a landau point's report line, 6 spaces and json.dumps(point,
+# sort_keys=True), from the 25 number texts of its _point_rows row taken in
+# the order _POINT_COLUMNS: T, grad_u, p, u, x
+_POINT_COLUMNS = [*range(16, 25), *range(7, 16), 6, 3, 4, 5, 0, 1, 2]
+_POINT_LINE = ('\n      {"T": [[%s, %s, %s], [%s, %s, %s], [%s, %s, %s]], '
+               '"grad_u": [[%s, %s, %s], [%s, %s, %s], [%s, %s, %s]], '
+               '"p": %s, "u": [%s, %s, %s], "x": [%s, %s, %s]}')
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -315,13 +319,6 @@ def _report(command, config, payload, passed):
     }
 
 
-def _point_dict(row):
-    """One landau point of a report from its 25 numbers (_point_rows)."""
-    return {"x": row[0:3], "u": row[3:6], "p": row[6],
-            "grad_u": [row[7:10], row[10:13], row[13:16]],
-            "T": [row[16:19], row[19:22], row[22:25]]}
-
-
 def _point_rows(points, state, tensors):
     """The (n, 25) rows of n points, their FlowState and T: row k holds x,
     u, p, grad_u and T of point k flattened in that order, so its first 7
@@ -345,59 +342,36 @@ def _text_chunks(table, csv=None):
 
 
 def _json_chunks(report, csv=None):
-    """json.dumps(report, indent=2, sort_keys=True), as strings to concatenate.
+    """json.dumps(report, indent=2, sort_keys=True), as strings to concatenate,
+    but with a landau payload's (n, 25) _point_rows array "points" written
+    one point a line: 6 spaces and json.dumps(point, sort_keys=True), NaN
+    and Infinity where the CSV keeps nan and inf.  The points are rendered
+    a _text_chunks chunk at a time, with the csv rows.
 
-    A landau payload's (n, 25) _point_rows array "points" is written without
-    per-point dicts, a _text_chunks chunk at a time, csv rows on every path.
-    json.dumps of the report with two marker points (each number replaced
-    by the marker string "\\0<column>") splits at the markers into the text
-    before the points, one point's layout around its 25 numbers, the text
-    between two points and the text after them.  The numbers, formatted as
-    json formats floats (NaN where the CSV keeps nan), fill that layout
-    point by point.
-
-    Markers are looked for only from the payload's "points" key on, so no
-    other string of the report can take their place.  JSON escapes every
-    quote and newline inside a string, so a line that starts '"payload": {'
-    at indent 2 is the report's own payload key, and the first line after
-    it that starts '"points": [' at indent 4 is the payload's own points
-    key; under sort_keys the config comes before payload.  The 2 * width
-    markers that follow are the two points' own, as the points come first
-    after their key; a string further on that reads like a marker stays in
-    the text after the points.  An empty table is dumped with no points.
+    The report is dumped with points=[] and cut at the payload's own points
+    key.  JSON escapes every quote and newline inside a string, so a line
+    that starts '"payload": {' at indent 2 is the report's own payload key,
+    and the first line after it that starts '"points": []' at indent 4 is
+    the payload's own points key; under sort_keys the config comes before
+    payload.  An empty table stays the '"points": []' of the dump.
     """
     payload = report.get("payload")
     table = payload.get("points") if isinstance(payload, dict) else None
     if not isinstance(table, np.ndarray):
         yield json.dumps(report, indent=2, sort_keys=True)
         return
-
-    def dumps(points):
-        return json.dumps(dict(report, payload=dict(payload, points=points)),
-                          indent=2, sort_keys=True)
-
-    chunks = _text_chunks(table, csv)
-    if len(table) == 0:
-        next(chunks, None)   # writes the csv header
-        yield dumps([])
-        return
-    width = table.shape[1]
-    marker_point = _point_dict([f"\0{k}" for k in range(width)])
-    dump = dumps([marker_point, marker_point])
-    cut = dump.index('\n    "points": [', dump.index('\n  "payload": {'))
-    pieces = _MARKER.split(dump[cut:], maxsplit=2 * width)
-    texts, columns = pieces[0::2], [int(k) for k in pieces[1::2]]
-    between = texts[width]
-    layout = "%s" + "".join(t.replace("%", "%%") + "%s" for t in texts[1:width])
-    yield dump[:cut] + texts[0]
-    for i, (rows, text) in enumerate(chunks):
-        text = [text[k] for k in columns[:width]]
+    dump = json.dumps(dict(report, payload=dict(payload, points=[])),
+                      indent=2, sort_keys=True)
+    key = '\n    "points": ['
+    cut = dump.index(key + "]", dump.index('\n  "payload": {')) + len(key)
+    yield dump[:cut]
+    for i, (rows, text) in enumerate(_text_chunks(table, csv)):
+        text = [text[k] for k in _POINT_COLUMNS]
         if not np.all(np.isfinite(rows)):
             text = [[_JSON_NONFINITE.get(v, v) for v in col] for col in text]
-        if i:
-            yield between
-        yield between.join(layout % row for row in zip(*text))
-    yield texts[2 * width]
+        yield ("," if i else "") + ",".join(
+            _POINT_LINE % row for row in zip(*text))
+    yield ("\n    " if len(table) else "") + dump[cut:]
 
 
 @contextlib.contextmanager

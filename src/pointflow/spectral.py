@@ -463,14 +463,16 @@ def _projected_drift(params, n, delta_in, delta_out):
 
 
 def make_forcing(n, amplitude, seed=None):
-    """Smooth mean-zero divergence-free forcing with max speed `amplitude`.
+    """Smooth mean-zero divergence-free forcing of size `amplitude`.
 
-    With seed None the deterministic shear triple (sin(y/2), sin(z/2),
-    sin(x/2)) is used, held on its band of cut 1; an integer seed draws a
-    random field on the band of cut min(3, n // 3) instead, Leray-projected
-    and rescaled so the maximal pointwise speed equals the amplitude.  Both
-    lie inside the band of cut n // 3 that every Picard step keeps (the
-    shear triple once n >= 3).
+    With seed None the deterministic shear triple amplitude * (sin(y/2),
+    sin(z/2), sin(x/2)) is used, held on its band of cut 1: all three
+    components peak at the amplitude together, so its maximal speed is
+    sqrt(3) * amplitude (on the grid points when 4 divides n).  An integer
+    seed draws a random field on the band of cut min(3, n // 3) instead,
+    Leray-projected and rescaled so the maximal pointwise speed equals the
+    amplitude.  Both lie inside the band of cut n // 3 that every Picard
+    step keeps (the shear triple once n >= 3).
     """
     n = int(n)
     amplitude = float(amplitude)

@@ -3,9 +3,9 @@
 tests/corpus/corpus.json holds, for each config of
 tests/corpus/regenerate.py, the exit code, stdout, stderr and warnings of
 the run, its report with duration_s dropped (or, when it is large, the
-sha256 of the report and of its payload) and every CSV it wrote, as columns of cells (or the CSV's
-sha256 when it is large).  This test re-runs the configs in-process and
-compares:
+sha256 of the report and of its payload) and every CSV it wrote, as
+columns of cells (or the CSV's sha256 when it is large).  This test
+re-runs the configs in-process and compares:
 
 - exit codes, output streams, warnings, hashes, the column names and
   order of a CSV and every string, integer, bool and empty cell exactly;

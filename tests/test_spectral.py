@@ -495,6 +495,9 @@ class TestForcing:
         f = make_forcing(N, 2.5e-3)
         speed = np.abs(f.to_physical())
         assert speed.max() == pytest.approx(2.5e-3, rel=1e-12)
+        # each component peaks at the amplitude, at one grid point together
+        assert np.linalg.norm(f.to_physical(), axis=0).max() == \
+            pytest.approx(np.sqrt(3.0) * 2.5e-3, rel=1e-12)
         assert divergence_defect(f) <= 1e-12
 
     def test_seeded_draw_reproducible(self):
@@ -890,6 +893,32 @@ class TestBandTransforms:
             # array_equal: a zero's sign may differ (see _physical_to_band)
             assert np.array_equal(_physical_to_band(cube, cut, n, start),
                                   _take_band(scipy.fft.rfftn(grid), cut))
+
+    @pytest.mark.parametrize("n", [16, 17, 33])
+    def test_overwrite_x_transforms_the_view_in_place(self, n):
+        # _columns_to_band and _band_to_physical discard what these calls
+        # return and read the views; scipy documents overwrite_x only as
+        # "the contents of x can be destroyed"
+        rng = np.random.default_rng(n)
+        for cut, box in ((n // 3, slice(3, 3 + n // 2)),
+                         ((n - 1) // 2, slice(None))):
+            w = cut + 1
+            half, full = (rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape)
+                          for shape in ((n, n, w), (n, n, n // 2 + 1)))
+            for transform, view, axis, norm in (
+                    (scipy.fft.fft, half[:, box], 0, "backward"),
+                    (scipy.fft.fft, half[:cut + 1], 1, "backward"),
+                    (scipy.fft.fft, half[n - cut:], 1, "backward"),
+                    (scipy.fft.ifft, full[..., :w], 1, "forward")):
+                expected = transform(view.copy(), axis=axis, norm=norm)
+                got = transform(view, axis=axis, norm=norm, overwrite_x=True)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(view, got), (
+                    "scipy.fft no longer writes an overwrite_x transform "
+                    "into its strided input view, which "
+                    "spectral._columns_to_band and spectral._band_to_physical "
+                    "rely on")
 
     # 49 * (1 / 49) != 1 in floating point: a mask built from float
     # frequencies drops the plane |f| = 16 there

@@ -618,15 +618,32 @@ def point_tables(draw):
             for shape in ((n, 3), (n, 3), (n,), (n, 3, 3), (n, 3, 3))]
 
 
-def landau_report(points, u, p, grad, T, config=None):
+def report_text(report):
+    """A landau report as written: json.dumps(report, indent=2,
+    sort_keys=True) with each point of its payload's list of point dicts
+    on its own line, as 6 spaces and json.dumps(point, sort_keys=True)."""
+    points = report["payload"]["points"]
+    lines = ",\n".join(" " * 6 + json.dumps(point, sort_keys=True)
+                       for point in points)
+    block = "[\n" + lines + "\n    ]" if points else "[]"
+    marker = '"\\u0000the payload\'s points"'
+    envelope = json.dumps(dict(report, payload=dict(
+        report["payload"], points=json.loads(marker))), indent=2,
+        sort_keys=True)
+    assert envelope.count(marker) == 1
+    return envelope.replace(marker, block)
+
+
+def landau_report(points, u, p, grad, T, config=None, **payload_keys):
+    """A landau report of the arrays, with payload_keys added to its
+    payload, and its text."""
     table = cli._point_rows(points, SimpleNamespace(u=u, p=p, grad_u=grad), T)
     payload = {"A": 2.0, "beta": 34.7, "axis": [0.0, 0.0, 1.0],
-               "points": table}
+               "points": table, **payload_keys}
     report = cli._report("landau", config or {"seed": 0}, payload, None)
     report["duration_s"] = 0.5
-    expected = dict(report, payload=dict(
-        payload, points=reference_points(points, u, p, grad, T)))
-    return report, json.dumps(expected, indent=2, sort_keys=True)
+    return report, report_text(dict(report, payload=dict(
+        payload, points=reference_points(points, u, p, grad, T))))
 
 
 class TestLandauReport:
@@ -638,31 +655,23 @@ class TestLandauReport:
             assert "".join(cli._json_chunks(report)) == expected
 
     def test_marker_lookalike_in_config(self):
+        # strings and keys that read like the points key or a number's
+        # place, in the config before the payload's points and in a payload
+        # key after them, stay text
         rng = np.random.default_rng(2)
         parts = [rng.normal(size=s) for s in ((4, 3), (4, 3), (4,),
                                               (4, 3, 3), (4, 3, 3))]
-        for text in ("\x000", "\x0024", '"\x003"', "%s", "{0}",
-                     '"points": [', "\\u00000"):
-            report, expected = landau_report(*parts, config={"output": text})
+        cases = [({"output": text}, {}) for text in (
+            "\x000", "\x0024", '"\x003"', "%s", "{0}", "{{", '"points": [',
+            '"points": []', "\\u00000")]
+        cases += [({"points": []}, {}),
+                  ({"output": "\x000", "points": ["\x002"]},
+                   {"units": "\x001"}),
+                  ({"seed": 0}, {"units": '"points": []'})]
+        for config, payload_keys in cases:
+            report, expected = landau_report(*parts, config=config,
+                                             **payload_keys)
             assert "".join(cli._json_chunks(report)) == expected
-
-    def test_lookalike_config_builds_only_the_marker_point(self):
-        # no path renders the report again through per-point dicts, and
-        # lookalikes before and after the payload's points stay text
-        rng = np.random.default_rng(3)
-        parts = [rng.normal(size=s) for s in ((6, 3), (6, 3), (6,),
-                                              (6, 3, 3), (6, 3, 3))]
-        report, expected = landau_report(
-            *parts, config={"output": "\x000", "points": ["\x002"]})
-        report["payload"]["units"] = "\x001"
-        expected = json.loads(expected)
-        expected["payload"]["units"] = "\x001"
-        expected = json.dumps(expected, indent=2, sort_keys=True)
-        with mock.patch.object(cli, "_point_dict",
-                               wraps=cli._point_dict) as point_dict:
-            assert "".join(cli._json_chunks(report)) == expected
-        assert point_dict.call_count == 1
-        assert point_dict.call_args.args[0][0] == "\x000"
 
     def test_empty_table_writes_no_points_and_the_csv_header(self, tmp_path):
         empty = [np.empty(s) for s in ((0, 3), (0, 3), (0,), (0, 3, 3),
@@ -705,7 +714,7 @@ class TestLandauReport:
         assert code == EXIT_PASS
         text = (tmp_path / "r.json").read_text()
         report = json.loads(text)
-        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert text == report_text(report) + "\n"
         state = landau_eval(LandauParams.from_magnitude(2.5, [0, 0.6, 0.8]), pts)
         assert report["payload"]["points"] == reference_points(
             pts, state.u, state.p, state.grad_u, flux_tensor(state))
