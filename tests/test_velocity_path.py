@@ -662,7 +662,7 @@ class TestLandauReport:
         parts = [rng.normal(size=s) for s in ((4, 3), (4, 3), (4,),
                                               (4, 3, 3), (4, 3, 3))]
         cases = [({"output": text}, {}) for text in (
-            "\x000", "\x0024", '"\x003"', "%s", "{0}", "{{", '"points": [',
+            "\x000", "\x0024", '"\x003"', "%s", "{0}", '"points": [',
             '"points": []', "\\u00000")]
         cases += [({"points": []}, {}),
                   ({"output": "\x000", "points": ["\x002"]},
