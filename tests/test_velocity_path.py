@@ -665,13 +665,30 @@ class TestLandauReport:
             "\x000", "\x0024", '"\x003"', "%s", "{0}", '"points": [',
             '"points": []', "\\u00000")]
         cases += [({"points": []}, {}),
-                  ({"output": "\x000", "points": ["\x002"]},
-                   {"units": "\x001"}),
                   ({"seed": 0}, {"units": '"points": []'})]
         for config, payload_keys in cases:
             report, expected = landau_report(*parts, config=config,
                                              **payload_keys)
             assert "".join(cli._json_chunks(report)) == expected
+
+    def test_lookalike_config_builds_only_the_marker_point(self):
+        # the report is dumped once, with its payload's points left out, and
+        # no path renders it again through per-point dicts; lookalikes
+        # before and after the payload's points stay text
+        rng = np.random.default_rng(3)
+        parts = [rng.normal(size=s) for s in ((6, 3), (6, 3), (6,),
+                                              (6, 3, 3), (6, 3, 3))]
+        report, expected = landau_report(
+            *parts, config={"output": "\x000", "points": ["\x002"]},
+            units="\x001")
+        with mock.patch.object(cli.json, "dumps",
+                               wraps=cli.json.dumps) as dumps:
+            assert "".join(cli._json_chunks(report)) == expected
+        assert dumps.call_count == 1
+        dumped = dumps.call_args.args[0]
+        assert dumped["payload"]["points"] == []
+        assert dumped["config"]["output"] == "\x000"
+        assert dumped["payload"]["units"] == "\x001"
 
     def test_empty_table_writes_no_points_and_the_csv_header(self, tmp_path):
         empty = [np.empty(s) for s in ((0, 3), (0, 3), (0,), (0, 3, 3),
