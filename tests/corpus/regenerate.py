@@ -60,11 +60,13 @@ _GRID_AXIS = ((np.arange(12) - 5.5) * 0.3).tolist()
 # cli.EMIT_CHUNK (512) boundaries, on [-1.6, 1.65]^3 so that no point is
 # the origin
 _GRID_AXIS_13 = ((np.arange(13) - 5.9) * 0.25).tolist()
-# (file, grid axis, how many of its points); the first 1,025 points of the
-# 13^3 grid are two full cli.EMIT_CHUNK chunks and one of a single point
-_POINTS_FILES = (("points.csv", _GRID_AXIS, None),
-                 ("points13.csv", _GRID_AXIS_13, None),
-                 ("points1025.csv", _GRID_AXIS_13, 1025))
+# (file, header, grid axis, how many of its points); the first 1,025
+# points of the 13^3 grid are two full cli.EMIT_CHUNK chunks and one of a
+# single point, and the headerless file starts with a row of numbers
+_POINTS_FILES = (("points.csv", "x,y,z\n", _GRID_AXIS, None),
+                 ("points13.csv", "x,y,z\n", _GRID_AXIS_13, None),
+                 ("points1025.csv", "x,y,z\n", _GRID_AXIS_13, 1025),
+                 ("points-bare.csv", "", _GRID_AXIS, 27))
 
 
 def _picard(grid, amp, seed, *extra):
@@ -123,6 +125,12 @@ CONFIGS = [
                    "--delta-in", "1", "--delta-out", "0.5"]),
     ("bad-field", ["flux", "--field", "landau:C=2", "--radii", "1"]),
     ("bad-grid-file", ["flux", "--field", "grid:missing.csv", "--radii", "1"]),
+    ("flux-zero", ["flux", "--field", "zero", "--radii", "1"]),
+    ("lorentz-r-inv2", ["norms", "--field", "r^-2", "--lorentz", "1.5,inf",
+                        "--resolution", "200,16,32"]),
+    _picard(16, "1e-2", 0, "--iters", "2"),
+    ("landau-points-bare", ["landau", "--A", "2",
+                            "--points-file", "points-bare.csv"]),
 ]
 
 
@@ -152,10 +160,10 @@ def csv_columns(data):
 
 def write_inputs(workdir):
     """The points files of the landau exports."""
-    for name, axis, count in _POINTS_FILES:
+    for name, header, axis, count in _POINTS_FILES:
         points = itertools.islice(itertools.product(axis, repeat=3), count)
         with open(workdir / name, "w") as fh:
-            fh.write("x,y,z\n")
+            fh.write(header)
             fh.writelines(f"{x!r},{y!r},{z!r}\n" for x, y, z in points)
 
 

@@ -88,6 +88,18 @@ def test_corpus_holds_every_config():
         [name, argv] for name, argv in regenerate.CONFIGS]
 
 
+def test_configs_run_every_field_spec_and_a_stalled_picard():
+    # every form parse_field_spec accepts, and the picard path that
+    # returns its last iterate unconverged
+    specs = [argv[i + 1] for _, argv in regenerate.CONFIGS
+             for i, flag in enumerate(argv[:-1]) if flag == "--field"]
+    for form in ("landau:A=", "landau:beta=", "zero", "grid:", "r^-1", "r^-2"):
+        assert any(spec.startswith(form) for spec in specs), form
+    assert any(r["argv"][0] == "picard"
+               and r.get("report", {}).get("payload", {}).get("converged")
+               is False for r in RUNS)
+
+
 def test_budget_names_every_float_key():
     keys = regenerate.float_keys([[r.get("report", {}), r["csv"]]
                                   for r in RUNS])
