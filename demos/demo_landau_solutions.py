@@ -72,8 +72,7 @@ def main():
     banner("5. Rotation equivariance and the speed-force monotonicity")
     R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     pts = rng.normal(size=(50, 3))
-    turned = LandauParams(b=R @ params.b, A=params.A, beta=params.beta,
-                          axis=R @ params.axis)
+    turned = LandauParams(A=params.A, beta=params.beta, axis=R @ params.axis)
     defect = np.max(np.linalg.norm(
         landau_eval(turned, pts @ R.T).u - landau_eval(params, pts).u @ R.T,
         axis=-1))

@@ -157,21 +157,21 @@ BETA_MAX = beta_from_A(1.0 + np.exp(_S_BRACKET[0]))
 
 @dataclass(frozen=True)
 class LandauParams:
-    """Identification (b, A, beta, axis) of one Landau solution.
+    """Identification (A, beta, axis) of one Landau solution.
 
-    b is the point-force vector, beta = |b|, axis = b/|b| (an arbitrary
-    fixed default e_z when b = 0), and A is the shape parameter tied to
-    beta through the force-shape relation.  The zero solution is encoded
-    by the sentinel A = inf, where every field evaluation returns zero.
+    beta >= 0 is the force magnitude, axis the unit force direction (an
+    arbitrary fixed default e_z when beta = 0), and A is the shape
+    parameter tied to beta through the force-shape relation.  The
+    point-force vector b = beta * axis is derived, not stored.  The zero
+    solution is encoded by the sentinel A = inf, where every field
+    evaluation returns zero.
     """
 
-    b: np.ndarray
     A: float
     beta: float
     axis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", as_vec3(self.b))
         object.__setattr__(self, "axis", as_vec3(self.axis))
         object.__setattr__(self, "A", float(self.A))
         object.__setattr__(self, "beta", float(self.beta))
@@ -179,10 +179,6 @@ class LandauParams:
             raise ValueError("beta must be finite and nonnegative")
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
             raise ValueError("axis must be a unit vector")
-        if abs(np.linalg.norm(self.b) - self.beta) > 1e-12 * (1.0 + self.beta):
-            raise ValueError("beta must equal |b|")
-        if np.max(np.abs(self.b - self.beta * self.axis)) > 1e-12 * (1.0 + self.beta):
-            raise ValueError("b must equal beta * axis")
         if self.beta == 0.0:
             if not np.isinf(self.A):
                 raise ValueError("the zero solution requires the sentinel A = inf")
@@ -207,20 +203,21 @@ class LandauParams:
             raise ValueError("axis must be nonzero")
         axis = axis / n
         beta = beta_from_A(A)
-        return cls(b=beta * axis, A=float(A), beta=beta, axis=axis)
+        return cls(A=float(A), beta=beta, axis=axis)
 
     @classmethod
     def from_force(cls, b):
         """Parameters from the point-force vector b (b = 0 allowed; a
-        nonzero b whose norm underflows to 0 raises ValueError)."""
+        nonzero b whose norm underflows to 0 raises ValueError).  The
+        derived beta * (b / beta) rebuilds b to rounding, and exactly
+        along a coordinate axis."""
         b = as_vec3(b)
         beta = float(np.linalg.norm(b))
         if beta == 0.0:
             if np.any(b):
                 raise ValueError("the nonzero force's norm underflows to 0")
             return cls.zero()
-        axis = b / beta
-        return cls(b=b, A=A_from_beta(beta), beta=beta, axis=axis)
+        return cls(A=A_from_beta(beta), beta=beta, axis=b / beta)
 
     @classmethod
     def from_magnitude(cls, beta, axis=E_Z):
@@ -237,7 +234,12 @@ class LandauParams:
     @classmethod
     def zero(cls):
         """The zero solution (no point force)."""
-        return cls(b=np.zeros(3), A=np.inf, beta=0.0, axis=E_Z.copy())
+        return cls(A=np.inf, beta=0.0, axis=E_Z.copy())
+
+    @property
+    def b(self):
+        """The point-force vector beta * axis."""
+        return self.beta * self.axis
 
     @property
     def is_zero(self):

@@ -51,7 +51,9 @@ those bits.
 Every transform is pruned: one-axis passes in rfftn's order (rfft along
 the last axis, then fft along the first and the second), or irfftn's in
 reverse, each on only the columns the band reaches, one component at a
-time.  The drift's samples vanish outside a cube around the origin, so
+time.  The inverse pads a band once, into the zero-filled half spectrum,
+and runs its axis-0 pass as two in-place calls there, one per block of
+the band's columns.  The drift's samples vanish outside a cube around the origin, so
 its forward passes also skip the lines that are zero there; a zero line
 transforms to zeros, up to the sign of a zero.  The inverse runs its
 passes unscaled and applies irfftn's 1 / n^3 once, at the end; so the
@@ -159,19 +161,17 @@ def _band_to_physical(band, n):
     axis 1, irfft along axis 2), unscaled, each on only the columns the
     band reaches, and one final scaling by 1 / n^3 as irfftn applies it.
     Scaling earlier would change the bits unless n is a power of two.
+    The band is padded once, into the zero-filled half spectrum that the
+    irfft reads (cheaper than letting irfft pad a (n, n, cut + 1) input);
+    the axis-0 pass is two in-place calls on its two blocks of band
+    columns, and the axis-1 pass one on the band's last-axis columns.
     """
     cut = band.shape[-1] - 1
     w = cut + 1
-    tall = np.zeros((n, 2 * cut + 1, w), dtype=complex)
-    tall[:w] = band[:w]
-    tall[n - cut:] = band[w:]
-    tall = scipy.fft.ifft(tall, axis=0, norm="forward", overwrite_x=True)
-    # the irfft reads the full half spectrum; padding it here is cheaper
-    # than letting irfft pad a (n, n, cut + 1) input
-    full = np.zeros((n, n, n // 2 + 1), dtype=complex)
-    full[:, :w, :w] = tall[:, :w]
-    full[:, n - cut:, :w] = tall[:, w:]
-    del tall
+    full = _put_band(band, n)
+    scipy.fft.ifft(full[:, :w, :w], axis=0, norm="forward", overwrite_x=True)
+    scipy.fft.ifft(full[:, n - cut:, :w], axis=0, norm="forward",
+                   overwrite_x=True)
     scipy.fft.ifft(full[..., :w], axis=1, norm="forward", overwrite_x=True)
     samples = scipy.fft.irfft(full, n=n, axis=2, norm="forward")
     samples *= 1.0 / n**3
@@ -192,8 +192,9 @@ def _physical_to_band(samples, cut, n=None, start=0):
     in its sign when the cube is not the whole grid.  The samples go once
     into a zeroed (b, b, n) array, whose rfft along the last axis gives
     the same bits in one call as line by line.  Under tracemalloc,
-    make_forcing, the one whole-grid caller, peaks at 6.6 MB at n = 64 and
-    51.7 MB at n = 128, below a Picard step's 11.6 and 87.1 MB; glibc
+    make_forcing, the one whole-grid caller, peaks with a seed at 6.6 MB
+    at n = 64 and 51.7 MB at n = 128 (4.4 and 34.3 MB for the shear
+    triple), below a Picard step's 11.6 and 87.1 MB; glibc
     returns those temporaries, so each whole-grid call faults them in
     again (about 1,000 minor faults and 3 ms at n = 64).
     """
@@ -482,12 +483,9 @@ def make_forcing(n, amplitude, seed=None):
         # the triple holds the integer frequency 1 alone; its band of cut
         # 1 drops only the transform's round-off outside it
         wave = amplitude * np.sin(0.5 * _axis(n))
-        comp = np.empty((n, n, n))
-        band = []
-        for shape in ((1, n, 1), (1, 1, n), (n, 1, 1)):
-            comp[...] = wave.reshape(shape)
-            band.append(_physical_to_band(comp, 1))
-        return SpectralField(np.stack(band), n)
+        return SpectralField(np.stack([
+            _physical_to_band(np.broadcast_to(wave.reshape(shape), (n,) * 3), 1)
+            for shape in ((1, n, 1), (1, 1, n), (n, 1, 1))]), n)
     cut = min(3, n // 3)
     rng = np.random.default_rng(seed)
     # three (n, n, n) draws continue the stream as one (3, n, n, n) draw
@@ -632,10 +630,11 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9):
     records the run from v = 0; a second run from v0 = Phi(0) / 2 always
     follows, and the W^{1,r} distance between the two fixed points is
     reported, the numerical counterpart of the uniqueness argument.
-    Phi(0) = StokesSolve(P_B f) is the first run's first iterate, so that
-    start costs no step; it lies in the contraction ball (on the segment
-    from 0 to Phi(0)) but not on the first run's trajectory, so the two
-    runs are independent witnesses.  The iterates are bands of cut n // 3
+    Phi(0) = StokesSolve(P_B f) is re-derived from the forcing's band, as
+    picard_step computes it for the zero band, so that start costs no
+    transform; it lies in the contraction ball (on the segment from 0 to
+    Phi(0)) but not on the first run's trajectory, so the two runs are
+    independent witnesses.  The iterates are bands of cut n // 3
     from the zero band on (see picard_step).
     """
     r = float(r)
@@ -648,11 +647,9 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9):
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
 
-    phi0 = []   # Phi(0), the traced run's first iterate, until it is halved
-
     def iterate(v, trace):
-        """(last iterate, whether it converged); the traced run puts its
-        first iterate in phi0, and a run keeps only its first norm."""
+        """(last iterate, whether it converged); a run keeps only its
+        first norm."""
         # v is rebound each step, so the start is released after one
         first_norm = None
         for _ in range(max_iters):
@@ -664,8 +661,6 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9):
                 trace.increments.append(increment)
             if first_norm is None:
                 first_norm = norm
-                if trace is not None:
-                    phi0.append(v_next)
             v = v_next
             # on overflow an inf first norm bounds nothing and NaN fails
             # every comparison, so a non-finite norm counts by itself
@@ -683,7 +678,7 @@ def run_contraction(drift, forcing, r=2.0, max_iters=40, tol=1e-9):
     v_star, converged = iterate(SpectralField.zeros(n, n // 3), trace)
     trace.converged = converged
     trace.residual = (v_star - picard_step(v_star, drift, forcing)).w1r(r)
-    # popped, Phi(0) is released once halved, and the half after one step
-    v_alt, _ = iterate(0.5 * phi0.pop(), None)
+    v_alt, _ = iterate(
+        0.5 * stokes_solve(SpectralField(forcing._band(n // 3), n)), None)
     trace.uniqueness_distance = (v_star - v_alt).w1r(r)
     return trace

@@ -28,8 +28,7 @@ def high_precision_beta(A, dps=50):
 def equivariance_defect(params, R, x):
     """max |U^{Rb}(Rx) - R U^b(x)| over the points x, for a rotation R."""
     pts = np.reshape(np.asarray(x, dtype=float), (-1, 3))
-    rotated = LandauParams(b=R @ params.b, A=params.A, beta=params.beta,
-                           axis=R @ params.axis)
+    rotated = LandauParams(A=params.A, beta=params.beta, axis=R @ params.axis)
     lhs = landau_eval(rotated, pts @ R.T).u
     rhs = landau_eval(params, pts).u @ R.T
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
@@ -113,11 +112,11 @@ class TestLandauParams:
 
     def test_inconsistent_pairs_rejected(self):
         with pytest.raises(ValueError):
-            LandauParams(b=[0, 0, 1.0], A=2.0, beta=1.0, axis=[0, 0, 1.0])
+            LandauParams(A=2.0, beta=1.0, axis=[0, 0, 1.0])
         with pytest.raises(ValueError):
-            LandauParams(b=[0, 0, 0.0], A=5.0, beta=0.0, axis=[0, 0, 1.0])
+            LandauParams(A=5.0, beta=0.0, axis=[0, 0, 1.0])
         with pytest.raises(ValueError):
-            LandauParams(b=[0, 0, 2.0], A=np.inf, beta=2.0, axis=[0, 0, 1.0])
+            LandauParams(A=np.inf, beta=2.0, axis=[0, 0, 1.0])
         with pytest.raises(ValueError):
             LandauParams.from_shape(2.0, axis=[0.0, 0.0, 0.0])
 

@@ -159,7 +159,7 @@ class TestFluxIntegral:
             Q[:, 0] = -Q[:, 0]
         params = LandauParams.from_shape(2.0)
         b = flux_integral(LandauField(params), 1.0)
-        rotated = LandauParams(b=Q @ params.b, A=params.A, beta=params.beta,
+        rotated = LandauParams(A=params.A, beta=params.beta,
                                axis=Q @ params.axis)
         b_rot = flux_integral(LandauField(rotated), 1.0)
         assert np.linalg.norm(b_rot - Q @ b) < 1e-10 * np.linalg.norm(b)

@@ -424,16 +424,17 @@ class TestTransformBudget:
     def test_picard_step_streams_single_components(self, calls, with_drift):
         # 3 band inverses bring v's dealiased band to physical space, then
         # one band forward per tensor entry; each is one-axis passes on the
-        # columns the band reaches, none a full 3-D transform, the forward
-        # axis-1 pass in place on each of the band's two blocks of rows
+        # columns the band reaches, none a full 3-D transform, the inverse
+        # axis-0 pass in place on each of the band's two blocks of columns
+        # and the forward axis-1 pass on each of its two blocks of rows
         drift = drift_beta_half() if with_drift else zero_drift()
         forcing = make_forcing(N, 1e-3)
         v = stokes_solve(forcing)
         calls.clear()
         picard_step(v, drift, forcing)
-        c, w = N // 3, 2 * (N // 3) + 1
-        band_inverse = [("ifft", (N, w, c + 1)), ("ifft", (N, N, c + 1)),
-                        ("irfft", (N, N, N // 2 + 1))]
+        c = N // 3
+        band_inverse = [("ifft", (N, c + 1, c + 1)), ("ifft", (N, c, c + 1)),
+                        ("ifft", (N, N, c + 1)), ("irfft", (N, N, N // 2 + 1))]
         band_forward = [("rfft", (N, N, N)), ("fft", (N, N, c + 1)),
                         ("fft", (c + 1, N, c + 1)), ("fft", (c, N, c + 1))]
         assert calls == band_inverse * 3 + band_forward * 6
@@ -910,6 +911,8 @@ class TestBandTransforms:
                     (scipy.fft.fft, half[:, box], 0, "backward"),
                     (scipy.fft.fft, half[:cut + 1], 1, "backward"),
                     (scipy.fft.fft, half[n - cut:], 1, "backward"),
+                    (scipy.fft.ifft, full[:, :w, :w], 0, "forward"),
+                    (scipy.fft.ifft, full[:, n - cut:, :w], 0, "forward"),
                     (scipy.fft.ifft, full[..., :w], 1, "forward")):
                 expected = transform(view.copy(), axis=axis, norm=norm)
                 got = transform(view, axis=axis, norm=norm, overwrite_x=True)
