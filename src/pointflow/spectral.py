@@ -53,14 +53,14 @@ the last axis, then fft along the first and the second), or irfftn's in
 reverse, each on only the columns the band reaches, one component at a
 time.  The inverse pads a band once, into the zero-filled half spectrum,
 and runs its axis-0 pass as two in-place calls there, one per block of
-the band's columns.  The drift's samples vanish outside a cube around the origin, so
-its forward passes also skip the lines that are zero there; a zero line
-transforms to zeros, up to the sign of a zero.  The inverse runs its
-passes unscaled and applies irfftn's 1 / n^3 once, at the end; so the
-pruned transforms keep the bits of the full 3-D ones on the zero-filled
-half spectrum, while scaling after the first pass would not unless n is
-a power of two.  The Picard step brings v's
-band to physical space, forms the 6 distinct entries of the symmetric
+the band's columns.  The drift's samples vanish outside a cube around
+the origin, so its forward passes also skip the lines that are zero
+there; a zero line transforms to zeros, up to the sign of a zero.  The
+inverse runs its passes unscaled and applies irfftn's 1 / n^3 once, at
+the end; so the pruned transforms keep the bits of the full 3-D ones on
+the zero-filled half spectrum, while scaling after the first pass would
+not unless n is a power of two.  The Picard step brings v's band to
+physical space, forms the 6 distinct entries of the symmetric
 tensor on the full grid (the only stage that needs it), a slab of
 axis-0 planes at a time, each slab's rfft along the last axis straight
 after its products, finishes each entry's transform to the band, and
