@@ -29,8 +29,8 @@ in place.
 Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (a bad,
 malformed, missing or conflicting flag, counts above the node cap and
 points outside 1e-50 < |x| < 1e50 included; the message names the flag
-or file), 3 numerical failure, 4 out-of-regime (Picard divergence
-detector).
+or file), 3 numerical failure (a MemoryError included, named with the
+subcommand), 4 out-of-regime (Picard divergence detector).
 """
 
 import argparse
@@ -263,7 +263,8 @@ def _load_grid_field(path):
     interpolates each node set once.  It runs NODE_BLOCK nodes at a time
     into one (m, 4) output, so its temporaries stay a fixed size however
     many nodes a probe asks for; trilinear interpolation works node by
-    node, so the blocks keep every bit.
+    node, so the blocks keep every bit.  A node outside the samples raises
+    the interpolator's ValueError, from the first block that leaves them.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -295,12 +296,6 @@ def _load_grid_field(path):
 
     def samples(pts):
         """(m, 4) interpolated (ux, uy, uz, p), NODE_BLOCK nodes at a time."""
-        # the interpolator's own bounds check, over every node at once, so
-        # the first failing axis is the one a single call would name
-        for axis, (coord, grid) in enumerate(zip(pts.T, (xs, ys, zs))):
-            if not (np.all(grid[0] <= coord) and np.all(coord <= grid[-1])):
-                raise ValueError("One of the requested xi is out of bounds "
-                                 f"in dimension {axis}")
         out = np.empty((len(pts), 4))
         for a in range(0, len(pts), NODE_BLOCK):
             out[a:a + NODE_BLOCK] = interp(pts[a:a + NODE_BLOCK])
@@ -657,6 +652,7 @@ def cmd_norms(args):
         probe = _probe(args.field, "norms --decay", ("landau",))
         ref = _probe("landau:" + args.ref, "norms --decay", ("landau",),
                      "--ref").params
+        # the same force, not equal params: one b can come with A's ulps apart
         graded = probe.params.b.tolist() == ref.b.tolist()
         _require(graded or "--tol" not in given,
                  "--tol grades nothing in norms --decay against another force")
@@ -832,39 +828,38 @@ def main(argv=None):
         # argparse exits with 2 on usage errors, matching EXIT_CONFIG
         return exc.code if exc.code else EXIT_PASS
 
+    command = "-".join(filter(None, [args.subcommand,
+                                     getattr(args, "mode", None)]))
     csv_path = getattr(args, "csv", None)
     start = time.perf_counter()
     try:
-        payload, passed, *rows = args.func(args)
-        code = EXIT_FAIL if passed is False else EXIT_PASS
-    except ContractionDivergedError as exc:
-        print(f"out of regime: {exc}", file=sys.stderr)
-        payload, passed, code = {"diverged": True}, False, EXIT_OUT_OF_REGIME
-        # a diverged run has no trace table, so its --csv is left alone
-        csv_path, rows = None, ()
-        if exc.trace is not None:
-            payload.update(iterations=exc.trace.iterations,
-                           norms=exc.trace.norms,
-                           increments=exc.trace.increments,
-                           ratios=exc.trace.ratios)
+        try:
+            payload, passed, *rows = args.func(args)
+            code = EXIT_FAIL if passed is False else EXIT_PASS
+        except ContractionDivergedError as exc:
+            print(f"out of regime: {exc}", file=sys.stderr)
+            payload, passed = {"diverged": True}, False
+            code = EXIT_OUT_OF_REGIME
+            # a diverged run has no trace table, so its --csv is left alone
+            csv_path, rows = None, ()
+            if exc.trace is not None:
+                payload.update(iterations=exc.trace.iterations,
+                               norms=exc.trace.norms,
+                               increments=exc.trace.increments,
+                               ratios=exc.trace.ratios)
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("func", "given") and v is not None}
+        _emit(_report(command, config, payload, passed), args.output,
+              time.perf_counter() - start, csv_path, *rows)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
+        # numpy's _ArrayMemoryError is a MemoryError; a bare one has no text
+        reason = (f"{command} ran out of memory ({str(exc) or 'MemoryError'})"
+                  if isinstance(exc, MemoryError) else exc)
+        print(f"numerical failure: {reason}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    command = "-".join(filter(None, [args.subcommand,
-                                     getattr(args, "mode", None)]))
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "given") and v is not None}
-    report = _report(command, config, payload, passed)
-    try:
-        _emit(report, args.output, time.perf_counter() - start, csv_path,
-              *rows)
-    except (ConfigError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     return code
 
 

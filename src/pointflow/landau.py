@@ -132,11 +132,10 @@ def A_from_beta(beta):
     Monotonicity of beta(A) guarantees the bracket A in (1 + 1e-9, 1e8).
     The root is located in s = log(A - 1) for uniform relative accuracy
     across fourteen decades; round trips beta_from_A(A_from_beta(b)) = b
-    hold to better than 1e-10 relative.
+    hold to better than 1e-10 relative.  A beta outside [BETA_MIN,
+    BETA_MAX], NaN and beta <= 0 included (BETA_MIN > 0), raises ValueError.
     """
     beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0.0:
-        raise ValueError("force magnitude must be a finite positive number")
     if not (BETA_MIN <= beta <= BETA_MAX):
         raise ValueError(
             f"force magnitude {beta:g} outside invertible range "
@@ -164,7 +163,7 @@ class LandauParams:
     parameter tied to beta through the force-shape relation.  The
     point-force vector b = beta * axis is derived, not stored.  The zero
     solution is encoded by the sentinel A = inf, where every field
-    evaluation returns zero.
+    evaluation returns zero.  == and hash compare (A, beta, axis).
     """
 
     A: float
@@ -235,6 +234,15 @@ class LandauParams:
     def zero(cls):
         """The zero solution (no point force)."""
         return cls(A=np.inf, beta=0.0, axis=E_Z.copy())
+
+    def _key(self):
+        return self.A, self.beta, tuple(self.axis.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, LandauParams) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def b(self):

@@ -205,12 +205,8 @@ def ball_samples(f, radius, n_r=400, n_theta=16, n_phi=None):
 
     f is a vectorized callable on (m, 3) points returning scalars (take a
     magnitude first for vector fields).  Returns (values, weights), shell
-    by shell from the center out.  f is called on groups of whole shells
-    of at most NODE_BLOCK nodes (one shell when a shell is larger), the
-    outermost group first: every shell is a positive multiple of one unit
-    rule with nodes of both signs on every axis, so the outermost shell
-    holds each axis' extreme coordinates, and an f that checks bounds axis
-    by axis fails on the first group as on one call over every node.
+    by shell from the center out, the order in which f is called on groups
+    of whole shells of at most NODE_BLOCK nodes (one shell if larger).
     """
     radius = float(radius)
     if radius <= 0.0:
@@ -225,10 +221,9 @@ def ball_samples(f, radius, n_r=400, n_theta=16, n_phi=None):
     k = unit.n_nodes
     shells = max(NODE_BLOCK // k, 1)
     values = np.empty(n_r * k)
-    for stop in range(n_r, 0, -shells):
-        start = max(stop - shells, 0)
-        pts = edges[start:stop, None, None] * unit.nodes[None, :, :]
-        values[start * k:stop * k] = np.abs(
+    for start in range(0, n_r, shells):
+        pts = edges[start:start + shells, None, None] * unit.nodes[None, :, :]
+        values[start * k:(start + shells) * k] = np.abs(
             np.asarray(f(pts.reshape(-1, 3)), dtype=float)).reshape(-1)
     weights = (cell_volumes[:, None]
                * (unit.weights / (4.0 * np.pi))[None, :]).reshape(-1)

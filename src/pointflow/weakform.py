@@ -131,7 +131,7 @@ class TestFunction:
 
 def weak_residual(field, phi, rule=None, n_r=32, n_theta=32):
     """Distributional momentum pairing of a flow probe against one
-    TestFunction phi.
+    TestFunction phi, the velocity taken NODE_BLOCK nodes at a time.
 
     Returns the quadrature value of
 
@@ -150,20 +150,22 @@ def weak_residual(field, phi, rule=None, n_r=32, n_theta=32):
     if rule is None:
         rule = ball_shell_rule(phi.plateau_radius, phi.support_radius,
                                n_r, n_theta, center=phi.center)
-    return _pairing(field.velocity(rule.nodes), phi, rule)
+    return _pairings(field, [phi], rule)[0]
 
 
-def _pairing(u, phi, rule):
-    """The pairing integral from the velocity u on the nodes of rule: the
-    integrand is formed NODE_BLOCK nodes at a time and summed by one dot,
-    so the value keeps the bits of a pass over every node at once."""
-    integrand = np.empty(len(u))
-    for a in range(0, len(u), NODE_BLOCK):
+def _pairings(field, phis, rule):
+    """The pairing against each of phis on rule: the velocity is evaluated
+    NODE_BLOCK nodes at a time, and each integrand, one array summed by one
+    dot, keeps the bits of a pass over every node at once."""
+    integrands = [np.empty(rule.n_nodes) for _ in phis]
+    for a in range(0, rule.n_nodes, NODE_BLOCK):
         s = slice(a, a + NODE_BLOCK)
-        nodes, v = rule.nodes[s], u[s]
-        integrand[s] = (-np.einsum("ki,ki->k", v, phi.laplacian(nodes))
-                        - np.einsum("ki,kj,kji->k", v, v, phi.gradient(nodes)))
-    return float(rule.weights @ integrand)
+        nodes = rule.nodes[s]
+        v = field.velocity(nodes)
+        for out, phi in zip(integrands, phis):
+            out[s] = (-np.einsum("ki,ki->k", v, phi.laplacian(nodes))
+                      - np.einsum("ki,kj,kji->k", v, v, phi.gradient(nodes)))
+    return [float(rule.weights @ integrand) for integrand in integrands]
 
 
 @dataclass(frozen=True)
@@ -185,14 +187,13 @@ def extract_force_weak(field, center=(0.0, 0.0, 0.0), a=0.5, b=1.0,
     Pairs the field against TestFunction(center, a, b, e_k) for the
     directions e_x, e_y, e_z; when the plateau contains the singularity each
     pairing returns one Cartesian component of the point force.  The
-    velocity is evaluated once over all nodes of the shared rule,
-    ball_shell_rule(a, b, n_r, n_theta) about center, and paired in node
-    blocks; each component equals weak_residual(field, phi_k, rule=rule)
+    velocity is evaluated once per node block of the shared rule,
+    ball_shell_rule(a, b, n_r, n_theta) about center, and paired there with
+    all three; each component equals weak_residual(field, phi_k, rule=rule)
     bitwise.
     """
     rule = ball_shell_rule(a, b, n_r, n_theta,
                            center=np.asarray(center, dtype=float))
-    u = field.velocity(rule.nodes)
-    components = [_pairing(u, TestFunction(center, a, b, c), rule)
-                  for c in np.eye(3)]
+    components = _pairings(field, [TestFunction(center, a, b, c)
+                                   for c in np.eye(3)], rule)
     return WeakResidual(value=np.array(components), n_nodes=rule.n_nodes)

@@ -16,10 +16,16 @@ import pytest
 from pointflow import (FlowField, LandauField, LandauParams, ball_samples,
                        extract_force_weak, flux_integral, make_mollified_drift,
                        run_contraction)
+from pointflow import cli
 from pointflow.cli import (_MAX_NODES, EXIT_CONFIG, EXIT_FAIL,
-                           EXIT_OUT_OF_REGIME, EXIT_PASS, build_parser, main,
-                           parse_field_spec)
+                           EXIT_NUMERICAL, EXIT_OUT_OF_REGIME, EXIT_PASS,
+                           build_parser, main, parse_field_spec)
 from pointflow.landau import BETA_MAX, BETA_MIN
+
+try:   # numpy's own MemoryError, which the tests make without allocating
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:   # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
 
 BETA_A2 = 34.766840318785736
 
@@ -607,6 +613,42 @@ class TestFailureModes:
         code, _ = run(tmp_path, "flux", "--field", f"grid:{grid_path}",
                       "--radii", "1.5")
         assert code == 3
+
+
+def raising(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+class TestMemoryError:
+    """A MemoryError, raised here by patching and never by allocating,
+    exits 3 with one stderr line that names the subcommand."""
+
+    @pytest.mark.parametrize("error, text", [
+        (MemoryError(), "MemoryError"),
+        (_ArrayMemoryError((2**40,), np.dtype(float)),
+         "Unable to allocate 8.00 TiB for an array with shape "
+         "(1099511627776,) and data type float64")])
+    def test_of_a_command(self, tmp_path, capsys, monkeypatch, error, text):
+        monkeypatch.setattr(cli, "flux_integral", raising(error))
+        code, report = run(tmp_path, "flux", "--field", "landau:A=2",
+                           "--radii", "1")
+        assert code == EXIT_NUMERICAL and report is None
+        assert capsys.readouterr().err == (
+            f"numerical failure: flux ran out of memory ({text})\n")
+
+    @pytest.mark.parametrize("argv, command", [
+        (["verify", "weak", "--field", "landau:A=2", "--n-r", "4",
+          "--n-theta", "4", "--tol", "1"], "verify-weak"),
+        (["norms", "--sweep-beta", "1:2:3"], "norms")])
+    def test_of_the_report(self, tmp_path, capsys, monkeypatch, argv,
+                           command):
+        monkeypatch.setattr(cli, "_emit", raising(MemoryError()))
+        code, report = run(tmp_path, *argv)
+        assert code == EXIT_NUMERICAL and report is None
+        assert capsys.readouterr().err == (
+            f"numerical failure: {command} ran out of memory (MemoryError)\n")
 
 
 class TestAdditionalSurfaces:

@@ -5,14 +5,19 @@ Each flag's value is drawn from edge classes (0, -1, NaN, +-inf, 1e+-300,
 from a file in one temporary directory (which an earlier run may have
 written), "" and a path in a missing directory, and each field spec from
 landau: specs with those values, zero, r^-1, r^-2, an unknown kind and a
-missing grid: file.  Counts stay tiny, so a run takes milliseconds; counts
-at the node cap stay with test_cli's type checks.
+missing grid: file.  Four input files are drawn as grid: specs and as
+--points-file: a small valid export of a Landau field on a 4^3 grid, its
+header alone, the export with a bad row and the export with a node
+missing.  Counts stay tiny, so a run takes milliseconds; counts at the
+node cap stay with test_cli's type checks.
 
 Every run must return from main without an exception or a warning, with
-exit 0, 1, 2 or 4: no grid: file is ever read, so no probe leaves its
-samples (the one documented exit 3).  An exit 2 must name a flag or a
-file.  Every option string of every subcommand of build_parser must be
-drawn, so a new flag fails until it is drawn here.  Hypothesis draws with
+exit 0, 1, 2 or 4, or with exit 3 and a "numerical failure:" line when
+its --field is the valid grid: a probe asked for a node outside its
+samples (the one documented exit 3).  A run that reads one of the three
+bad files exits 2.  An exit 2 must name a flag or a file.  Every option
+string of every subcommand of build_parser, and every input file under
+both flags, must be drawn, so a new flag fails until it is drawn here.  Hypothesis draws with
 derandomize=True and a fixed example budget, so every run checks the same
 argv.
 """
@@ -26,11 +31,14 @@ import re
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointflow.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OUT_OF_REGIME,
-                           EXIT_PASS, build_parser, main)
+from pointflow import LandauField, LandauParams
+from pointflow.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERICAL,
+                           EXIT_OUT_OF_REGIME, EXIT_PASS, POINT_CSV_COLUMNS,
+                           build_parser, main)
 
 EDGES = ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
          "1e49", "1e-49", "", "abc"]
@@ -39,6 +47,41 @@ MISSING = "no-such-dir/missing.csv"
 TMP = tempfile.TemporaryDirectory()
 PATHS = st.sampled_from([os.path.join(TMP.name, "a.json"),
                          os.path.join(TMP.name, "b.csv"), "", MISSING])
+
+
+def export_rows(n=4, half=1.6):
+    """The x,y,z,ux,uy,uz,p rows of landau:A=2 on an n^3 cell-centred grid
+    over [-half, half]^3, as number text."""
+    x = -half + 2.0 * half / n * (np.arange(n) + 0.5)
+    pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), -1).reshape(-1, 3)
+    state = LandauField(LandauParams.from_shape(2.0))(pts)
+    rows = np.column_stack([pts, state.u, state.p]).tolist()
+    return [[repr(v) for v in row] for row in rows]
+
+
+def write_input(name, rows):
+    path = os.path.join(TMP.name, name)
+    with open(path, "w") as fh:
+        fh.write("".join(",".join(row) + "\n"
+                         for row in [POINT_CSV_COLUMNS, *rows]))
+    return path
+
+
+ROWS = export_rows()
+VALID = write_input("valid.csv", ROWS)
+HEADER_ONLY = write_input("header.csv", [])
+# a y cell, which a points file reads too
+BAD_ROW = write_input("bad-row.csv", ROWS[:5] + [
+    [ROWS[5][0], "abc", *ROWS[5][2:]]] + ROWS[6:])
+MISSING_NODE = write_input("missing-node.csv", ROWS[:-1])
+INPUTS = [VALID, HEADER_ONLY, BAD_ROW, MISSING_NODE]
+# the (flag, file) pairs that must exit 2; a node missing is no fault in a
+# points file
+FAULTY = {("--field", HEADER_ONLY), ("--field", BAD_ROW),
+          ("--field", MISSING_NODE), ("--points-file", HEADER_ONLY),
+          ("--points-file", BAD_ROW)}
+GRIDS = st.sampled_from(INPUTS).map("grid:{}".format)
+POINTS_FILES = st.sampled_from(INPUTS)
 
 
 def sometimes(edges, *valid):
@@ -65,7 +108,8 @@ SPECS = sometimes(st.one_of(
     st.sampled_from(["r^-1", "r^-2", "landau:C=2", "landau:A", "torus",
                      f"grid:{MISSING}"]),
     st.builds("landau:{}={}".format, st.sampled_from(["A", "beta"]),
-              st.sampled_from(EDGES))), "landau:A=2", "landau:beta=5", "zero")
+              st.sampled_from(EDGES)), GRIDS),
+    "landau:A=2", "landau:beta=5", "zero")
 
 
 def flag(name, values=None, required=False):
@@ -101,7 +145,7 @@ LANDAU = argv(
         lambda name: flag(name, value("2", "5"), True)),
     flag("--axis", items("0,0,1", "1e49,1e49,0")),
     st.one_of(flag("--point", items("0,0,1", "1,2,3"), True),
-              flag("--points-file", PATHS, True)),
+              flag("--points-file", st.one_of(PATHS, POINTS_FILES), True)),
     flag("--csv", PATHS), *common())
 FLUX = argv(
     "flux", flag("--field", SPECS, True),
@@ -147,8 +191,21 @@ NORMS = st.one_of(
         st.tuples(value("1"), value("2"), value("3")).map(":".join)), True),
          foreign("--field", SPECS), *common()))
 
+# runs that read an input file, their other flags valid
+FILE_RUNS = st.one_of(
+    argv("landau", "--A=2", flag("--points-file", POINTS_FILES, True)),
+    argv("flux", flag("--field", GRIDS, True), "--n-theta=8", "--tol=1",
+         flag("--radii", st.sampled_from(["1", "0.5,2"]), True)),
+    argv("verify", "selfsim", flag("--field", GRIDS, True), "--lambda=0.5",
+         "--samples=10"),
+    argv("norms", "--weak-l3", flag("--field", GRIDS, True),
+         flag("--domain", st.sampled_from(["ball:1", "ball:1.5"]), True),
+         "--resolution=4,2,4"))
+
 # the option strings drawn for each subcommand, by its words
 DRAWN = collections.defaultdict(set)
+# the input files drawn, as (flag, path)
+READ = set()
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -168,17 +225,28 @@ def subcommands(parser, words=()):
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
-@given(argv=st.one_of(LANDAU, FLUX, WEAK, NS, SELFSIM, PICARD, NORMS))
+@given(argv=st.one_of(LANDAU, FLUX, WEAK, NS, SELFSIM, PICARD, NORMS,
+                      FILE_RUNS))
 def exit_contract(argv):
     words = tuple(a for a in argv if not a.startswith("--"))
     DRAWN[words].update(a.split("=")[0] for a in argv if a.startswith("--"))
+    inputs = {(name, path)
+              for name, _, value in (a.partition("=") for a in argv)
+              if (path := value.removeprefix("grid:")) in INPUTS}
+    READ.update(inputs)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         code = main(argv)
-    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_OUT_OF_REGIME), (
-        err.getvalue())
+    if inputs & FAULTY:
+        assert code == EXIT_CONFIG, err.getvalue()
+    if code == EXIT_NUMERICAL:
+        assert ("--field", VALID) in inputs, err.getvalue()
+        assert err.getvalue().startswith("numerical failure:")
+    else:
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG,
+                        EXIT_OUT_OF_REGIME), err.getvalue()
     if code == EXIT_CONFIG:
         assert re.search("|".join(["--[a-z]", re.escape(MISSING),
                                    re.escape(TMP.name)]), err.getvalue()), (
@@ -187,7 +255,10 @@ def exit_contract(argv):
 
 def test_generated_argv_keeps_the_exit_contract():
     DRAWN.clear()
+    READ.clear()
     exit_contract()
+    assert READ == {(flag, path) for flag in ("--field", "--points-file")
+                    for path in INPUTS}
     for words, parser in subcommands(build_parser()):
         options = {option for action in parser._actions
                    for option in action.option_strings} - {"-h", "--help"}

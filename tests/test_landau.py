@@ -159,6 +159,29 @@ class TestLandauParams:
         with pytest.raises(ValueError, match="A <= "):
             LandauParams.from_shape(A)
 
+    def test_equal_parameters_compare_and_hash(self):
+        params = LandauParams.from_shape(2.0, [0.0, 0.6, 0.8])
+        same = LandauParams.from_shape(2.0, [0.0, 0.6, 0.8])
+        assert params == same and hash(params) == hash(same)
+        assert len({params, same, LandauParams.zero(),
+                    LandauParams.from_magnitude(0.0, [1.0, 0.0, 0.0])}) == 2
+        assert params != LandauParams.from_shape(2.0)
+        assert params != LandauParams.from_shape(3.0, [0.0, 0.6, 0.8])
+        assert params != params.b.tolist()
+
+    def test_equal_force_is_not_equal_parameters(self):
+        # inverting beta(A) can land A an ulp or more off the shape that
+        # gave beta, with the same b (337 of these 400 shapes); so the CLI
+        # compares forces by b
+        apart = 0
+        for A in np.linspace(1.01, 50.0, 400):
+            shaped = LandauParams.from_shape(A)
+            forced = LandauParams.from_magnitude(shaped.beta)
+            assert forced.b.tolist() == shaped.b.tolist()
+            assert (forced == shaped) == (forced.A == shaped.A)
+            apart += forced.A != shaped.A
+        assert apart > 0
+
     def test_shape_at_bracket_end_accepted(self):
         params = LandauParams.from_shape(A_MAX)
         assert params.A == A_MAX

@@ -184,9 +184,11 @@ class TestGridProbe:
         pts = np.zeros((2 * NODE_BLOCK + 7, 3))
         pts[5, 2] = 2.0           # the first block leaves the grid along z,
         pts[-1, 0] = -2.0         # the last along x
+        # the probe raises the interpolator's error of the first block
+        # that leaves the grid
         with pytest.raises(ValueError) as expected:
-            interp(pts)
-        assert "dimension 0" in str(expected.value)
+            interp(pts[:NODE_BLOCK])
+        assert "dimension 2" in str(expected.value)
         with pytest.raises(ValueError) as got:
             probe.velocity(pts)
         assert str(got.value) == str(expected.value)
@@ -201,8 +203,8 @@ class TestGridProbe:
     def test_ball_out_of_bounds_names_the_first_axis(self, tmp_path, capsys):
         # x in [-1, 1], y in [-0.5, 0.5], z in [-2, 2]: the ball of radius
         # 1.5 leaves the grid along x and y, and its shells up to radius 1
-        # only along y; the samples' outermost group comes first, so the
-        # message names dimension 0, as one call over every sample would
+        # only along y; the samples' groups go from the center out, so the
+        # first one that leaves the grid, and the message, name dimension 1
         xs, ys, zs = (np.linspace(-h, h, k) for h, k in ((1, 5), (0.5, 3),
                                                          (2, 9)))
         pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"),
@@ -215,7 +217,7 @@ class TestGridProbe:
         assert code == cli.EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "numerical failure: One of the requested xi is out of bounds in "
-            "dimension 0\n")
+            "dimension 1\n")
 
     @SETTINGS
     @given(arrays(np.float64, 125 * 4, elements=st.one_of(
@@ -260,7 +262,7 @@ def landau_speed(pts):
 
 class TestBlockedBallSamples:
     """ball_samples calls f on groups of whole shells of at most NODE_BLOCK
-    nodes, the outermost first, and keeps the bits of one call."""
+    nodes, from the center out, and keeps the bits of one call."""
 
     @staticmethod
     def check(n_r, n_theta, n_phi, block):
@@ -278,9 +280,9 @@ class TestBlockedBallSamples:
         assert np.array_equal(got[1], want[1])
         per = max(block // shell, 1)
         assert [len(r) for r in calls] == [
-            shell * min(stop, per) for stop in range(n_r, 0, -per)]
-        # whole shells, outermost group first
-        assert all(a.min() > b.max() for a, b in zip(calls, calls[1:]))
+            shell * min(per, n_r - start) for start in range(0, n_r, per)]
+        # whole shells, innermost group first
+        assert all(a.max() < b.min() for a, b in zip(calls, calls[1:]))
 
     # a 2 x 4 rule: 8 nodes per shell
     @pytest.mark.parametrize("block", [5, 8, 20, 24, 64])
@@ -452,11 +454,12 @@ class TestMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the nodes, weights, velocity and integrand take about 72 bytes per
-        # node, and a block's test-function and einsum temporaries about
-        # 290 bytes per node of the block: 7.1 MB at the default 65,536
-        # nodes (108 bytes per node).  Pairing every node at once peaked
-        # at 23.3 MB (355 bytes per node); the bound is 9.6 MB
+        # the nodes, weights and three integrands take 56 bytes per node,
+        # and a block's velocity, test-function and einsum temporaries about
+        # 320 bytes per node of the block: 6.3 MB at the default 65,536
+        # nodes (96 bytes per node).  The velocity of every node at once
+        # peaked at 7.1 MB, and pairing every node at once at 23.3 MB (355
+        # bytes per node); the bound is 9.6 MB
         assert peak <= 96 * m + 400 * NODE_BLOCK
 
 
@@ -505,7 +508,7 @@ class TestBlockedPairing:
             part = first_nodes(rule, m)
             u = field.velocity(part.nodes)
             expected = whole_pairing(u, phi, part)
-            assert weakform._pairing(u, phi, part) == expected
+            assert weakform._pairings(field, [phi], part) == [expected]
             assert weak_residual(field, phi, rule=part) == expected
 
     @settings(max_examples=3, deadline=None, derandomize=True)
@@ -527,7 +530,8 @@ class TestBlockedPairing:
 
 
 class TestCallBudget:
-    """The velocity-only paths call the probe's sampler once."""
+    """The velocity-only paths call the probe's sampler once per node set,
+    or once per NODE_BLOCK block of it."""
 
     @staticmethod
     def counting_field(inner):
@@ -546,6 +550,19 @@ class TestCallBudget:
         field, calls = self.counting_field(LandauField(PARAMS))
         extract_force_weak(field, n_r=8, n_theta=6)
         assert calls == [8 * 6 * 12]
+
+    def test_weak_extraction_evaluates_each_block_once(self):
+        # the default rule, as verify weak runs it: 32 * 32 * 64 nodes
+        points = []
+
+        def samples(pts):
+            points.append(pts)
+            return LandauField(PARAMS).velocity(pts)
+
+        extract_force_weak(CallableField(samples))
+        assert [len(pts) for pts in points] == [NODE_BLOCK] * 8
+        assert np.array_equal(np.concatenate(points),
+                              ball_shell_rule(0.5, 1.0, 32, 32).nodes)
 
     def test_weak_pairing_evaluates_once(self):
         field, calls = self.counting_field(LandauField(PARAMS))
