@@ -12,9 +12,10 @@ Subcommands expose the library operations for reproducible runs:
              sup-speed monotonicity sweep
 
 Every run emits a schema-versioned JSON report that echoes its full
-configuration (including the seed) and carries pass/fail flags that are
-recomputable from the payload alone.  Identical configurations produce
-byte-identical payloads; only the wall-clock duration field varies.
+configuration (--seed only in verify ns, verify selfsim and picard, the
+commands that draw) and carries pass/fail flags that are recomputable
+from the payload alone.  Identical configurations produce byte-identical
+payloads; only the wall-clock duration field varies.
 
 Each flag's value is parsed and range-checked once, by its argparse type
 (number lists keep their text for the config echo), and a landau: spec's
@@ -708,8 +709,6 @@ def build_parser():
     def add_common(p, func, tol=None, tol_help=None):
         p.add_argument("--output", type=_PATH,
                        help="write the JSON report here (default: stdout)")
-        p.add_argument("--seed", type=_at_least(0), default=0,
-                       help="random seed recorded in the report")
         if tol is not None:
             p.add_argument("--tol", type=_POSITIVE, default=tol, help=tol_help)
         p.set_defaults(func=func)
@@ -760,6 +759,7 @@ def build_parser():
     pn.add_argument("--samples", type=_SAMPLES, default=100)
     pn.add_argument("--rmin", type=_RADIUS, default=0.01)
     pn.add_argument("--rmax", type=_RADIUS, default=1.5)
+    pn.add_argument("--seed", type=_at_least(0), default=0)
     add_common(pn, cmd_verify_ns, 1e-4)
 
     ps = vsub.add_parser("selfsim", help="discrete self-similarity deviation")
@@ -767,6 +767,7 @@ def build_parser():
     ps.add_argument("--lambda", type=_between(_RADII[0], 1.0), required=True,
                     dest="lam")
     ps.add_argument("--samples", type=_SAMPLES, default=100)
+    ps.add_argument("--seed", type=_at_least(0), default=0)
     add_common(ps, cmd_verify_selfsim, 1e-12)
 
     p = sub.add_parser("picard", help="contraction run of the Picard map")
@@ -785,6 +786,7 @@ def build_parser():
                    help="force magnitude of the mollified Landau drift")
     p.add_argument("--csv", type=_PATH,
                    help="write iter,increment,ratio rows here")
+    p.add_argument("--seed", type=_at_least(0), default=0)
     add_common(p, cmd_picard, 1e-9)
 
     p = sub.add_parser("norms", help="norm machinery and diagnostic sweeps")

@@ -136,30 +136,6 @@ def ball_shell_rule(r0, r1, n_r, n_theta=16, center=None):
         degree=min(n_r - 3, unit.degree))
 
 
-def _evaluate_or_blame(fld, nodes, what):
-    """Evaluate a probe on nodes; on failure name the offending node."""
-    try:
-        state = fld(nodes)
-    except Exception as exc:
-        for pt in nodes:
-            try:
-                fld(pt[None, :])
-            except Exception:
-                raise RuntimeError(
-                    f"{what}: field evaluation failed at node "
-                    f"({pt[0]:.6g}, {pt[1]:.6g}, {pt[2]:.6g})") from exc
-        raise RuntimeError(f"{what}: field evaluation failed: {exc}") from exc
-    bad = ~(np.all(np.isfinite(state.u), axis=-1)
-            & np.isfinite(state.p)
-            & np.all(np.isfinite(state.grad_u), axis=(-2, -1)))
-    if np.any(bad):
-        pt = nodes[np.flatnonzero(bad)[0]]
-        raise RuntimeError(
-            f"{what}: non-finite field values at node "
-            f"({pt[0]:.6g}, {pt[1]:.6g}, {pt[2]:.6g})")
-    return state
-
-
 def flux_integral(field, radius, n_theta=64):
     """Point force from the outward momentum flux through a sphere.
 
@@ -168,11 +144,12 @@ def flux_integral(field, radius, n_theta=64):
     solution with a point source at the origin the result is independent
     of the radius.  field is a FlowField, called once on the nodes; it
     supplies the velocity gradient: analytic for a LandauField, central
-    differences of the velocity for a CallableField.
+    differences of the velocity for a CallableField.  An exception of the
+    probe propagates unchanged; a non-finite state raises flux_tensor's
+    ValueError.
     """
     rule = sphere_rule(radius, n_theta)
-    state = _evaluate_or_blame(field, rule.nodes, f"flux_integral(R={radius:g})")
-    T = flux_tensor(state)
+    T = flux_tensor(field(rule.nodes))
     normals = rule.nodes / radius
     return np.einsum("k,kij,kj->i", rule.weights, T, normals)
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: reports, exit codes, determinism."""
 
 import argparse
+import ast
 import csv
 import inspect
 import json
@@ -489,11 +490,22 @@ class TestReportContract:
         assert config(first) == config(second)
 
     def test_seed_recorded_and_schema_versioned(self, tmp_path):
-        _, report = run(tmp_path, "flux", "--field", "landau:A=2",
-                        "--radii", "1")
+        _, report = run(tmp_path, "verify", "ns", "--field", "landau:A=2",
+                        "--samples", "10", "--seed", "11")
         assert report["schema_version"] == 1
-        assert "seed" in report["config"]
-        assert report["config"]["subcommand"] == "flux"
+        assert report["config"]["seed"] == 11
+        assert report["config"]["subcommand"] == "verify"
+
+    @pytest.mark.parametrize("argv", [
+        ["landau", "--A", "2", "--point", "0,0,1"],
+        ["flux", "--field", "landau:A=2", "--radii", "1"],
+        ["verify", "weak", "--field", "landau:A=2"],
+        ["norms", "--field", "r^-1", "--weak-l3"]],
+        ids=["landau", "flux", "verify-weak", "norms"])
+    def test_seed_refused_where_nothing_draws(self, tmp_path, capsys, argv):
+        code, report = run(tmp_path, *argv, "--seed", "1")
+        assert code == EXIT_CONFIG and report is None
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_pass_flag_recomputable_from_payload(self, tmp_path):
         _, report = run(tmp_path, "flux", "--field", "landau:A=2",
@@ -522,13 +534,13 @@ class TestReportContract:
     # flag name, default or parsed type shows up here
     DEFAULT_CONFIGS = [
         (["landau", "--A", "2", "--point", "0,0,1"], "landau",
-         {"A": 2.0, "point": ["0,0,1"], "seed": 0, "subcommand": "landau"}),
+         {"A": 2.0, "point": ["0,0,1"], "subcommand": "landau"}),
         (["flux", "--field", "landau:A=2", "--radii", "1"], "flux",
-         {"field": "landau:A=2", "n_theta": 64, "radii": "1", "seed": 0,
+         {"field": "landau:A=2", "n_theta": 64, "radii": "1",
           "subcommand": "flux", "tol": 1e-08}),
         (["verify", "weak", "--field", "landau:A=2"], "verify-weak",
          {"a": 0.5, "b": 1.0, "center": "0,0,0", "field": "landau:A=2",
-          "mode": "weak", "n_r": 32, "n_theta": 32, "seed": 0,
+          "mode": "weak", "n_r": 32, "n_theta": 32,
           "subcommand": "verify", "tol": 0.02}),
         (["verify", "ns", "--field", "landau:A=2"], "verify-ns",
          {"field": "landau:A=2", "mode": "ns", "rmax": 1.5, "rmin": 0.01,
@@ -543,7 +555,7 @@ class TestReportContract:
           "subcommand": "picard", "tol": 1e-09}),
         (["norms", "--field", "r^-1", "--weak-l3"], "norms",
          {"decay": False, "domain": "ball:2", "field": "r^-1", "q": 2.0,
-          "resolution": "400,16,32", "seed": 0,
+          "resolution": "400,16,32",
           "shells": "0.4,0.2,0.1,0.05", "subcommand": "norms",
           "tol": 0.02, "weak_l3": True}),
     ]
@@ -631,12 +643,24 @@ class TestMemoryError:
          "Unable to allocate 8.00 TiB for an array with shape "
          "(1099511627776,) and data type float64")])
     def test_of_a_command(self, tmp_path, capsys, monkeypatch, error, text):
-        monkeypatch.setattr(cli, "flux_integral", raising(error))
-        code, report = run(tmp_path, "flux", "--field", "landau:A=2",
-                           "--radii", "1")
-        assert code == EXIT_NUMERICAL and report is None
-        assert capsys.readouterr().err == (
-            f"numerical failure: flux ran out of memory ({text})\n")
+        calls = []
+
+        def probe(self, pts):
+            calls.append(len(pts))
+            raise error
+
+        # the command's library call, then the probe that call evaluates
+        for target, name, fail in [(cli, "flux_integral", raising(error)),
+                                   (LandauField, "__call__", probe)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, fail)
+                code, report = run(tmp_path, "flux", "--field", "landau:A=2",
+                                   "--radii", "1")
+            assert code == EXIT_NUMERICAL and report is None
+            assert capsys.readouterr().err == (
+                f"numerical failure: flux ran out of memory ({text})\n")
+        # one evaluation of the 2 * 64^2 sphere nodes, none node by node
+        assert calls == [2 * 64**2]
 
     @pytest.mark.parametrize("argv, command", [
         (["verify", "weak", "--field", "landau:A=2", "--n-r", "4",
@@ -1251,3 +1275,21 @@ def test_cli_import_leaves_out_scipy_optimize():
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip() == "False"
+
+
+def test_main_alone_maps_failures_to_exit_codes():
+    # a bare except or a handler of Exception or BaseException would catch
+    # failures that main maps to exit codes; src/pointflow names what it
+    # catches
+    broad = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            kinds = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            if any(kind is None or getattr(kind, "id", getattr(
+                    kind, "attr", None)) in ("Exception", "BaseException")
+                   for kind in kinds):
+                broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []

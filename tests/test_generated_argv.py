@@ -132,10 +132,11 @@ def argv(*parts):
                        for p in parts]).map(lambda ps: sum(ps, []))
 
 
-def common(tol=None):
-    """The flags every subcommand has: --output, --seed and, given its
-    valid value, --tol."""
-    return [flag("--output", PATHS), flag("--seed", value("3")),
+def common(tol=None, seed=False):
+    """--output, --tol given its valid value, and with seed --seed, which
+    only the commands that draw take."""
+    return [flag("--output", PATHS),
+            *([flag("--seed", value("3"))] if seed else []),
             *([flag("--tol", value(tol))] if tol else [])]
 
 
@@ -160,17 +161,17 @@ WEAK = argv(
 NS = argv(
     "verify", "ns", flag("--field", SPECS, True),
     flag("--samples", value("10"), True), flag("--rmin", value("0.01")),
-    flag("--rmax", value("1.5")), *common("1e-4"))
+    flag("--rmax", value("1.5")), *common("1e-4", seed=True))
 SELFSIM = argv(
     "verify", "selfsim", flag("--field", SPECS, True),
     flag("--lambda", value("0.5"), True), flag("--samples", value("10"), True),
-    *common("1e-12"))
+    *common("1e-12", seed=True))
 PICARD = argv(
     "picard", flag("--amp", value("0.1"), True),
     flag("--grid", value("16"), True), flag("--iters", value("3"), True),
     flag("--r", value("2")), flag("--delta-in", value("0.3")),
     flag("--delta-out", value("1.5")), flag("--drift-beta", value("0.5")),
-    flag("--csv", PATHS), *common("1e-9"))
+    flag("--csv", PATHS), *common("1e-9", seed=True))
 # each norms mode with its own flags and sometimes one of another mode
 NORMS = st.one_of(
     argv("norms", st.one_of(flag("--weak-l3", required=True),

@@ -176,21 +176,27 @@ class TestFluxIntegral:
         b = flux_integral(probe, 1.0, n_theta=64)
         assert np.linalg.norm(b - params.b) < 1e-6 * params.beta
 
-    def test_failing_probe_names_the_node(self):
+    def test_failing_probe_propagates_after_one_call(self):
+        calls = []
+
         def bad_velocity(pts):
+            calls.append(len(pts))
             if np.any(pts[:, 2] > 0.5):
                 raise FloatingPointError("synthetic failure")
             return np.zeros_like(pts)
 
         probe = CallableField(bad_velocity)
-        with pytest.raises(RuntimeError, match=r"node \("):
+        with pytest.raises(FloatingPointError, match="^synthetic failure$"):
             flux_integral(probe, 1.0, n_theta=8)
+        # the sampler's first call, on all 2 * 8^2 sphere nodes, raises;
+        # no node is evaluated again on its own
+        assert calls == [2 * 8**2]
 
-    def test_non_finite_probe_names_the_node(self):
+    def test_non_finite_probe_is_refused_by_flux_tensor(self):
         probe = CallableField(
             lambda pts: np.where(pts[:, 2:] > 0.5, np.nan, 0.0)
             * np.ones((len(pts), 3)))
-        with pytest.raises(RuntimeError, match="non-finite"):
+        with pytest.raises(ValueError, match="^flow state must be finite$"):
             flux_integral(probe, 1.0, n_theta=8)
 
 

@@ -53,6 +53,20 @@ def write_grid(path, params=PARAMS, n=12, half=1.6):
     return x, rows
 
 
+def count_interpolated_nodes(monkeypatch):
+    """The list that each RegularGridInterpolator call appends its node
+    count to, from now on."""
+    nodes = []
+    interpolate = RegularGridInterpolator.__call__
+
+    def counted(self, xi, *args, **kwargs):
+        nodes.append(len(xi))
+        return interpolate(self, xi, *args, **kwargs)
+
+    monkeypatch.setattr(RegularGridInterpolator, "__call__", counted)
+    return nodes
+
+
 def cli_open(buf):
     """Make the CLI's open() return buf, whatever the path."""
     return mock.patch.object(cli, "open", lambda *args, **kwargs: buf,
@@ -161,14 +175,7 @@ class TestGridProbe:
     def test_full_evaluation_interpolates_each_node_set_once(
             self, tmp_path, monkeypatch):
         write_grid(tmp_path / "grid.csv")
-        nodes = []
-        interpolate = RegularGridInterpolator.__call__
-
-        def counted(self, xi, *args, **kwargs):
-            nodes.append(len(xi))
-            return interpolate(self, xi, *args, **kwargs)
-
-        monkeypatch.setattr(RegularGridInterpolator, "__call__", counted)
+        nodes = count_interpolated_nodes(monkeypatch)
         code = main(["flux", "--field", f"grid:{tmp_path / 'grid.csv'}",
                      "--radii", "1", "--n-theta", "4", "--tol", "1",
                      "--output", str(tmp_path / "r.json")])
@@ -177,7 +184,7 @@ class TestGridProbe:
         assert sum(nodes) == 7 * 32
 
     def test_out_of_samples_message_is_the_interpolators(self, tmp_path,
-                                                         capsys):
+                                                         capsys, monkeypatch):
         x, rows = write_grid(tmp_path / "grid.csv")
         _, probe = cli.parse_field_spec(f"grid:{tmp_path / 'grid.csv'}")
         interp, _ = self.unblocked(x, rows)
@@ -192,13 +199,22 @@ class TestGridProbe:
         with pytest.raises(ValueError) as got:
             probe.velocity(pts)
         assert str(got.value) == str(expected.value)
-        # the CLI reports it as a numerical failure, exit 3
-        code = main(["norms", "--field", f"grid:{tmp_path / 'grid.csv'}",
-                     "--weak-l3", "--domain", "ball:1.7"])
-        assert code == cli.EXIT_NUMERICAL
-        assert capsys.readouterr().err == (
-            "numerical failure: One of the requested xi is out of bounds in "
-            "dimension 0\n")
+        # the CLI reports it as a numerical failure, exit 3; flux from one
+        # full evaluation of its sphere, not node by node
+        nodes = count_interpolated_nodes(monkeypatch)
+        grid = f"grid:{tmp_path / 'grid.csv'}"
+        for argv in (["norms", "--field", grid, "--weak-l3",
+                      "--domain", "ball:1.7"],
+                     ["flux", "--field", grid, "--radii", "1.7",
+                      "--n-theta", "4"]):
+            nodes.clear()
+            code = main(argv)
+            assert code == cli.EXIT_NUMERICAL
+            assert capsys.readouterr().err == (
+                "numerical failure: One of the requested xi is out of bounds "
+                "in dimension 0\n")
+        # at most u and p at the 2 * 4^2 sphere nodes and u at 6 shifted copies
+        assert len(nodes) <= 7 and set(nodes) == {32}
 
     def test_ball_out_of_bounds_names_the_first_axis(self, tmp_path, capsys):
         # x in [-1, 1], y in [-0.5, 0.5], z in [-2, 2]: the ball of radius
