@@ -175,16 +175,13 @@ _VEC3 = _kept_text(_numbers, lambda v: len(v) == 3 and all(np.isfinite(v)),
 _EQUALS = "; a negative first component takes the = form, --%(dest)s=-1,0,0"
 
 
-def _norm(v):
-    """np.linalg.norm(v), as LandauParams takes it; inf on overflow."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(v)
-
-
-_CENTER = _kept_text(_numbers, lambda v: len(v) == 3 and _norm(v) < _RADII[1],
-                     "three numbers x,y,z with |x| < {:g}".format(_RADII[1]))
+# hypot neither overflows nor underflows; a NaN or inf component fails
+_CENTER = _kept_text(
+    _numbers, lambda v: len(v) == 3 and np.hypot.reduce(v) < _RADII[1],
+    "three numbers x,y,z with |x| < {:g}".format(_RADII[1]))
 _AXIS = _kept_text(
-    _numbers, lambda v: len(v) == 3 and _RADII[0] < _norm(v) < _RADII[1],
+    _numbers, lambda v: len(v) == 3
+    and _RADII[0] < np.hypot.reduce(v) < _RADII[1],
     "three numbers x,y,z with {:g} < |x| < {:g}".format(*_RADII))
 _RADIUS_LIST = _kept_text(
     _numbers, lambda v: all(_RADII[0] < r < _RADII[1] for r in v),
@@ -458,8 +455,7 @@ def _random_sphere_points(seed, n, rmin, rmax):
 def cmd_landau(args):
     axis = _numbers(args.axis) if args.axis else [0.0, 0.0, 1.0]
     # a value in its flag's range can still fail: above about 1e7 the A of
-    # A_from_beta can miss LandauParams' consistency check, and |b| taken
-    # along a non-unit --axis can round one ulp past the range ends
+    # A_from_beta can miss LandauParams' consistency check
     with _naming("--A" if args.A is not None else "--beta"):
         params = (LandauParams.from_shape(args.A, axis) if args.A is not None
                   else LandauParams.from_magnitude(args.beta, axis))

@@ -94,36 +94,30 @@ def _dot(x, v):
 def beta_from_A(A):
     """Force magnitude beta as a function of the shape parameter A > 1.
 
-    Accepts a scalar or an array.  Strictly positive and strictly
-    decreasing: beta -> infinity as A -> 1+ and beta ~ 16 pi / A as
-    A -> infinity.  Raises ValueError for A <= 1 + 1e-9 where the
-    logarithmic singularity destroys double precision.
+    Accepts a scalar (giving a float) or an array, with the same bits for
+    each A: the closed form below _SERIES_SPLIT, the large-A series from it
+    on.  Strictly positive and strictly decreasing: beta -> infinity as
+    A -> 1+ and beta ~ 16 pi / A as A -> infinity.  Raises ValueError for
+    A <= 1 + 1e-9 where the logarithmic singularity destroys double
+    precision.
     """
-    A_arr = np.asarray(A, dtype=float)
-    scalar = A_arr.ndim == 0
-    A_arr = np.atleast_1d(A_arr)
-    if not np.all(np.isfinite(A_arr)) or np.any(A_arr <= A_MIN):
+    a = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(a)) or np.any(a <= A_MIN):
         raise ValueError(f"shape parameter must satisfy A > {A_MIN!r}")
-
-    out = np.empty_like(A_arr)
-    close = A_arr < _SERIES_SPLIT
-    if np.any(close):
-        a = A_arr[close]
-        # log1p keeps the log accurate for moderately large A as well
-        out[close] = (a + 0.5 * a * a * np.log1p(-2.0 / (a + 1.0))
-                      + 4.0 * a / (3.0 * (a * a - 1.0)))
-    if np.any(~close):
-        a = A_arr[~close]
-        x = 1.0 / a
-        x2 = x * x
-        acc = np.zeros_like(a)
-        power = x
-        for coeff in _SERIES_COEFFS:
-            acc += coeff * power
-            power = power * x2
-        out[~close] = acc
-    out *= 16.0 * np.pi
-    return float(out[0]) if scalar else out
+    # log1p keeps the log accurate for moderately large A as well; A^2
+    # overflows above about 1e154, where the series is taken
+    with np.errstate(over="ignore"):
+        closed = (a + 0.5 * a * a * np.log1p(-2.0 / (a + 1.0))
+                  + 4.0 * a / (3.0 * (a * a - 1.0)))
+    x = 1.0 / a
+    x2 = x * x
+    series = np.zeros_like(a)
+    power = x
+    for coeff in _SERIES_COEFFS:
+        series += coeff * power
+        power = power * x2
+    out = np.where(a < _SERIES_SPLIT, closed, series) * (16.0 * np.pi)
+    return float(out) if out.ndim == 0 else out
 
 
 def A_from_beta(beta):
@@ -154,13 +148,23 @@ BETA_MIN = beta_from_A(1.0 + np.exp(_S_BRACKET[1]))
 BETA_MAX = beta_from_A(1.0 + np.exp(_S_BRACKET[0]))
 
 
+def _unit(axis):
+    """axis/|axis| of a finite, nonzero 3-vector."""
+    axis = as_vec3(axis)
+    n = np.linalg.norm(axis)
+    if n == 0.0:
+        raise ValueError("axis must be nonzero")
+    return axis / n
+
+
 @dataclass(frozen=True)
 class LandauParams:
     """Identification (A, beta, axis) of one Landau solution.
 
     beta >= 0 is the force magnitude, axis the unit force direction (an
     arbitrary fixed default e_z when beta = 0), and A is the shape
-    parameter tied to beta through the force-shape relation.  The
+    parameter tied to beta through the force-shape relation; from_shape and
+    from_magnitude keep the A or beta given and axis/|axis|.  The
     point-force vector b = beta * axis is derived, not stored.  The zero
     solution is encoded by the sentinel A = inf, where every field
     evaluation returns zero.  == and hash compare (A, beta, axis).
@@ -193,42 +197,22 @@ class LandauParams:
     @classmethod
     def from_shape(cls, A, axis=E_Z):
         """Parameters from the shape parameter A in (A_MIN, A_MAX] and a
-        force direction."""
+        nonzero force direction, kept as axis/|axis|."""
         if A > A_MAX:
             raise ValueError(f"shape parameter must satisfy A <= {A_MAX:g}")
-        axis = as_vec3(axis)
-        n = np.linalg.norm(axis)
-        if n == 0.0:
-            raise ValueError("axis must be nonzero")
-        axis = axis / n
-        beta = beta_from_A(A)
-        return cls(A=float(A), beta=beta, axis=axis)
-
-    @classmethod
-    def from_force(cls, b):
-        """Parameters from the point-force vector b (b = 0 allowed; a
-        nonzero b whose norm underflows to 0 raises ValueError).  The
-        derived beta * (b / beta) rebuilds b to rounding, and exactly
-        along a coordinate axis."""
-        b = as_vec3(b)
-        beta = float(np.linalg.norm(b))
-        if beta == 0.0:
-            if np.any(b):
-                raise ValueError("the nonzero force's norm underflows to 0")
-            return cls.zero()
-        return cls(A=A_from_beta(beta), beta=beta, axis=b / beta)
+        return cls(A=float(A), beta=beta_from_A(A), axis=_unit(axis))
 
     @classmethod
     def from_magnitude(cls, beta, axis=E_Z):
-        """Parameters from the force magnitude beta >= 0 and a direction."""
+        """Parameters from the force magnitude beta, 0 (the zero solution)
+        or in [BETA_MIN, BETA_MAX], and a nonzero force direction; beta is
+        kept as given and the axis as axis/|axis|, bit for bit."""
         if beta < 0.0:
             raise ValueError(f"force magnitude beta must be >= 0, "
                              f"got {beta!r}")
-        axis = as_vec3(axis)
-        n = np.linalg.norm(axis)
-        if n == 0.0:
-            raise ValueError("axis must be nonzero")
-        return cls.from_force(float(beta) * axis / n)
+        axis = _unit(axis)
+        return cls.zero() if beta == 0.0 else cls(
+            A=A_from_beta(beta), beta=float(beta), axis=axis)
 
     @classmethod
     def zero(cls):

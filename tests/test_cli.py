@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -1103,10 +1104,19 @@ class TestRangeEdges:
         ["flux", "--field", "landau:A=1e8", "--radii", "1", "--tol", "1"],
         ["norms", "--sweep-beta", f"{BETA_MIN!r}:1:3"],
         ["verify", "weak", "--field", "landau:A=2", "--center", "1e49,0,0"],
+        # on a non-unit axis
+        ["landau", "--beta", "5.026548245743665e-07", "--axis=1,2,3",
+         "--point", "0,0,1"],
+        ["landau", "--beta", "3.7", "--axis=0.48,-0.6,0.64", "--point",
+         "0,0,1"],
     ])
     def test_values_inside_the_ranges_run(self, tmp_path, argv):
         code, report = run(tmp_path, *argv)
         assert code in (EXIT_PASS, EXIT_FAIL) and report is not None
+        if argv[:2] == ["landau", "--beta"]:
+            # a landau export keeps its --beta as given
+            assert code == EXIT_PASS
+            assert report["payload"]["beta"] == float(argv[2])
 
 
 def subparsers(parser):
@@ -1158,7 +1168,7 @@ class TestFlagContract:
         # outside [beta(A_MAX), beta_max], the range A_from_beta inverts
         (["landau", "--beta", "1e-9", "--point", "0,0,1"], "--beta"),
         (["landau", "--beta", "1e300", "--point", "0,0,1"], "--beta"),
-        # so small that |b| underflows to 0, which is not the zero solution
+        # far below beta(A_MAX), and not 0, so not the zero solution either
         (["flux", "--field", "landau:beta=1e-320", "--radii", "1"], "--field"),
         (["verify", "weak", "--field", "landau:beta=1e-200"], "--field"),
         (["norms", "--field", "landau:A=2", "--decay", "--ref", "beta=1e-300"],
@@ -1293,3 +1303,21 @@ def test_main_alone_maps_failures_to_exit_codes():
                    for kind in kinds):
                 broad.append(f"{path.name}:{node.lineno}")
     assert broad == []
+
+
+def readme_command_lines():
+    """The pointflow lines of README's "Command line" code block."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines()
+            if line.startswith("pointflow ")]
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_runs(tmp_path, monkeypatch, line):
+    # a CSV the line names is written in the temporary working directory
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)[1:]
+    assert main(argv + ["--output", str(tmp_path / "report.json")]) \
+        == EXIT_PASS

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from pointflow import (
     A_from_beta, CallableField, FlowState, LandauField, LandauParams,
     RescaledField, beta_from_A, flux_tensor, landau_eval, ns_residual,
     sup_speed_on_unit_sphere,
 )
-from pointflow.landau import A_MAX, _Stages
+from pointflow.landau import A_MAX, BETA_MIN, _SERIES_SPLIT, _Stages
 
 # beta(2) evaluated term by term at 50 digits (see oracle test below)
 BETA_A2 = 34.766840318785736
@@ -57,6 +58,16 @@ class TestBetaFromA:
         with pytest.raises(ValueError):
             beta_from_A(0.5)
 
+    def test_scalar_matches_array(self):
+        # on both sides of the switch to the series at A = 20, and where
+        # A^2 overflows in the unused closed form
+        A = np.array([1.5, np.nextafter(_SERIES_SPLIT, 0.0), _SERIES_SPLIT,
+                      np.nextafter(_SERIES_SPLIT, np.inf), 1e3, A_MAX, 1e200])
+        values = beta_from_A(A)
+        for a, value in zip(A, values):
+            scalar = beta_from_A(float(a))
+            assert type(scalar) is float and scalar == value
+
     def test_strictly_decreasing_with_endpoint_bounds(self):
         grid = np.logspace(np.log10(1e-6), np.log10(1e6 - 1.0), 200) + 1.0
         values = beta_from_A(grid)
@@ -99,7 +110,7 @@ class TestLandauParams:
 
     def test_from_force_round_trip(self):
         b = np.array([3.0, -4.0, 12.0])
-        params = LandauParams.from_force(b)
+        params = LandauParams.from_magnitude(np.linalg.norm(b), b)
         assert params.beta == pytest.approx(13.0)
         assert np.allclose(params.axis, b / 13.0)
         assert beta_from_A(params.A) == pytest.approx(13.0, rel=1e-10)
@@ -107,7 +118,7 @@ class TestLandauParams:
     def test_zero_sentinel(self):
         params = LandauParams.zero()
         assert params.is_zero and np.isinf(params.A)
-        params2 = LandauParams.from_force([0.0, 0.0, 0.0])
+        params2 = LandauParams.from_magnitude(0.0)
         assert params2.is_zero
 
     def test_inconsistent_pairs_rejected(self):
@@ -127,16 +138,16 @@ class TestLandauParams:
             LandauParams.from_magnitude(beta, [1.0, 0.0, 0.0])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            LandauParams.from_force([np.nan, 0.0, 0.0])
+        b = np.array([np.nan, 0.0, 0.0])
+        for beta, axis in [(np.linalg.norm(b), b), (1.0, b),
+                           (np.nan, [0.0, 0.0, 1.0])]:
+            with pytest.raises(ValueError):
+                LandauParams.from_magnitude(beta, axis)
 
-    @pytest.mark.parametrize("make, arg", [
-        ("from_force", [0.0, 0.0, 1e-320]),
-        ("from_force", [1e-200, -1e-200, 0.0]), ("from_magnitude", 1e-300)])
-    def test_underflowing_force_rejected(self, make, arg):
-        # |b| rounds to 0, yet b is not the zero force
-        with pytest.raises(ValueError, match="underflows"):
-            getattr(LandauParams, make)(arg)
+    def test_underflowing_force_rejected(self):
+        # below beta(A_MAX), the smallest magnitude A_from_beta inverts
+        with pytest.raises(ValueError, match="outside invertible range"):
+            LandauParams.from_magnitude(1e-300)
 
     @pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [1.0, 2.0, -2.0],
                                       [0.0, -3.0, 0.0]])
@@ -202,20 +213,43 @@ class TestLandauEval:
         assert np.allclose(st.u, [0.0, 0.0, 4.0 / 3.0], rtol=1e-14)
         assert st.p == pytest.approx(-4.0 / 3.0, rel=1e-14)
 
-    def test_stokeslet_limit(self):
-        # for small beta the field approaches the point-force Stokeslet
-        params = LandauParams.from_shape(1e5)
-        beta = params.beta
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(50, 3))
-        st = landau_eval(params, pts)
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(t=strategies.floats(0.0, 1.0),
+           axis=strategies.tuples(*[strategies.floats(-1.0, 1.0)] * 3).filter(
+               lambda v: np.linalg.norm(v) > 0.1),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_stokeslet_limit(self, t, axis, seed):
+        # for small beta, U^b/beta approaches the Stokeslet S a of the unit
+        # force a, and P^b/beta its pressure, with a gap of order beta:
+        # beta log-uniform over [BETA_MIN, 0.5].  The velocity's g1 =
+        # (A^2-1)/d^2 - 1 - c/d cancels to O(1/A), so u and grad u also carry
+        # a rounding of about A eps, which is 0.044 beta at BETA_MIN
+        beta = BETA_MIN * (0.5 / BETA_MIN)**t
+        params = LandauParams.from_magnitude(beta, axis)
+        a = params.axis
+        rounding = 2.0 * params.A * np.finfo(float).eps
+        pts = np.random.default_rng(seed).normal(size=(200, 3))
+        state = landau_eval(params, pts)
         r = np.linalg.norm(pts, axis=1)
         e = pts / r[:, None]
-        stokeslet = beta / (8.0 * np.pi * r[:, None]) * (
-            np.array([0.0, 0.0, 1.0]) + e[:, 2:3] * e)
-        assert np.max(np.linalg.norm(st.u - stokeslet, axis=1)) < 1e-4 * beta
-        p_stokeslet = beta * pts[:, 2] / (4.0 * np.pi * r**3)
-        assert np.max(np.abs(st.p - p_stokeslet)) < 1e-4 * beta
+        c = e @ a
+        u = (a + c[:, None] * e) / (8.0 * np.pi * r[:, None])
+        # d_i u_j of the Stokeslet, (a_i e_j - e_i a_j + c d_ij - 3c e_i e_j)
+        # / (8 pi r^2)
+        grad = (a[:, None] * e[:, None, :] - e[:, :, None] * a
+                + c[:, None, None] * (np.eye(3) - 3.0 * e[:, :, None]
+                                      * e[:, None, :])) / (
+            8.0 * np.pi * r[:, None, None]**2)
+        u_gap = (np.max(np.linalg.norm(state.u / beta - u, axis=1))
+                 / np.max(np.linalg.norm(u, axis=1)))
+        assert 0.005 * beta - rounding <= u_gap <= 0.05 * beta + rounding
+        grad_gap = (np.max(np.linalg.norm(state.grad_u / beta - grad,
+                                          axis=(1, 2)))
+                    / np.max(np.linalg.norm(grad, axis=(1, 2))))
+        assert 0.01 * beta - rounding <= grad_gap <= 0.06 * beta + rounding
+        # r^2 P^b is a function of c alone
+        p_gap = np.max(np.abs(r**2 * state.p / beta - c / (4.0 * np.pi)))
+        assert 0.001 * beta <= p_gap <= 0.002 * beta
 
     def test_zero_params_give_zero_fields(self):
         st = landau_eval(LandauParams.zero(), [0.3, -0.2, 0.9])
@@ -530,7 +564,8 @@ class TestRotationEquivariance:
 
     def test_random_rotations(self):
         rng = np.random.default_rng(23)
-        params = LandauParams.from_force([1.0, 2.0, 2.0])
+        b = np.array([1.0, 2.0, 2.0])
+        params = LandauParams.from_magnitude(np.linalg.norm(b), b)
         pts = rng.normal(size=(20, 3))
         for _ in range(5):
             Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))

@@ -1,11 +1,12 @@
 """The structural identities as properties over random parameters.
 
 Homogeneity, rotation equivariance, radius independence of the flux, the
-A -> beta -> A round trip, idempotence of the Leray projection, the
-plateau, support and divergence of the test functions, and the bitwise
-pointwise evaluation of Landau fields and test functions.  Hypothesis draws
-the parameters with derandomize=True and a fixed example budget, so every
-run checks the same examples; a seed it draws fixes the numpy points.
+A -> beta -> A round trip, the beta and axis that from_magnitude keeps,
+idempotence of the Leray projection, the plateau, support and divergence
+of the test functions, and the bitwise pointwise evaluation of Landau
+fields and test functions.  Hypothesis draws the parameters with
+derandomize=True and a fixed example budget, so every run checks the same
+examples; a seed it draws fixes the numpy points.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from pointflow import (
     A_from_beta, LandauField, LandauParams, beta_from_A, flux_integral,
     landau_eval, leray_project, ns_residual, weakform,
 )
-from pointflow.landau import A_MAX, A_MIN, _as_points, _Stages
+from pointflow.landau import A_MAX, A_MIN, BETA_MIN, _as_points, _Stages
 from pointflow.quadrature import NODE_BLOCK
 from test_landau import equivariance_defect
 from test_spectral import divergence_defect, from_physical
@@ -84,6 +85,17 @@ def test_shape_magnitude_round_trip(exponent):
     # A - 1 log-uniform over [1e-6, 1e6]
     A = 1.0 + 10.0**exponent
     assert abs(A_from_beta(beta_from_A(A)) - A) <= 1e-9 * A
+
+
+@PROPERTY
+@given(t=st.floats(0.0, 1.0), axis=vectors)
+def test_magnitude_and_axis_are_kept(t, axis):
+    # beta log-uniform over [BETA_MIN, 1e6], below the 1e7 where A_from_beta's
+    # A can miss LandauParams' consistency check
+    beta = BETA_MIN * (1e6 / BETA_MIN)**t
+    params = LandauParams.from_magnitude(beta, axis)
+    assert params.beta == beta
+    assert np.array_equal(params.axis, axis / np.linalg.norm(axis))
 
 
 @PROPERTY
