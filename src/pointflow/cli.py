@@ -31,13 +31,16 @@ Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (a bad,
 malformed, missing or conflicting flag, counts above the node cap and
 points outside 1e-50 < |x| < 1e50 included; the message names the flag
 or file), 3 numerical failure (a MemoryError included, named with the
-subcommand), 4 out-of-regime (Picard divergence detector).
+subcommand), 4 out-of-regime (Picard divergence detector).  A reader that
+closes stdout before the report is written ends the run without a
+message and with the command's own exit code.
 """
 
 import argparse
 import contextlib
 import csv
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -80,6 +83,8 @@ _POINT_COLUMNS = [*range(16, 25), *range(7, 16), 6, 3, 4, 5, 0, 1, 2]
 _POINT_LINE = ('\n      {"T": [[%s, %s, %s], [%s, %s, %s], [%s, %s, %s]], '
                '"grad_u": [[%s, %s, %s], [%s, %s, %s], [%s, %s, %s]], '
                '"p": %s, "u": [%s, %s, %s], "x": [%s, %s, %s]}')
+# the _point_rows columns of T10, T20 and T21, with those of T01, T02 and T12
+_T_MIRROR = {19: 17, 22: 18, 23: 21}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -248,7 +253,8 @@ def _probe(spec, command, kinds=("landau", "grid"), flag="--field"):
 
 
 def _load_grid_field(path):
-    """Trilinear probe from a CSV of samples on a rectilinear grid.
+    """Trilinear probe from a CSV of samples on a rectilinear grid, parsed
+    once per content (_parsed).
 
     The rows are parsed from the open file after the header, the first
     line, without its blank and comment lines (_data_lines); they must be
@@ -264,19 +270,24 @@ def _load_grid_field(path):
     node, so the blocks keep every bit.  A node outside the samples raises
     the interpolator's ValueError, from the first block that leaves them.
     """
+    _require("\0" not in path, f"grid file {path!r} has an embedded null byte")
+    return _parsed(_grid_probe, path)
+
+
+def _grid_probe(path, lines):
+    """_load_grid_field's probe from the lines of the file at path."""
     from scipy.interpolate import RegularGridInterpolator
 
-    _require("\0" not in path, f"grid file {path!r} has an embedded null byte")
     # a UnicodeDecodeError, of a non-text file, is a ValueError
-    with open(path, newline="") as fh, _naming(f"grid file {path}"):
-        header = next(csv.reader([fh.readline()]), [])
+    with _naming(f"grid file {path}"):
+        header = next(csv.reader([next(lines, "")]), [])
         _require([h.strip() for h in header] == POINT_CSV_COLUMNS,
                  f"expected header {','.join(POINT_CSV_COLUMNS)}")
         with warnings.catch_warnings():
             # a file without rows is reported below, not warned of
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(_data_lines(fh), delimiter=",", quotechar='"',
-                              ndmin=2)
+            rows = np.loadtxt(_data_lines(lines), delimiter=",",
+                              quotechar='"', ndmin=2)
     _require(rows.size, f"grid file {path} holds no samples")
     _require(rows.shape[1] == len(POINT_CSV_COLUMNS), f"grid file {path}: "
              f"expected {len(POINT_CSV_COLUMNS)} columns per row")
@@ -323,12 +334,31 @@ def _point_rows(points, state, tensors):
 
 def _text_chunks(table, csv=None):
     """(rows, float.__repr__ of each column) per EMIT_CHUNK rows of table;
-    the --csv header and rows go to the text stream csv, if given."""
+    the --csv header and rows go to the text stream csv, if given.
+
+    Within a chunk x, y and z are formatted once per distinct bit pattern
+    (a grid's points share a few coordinates; 0.0 and -0.0 stay apart), and
+    a T entry below the diagonal takes the text of its mirror when the two
+    columns are equal bit for bit (flux_tensor's T is symmetric).
+    """
     if csv is not None:
         csv.writelines(_csv_lines([POINT_CSV_COLUMNS]))
+    bits = table.view(np.int64)
     for start in range(0, len(table), EMIT_CHUNK):
         rows = table[start:start + EMIT_CHUNK]
-        text = [list(map(float.__repr__, col.tolist())) for col in rows.T]
+        chunk = bits[start:start + EMIT_CHUNK].T
+        text = []
+        for k, col in enumerate(rows.T):
+            if k < 3:
+                distinct, where = np.unique(chunk[k], return_inverse=True)
+                strings = list(map(float.__repr__,
+                                   distinct.view(np.float64).tolist()))
+                text.append([strings[i] for i in where.tolist()])
+            elif k in _T_MIRROR and np.array_equal(chunk[k],
+                                                   chunk[_T_MIRROR[k]]):
+                text.append(text[_T_MIRROR[k]])
+            else:
+                text.append(list(map(float.__repr__, col.tolist())))
         if csv is not None:
             csv.writelines(_csv_lines(zip(*text[:len(POINT_CSV_COLUMNS)])))
         yield rows, text
@@ -390,9 +420,10 @@ def _rewrite(path, newline=None):
 
 
 def _emit(report, output, duration, csv_path=None, rows=()):
-    """Write the report to output (stdout when None) and to csv_path the rows
-    (header first) or a landau point table's, in the report's one pass;
-    csv_path is opened first and may not be the file output."""
+    """Write the report to output (stdout when None, flushed a chunk at a
+    time) and to csv_path the rows (header first) or a landau point
+    table's, in the report's one pass; csv_path is opened first and may not
+    be the file output."""
     report = dict(report, duration_s=duration)
     with contextlib.ExitStack() as files:
         csv = (files.enter_context(_rewrite(csv_path, newline=""))
@@ -400,11 +431,27 @@ def _emit(report, output, duration, csv_path=None, rows=()):
         _require(not (csv and output and os.path.isfile(output)
                       and os.path.samefile(csv_path, output)),
                  f"--csv {csv_path} is the same file as --output {output}")
-        fh = files.enter_context(_rewrite(output)) if output else sys.stdout
+        write = (files.enter_context(_rewrite(output)).write if output
+                 else _write_stdout)
         if csv:
             csv.writelines(_csv_lines(rows))
-        fh.writelines(_json_chunks(report, csv))
-        fh.write("\n")
+        for text in _json_chunks(report, csv):
+            write(text)
+        write("\n")
+
+
+class _StdoutClosed(Exception):
+    """The reader of stdout closed it before the report was written."""
+
+
+def _write_stdout(text):
+    """Write text to stdout and flush it, so that a reader that has closed
+    the pipe is met here; its BrokenPipeError is raised as _StdoutClosed."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _StdoutClosed from None
 
 
 def _csv_lines(rows):
@@ -419,20 +466,74 @@ def _data_lines(lines):
 
 
 def _read_points_file(path):
-    """(n, 3) points from the x,y,z columns of a CSV, parsed as it is read;
-    _data_lines drops blank and comment lines, and a first other line
-    x,y,z (cells stripped, as in a grid file) is a header."""
-    with _naming(f"points file {path}"), open(path, newline="") as fh:
-        lines = _data_lines(fh)
-        first = next(lines, "")
-        header = next(csv.reader([first]), [])[:3]
-        if [h.strip() for h in header] != ["x", "y", "z"]:
-            lines = itertools.chain([first], lines)
-        with warnings.catch_warnings():
-            # a file without rows is refused by the command, not warned of
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(lines, delimiter=",", quotechar='"',
-                              usecols=(0, 1, 2), ndmin=2)
+    """(n, 3) read-only points from the x,y,z columns of a CSV, parsed once
+    per content (_parsed) as it is read; _data_lines drops blank and
+    comment lines, and a first other line x,y,z (cells stripped, as in a
+    grid file) is a header."""
+    with _naming(f"points file {path}"):
+        return _parsed(_points, path)
+
+
+def _points(path, lines):
+    """_read_points_file's points from the lines of the file at path."""
+    lines = _data_lines(lines)
+    first = next(lines, "")
+    header = next(csv.reader([first]), [])[:3]
+    if [h.strip() for h in header] != ["x", "y", "z"]:
+        lines = itertools.chain([first], lines)
+    with warnings.catch_warnings():
+        # a file without rows is refused by the command, not warned of
+        warnings.simplefilter("ignore", UserWarning)
+        points = np.loadtxt(lines, delimiter=",", quotechar='"',
+                            usecols=(0, 1, 2), ndmin=2)
+    # every later read of the same content gets this array
+    points.flags.writeable = False
+    return points
+
+
+# the characters of a file that _parsed hashes at a time, so no copy of the
+# whole file is held
+_HASH_CHUNK = 65536
+# reader -> (sha256 of the text it last parsed, its result): one entry per
+# reader, kept for the process, so that the commands of one process (a
+# script that calls main several times) parse an unchanged file once
+_PARSED = {}
+
+
+def _parsed(reader, path):
+    """reader(path, lines) of the text file at path, once per content.
+
+    The file's text is hashed (sha256) first.  If reader last parsed text of
+    that hash, at any path, its result is returned.  Otherwise reader's
+    entry is dropped, reader parses the file's lines as they are hashed
+    again, and its result is kept under the hash of the text it read, so a
+    file rewritten between the two reads is kept under the content that was
+    parsed.  A parse that raises keeps nothing.
+    """
+    with open(path, newline="") as fh:
+        digest = hashlib.sha256()
+        try:
+            for chunk in iter(functools.partial(fh.read, _HASH_CHUNK), ""):
+                digest.update(chunk.encode())
+            key = digest.digest()
+        except UnicodeDecodeError:
+            # never kept: the parse reports it where its own reads meet it
+            key = None
+    if reader in _PARSED and _PARSED[reader][0] == key:
+        return _PARSED[reader][1]
+    _PARSED.pop(reader, None)   # the old result goes before the new parse
+    digest = hashlib.sha256()
+    with open(path, newline="") as fh:
+        result = reader(path, _hashed(fh, digest))
+    _PARSED[reader] = digest.digest(), result
+    return result
+
+
+def _hashed(lines, digest):
+    """The lines, each added to digest as it is read."""
+    for line in lines:
+        digest.update(line.encode())
+        yield line
 
 
 def _random_sphere_points(seed, n, rmin, rmax):
@@ -849,6 +950,12 @@ def main(argv=None):
                   if k not in ("func", "given") and v is not None}
         _emit(_report(command, config, payload, passed), args.output,
               time.perf_counter() - start, csv_path, *rows)
+    except _StdoutClosed:
+        # what is left of the report goes nowhere, and so does the
+        # interpreter's last flush of stdout at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import inspect
 import json
 import os
@@ -975,6 +976,202 @@ class TestBadFiles:
         assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The list that each np.loadtxt call appends to, from now on, with the
+    CLI's parse memo empty."""
+    monkeypatch.setattr(cli, "_PARSED", {})
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+class TestParseMemo:
+    """A grid file and a --points-file are parsed once per content: each
+    reader keeps its last result under the sha256 of the text it parsed."""
+
+    def write_grid(self, path, ux=1):
+        path.write_text(TestBadFiles.GRID_HEADER + "".join(
+            f"{x},{y},{z},{ux},0,0,0\n" for x in (-1, 1) for y in (-1, 1)
+            for z in (-1, 1)))
+        return f"grid:{path}"
+
+    WEAK_L3 = ["--weak-l3", "--domain", "ball:0.5", "--resolution", "4,2,4"]
+
+    def test_a_rewrite_of_the_same_size_and_mtime_is_read(self, tmp_path,
+                                                          parses):
+        pts, grid = tmp_path / "pts.csv", tmp_path / "grid.csv"
+        points, values = [], []
+        for z, ux in ((1, 1), (3, 2)):
+            pts.write_text(f"x,y,z\n0,0,{z}\n")
+            spec = self.write_grid(grid, ux)
+            if z == 1:
+                stats = [path.stat() for path in (pts, grid)]
+            else:   # the same size, and the mtime put back
+                for path, stat in zip((pts, grid), stats):
+                    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+                    assert path.stat().st_size == stat.st_size
+                    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+            code, report = run(tmp_path, "landau", "--A", "2",
+                               "--points-file", str(pts))
+            assert code == EXIT_PASS
+            points.append(report["payload"]["points"][0]["x"])
+            code, report = run(tmp_path, "norms", "--field", spec,
+                               *self.WEAK_L3)
+            assert code == EXIT_PASS
+            values.append(report["payload"]["value"])
+        assert points == [[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]]
+        assert values[1] == 2.0 * values[0] > 0.0
+        assert len(parses) == 4
+
+    def test_the_same_content_at_a_second_path_is_parsed_once(self, tmp_path,
+                                                              parses):
+        reports = []
+        for name in ("a.csv", "b.csv"):
+            pts = tmp_path / name
+            pts.write_text("x,y,z\n0,0,1\n0.5,-0.25,2\n")
+            code, report = run(tmp_path, "landau", "--A", "2",
+                               "--points-file", str(pts))
+            assert code == EXIT_PASS
+            reports.append(report["payload"])
+        assert reports[0] == reports[1] and len(parses) == 1
+
+    def test_flux_norms_and_parse_field_spec_share_one_parse(self, tmp_path,
+                                                             parses):
+        spec = self.write_grid(tmp_path / "grid.csv")
+        assert run(tmp_path, "flux", "--field", spec, "--radii", "0.5",
+                   "--n-theta", "4", "--tol", "1")[0] == EXIT_PASS
+        assert run(tmp_path, "norms", "--field", spec,
+                   *self.WEAK_L3)[0] == EXIT_PASS
+        kind, probe = cli.parse_field_spec(spec)
+        assert kind == "grid" and np.array_equal(
+            probe.velocity(np.zeros((1, 3))), [[1.0, 0.0, 0.0]])
+        assert len(parses) == 1
+
+    def test_a_bad_file_after_a_good_one_names_the_file(self, tmp_path,
+                                                        capsys, parses):
+        grid, pts = tmp_path / "grid.csv", tmp_path / "pts.csv"
+        spec = self.write_grid(grid)
+        pts.write_text("x,y,z\n0,0,1\n")
+        assert run(tmp_path, "flux", "--field", spec, "--radii", "0.5",
+                   "--n-theta", "4", "--tol", "1")[0] == EXIT_PASS
+        assert run(tmp_path, "landau", "--A", "2",
+                   "--points-file", str(pts))[0] == EXIT_PASS
+        capsys.readouterr()
+        for bad in (grid, tmp_path / "other.csv"):
+            bad.write_text(TestBadFiles.GRID_HEADER + "0,0,0,1,abc,0,0\n")
+            code, report = run(tmp_path, "flux", "--field", f"grid:{bad}",
+                               "--radii", "0.5", name="bad.json")
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG and report is None
+            assert f"grid file {bad}" in err and "abc" in err
+        pts.write_text("x,y,z\n0,0,1\n0.5,zz,1\n")
+        code, report = run(tmp_path, "landau", "--A", "2",
+                           "--points-file", str(pts), name="bad.json")
+        assert code == EXIT_CONFIG and report is None
+        assert f"points file {pts}" in capsys.readouterr().err
+
+    def test_a_file_rewritten_before_its_parse_is_kept_as_parsed(
+            self, tmp_path, monkeypatch, parses):
+        pts = tmp_path / "pts.csv"
+        old, new = "x,y,z\n0,0,1\n", "x,y,z\n0,0,3\n"
+        pts.write_text(old)
+        opened = []
+
+        def open_rewriting(path, *args, **kwargs):
+            # the lookup reads the old text; the parse, the second open,
+            # finds the new
+            opened.append(path)
+            if len(opened) == 2:
+                pathlib.Path(path).write_text(new)
+            return open(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "open", open_rewriting, raising=False)
+            assert cli._read_points_file(str(pts)).tolist() == [[0, 0, 3]]
+        assert len(opened) == 2
+        assert cli._PARSED[cli._points][0] == hashlib.sha256(
+            new.encode()).digest()
+        # the new text is found, and the old one is parsed again
+        assert cli._read_points_file(str(pts)).tolist() == [[0, 0, 3]]
+        assert len(parses) == 1
+        pts.write_text(old)
+        assert cli._read_points_file(str(pts)).tolist() == [[0, 0, 1]]
+        assert len(parses) == 2
+
+    def test_a_points_file_found_gives_the_same_report_bytes(self, tmp_path,
+                                                             parses):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y,z\n" + "".join(
+            ",".join(map(repr, row)) + "\n"
+            for row in np.random.default_rng(5).normal(size=(600, 3)).tolist()))
+        texts = []
+        for name in ("first", "second"):
+            out, rows = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            assert main(["landau", "--beta", "2.5", "--points-file", str(pts),
+                         "--csv", str(rows), "--output", str(out)]) == EXIT_PASS
+            texts.append((rows.read_bytes(), [
+                line for line in out.read_text().splitlines()
+                if '"duration_s"' not in line and '"csv"' not in line
+                and '"output"' not in line]))
+        assert texts[0] == texts[1] and len(parses) == 1
+        points = cli._read_points_file(str(pts))
+        assert not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0, 0] = 1.0
+
+
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+class TestClosedStdout:
+    """A reader that closed stdout before the report is written ends the run
+    without a stderr line and with the command's own exit code."""
+
+    @staticmethod
+    def run_into_a_closed_pipe(argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "pointflow.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=child_env(), text=True,
+                timeout=120)
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["landau", "--A", "2", "--point", "0,0,1"], EXIT_PASS),
+        (["flux", "--field", "landau:A=2", "--radii", "1", "--n-theta", "4",
+          "--tol", "1e-300"], EXIT_FAIL),
+    ])
+    def test_report_to_stdout(self, argv, code):
+        result = self.run_into_a_closed_pipe(argv)
+        assert (result.returncode, result.stderr) == (code, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="needs /dev/stdout")
+    def test_an_output_file_that_is_the_pipe_is_config_error(self):
+        # --output names a file the run opens, here the same closed pipe
+        result = self.run_into_a_closed_pipe(
+            ["landau", "--A", "2", "--point", "0,0,1",
+             "--output", "/dev/stdout"])
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == "configuration error: [Errno 32] Broken pipe\n"
+
+
 class TestOutputRewrite:
     """Outputs are rewritten in place: no truncation on open, no stale tail."""
 
@@ -1275,14 +1472,10 @@ class TestLibraryDefaults:
 def test_cli_import_leaves_out_scipy_optimize():
     # brentq is imported where A_from_beta needs it, so a command that
     # never turns a magnitude into A starts without scipy.optimize
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", "import sys, pointflow.cli; "
          "print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=child_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip() == "False"
 

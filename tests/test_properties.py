@@ -2,6 +2,7 @@
 
 Homogeneity, rotation equivariance, radius independence of the flux, the
 A -> beta -> A round trip, the beta and axis that from_magnitude keeps,
+the bitwise symmetry of the momentum flux tensor,
 idempotence of the Leray projection, the plateau, support and divergence
 of the test functions, and the bitwise pointwise evaluation of Landau
 fields and test functions.  Hypothesis draws the parameters with
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from pointflow import (
     A_from_beta, LandauField, LandauParams, beta_from_A, flux_integral,
-    landau_eval, leray_project, ns_residual, weakform,
+    flux_tensor, landau_eval, leray_project, ns_residual, weakform,
 )
 from pointflow.landau import A_MAX, A_MIN, BETA_MIN, _as_points, _Stages
 from pointflow.quadrature import NODE_BLOCK
@@ -96,6 +97,19 @@ def test_magnitude_and_axis_are_kept(t, axis):
     params = LandauParams.from_magnitude(beta, axis)
     assert params.beta == beta
     assert np.array_equal(params.axis, axis / np.linalg.norm(axis))
+
+
+@PROPERTY
+@given(t=st.floats(0.0, 1.0), axis=vectors, seed=seeds)
+def test_flux_tensor_is_symmetric_to_the_bit(t, axis, seed):
+    # the landau export formats T's lower entries by reusing the upper ones
+    # only where the bits agree; at a Landau field they always do
+    beta = BETA_MIN * (1e6 / BETA_MIN)**t
+    params = LandauParams.from_magnitude(beta, axis)
+    pts = sphere_points(np.random.default_rng(seed), 64, 1e-3, 1e3)
+    T = flux_tensor(landau_eval(params, pts))
+    assert np.array_equal(T.view(np.int64),
+                          np.swapaxes(T, -2, -1).view(np.int64))
 
 
 @PROPERTY

@@ -67,9 +67,11 @@ def count_interpolated_nodes(monkeypatch):
     return nodes
 
 
-def cli_open(buf):
-    """Make the CLI's open() return buf, whatever the path."""
-    return mock.patch.object(cli, "open", lambda *args, **kwargs: buf,
+def cli_open(text):
+    """Make each of the CLI's open() calls return a fresh stream of text,
+    whatever the path."""
+    return mock.patch.object(cli, "open",
+                             lambda *args, **kwargs: io.StringIO(text),
                              create=True)
 
 
@@ -251,7 +253,7 @@ class TestGridProbe:
         text = "x,y,z,ux,uy,uz,p\r\n" + "".join(
             f"{a!r},{b!r},{c!r}," + ",".join(cell) + "\r\n"
             for (a, b, c), cell in zip(nodes.tolist(), cells))
-        with cli_open(io.StringIO(text)):
+        with cli_open(text):
             _, probe = cli.parse_field_spec("grid:mem.csv")
         expected = np.array([[float(v) for v in row] for row in cells])
         assert np.array_equal(probe.velocity(nodes), expected[:, :3])
@@ -825,6 +827,63 @@ class TestLandauReport:
                       str(tmp_path / "u.csv"))
         assert (tmp_path / "r.json").read_text() == expected + "\n"
         assert (tmp_path / "u.csv").read_bytes() == csv_writer_bytes(*parts[:3])
+
+    @pytest.mark.parametrize("chunk", [2, 3, 5])
+    def test_reused_text_equals_json_dumps_and_csv_writer(self, tmp_path,
+                                                          chunk):
+        # x, y and z repeat within a chunk, 0.0 beside -0.0 and a NaN among
+        # them; T is symmetric to the bit in some chunks and not in others:
+        # one ulp apart, or 0.0 against -0.0, in a lower entry
+        rng = np.random.default_rng(chunk)
+        n = 12
+        points = rng.choice([0.0, -0.0, 0.5, -0.5, 1e-300], size=(n, 3))
+        points[0], points[1, 2] = [0.0, -0.0, 0.0], np.nan
+        u, p, grad = (rng.normal(size=s) for s in ((n, 3), (n,), (n, 3, 3)))
+        T = rng.normal(size=(n, 3, 3))
+        T += np.swapaxes(T, 1, 2)
+        T[4, 1, 0] = np.nextafter(T[4, 0, 1], np.inf)
+        T[9, 0, 2], T[9, 2, 0] = 0.0, -0.0
+        T[10, 2, 1] = -T[10, 1, 2]
+        assert not np.array_equal(T, np.swapaxes(T, 1, 2))
+        report, expected = landau_report(points, u, p, grad, T)
+        del report["duration_s"]
+        with mock.patch.object(cli, "EMIT_CHUNK", chunk):
+            assert "".join(cli._json_chunks(dict(
+                report, duration_s=0.5))) == expected
+            cli._emit(report, str(tmp_path / "r.json"), 0.5,
+                      str(tmp_path / "u.csv"))
+        assert (tmp_path / "r.json").read_text() == expected + "\n"
+        assert (tmp_path / "u.csv").read_bytes() == csv_writer_bytes(
+            points, u, p)
+
+    def test_export_formats_each_distinct_number_once(self, tmp_path,
+                                                      monkeypatch):
+        # a 16^3 grid export, 512 points a chunk: x takes 2 values in a
+        # chunk and y and z 16 each, and T's 3 lower entries reuse the
+        # upper ones, so 8 * 34 + 19 * 4096 numbers are formatted, not
+        # 25 * 4096 (at 32^3: 625,728, not 819,200)
+        x = np.arange(16) - 7.5
+        pts = np.stack(np.meshgrid(x, x, x, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        (tmp_path / "pts.csv").write_text("".join(
+            ",".join(map(repr, row)) + "\n" for row in pts.tolist()))
+        formatted = []
+
+        class CountedFloat(float):
+            def __repr__(self):
+                formatted.append(self)
+                return float.__repr__(self)
+
+        monkeypatch.setattr(cli, "float", CountedFloat, raising=False)
+        assert main(["landau", "--beta", "3.0", "--axis", "0.3,-0.4,0.866",
+                     "--points-file", str(tmp_path / "pts.csv"),
+                     "--csv", str(tmp_path / "u.csv"),
+                     "--output", str(tmp_path / "r.json")]) == EXIT_PASS
+        assert len(formatted) == 8 * 34 + 19 * 4096
+        state = landau_eval(PARAMS, pts)
+        got = json.loads((tmp_path / "r.json").read_text())
+        assert got["payload"]["points"] == reference_points(
+            pts, state.u, state.p, state.grad_u, flux_tensor(state))
 
     def test_an_exception_cuts_both_files(self, tmp_path):
         rng = np.random.default_rng(6)
